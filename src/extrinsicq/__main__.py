@@ -1,0 +1,8 @@
+"""``python -m extrinsicq`` runs the ``extrinsic-q`` command line."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

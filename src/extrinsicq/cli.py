@@ -12,7 +12,8 @@ Subcommands:
 Exit codes: 0 when everything ran and every check passed, 1 when at least
 one verification check failed, 2 for configuration or infrastructure
 errors (bad flags, malformed expressions, umbilicity violations, exhausted
-jet degree).
+jet degree) and for points outside a field's domain (a singular metric, the
+log of a nonpositive value).
 """
 
 import argparse
@@ -27,7 +28,7 @@ from . import hypersurface as hs
 from . import operators as ops
 from .exprlang import ExprError, parse_expression
 from .geometry import expression_field
-from .jets import JetError
+from .jets import JetError, SingularFieldError
 from .operators import NonUmbilicError
 from .scenarios import ScenarioError, list_scenarios, parse_scenario
 from .verify import ConfigError, Quadrature, integrate, report_csv
@@ -75,6 +76,8 @@ def _parse_point(text, dim):
         vals = [float(p) for p in parts]
     except ValueError:
         raise ConfigError(f"point: not a number in {text!r}") from None
+    if not all(np.isfinite(vals)):
+        raise ConfigError(f"point: coordinates must be finite, got {text!r}")
     return np.array([[v] for v in vals])
 
 
@@ -327,7 +330,14 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ScenarioError, ExprError, JetError, NonUmbilicError) as err:
+    except (
+        ConfigError,
+        ScenarioError,
+        ExprError,
+        JetError,
+        NonUmbilicError,
+        SingularFieldError,
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except OSError as err:

@@ -537,7 +537,7 @@ def nabla0_weyl_normal(sctx, d=0):
     """(nabla_nu Wbar)(nu, t_i, t_j, nu) as a surface 2-tensor of values.
 
     Only needed, and only computed, at degree 0: the contraction is assembled
-    from constant and linear jet coefficients with one einsum instead of
+    from constant and linear jet coefficients with einsums instead of
     composing all five-index components.
     """
     if d != 0:
@@ -585,7 +585,12 @@ def nabla0_weyl_normal(sctx, d=0):
         t = tangents(sctx, 0)
         nuv = np.array([arr(x) for x in nu])
         tv = np.array([[arr(x) for x in row] for row in t])
-        T = np.einsum("eabcdZ,eZ,aZ,ibZ,jcZ,dZ->ijZ", nW, nuv, nuv, tv, tv, nuv)
+        # normals first: each contraction shrinks the five-index tensor by a
+        # factor n + 1 before the tangents enter
+        X = np.einsum("eabcdZ,eZ->abcdZ", nW, nuv)
+        X = np.einsum("abcdZ,aZ->bcdZ", X, nuv)
+        X = np.einsum("bcdZ,dZ->bcZ", X, nuv)
+        T = np.einsum("bcZ,ibZ,jcZ->ijZ", X, tv, tv)
         sp = jets.jet_space(n, 0)
         return [[jets.constant(sp, T[i, j]) for j in range(n)] for i in range(n)]
 

@@ -7,6 +7,14 @@ only truncate.  The coefficient array may carry a trailing batch axis so a
 single jet represents the expansion of the same field at many points at
 once; unbatched and batched operands mix freely.
 
+Products are truncated Cauchy products over a cached pair table.  Small
+batches (and unbatched jets) sum each target's pairs with one
+``np.add.reduceat``; from ``_LAYERED_MIN_BATCH`` points on, the pairs are
+added in layers whose targets are distinct, which avoids reduceat's slow
+per-segment walk over long rows.  The layered kernel adds each target's
+pairs left to right; reduceat may group three or more of them differently,
+so the two kernels agree to rounding, not bit for bit.
+
 Degrees are bookkept explicitly.  Asking for information beyond the stored
 degree raises DegreeExhaustedError rather than returning garbage, and
 domain violations (log of a nonpositive value, division by zero) raise
@@ -23,6 +31,13 @@ MAX_DEGREE = 8
 
 # reciprocal refuses anything this close to zero
 _DIV_FLOOR = 1e-300
+
+# Batch size from which products use the layered kernel.  Below it the
+# per-layer Python overhead outweighs reduceat's per-segment cost: at 4-5
+# variables and degrees 1-6 the layered kernel runs at 0.2-0.7x of reduceat's
+# speed at 8 points and 0.6-2.8x at 64; at 128 it is faster in all cases but
+# one (0.8x), and everywhere from 256 (BENCH_cauchy_layers.json, "kernels").
+_LAYERED_MIN_BATCH = 128
 
 
 class JetError(ValueError):
@@ -80,12 +95,19 @@ class JetSpace:
         return math.comb(d + self.nvars, self.nvars)
 
     def mul_table(self):
-        """Index triple (I, J, starts) driving truncated Cauchy products.
+        """Pair tables (I, J, starts, layers) driving truncated Cauchy products.
 
-        Pairs are grouped by target index so the product reduces to one
-        gather-multiply and one add.reduceat.  Every target has at least one
-        pair (alpha = alpha + 0), which keeps ``starts`` strictly increasing
-        and reduceat's empty-segment quirk out of play.
+        Target k = index(mi[I[p]] + mi[J[p]]) collects the pairs p in
+        ``starts[k]:starts[k+1]``, ordered by I.  Every target has at least
+        one pair, and its first is (0, k) (alpha = 0 + alpha), which keeps
+        ``starts`` strictly increasing and reduceat's empty-segment quirk out
+        of play.
+
+        ``layers[r-1] = (K, I_r, J_r)`` holds the r-th pair of every target
+        with more than r pairs, so the targets K within a layer are distinct
+        and ``out[K] += a[I_r] * b[J_r]`` accumulates without collisions.
+        Starting from ``a[0] * b`` and adding the layers in order sums every
+        target's pairs in table order.
         """
         if self._mul is None:
             ks, iis, jjs = [], [], []
@@ -98,11 +120,16 @@ class JetSpace:
                     jjs.append(j)
             order = np.argsort(np.asarray(ks), kind="stable")
             k_sorted = np.asarray(ks)[order]
-            self._mul = (
-                np.asarray(iis, dtype=np.intp)[order],
-                np.asarray(jjs, dtype=np.intp)[order],
-                np.searchsorted(k_sorted, np.arange(self.ncoeffs)),
-            )
+            I = np.asarray(iis, dtype=np.intp)[order]
+            J = np.asarray(jjs, dtype=np.intp)[order]
+            starts = np.searchsorted(k_sorted, np.arange(self.ncoeffs))
+            counts = np.diff(starts, append=I.size)
+            layers = []
+            for r in range(1, int(counts.max())):
+                K = np.flatnonzero(counts > r)
+                p = starts[K] + r
+                layers.append((K, I[p], J[p]))
+            self._mul = (I, J, starts, tuple(layers))
         return self._mul
 
     def partial_table(self, var):
@@ -147,6 +174,21 @@ def _align(x, y):
     if x.ndim == 1:
         return x[:, None], y
     return x, y[:, None]
+
+
+def _cauchy_reduceat(space, ca, cb):
+    """Truncated product of aligned coefficient arrays by one reduceat."""
+    I, J, starts, _ = space.mul_table()
+    return np.add.reduceat(ca[I] * cb[J], starts, axis=0)
+
+
+def _cauchy_layered(space, ca, cb):
+    """Truncated product of aligned batched coefficient arrays, by layers."""
+    _, _, _, layers = space.mul_table()
+    out = ca[0] * cb
+    for K, I, J in layers:
+        out[K] += ca[I] * cb[J]
+    return out
 
 
 def _common(a, b):
@@ -225,9 +267,13 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             a, b = _common(self, other)
-            I, J, starts = a.space.mul_table()
             ca, cb = _align(a.coeffs, b.coeffs)
-            return Jet(a.space, np.add.reduceat(ca[I] * cb[J], starts, axis=0))
+            # two comparisons, not max(): this runs on every small product
+            if ca.ndim == 2 and (
+                ca.shape[1] >= _LAYERED_MIN_BATCH or cb.shape[1] >= _LAYERED_MIN_BATCH
+            ):
+                return Jet(a.space, _cauchy_layered(a.space, ca, cb))
+            return Jet(a.space, _cauchy_reduceat(a.space, ca, cb))
         return self._scale(_as_value(other))
 
     __rmul__ = __mul__

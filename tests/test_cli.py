@@ -170,6 +170,59 @@ def test_point_dimension_mismatch_exits_two(capsys):
     assert "expected 3" in err
 
 
+def test_singular_metric_point_exits_two(capsys):
+    # x2 = 1 is a pole of the round sphere's chart
+    code, out, err = run_cli(
+        capsys, "apply", "--scenario", "ROUND_S(4,1)", "--op", "q4", "--point", "0,1,1,1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "not positive definite" in err
+    assert "Traceback" not in err
+
+
+def test_input_function_outside_its_domain_exits_two(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "apply",
+        "--scenario",
+        "ROUND_S(4,1)",
+        "--op",
+        "p4",
+        "--f",
+        "log(x1-5)",
+        "--point",
+        "1,1,1,1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "log of a nonpositive value" in err
+
+
+@pytest.mark.parametrize("point", ["nan,1", "1,inf", "1,-inf"])
+def test_non_finite_point_exits_two(capsys, point):
+    code, out, err = run_cli(
+        capsys, "apply", "--scenario", "FLAT_T2", "--op", "q2", "--point", point
+    )
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "extrinsicq", "list-scenarios"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert out.returncode == 0, out.stderr
+    assert "SLICE(S2xS2)" in out.stdout
+
+
 def test_integrate_volume(capsys):
     code, out, _ = run_cli(
         capsys, "integrate", "--scenario", "FLAT_T2", "--f", "1", "--nodes", "6"

@@ -233,20 +233,32 @@ def test_compose_degree_zero_is_value_extraction():
     assert out.value == pytest.approx(math.sin(1.2) * -0.4)
 
 
+def _check_batched_matches_pointwise_loop(nvars, degree, batch, seed):
+    rng = np.random.default_rng(seed)
+    sp = jet_space(nvars, degree)
+    vals = [rng.uniform(0.5, 2.0, size=batch)]
+    vals += [rng.uniform(-1.0, 1.0, size=batch) for _ in range(nvars - 1)]
+
+    def f(xs):
+        x, y = xs[0], xs[1]
+        for z in xs[2:]:
+            y = y * z
+        return jets.sqrt(x) * jets.sin(y) + jets.exp(x * y) / x
+
+    got = f([seed_variable(sp, k, vals[k]) for k in range(nvars)])
+    assert got.batch == batch
+    for b in range(batch):
+        want = f([seed_variable(sp, k, vals[k][b]) for k in range(nvars)])
+        np.testing.assert_allclose(got.coeffs[:, b], want.coeffs, rtol=1e-12, atol=1e-14)
+
+
 def test_batched_matches_pointwise_loop():
-    rng = np.random.default_rng(9)
-    sp = jet_space(2, 4)
-    v0 = rng.uniform(0.5, 2.0, size=8)
-    v1 = rng.uniform(-1.0, 1.0, size=8)
-    x = seed_variable(sp, 0, v0)
-    y = seed_variable(sp, 1, v1)
-    f = jets.sqrt(x) * jets.sin(y) + jets.exp(x * y) / x
-    assert f.batch == 8
-    for b in range(8):
-        xb = seed_variable(sp, 0, v0[b])
-        yb = seed_variable(sp, 1, v1[b])
-        fb = jets.sqrt(xb) * jets.sin(yb) + jets.exp(xb * yb) / xb
-        np.testing.assert_allclose(f.coeffs[:, b], fb.coeffs, rtol=1e-12, atol=1e-14)
+    _check_batched_matches_pointwise_loop(2, 4, 8, 9)
+
+
+@pytest.mark.parametrize("nvars,degree", [(2, 4), (5, 3)])
+def test_large_batch_matches_pointwise_loop(nvars, degree):
+    _check_batched_matches_pointwise_loop(nvars, degree, 353, 19 + nvars)
 
 
 def test_mixed_batch_operands_lift():
@@ -343,6 +355,82 @@ def test_partial_bad_variable_raises():
         x.partial(2)
 
 
+# ---- Cauchy product kernels -------------------------------------------------
+
+LAYERED = jets._LAYERED_MIN_BATCH
+KERNEL_BATCHES = (8, LAYERED, 353)  # 353: a 2401-point grid's tail chunk
+
+
+def _reduceat_by_columns(space, ca, cb, width=16):
+    """The reduceat kernel applied a few columns at a time, so its (pairs,
+    batch) temporaries stay small even at six variables and degree 8."""
+    batch = max(ca.shape[1], cb.shape[1])
+    cols = []
+    for lo in range(0, batch, width):
+        s = slice(lo, lo + width)
+        x = ca if ca.shape[1] == 1 else ca[:, s]
+        y = cb if cb.shape[1] == 1 else cb[:, s]
+        cols.append(jets._cauchy_reduceat(space, x, y))
+    return np.hstack(cols)
+
+
+def test_mul_table_layers_hold_every_pair_once():
+    """The first pair of every target, (0, k), plus the layers' pairs are
+    exactly the truncated product's pairs, each once."""
+    for nvars, degree in [(1, 4), (3, 3), (5, 3), (4, 6)]:
+        sp = jet_space(nvars, degree)
+        want = {
+            (i, j, sp.index[tuple(x + y for x, y in zip(a, b))])
+            for i, a in enumerate(sp.mi)
+            for j, b in enumerate(sp.mi)
+            if sum(a) + sum(b) <= degree
+        }
+        entries = [(0, k, k) for k in range(sp.ncoeffs)]
+        for K, Ir, Jr in sp.mul_table()[3]:
+            assert np.unique(K).size == K.size
+            entries += zip(Ir.tolist(), Jr.tolist(), K.tolist())
+        assert len(entries) == len(want)
+        assert set(entries) == want
+
+
+@pytest.mark.parametrize("batch", KERNEL_BATCHES)
+@pytest.mark.parametrize("degree", range(jets.MAX_DEGREE + 1))
+@pytest.mark.parametrize("nvars", range(1, jets.MAX_NVARS + 1))
+def test_product_kernels_agree(nvars, degree, batch):
+    """Both kernels, every space, both sides of the switch, mixed operands.
+
+    The layered and reduceat kernels may round a target's sum differently,
+    so they are compared to 1e-14 of the sum of the absolute terms, the
+    scale of that rounding."""
+    sp = jet_space(nvars, degree)
+    rng = np.random.default_rng(1000 * nvars + 10 * degree + batch)
+    ca = rng.standard_normal((sp.ncoeffs, batch))
+    cb = rng.standard_normal((sp.ncoeffs, batch))
+    kernel = jets._cauchy_layered if batch >= LAYERED else jets._cauchy_reduceat
+    for x, y in [(ca, cb), (ca[:, :1], cb), (ca, cb[:, :1])]:
+        a = Jet(sp, x[:, 0] if x.shape[1] == 1 else x)
+        b = Jet(sp, y[:, 0] if y.shape[1] == 1 else y)
+        got = (a * b).coeffs
+        assert got.shape == (sp.ncoeffs, batch)
+        assert np.array_equal(got, kernel(sp, x, y))
+        want = _reduceat_by_columns(sp, x, y)
+        scale = _reduceat_by_columns(sp, np.abs(x), np.abs(y))
+        assert np.all(np.abs(jets._cauchy_layered(sp, x, y) - want) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("batch", [None, 1, LAYERED - 1, LAYERED, LAYERED + 1])
+def test_product_switches_kernel_at_threshold(batch):
+    sp = jet_space(5, 3)
+    rng = np.random.default_rng(7)
+    shape = (sp.ncoeffs,) if batch is None else (sp.ncoeffs, batch)
+    a = Jet(sp, rng.standard_normal(shape))
+    b = Jet(sp, rng.standard_normal(shape))
+    ca, cb = jets._align(a.coeffs, b.coeffs)
+    large = batch is not None and batch >= LAYERED
+    kernel = jets._cauchy_layered if large else jets._cauchy_reduceat
+    assert np.array_equal((a * b).coeffs, kernel(sp, ca, cb))
+
+
 SP23 = jet_space(2, 3)
 _coeff_lists = st.lists(
     st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
@@ -352,7 +440,17 @@ _coeff_lists = st.lists(
 jets_23 = st.builds(lambda c: Jet(SP23, np.asarray(c)), _coeff_lists)
 
 
-@given(jets_23, jets_23)
+def _spread(c, seed):
+    """A 353-point batch around the drawn coefficients (zeros stay zero)."""
+    rng = np.random.default_rng(seed)
+    return Jet(SP23, np.asarray(c)[:, None] * rng.uniform(0.5, 1.5, (SP23.ncoeffs, 353)))
+
+
+# unbatched, or batched above the layered kernel's threshold; two draws mix both
+jets_23_any = jets_23 | st.builds(_spread, _coeff_lists, st.integers(0, 2**32 - 1))
+
+
+@given(jets_23_any, jets_23_any)
 def test_product_commutes(a, b):
     np.testing.assert_allclose((a * b).coeffs, (b * a).coeffs, rtol=1e-12, atol=1e-12)
 
@@ -364,7 +462,7 @@ def test_product_associates(a, b, c):
     )
 
 
-@given(jets_23, jets_23)
+@given(jets_23_any, jets_23_any)
 def test_partial_satisfies_leibniz(a, b):
     got = (a * b).partial(0)
     want = a.partial(0) * b + a * b.partial(0)
