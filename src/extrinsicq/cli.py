@@ -18,6 +18,7 @@ log of a nonpositive value).
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -27,7 +28,7 @@ from . import curvature, verify
 from . import hypersurface as hs
 from . import operators as ops
 from .exprlang import ExprError, parse_expression
-from .geometry import expression_field
+from .geometry import expression_field, jet_values
 from .jets import JetError, SingularFieldError
 from .operators import NonUmbilicError
 from .scenarios import ScenarioError, list_scenarios, parse_scenario
@@ -57,15 +58,9 @@ _EMBEDDED_ONLY = {name for name in (*_NULLARY_OPS, *_UNARY_OPS) if name.startswi
 _EMBEDDED_ONLY.add("c_invariant")
 
 
-def _scalar(jet):
-    return float(np.atleast_1d(jet.value)[0])
-
-
-def _values(table):
-    """Nested lists of batch-1 jets to nested lists of floats."""
-    if isinstance(table, (list, tuple)):
-        return [_values(x) for x in table]
-    return _scalar(table)
+def _values(tensor):
+    """A batch-1 jet, or nested lists of them, as a float or nested lists of floats."""
+    return jet_values(tensor, 1)[..., 0].tolist()
 
 
 def _parse_point(text, dim):
@@ -147,8 +142,8 @@ def cmd_curvature(args):
         "g": _values(ctx.g(0)),
         "riemann": _values(curvature.riemann(ctx, 0)),
         "ricci": _values(curvature.ricci(ctx, 0)),
-        "scal": _scalar(curvature.scal(ctx, 0)),
-        "J": _scalar(curvature.jfun(ctx, 0)),
+        "scal": _values(curvature.scal(ctx, 0)),
+        "J": _values(curvature.jfun(ctx, 0)),
     }
     if scn.kind == "intrinsic":
         pack["metric"] = [list(row) for row in scn.metric.texts]
@@ -178,13 +173,13 @@ def cmd_extrinsic(args):
         "orientation": scn.embedding.sigma,
         "h": _values(ctx.g(0)),
         "shape": _values(hs.second_fundamental(ctx, 0)),
-        "mean_curvature": _scalar(hs.mean_curvature(ctx, 0)),
+        "mean_curvature": _values(hs.mean_curvature(ctx, 0)),
         "tracefree_shape": _values(hs.tracefree_second_fundamental(ctx, 0)),
         "normal_weyl": _values(hs.normal_weyl(ctx, 0)),
         "normal_riemann": _values(hs.normal_riemann(ctx, 0)),
         "rho_bar": _values(hs.rho_bar_tangential(ctx, 0)),
         "rho_bar_0i": _values(hs.rho_bar_normal_tangential(ctx, 0)),
-        "rho_bar_00": _scalar(hs.rho_bar_nn(ctx, 0)),
+        "rho_bar_00": _values(hs.rho_bar_nn(ctx, 0)),
         "nabla0_rho_bar": _values(hs.nabla0_rho_tangential(ctx, 0)),
         "nabla0_rho_bar_0i": _values(hs.nabla0_rho_normal(ctx, 0)),
         "nabla0_weyl": _values(hs.nabla0_weyl_normal(ctx, 0)),
@@ -219,7 +214,7 @@ def cmd_apply(args):
         "op": args.op,
         "scenario": scn.name,
         "point": [float(v[0]) for v in pt],
-        "value": _scalar(field(ctx, 0)),
+        "value": _values(field(ctx, 0)),
     }
     if args.f is not None:
         out["f"] = args.f
@@ -326,8 +321,29 @@ def build_parser():
     return ap
 
 
+# a coordinate list led by a negative number, e.g. -1,0 or -inf,2
+_NEGATIVE_POINT = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+def _attach_points(argv):
+    """Rewrite ``--point -1,0`` as ``--point=-1,0``.
+
+    argparse reads a word led by '-' as an option unless it is a single
+    number, so a point whose first coordinate is negative would otherwise
+    need the '=' form.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--point" and _NEGATIVE_POINT.match(arg):
+            out[-1] = f"--point={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_points(argv))
     try:
         return args.fn(args)
     except (

@@ -13,7 +13,8 @@ results can be cached per context; the calculus combinators (differential,
 divergence, laplacian, hessian, traces and inner products) assemble fields
 into new fields without fixing a degree prematurely.  Tensors are nested
 lists of jets, always fully covariant; indices are raised explicitly with
-the inverse metric where needed.
+the inverse metric where needed.  ``jet_values`` and ``jet_coeffs`` turn a
+tensor into one numpy array, batch axis last.
 """
 
 import itertools
@@ -146,6 +147,30 @@ def conformal_rescale(metric, phi_text):
     factor = f"exp(2*({phi_text}))"
     texts = [[f"{factor}*({t})" for t in row] for row in metric.texts]
     return Metric(metric.chart, texts)
+
+
+def jet_coeffs(tensor, nbatch, ncoeffs):
+    """The first ``ncoeffs`` Taylor coefficients of a nested jet tensor as one array.
+
+    A rank-r tensor (a bare jet when r = 0) gives shape
+    (ncoeffs, n_1, ..., n_r, nbatch); unbatched leaves are broadcast over the
+    batch.  In the graded layout coefficient 0 is the value and coefficient
+    1 + e the first partial along variable e.
+    """
+    shape, leaves = [], [tensor]
+    while isinstance(leaves[0], (list, tuple)):
+        shape.append(len(leaves[0]))
+        leaves = [x for row in leaves for x in row]
+    cols = [
+        np.broadcast_to(j.coeffs[:ncoeffs].reshape(ncoeffs, -1), (ncoeffs, nbatch))
+        for j in leaves
+    ]
+    return np.stack(cols, axis=1).reshape(ncoeffs, *shape, nbatch)
+
+
+def jet_values(tensor, nbatch):
+    """Values of a nested jet tensor as one array of shape (n_1, ..., n_r, nbatch)."""
+    return jet_coeffs(tensor, nbatch, 1)[0]
 
 
 def _truncate_any(obj, d):

@@ -21,7 +21,15 @@ import numpy as np
 
 from . import curvature, jets
 from .exprlang import ExprError, parse_expression
-from .geometry import Field, GeometryContext, MetricContext, _invert_spd, _sum
+from .geometry import (
+    Field,
+    GeometryContext,
+    MetricContext,
+    _invert_spd,
+    _sum,
+    jet_coeffs,
+    jet_values,
+)
 from .jets import DegreeExhaustedError, JetError
 
 
@@ -131,19 +139,27 @@ def ambient_inverse_on_surface(sctx, d):
 
 
 def _induced_metric(sctx, d):
-    n = sctx.dim
     t = tangents(sctx, d)
-    gb = ambient_metric_on_surface(sctx, d)
+    return _tangential(ambient_metric_on_surface(sctx, d), t, sctx, d)
+
+
+def _tangential(X, t, sctx, d, symmetric=True):
+    """The surface 2-tensor X_ab t_i^a t_j^b of an ambient 2-tensor X.
+
+    A symmetric X is summed for i <= j only and mirrored.
+    """
+    n = sctx.dim
     na = n + 1
     out = [[None] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i, n):
-            s = _sum(
-                [gb[a][b] * (t[i][a] * t[j][b]) for a in range(na) for b in range(na)],
+        for j in range(i if symmetric else 0, n):
+            out[i][j] = _sum(
+                [X[a][b] * (t[i][a] * t[j][b]) for a in range(na) for b in range(na)],
                 sctx,
                 d,
             )
-            out[i][j] = out[j][i] = s
+            if symmetric:
+                out[j][i] = out[i][j]
     return out
 
 
@@ -341,20 +357,8 @@ def rho_bar_tangential(sctx, d):
     """The pullback iota* rhobar as a surface 2-tensor."""
 
     def build(dd):
-        n = sctx.dim
-        na = n + 1
         rb = pulled_schouten(sctx, dd)
-        t = tangents(sctx, dd)
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                s = _sum(
-                    [rb[a][b] * (t[i][a] * t[j][b]) for a in range(na) for b in range(na)],
-                    sctx,
-                    dd,
-                )
-                out[i][j] = out[j][i] = s
-        return out
+        return _tangential(rb, tangents(sctx, dd), sctx, dd)
 
     return sctx.get("rhobar_tt", d, build)
 
@@ -378,67 +382,37 @@ def rho_bar_normal_tangential(sctx, d):
     return sctx.get("rhobar_nt", d, build)
 
 
+def _normal_tt(sctx, T, d):
+    """The surface 2-tensor T(nu, t_i, t_j, nu) of an ambient 4-tensor T."""
+    na = sctx.dim + 1
+    nu = normal(sctx, d)
+    t = tangents(sctx, d)
+    X = [
+        [
+            _sum([(nu[a] * nu[e]) * T[a][b][c][e] for a in range(na) for e in range(na)], sctx, d)
+            for c in range(na)
+        ]
+        for b in range(na)
+    ]
+    return _tangential(X, t, sctx, d, symmetric=False)
+
+
 def normal_riemann(sctx, d):
     """The 2-tensor Rbar(nu, t_i, t_j, nu) of normal ambient curvature."""
 
     def build(dd):
-        n = sctx.dim
-        na = n + 1
         R = [
             [[[jets.compose(c, iota_jets(sctx, dd)) for c in row3] for row3 in row2] for row2 in row1]
             for row1 in curvature.riemann(sctx.ambient, dd)
         ]
-        nu = normal(sctx, dd)
-        t = tangents(sctx, dd)
-        X = [[None] * na for _ in range(na)]
-        for b in range(na):
-            for c in range(na):
-                X[b][c] = _sum(
-                    [(nu[a] * nu[e]) * R[a][b][c][e] for a in range(na) for e in range(na)],
-                    sctx,
-                    dd,
-                )
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                out[i][j] = _sum(
-                    [X[b][c] * (t[i][b] * t[j][c]) for b in range(na) for c in range(na)],
-                    sctx,
-                    dd,
-                )
-        return out
+        return _normal_tt(sctx, R, dd)
 
     return sctx.get("normal_riemann", d, build)
 
 
 def normal_weyl(sctx, d):
     """The 2-tensor Wbar(nu, t_i, t_j, nu), conformally invariant of weight 0."""
-
-    def build(dd):
-        n = sctx.dim
-        na = n + 1
-        W = pulled_weyl(sctx, dd)
-        nu = normal(sctx, dd)
-        t = tangents(sctx, dd)
-        X = [[None] * na for _ in range(na)]
-        for b in range(na):
-            for c in range(na):
-                X[b][c] = _sum(
-                    [(nu[a] * nu[e]) * W[a][b][c][e] for a in range(na) for e in range(na)],
-                    sctx,
-                    dd,
-                )
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                out[i][j] = _sum(
-                    [X[b][c] * (t[i][b] * t[j][c]) for b in range(na) for c in range(na)],
-                    sctx,
-                    dd,
-                )
-        return out
-
-    return sctx.get("normal_weyl", d, build)
+    return sctx.get("normal_weyl", d, lambda dd: _normal_tt(sctx, pulled_weyl(sctx, dd), dd))
 
 
 def fialkow(sctx, d):
@@ -486,8 +460,7 @@ def nabla0_rho_tangential(sctx, d):
     """(nabla_nu rhobar)(t_i, t_j) as a surface 2-tensor."""
 
     def build(dd):
-        n = sctx.dim
-        na = n + 1
+        na = sctx.dim + 1
         N = _pulled_nabla_rho(sctx, dd)
         nu = normal(sctx, dd)
         t = tangents(sctx, dd)
@@ -496,16 +469,7 @@ def nabla0_rho_tangential(sctx, d):
             for b in range(a, na):
                 s = _sum([nu[c] * N[c][a][b] for c in range(na)], sctx, dd)
                 X[a][b] = X[b][a] = s
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                s = _sum(
-                    [X[a][b] * (t[i][a] * t[j][b]) for a in range(na) for b in range(na)],
-                    sctx,
-                    dd,
-                )
-                out[i][j] = out[j][i] = s
-        return out
+        return _tangential(X, t, sctx, dd)
 
     return sctx.get("nabla0_rho_tt", d, build)
 
@@ -550,30 +514,10 @@ def nabla0_weyl_normal(sctx, d=0):
         na = n + 1
         B = sctx.nbatch
         amb = sctx.ambient
-        W1 = curvature.weyl(amb, 1)
-        ga = amb.gamma(0)
-
-        def arr(j):
-            return np.broadcast_to(np.atleast_1d(np.asarray(j.value)), (B,))
-
-        Wv = np.empty((na, na, na, na, B))
-        dWv = np.empty((na, na, na, na, na, B))
-        unit = [tuple(1 if k == e else 0 for k in range(na)) for e in range(na)]
-        for a in range(na):
-            for b in range(na):
-                for c in range(na):
-                    for f in range(na):
-                        j = W1[a][b][c][f]
-                        Wv[a, b, c, f] = arr(j)
-                        for e in range(na):
-                            dWv[e, a, b, c, f] = np.broadcast_to(
-                                np.atleast_1d(np.asarray(j.extract(unit[e]))), (B,)
-                            )
-        Gv = np.empty((na, na, na, B))
-        for k in range(na):
-            for i in range(na):
-                for j_ in range(na):
-                    Gv[k, i, j_] = arr(ga[k][i][j_])
+        # coefficient 1 + e of a degree-1 jet is its first partial along e
+        W1 = jet_coeffs(curvature.weyl(amb, 1), B, na + 1)
+        Wv, dWv = W1[0], W1[1:]
+        Gv = jet_values(amb.gamma(0), B)
         nW = (
             dWv
             - np.einsum("feaZ,fbcdZ->eabcdZ", Gv, Wv)
@@ -581,10 +525,8 @@ def nabla0_weyl_normal(sctx, d=0):
             - np.einsum("fecZ,abfdZ->eabcdZ", Gv, Wv)
             - np.einsum("fedZ,abcfZ->eabcdZ", Gv, Wv)
         )
-        nu = normal(sctx, 0)
-        t = tangents(sctx, 0)
-        nuv = np.array([arr(x) for x in nu])
-        tv = np.array([[arr(x) for x in row] for row in t])
+        nuv = jet_values(normal(sctx, 0), B)
+        tv = jet_values(tangents(sctx, 0), B)
         # normals first: each contraction shrinks the five-index tensor by a
         # factor n + 1 before the tangents enter
         X = np.einsum("eabcdZ,eZ->abcdZ", nW, nuv)

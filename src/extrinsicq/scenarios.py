@@ -205,10 +205,14 @@ _PHI["PERT_T4"] = _PHI["FLAT_T4"]
 _PHI["PERT_T5"] = _PHI["FLAT_T5"]
 
 
-def conf_phi(base_name, round_s=False, sphere_in_flat=False):
-    if round_s:
+def conf_phi(base_name):
+    """The fixed conformal factor of CONF_PERTURBED(base_name).
+
+    Every round sphere, and every sphere in flat space, shares one factor.
+    """
+    if base_name.startswith("ROUND_S("):
         return "0.1*cos(x1) + 0.07*sin(x1)*cos(x2)"
-    if sphere_in_flat:
+    if base_name.startswith("SPHERE_IN_FLAT("):
         return "0.1*sin(y1) + 0.07*cos(y2)*sin(y3)"
     try:
         return _PHI[base_name]
@@ -486,12 +490,7 @@ def parse_scenario(text):
         if not args or len(args) != 1:
             raise ScenarioError("CONF_PERTURBED needs a base scenario argument")
         base = parse_scenario(args[0])
-        phi = conf_phi(
-            base.name,
-            round_s=base.name.startswith("ROUND_S("),
-            sphere_in_flat=base.name.startswith("SPHERE_IN_FLAT("),
-        )
-        return base.rescaled(phi, name=f"CONF_PERTURBED({base.name})")
+        return base.rescaled(conf_phi(base.name), name=f"CONF_PERTURBED({base.name})")
 
     known = sorted(_FIXED) + ["ROUND_S(n,r)", "SPHERE_IN_FLAT(n,r)", "SLICE(...)",
                               "GRAPH(...)", "CONF_PERTURBED(base)"]

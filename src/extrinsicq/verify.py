@@ -8,9 +8,17 @@ control first, which must pass at the much tighter control tolerance; that
 separates genuine transformation-law failures from loss of precision in the
 evaluation pipeline itself.
 
-Suites are fixed plans of (scenario, check) rows.  Randomness is drawn per
-row from a seed derived from (config.seed, row index), so a report can be
-reproduced bit for bit from its own config echo.
+Two scaffolds give every pointwise check its shape.  ``_pointwise_checks``
+draws a row's points and context and builds one result per (name, residual,
+scale, tolerance).  The conformal checks compare a scenario with its e^{2 phi}
+rescaling through ``_rescaled_pair`` (both contexts on the same points, and
+phi as a field), and ``_control_and_draws`` turns such a defect into the phi=0
+control and the worst case over random factors.  Fields come back from the
+jets as arrays through ``geometry.jet_values``, batch axis last.
+
+Suites are fixed plans of (scenario, check name, arguments) rows, kept as
+data.  Randomness is drawn per row from a seed derived from (config.seed, row
+index), so a report can be reproduced bit for bit from its own config echo.
 """
 
 import math
@@ -29,6 +37,7 @@ from .geometry import (
     divergence2,
     divdiv,
     expression_field,
+    jet_values,
     laplacian,
     norm2sq,
     square2,
@@ -189,27 +198,6 @@ class Quadrature:
         self.gauss_nodes = gauss_nodes
 
 
-def _vals(jet, nbatch):
-    v = np.atleast_1d(np.asarray(jet.value, dtype=np.float64))
-    if v.size == 1 and nbatch != 1:
-        return np.full(nbatch, v[0])
-    return v
-
-
-def _t1vals(row, nbatch):
-    return np.stack([_vals(e, nbatch) for e in row], axis=-1)
-
-
-def _t2vals(mat, nbatch):
-    return np.stack([np.stack([_vals(e, nbatch) for e in row], axis=-1) for row in mat], axis=-2)
-
-
-def _t4vals(t, nbatch):
-    return np.stack(
-        [np.stack([_t2vals(mn, nbatch) for mn in row], axis=-3) for row in t], axis=-4
-    )
-
-
 def integrate(fields, scenario, quad, degree_cap=6, chunk=1024, absolute=False):
     """Integrals of scalar fields against the scenario's volume form.
 
@@ -234,10 +222,10 @@ def integrate(fields, scenario, quad, degree_cap=6, chunk=1024, absolute=False):
         w = quad.weights[sl]
         nb = pts.shape[1]
         ctx = scenario.context(pts, degree_cap=degree_cap)
-        gm = _t2vals(ctx.g(0), nb)
-        dens = w * np.sqrt(np.linalg.det(gm))
+        gm = jet_values(ctx.g(0), nb)
+        dens = w * np.sqrt(np.linalg.det(np.moveaxis(gm, -1, 0)))
         for k, f in enumerate(fields):
-            term = dens * _vals(f(ctx, 0), nb)
+            term = dens * jet_values(f(ctx, 0), nb)
             parts[k].append(term)
             if absolute:
                 aparts[k].append(np.abs(term))
@@ -326,6 +314,60 @@ def _exp_weight(phi_field, weight):
     return Field(0, lambda ctx, d: jets.exp(phi_field(ctx, d) * float(weight)))
 
 
+def _at(ctx, fn):
+    """A field, or any fn(ctx, degree), evaluated at degree 0 as an array."""
+    return jet_values(fn(ctx, 0), ctx.nbatch)
+
+
+# ---- the two check scaffolds -----------------------------------------------------
+
+
+def _pointwise_checks(scn, cfg, seed, rows, cap=None):
+    """Draw the row's points and context, then build one result for each
+    (name, residual, scale, tol) that ``rows(ctx, rng)`` returns; the error
+    is max |residual|.  ``cap`` overrides the configured jet degree."""
+    rng = np.random.default_rng(seed)
+    pts = _points(scn, _npoints(scn.dim), rng)
+    ctx = scn.context(pts, degree_cap=cfg.degree if cap is None else cap)
+    return [
+        CheckResult.build(name, scn.name, ctx.nbatch, np.max(np.abs(res)), scale, tol, seed)
+        for name, res, scale, tol in rows(ctx, rng)
+    ]
+
+
+def _rescaled_pair(scn, phi_text, pts, cap, base_ctx=None):
+    """Contexts of the scenario and of its e^{2 phi} rescaling on the same
+    points, and phi as a field; ``base_ctx`` reuses an existing base context."""
+    if base_ctx is None:
+        base_ctx = scn.context(pts, degree_cap=cap)
+    hat_ctx = scn.rescaled(phi_text).context(pts, degree_cap=cap)
+    return base_ctx, hat_ctx, _phi_field(scn, phi_text)
+
+
+def _defect(lhs, rhs, scale=None):
+    """max |lhs - rhs| and the scale it is judged against, by default the
+    larger side."""
+    if scale is None:
+        scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
+    return float(np.max(np.abs(lhs - rhs))), float(scale)
+
+
+def _control_and_draws(name, scn, cfg, seed, rng, pts, draws, defect):
+    """The phi=0 control of ``defect(phi_text) -> (err, scale)`` at the
+    control tolerance, then its worst case over ``draws`` random conformal
+    factors at the pointwise tolerance."""
+    nb = pts.shape[1]
+    err0, scale0 = defect("0")
+    out = [CheckResult.build(f"{name}[phi=0]", scn.name, nb, err0, scale0, cfg.tol_control, seed)]
+    basis = scn.ambient_basis if scn.kind == "embedded" else scn.basis
+    err, scale = 0.0, 1.0
+    for _ in range(draws):
+        e, s = defect(_random_text(basis, rng))
+        err, scale = max(err, e), max(scale, s)
+    out.append(CheckResult.build(name, scn.name, nb * draws, err, scale, cfg.tol_point, seed))
+    return out
+
+
 # ---- conformal covariance -------------------------------------------------------
 
 _COVARIANT_OPS = {
@@ -348,19 +390,11 @@ def _covariance_defect(scn, make_op, order, phi_text, f_text, cfg, pts):
     """
     n = scn.dim
     w_in, w_out = 0.5 * (n - order), 0.5 * (n + order)
-    hat = scn.rescaled(phi_text)
-    base_ctx = scn.context(pts, degree_cap=cfg.degree)
-    hat_ctx = hat.context(pts, degree_cap=cfg.degree)
-    nb = pts.shape[1]
+    base_ctx, hat_ctx, phi = _rescaled_pair(scn, phi_text, pts, cfg.degree)
     f = _sfield(f_text, scn.chart)
-    phi = _phi_field(scn, phi_text)
-    fin = _exp_weight(phi, w_in) * f
-    lhs = _vals(make_op(fin)(base_ctx, 0), nb)
-    phiv = _vals(phi(base_ctx, 0), nb)
-    rhs = np.exp(w_out * phiv) * _vals(make_op(f)(hat_ctx, 0), nb)
-    err = float(np.max(np.abs(lhs - rhs)))
-    scale = float(max(np.max(np.abs(lhs)), np.max(np.abs(rhs))))
-    return err, scale, nb
+    lhs = _at(base_ctx, make_op(_exp_weight(phi, w_in) * f))
+    rhs = np.exp(w_out * _at(base_ctx, phi)) * _at(hat_ctx, make_op(f))
+    return _defect(lhs, rhs)
 
 
 def check_covariance(scn, op_name, cfg, seed, pairs=1):
@@ -372,81 +406,48 @@ def check_covariance(scn, op_name, cfg, seed, pairs=1):
     make_op, order, kind = _COVARIANT_OPS[op_name]
     if kind == "embedded" and scn.kind != "embedded":
         raise ConfigError(f"{op_name} needs an embedded scenario, got {scn.name}")
-    name = f"{op_name}_covariance"
     rng = np.random.default_rng(seed)
     pts = _points(scn, _npoints(scn.dim), rng)
-    phi_basis = scn.ambient_basis if scn.kind == "embedded" else scn.basis
-    out = []
-    err0, scale0, nb0 = _covariance_defect(
-        scn, make_op, order, "0", _random_text(scn.basis, rng), cfg, pts
-    )
-    out.append(
-        CheckResult.build(f"{name}[phi=0]", scn.name, nb0, err0, scale0, cfg.tol_control, seed)
-    )
-    err, scale, total = 0.0, 1.0, 0
-    for _ in range(pairs):
-        e, s, nb = _covariance_defect(
-            scn, make_op, order,
-            _random_text(phi_basis, rng), _random_text(scn.basis, rng), cfg, pts,
-        )
-        err, scale, total = max(err, e), max(scale, s), total + nb
-    out.append(CheckResult.build(name, scn.name, total, err, scale, cfg.tol_point, seed))
-    return out
+
+    def defect(phi_text):
+        f_text = _random_text(scn.basis, rng)
+        return _covariance_defect(scn, make_op, order, phi_text, f_text, cfg, pts)
+
+    return _control_and_draws(f"{op_name}_covariance", scn, cfg, seed, rng, pts, pairs, defect)
 
 
 # ---- Q-curvature transformation laws -------------------------------------------
 
-
-def _q_law_pieces(which):
-    if which == "q2":
-        return ops.q2, ops.p2, 2, -1.0, "intrinsic", False
-    if which == "ext_q2":
-        return ops.ext_q2, ops.ext_p2, 2, -1.0, "embedded", False
-    if which == "ext_q3":
-        return ops.ext_q3, ops.ext_p3, 3, +1.0, "embedded", False
-    if which == "q4":
-        return ops.q4, ops.p4, 4, +1.0, "intrinsic", False
-    if which == "ext_q4":
-        return ops.ext_q4_umbilic, ops.ext_p4_umbilic, 4, +1.0, "embedded", True
-    raise ConfigError(f"unknown Q-curvature law {which!r}")
-
-
-def _q_law_defect(scn, which, phi_text, cfg, pts):
-    q_op, p_op, n, sign, kind, _ = _q_law_pieces(which)
-    if scn.dim != n:
-        raise ConfigError(f"{which} law lives in dimension {n}, scenario has {scn.dim}")
-    if kind == "embedded" and scn.kind != "embedded":
-        raise ConfigError(f"{which} law needs an embedded scenario")
-    hat = scn.rescaled(phi_text)
-    base_ctx = scn.context(pts, degree_cap=cfg.degree)
-    hat_ctx = hat.context(pts, degree_cap=cfg.degree)
-    nb = pts.shape[1]
-    phi = _phi_field(scn, phi_text)
-    phiv = _vals(phi(base_ctx, 0), nb)
-    lhs = np.exp(n * phiv) * _vals(q_op()(hat_ctx, 0), nb)
-    rhs = _vals(q_op()(base_ctx, 0), nb) + sign * _vals(p_op(phi)(base_ctx, 0), nb)
-    err = float(np.max(np.abs(lhs - rhs)))
-    scale = float(max(np.max(np.abs(lhs)), np.max(np.abs(rhs))))
-    return err, scale, nb
+# Q, the operator P in its law, the dimension n, the sign of P(phi), and the
+# kind of scenario it needs
+_Q_LAWS = {
+    "q2": (ops.q2, ops.p2, 2, -1.0, "intrinsic"),
+    "ext_q2": (ops.ext_q2, ops.ext_p2, 2, -1.0, "embedded"),
+    "ext_q3": (ops.ext_q3, ops.ext_p3, 3, +1.0, "embedded"),
+    "q4": (ops.q4, ops.p4, 4, +1.0, "intrinsic"),
+    "ext_q4": (ops.ext_q4_umbilic, ops.ext_p4_umbilic, 4, +1.0, "embedded"),
+}
 
 
 def check_q_law(scn, which, cfg, seed, pairs=1):
     """The law e^{n phi} Q_hat = Q -+ P(phi); minus in dimension two."""
+    if which not in _Q_LAWS:
+        raise ConfigError(f"unknown Q-curvature law {which!r}")
+    q_op, p_op, n, sign, kind = _Q_LAWS[which]
+    if scn.dim != n:
+        raise ConfigError(f"{which} law lives in dimension {n}, scenario has {scn.dim}")
+    if kind == "embedded" and scn.kind != "embedded":
+        raise ConfigError(f"{which} law needs an embedded scenario")
     rng = np.random.default_rng(seed)
     pts = _points(scn, _npoints(scn.dim), rng)
-    phi_basis = scn.ambient_basis if scn.kind == "embedded" else scn.basis
-    name = f"{which}_law"
-    out = []
-    err0, scale0, nb0 = _q_law_defect(scn, which, "0", cfg, pts)
-    out.append(
-        CheckResult.build(f"{name}[phi=0]", scn.name, nb0, err0, scale0, cfg.tol_control, seed)
-    )
-    err, scale, total = 0.0, 1.0, 0
-    for _ in range(pairs):
-        e, s, nb = _q_law_defect(scn, which, _random_text(phi_basis, rng), cfg, pts)
-        err, scale, total = max(err, e), max(scale, s), total + nb
-    out.append(CheckResult.build(name, scn.name, total, err, scale, cfg.tol_point, seed))
-    return out
+
+    def defect(phi_text):
+        base_ctx, hat_ctx, phi = _rescaled_pair(scn, phi_text, pts, cfg.degree)
+        lhs = np.exp(n * _at(base_ctx, phi)) * _at(hat_ctx, q_op())
+        rhs = _at(base_ctx, q_op()) + sign * _at(base_ctx, p_op(phi))
+        return _defect(lhs, rhs)
+
+    return _control_and_draws(f"{which}_law", scn, cfg, seed, rng, pts, pairs, defect)
 
 
 # ---- pointwise invariant --------------------------------------------------------
@@ -458,30 +459,15 @@ def check_c_invariance(scn, cfg, seed, phis=3):
         raise ConfigError("the pointwise invariant lives on 4-dimensional hypersurfaces")
     rng = np.random.default_rng(seed)
     pts = _points(scn, _npoints(4), rng)
-    nb = pts.shape[1]
     base_ctx = scn.context(pts, degree_cap=cfg.degree)
-    base = _vals(ops.c_invariant()(base_ctx, 0), nb)
-    out = []
+    base = _at(base_ctx, ops.c_invariant())
 
     def defect(phi_text):
-        hat = scn.rescaled(phi_text)
-        hat_ctx = hat.context(pts, degree_cap=cfg.degree)
-        phiv = _vals(_phi_field(scn, phi_text)(base_ctx, 0), nb)
-        lhs = np.exp(4.0 * phiv) * _vals(ops.c_invariant()(hat_ctx, 0), nb)
-        return float(np.max(np.abs(lhs - base))), float(np.max(np.abs(base)))
+        _, hat_ctx, phi = _rescaled_pair(scn, phi_text, pts, cfg.degree, base_ctx)
+        lhs = np.exp(4.0 * _at(base_ctx, phi)) * _at(hat_ctx, ops.c_invariant())
+        return _defect(lhs, base, np.max(np.abs(base)))
 
-    err0, scale0 = defect("0")
-    out.append(
-        CheckResult.build("c_invariance[phi=0]", scn.name, nb, err0, scale0, cfg.tol_control, seed)
-    )
-    err, scale = 0.0, 1.0
-    for _ in range(phis):
-        e, s = defect(_random_text(scn.ambient_basis, rng))
-        err, scale = max(err, e), max(scale, s)
-    out.append(
-        CheckResult.build("c_invariance", scn.name, nb * phis, err, scale, cfg.tol_point, seed)
-    )
-    return out
+    return _control_and_draws("c_invariance", scn, cfg, seed, rng, pts, phis, defect)
 
 
 # ---- umbilic normal-derivative identity ----------------------------------------
@@ -490,26 +476,16 @@ def check_c_invariance(scn, cfg, seed, phis=3):
 def check_normal_derivative_identity(scn, cfg, seed):
     """The umbilic identity relating delta(nabla_0 rho), the Laplacian of
     rho(nu,nu) + H^2, and delta delta W; residual is checked pointwise."""
-    rng = np.random.default_rng(seed)
-    pts = _points(scn, _npoints(scn.dim), rng)
-    nb = pts.shape[1]
-    ctx = scn.context(pts, degree_cap=cfg.degree)
-    res = _vals(ops.normal_derivative_identity()(ctx, 0), nb)
-    ingredient = laplacian(
-        ops.rho_bar_nn_field() + ops.mean_curvature_field() * ops.mean_curvature_field()
-    )
-    scale = float(np.max(np.abs(_vals(ingredient(ctx, 0), nb))))
-    return [
-        CheckResult.build(
-            "normal_derivative_identity",
-            scn.name,
-            nb,
-            float(np.max(np.abs(res))),
-            scale,
-            1e-8,
-            seed,
+
+    def rows(ctx, rng):
+        res = _at(ctx, ops.normal_derivative_identity())
+        ingredient = laplacian(
+            ops.rho_bar_nn_field() + ops.mean_curvature_field() * ops.mean_curvature_field()
         )
-    ]
+        scale = np.max(np.abs(_at(ctx, ingredient)))
+        return [("normal_derivative_identity", res, scale, 1e-8)]
+
+    return _pointwise_checks(scn, cfg, seed, rows)
 
 
 # ---- reductions and frozen values -----------------------------------------------
@@ -517,105 +493,57 @@ def check_normal_derivative_identity(scn, cfg, seed):
 
 def check_sphere_reduction(scn, cfg, seed):
     """In a flat ambient the extrinsic P4 and Q4 reduce to the intrinsic ones."""
-    rng = np.random.default_rng(seed)
-    pts = _points(scn, _npoints(scn.dim), rng)
-    nb = pts.shape[1]
-    ctx = scn.context(pts, degree_cap=cfg.degree)
-    f = _sfield(_random_text(scn.basis, rng), scn.chart)
-    pe = _vals(ops.ext_p4_umbilic(f)(ctx, 0), nb)
-    pi = _vals(ops.p4(f)(ctx, 0), nb)
-    qe = _vals(ops.ext_q4_umbilic()(ctx, 0), nb)
-    qi = _vals(ops.q4()(ctx, 0), nb)
-    return [
-        CheckResult.build(
-            "ext_p4_reduces_to_p4",
-            scn.name,
-            nb,
-            float(np.max(np.abs(pe - pi))),
-            float(np.max(np.abs(pi))),
-            1e-10,
-            seed,
-        ),
-        CheckResult.build(
-            "ext_q4_reduces_to_q4",
-            scn.name,
-            nb,
-            float(np.max(np.abs(qe - qi))),
-            float(np.max(np.abs(qi))),
-            1e-10,
-            seed,
-        ),
-    ]
+
+    def rows(ctx, rng):
+        f = _sfield(_random_text(scn.basis, rng), scn.chart)
+        pe, pi = _at(ctx, ops.ext_p4_umbilic(f)), _at(ctx, ops.p4(f))
+        qe, qi = _at(ctx, ops.ext_q4_umbilic()), _at(ctx, ops.q4())
+        return [
+            ("ext_p4_reduces_to_p4", pe - pi, np.max(np.abs(pi)), 1e-10),
+            ("ext_q4_reduces_to_q4", qe - qi, np.max(np.abs(qi)), 1e-10),
+        ]
+
+    return _pointwise_checks(scn, cfg, seed, rows)
 
 
 def check_slice_values(scn, cfg, seed):
     """Frozen values on the S2(1) x S2(2) slice: the ambient-curvature
     correction Q4_ext - Q4 equals 9/32 and Q4_ext itself equals 25/96."""
-    rng = np.random.default_rng(seed)
-    pts = _points(scn, _npoints(scn.dim), rng)
-    nb = pts.shape[1]
-    ctx = scn.context(pts, degree_cap=cfg.degree)
-    corr = _vals((ops.ext_q4_umbilic() - ops.q4())(ctx, 0), nb)
-    qe = _vals(ops.ext_q4_umbilic()(ctx, 0), nb)
-    return [
-        CheckResult.build(
-            "slice_correction_value",
-            scn.name,
-            nb,
-            float(np.max(np.abs(corr - 9.0 / 32.0))),
-            9.0 / 32.0,
-            1e-9,
-            seed,
-        ),
-        CheckResult.build(
-            "slice_ext_q4_value",
-            scn.name,
-            nb,
-            float(np.max(np.abs(qe - 25.0 / 96.0))),
-            25.0 / 96.0,
-            1e-9,
-            seed,
-        ),
-    ]
+
+    def rows(ctx, rng):
+        corr = _at(ctx, ops.ext_q4_umbilic() - ops.q4())
+        qe = _at(ctx, ops.ext_q4_umbilic())
+        return [
+            ("slice_correction_value", corr - 9.0 / 32.0, 9.0 / 32.0, 1e-9),
+            ("slice_ext_q4_value", qe - 25.0 / 96.0, 25.0 / 96.0, 1e-9),
+        ]
+
+    return _pointwise_checks(scn, cfg, seed, rows)
 
 
 def check_sphere_q3(scn, cfg, seed):
     """On the round sphere in flat space the Fialkow tensor and the
     third-order extrinsic Q both vanish."""
-    rng = np.random.default_rng(seed)
-    pts = _points(scn, _npoints(scn.dim), rng)
-    nb = pts.shape[1]
-    ctx = scn.context(pts, degree_cap=cfg.degree)
-    fia = _t2vals(ops.fialkow_field()(ctx, 0), nb)
-    q3 = _vals(ops.ext_q3()(ctx, 0), nb)
-    return [
-        CheckResult.build(
-            "sphere_fialkow_vanishes",
-            scn.name,
-            nb,
-            float(np.max(np.abs(fia))),
-            1.0,
-            1e-10,
-            seed,
-        ),
-        CheckResult.build(
-            "sphere_ext_q3_vanishes", scn.name, nb, float(np.max(np.abs(q3))), 1.0, 1e-10, seed
-        ),
-    ]
+
+    def rows(ctx, rng):
+        fia = _at(ctx, ops.fialkow_field())
+        q3 = _at(ctx, ops.ext_q3())
+        return [
+            ("sphere_fialkow_vanishes", fia, 1.0, 1e-10),
+            ("sphere_ext_q3_vanishes", q3, 1.0, 1e-10),
+        ]
+
+    return _pointwise_checks(scn, cfg, seed, rows)
 
 
 def check_ext_p4_constants(scn, cfg, seed):
     """The critical extrinsic P4 has no zeroth-order term: P4(1) = 0."""
-    rng = np.random.default_rng(seed)
-    pts = _points(scn, _npoints(scn.dim), rng)
-    nb = pts.shape[1]
-    ctx = scn.context(pts, degree_cap=cfg.degree)
-    v = _vals(ops.ext_p4_critical(constant_field(1.0))(ctx, 0), nb)
-    return [
-        CheckResult.build(
-            "ext_p4_kills_constants", scn.name, nb, float(np.max(np.abs(v))), 1.0, 1e-10, seed
-        )
-    ]
+
+    def rows(ctx, rng):
+        v = _at(ctx, ops.ext_p4_critical(constant_field(1.0)))
+        return [("ext_p4_kills_constants", v, 1.0, 1e-10)]
+
+    return _pointwise_checks(scn, cfg, seed, rows)
 
 
 # ---- integral checks ------------------------------------------------------------
@@ -689,28 +617,16 @@ def check_global_invariant(scn, cfg, seed, expected=None):
     (base,), (absolute,) = integrate(
         [field], scn, quad, degree_cap=cfg.degree, absolute=True
     )
-    out = []
     nb = min(256, quad.npoints)
-    cpts = quad.points[:, :nb]
-    bvals = _vals(field(scn.context(cpts, degree_cap=cfg.degree), 0), nb)
-    cvals = _vals(field(scn.rescaled("0").context(cpts, degree_cap=cfg.degree), 0), nb)
-    out.append(
+    base_ctx, hat_ctx, _ = _rescaled_pair(scn, "0", quad.points[:, :nb], cfg.degree)
+    bvals = _at(base_ctx, field)
+    err, scale = _defect(_at(hat_ctx, field), bvals, np.max(np.abs(bvals)))
+    out = [
         CheckResult.build(
-            "total_q4_invariance[phi=0]",
-            scn.name,
-            nb,
-            float(np.max(np.abs(cvals - bvals))),
-            float(np.max(np.abs(bvals))),
-            cfg.tol_control,
-            seed,
+            "total_q4_invariance[phi=0]", scn.name, nb, err, scale, cfg.tol_control, seed
         )
-    )
-    phi = conf_phi(
-        scn.name,
-        round_s=scn.name.startswith("ROUND_S("),
-        sphere_in_flat=scn.name.startswith("SPHERE_IN_FLAT("),
-    )
-    (hat,) = integrate([field], scn.rescaled(phi), quad, degree_cap=cfg.degree)
+    ]
+    (hat,) = integrate([field], scn.rescaled(conf_phi(scn.name)), quad, degree_cap=cfg.degree)
     out.append(
         CheckResult.build(
             "total_q4_invariance",
@@ -781,14 +697,15 @@ def check_q4_audit(scn, gb_scn, cfg, seed):
     out = []
     cov = {}
     for c in (2.0, 1.0):
-        err, scale, nb = _covariance_defect(
+        err, scale = _covariance_defect(
             scn, lambda fld, c=c: ops.p4(fld, c_rho=c), 4, phi_text, f_text, cfg, pts
         )
         cov[c] = err / max(scale, 1.0)
         if c == 2.0:
             out.append(
                 CheckResult.build(
-                    "q4_audit[c=2 covariance]", scn.name, nb, err, scale, cfg.tol_point, seed
+                    "q4_audit[c=2 covariance]", scn.name, pts.shape[1], err, scale,
+                    cfg.tol_point, seed,
                 )
             )
     quad = Quadrature(gb_scn.chart, cfg.nodes, cfg.gauss_nodes)
@@ -848,84 +765,66 @@ def check_structural(scn, cfg, seed):
     configured degree is bumped by one there; the suite's degree floor of 3
     refers to the metric jets themselves.
     """
-    rng = np.random.default_rng(seed)
-    pts = _points(scn, _npoints(scn.dim), rng)
-    nb = pts.shape[1]
-    cap = cfg.degree + (1 if scn.kind == "embedded" else 0)
-    ctx = scn.context(pts, degree_cap=min(cap, jets.MAX_DEGREE))
     n = scn.dim
     tol = 1e-9
-    out = []
 
-    def emit(name, residual, scale=1.0):
-        out.append(
-            CheckResult.build(name, scn.name, nb, float(np.max(np.abs(residual))), scale, tol, seed)
-        )
+    def batch_first(a):
+        # the einsums below contract contiguous batch-first arrays, which
+        # fixes their summation order
+        return np.ascontiguousarray(np.moveaxis(a, -1, 0))
 
-    # arrays here are batch-first: R is (nb, i, j, k, l)
-    R = _t4vals(curvature.riemann(ctx, 0), nb)
-    first = R + np.moveaxis(R, [2, 3, 4], [3, 4, 2]) + np.moveaxis(R, [2, 3, 4], [4, 2, 3])
-    emit("bianchi_first", first, float(np.max(np.abs(R))))
-    div_rho = _t1vals(divergence2(Field(2, curvature.schouten))(ctx, 0), nb)
-    dj = _t1vals(differential(Field(0, curvature.jfun))(ctx, 0), nb)
-    emit("bianchi_second_contracted", div_rho - dj, float(np.max(np.abs(dj))))
-    if n >= 4:
-        # the Weyl tensor is identically zero in dimension three
-        W = _t4vals(curvature.weyl(ctx, 0), nb)
-        ginv = np.linalg.inv(_t2vals(ctx.g(0), nb))
-        tr = np.einsum("bik,bijkl->bjl", ginv, W)
-        emit("weyl_tracefree", tr, float(np.max(np.abs(W))))
-    if scn.kind == "embedded":
-        hinv = np.linalg.inv(_t2vals(ctx.g(0), nb))
-        L = _t2vals(hs.second_fundamental(ctx, 0), nb)
-        H = _vals(hs.mean_curvature(ctx, 0), nb)
-        emit("shape_trace", np.einsum("bij,bij->b", hinv, L) - n * H,
-             float(np.max(np.abs(H))) * n)
-        Lo = _t2vals(ops.tracefree_shape_field()(ctx, 0), nb)
-        emit("tracefree_shape_trace", np.einsum("bij,bij->b", hinv, Lo),
-             float(np.max(np.abs(Lo))))
-        Wn = _t2vals(ops.normal_weyl_field()(ctx, 0), nb)
-        emit("normal_weyl_trace", np.einsum("bij,bij->b", hinv, Wn),
-             float(np.max(np.abs(Wn))))
-        phi_text = conf_phi(
-            scn.name,
-            round_s=scn.name.startswith("ROUND_S("),
-            sphere_in_flat=scn.name.startswith("SPHERE_IN_FLAT("),
+    def rows(ctx, rng):
+        R = _at(ctx, curvature.riemann)  # (i, j, k, l, batch)
+        first = R + np.moveaxis(R, [1, 2, 3], [2, 3, 1]) + np.moveaxis(R, [1, 2, 3], [3, 1, 2])
+        out = [("bianchi_first", first, np.max(np.abs(R)), tol)]
+        div_rho = _at(ctx, divergence2(Field(2, curvature.schouten)))
+        dj = _at(ctx, differential(Field(0, curvature.jfun)))
+        out.append(("bianchi_second_contracted", div_rho - dj, np.max(np.abs(dj)), tol))
+        ginv = np.linalg.inv(batch_first(jet_values(ctx.g(0), ctx.nbatch)))
+        if n >= 4:
+            # the Weyl tensor is identically zero in dimension three
+            W = batch_first(_at(ctx, curvature.weyl))
+            tr = np.einsum("bik,bijkl->bjl", ginv, W)
+            out.append(("weyl_tracefree", tr, np.max(np.abs(W)), tol))
+        if scn.kind != "embedded":
+            return out
+        L = batch_first(_at(ctx, hs.second_fundamental))
+        H = _at(ctx, hs.mean_curvature)
+        out.append(("shape_trace", np.einsum("bij,bij->b", ginv, L) - n * H,
+                    float(np.max(np.abs(H))) * n, tol))
+        Lo = batch_first(_at(ctx, ops.tracefree_shape_field()))
+        out.append(("tracefree_shape_trace", np.einsum("bij,bij->b", ginv, Lo),
+                    np.max(np.abs(Lo)), tol))
+        Wn = batch_first(_at(ctx, ops.normal_weyl_field()))
+        out.append(("normal_weyl_trace", np.einsum("bij,bij->b", ginv, Wn),
+                    np.max(np.abs(Wn)), tol))
+        _, hat_ctx, phi = _rescaled_pair(
+            scn, conf_phi(scn.name), ctx.points, ctx.degree_cap, ctx
         )
-        hat_ctx = scn.rescaled(phi_text).context(pts, degree_cap=min(cap, jets.MAX_DEGREE))
-        phiv = _vals(_phi_field(scn, phi_text)(ctx, 0), nb)
+        phiv = _at(ctx, phi)
         for nm, fld, weight in (
             ("tracefree_shape_weight", ops.tracefree_shape_field(), 1.0),
             ("normal_weyl_weight", ops.normal_weyl_field(), 0.0),
             ("fialkow_weight", ops.fialkow_field(), 0.0),
         ):
-            base = _t2vals(fld(ctx, 0), nb)
-            hatv = _t2vals(fld(hat_ctx, 0), nb)
-            factor = np.exp(weight * phiv)[..., None, None]
-            out.append(
-                CheckResult.build(
-                    nm,
-                    scn.name,
-                    nb,
-                    float(np.max(np.abs(hatv - factor * base))),
-                    float(np.max(np.abs(base))),
-                    1e-8,
-                    seed,
-                )
-            )
-    return out
+            base = _at(ctx, fld)
+            hatv = _at(hat_ctx, fld)
+            out.append((nm, hatv - np.exp(weight * phiv) * base, np.max(np.abs(base)), 1e-8))
+        return out
+
+    cap = cfg.degree + (1 if scn.kind == "embedded" else 0)
+    return _pointwise_checks(scn, cfg, seed, rows, cap=min(cap, jets.MAX_DEGREE))
 
 
 # ---- suite plans ----------------------------------------------------------------
 
-
-def _plan(cfg):
-    rows = []
-
-    def row(scenario_text, fn):
-        rows.append((scenario_text, fn))
-
-    if cfg.suite in ("structural", "all"):
+# Each suite is a fixed list of (scenario, check, keyword arguments) rows.  A
+# row runs as verify.<check>(scenario, cfg=..., seed=..., **arguments), the
+# check looked up by name when the row runs; arguments named *_scn are
+# scenario texts, parsed then too.
+_SUITE_PLANS = {
+    "structural": tuple(
+        (name, "check_structural", {})
         for name in (
             "PERT_T3",
             "PERT_T4",
@@ -933,58 +832,53 @@ def _plan(cfg):
             "SLICE(S2xS2)",
             "GRAPH(T3_IN_T4)",
             "GRAPH(T4_IN_PERT_T5)",
-        ):
-            row(name, lambda s, c, sd: check_structural(s, c, sd))
-
-    if cfg.suite in ("intrinsic", "all"):
-        for name in ("FLAT_T2", "PERT_T3", "CONF_PERTURBED(ROUND_S(4,1))"):
-            row(name, lambda s, c, sd: check_covariance(s, "p2", c, sd))
-        for name in ("PERT_T4", "CONF_PERTURBED(FLAT_T4)", "PERT_T5"):
-            row(name, lambda s, c, sd: check_covariance(s, "p4", c, sd))
-        row("PERT_T4", lambda s, c, sd: check_q_law(s, "q4", c, sd))
-        row(
-            "PERT_T4",
-            lambda s, c, sd: check_q4_audit(s, parse_scenario("ROUND_S(4,1)"), c, sd),
         )
+    ),
+    "intrinsic": (
+        ("FLAT_T2", "check_covariance", {"op_name": "p2"}),
+        ("PERT_T3", "check_covariance", {"op_name": "p2"}),
+        ("CONF_PERTURBED(ROUND_S(4,1))", "check_covariance", {"op_name": "p2"}),
+        ("PERT_T4", "check_covariance", {"op_name": "p4"}),
+        ("CONF_PERTURBED(FLAT_T4)", "check_covariance", {"op_name": "p4"}),
+        ("PERT_T5", "check_covariance", {"op_name": "p4"}),
+        ("PERT_T4", "check_q_law", {"which": "q4"}),
+        ("PERT_T4", "check_q4_audit", {"gb_scn": "ROUND_S(4,1)"}),
+    ),
+    "extrinsic": (
+        ("GRAPH(T2_IN_T3)", "check_q_law", {"which": "ext_q2"}),
+        ("GRAPH(T3_IN_T4)", "check_q_law", {"which": "ext_q3"}),
+        ("GRAPH(T2_IN_T3)", "check_covariance", {"op_name": "ext_p2"}),
+        ("GRAPH(T3_IN_T4)", "check_covariance", {"op_name": "ext_p3"}),
+        ("GRAPH(T4_IN_T5)", "check_covariance", {"op_name": "ext_p3"}),
+        ("GRAPH(T4_IN_PERT_T5)", "check_covariance", {"op_name": "ext_p4_critical"}),
+        ("GRAPH(T4_IN_T5)", "check_ext_p4_constants", {}),
+        ("GRAPH(T4_IN_T5)", "check_self_adjoint", {}),
+        ("GRAPH(T4_IN_PERT_T5)", "check_c_invariance", {}),
+        ("GRAPH(T4_IN_T5)", "check_c_invariance", {}),
+        ("SPHERE_IN_FLAT(4,1)", "check_sphere_reduction", {}),
+        ("SPHERE_IN_FLAT(3,1)", "check_sphere_q3", {}),
+        ("SLICE(S2xS2)", "check_slice_values", {}),
+        ("SLICE(S2xS2)", "check_q_law", {"which": "ext_q4"}),
+        ("CONF_PERTURBED(SLICE(PERT_T3))", "check_normal_derivative_identity", {}),
+        ("CONF_PERTURBED(SLICE(PERT_T4))", "check_normal_derivative_identity", {}),
+    ),
+    "global": (
+        ("ROUND_S(4,1)", "check_gauss_bonnet", {}),
+        ("FLAT_T4", "check_gauss_bonnet", {}),
+        ("PERT_T4", "check_gauss_bonnet", {}),
+        ("SLICE(S2xS2)", "check_gauss_bonnet", {}),
+        ("SLICE(S2xS2)", "check_global_invariant", {"expected": 50.0 * math.pi**2 / 3.0}),
+        ("GRAPH(T4_IN_T5)", "check_global_invariant", {}),
+        ("GRAPH(T4_IN_PERT_T5)", "check_divergence_integrals", {}),
+    ),
+}
 
-    if cfg.suite in ("extrinsic", "all"):
-        row("GRAPH(T2_IN_T3)", lambda s, c, sd: check_q_law(s, "ext_q2", c, sd))
-        row("GRAPH(T3_IN_T4)", lambda s, c, sd: check_q_law(s, "ext_q3", c, sd))
-        row("GRAPH(T2_IN_T3)", lambda s, c, sd: check_covariance(s, "ext_p2", c, sd))
-        row("GRAPH(T3_IN_T4)", lambda s, c, sd: check_covariance(s, "ext_p3", c, sd))
-        row("GRAPH(T4_IN_T5)", lambda s, c, sd: check_covariance(s, "ext_p3", c, sd))
-        row("GRAPH(T4_IN_PERT_T5)", lambda s, c, sd: check_covariance(s, "ext_p4_critical", c, sd))
-        row("GRAPH(T4_IN_T5)", lambda s, c, sd: check_ext_p4_constants(s, c, sd))
-        row("GRAPH(T4_IN_T5)", lambda s, c, sd: check_self_adjoint(s, c, sd))
-        row("GRAPH(T4_IN_PERT_T5)", lambda s, c, sd: check_c_invariance(s, c, sd))
-        row("GRAPH(T4_IN_T5)", lambda s, c, sd: check_c_invariance(s, c, sd))
-        row("SPHERE_IN_FLAT(4,1)", lambda s, c, sd: check_sphere_reduction(s, c, sd))
-        row("SPHERE_IN_FLAT(3,1)", lambda s, c, sd: check_sphere_q3(s, c, sd))
-        row("SLICE(S2xS2)", lambda s, c, sd: check_slice_values(s, c, sd))
-        row("SLICE(S2xS2)", lambda s, c, sd: check_q_law(s, "ext_q4", c, sd))
-        row(
-            "CONF_PERTURBED(SLICE(PERT_T3))",
-            lambda s, c, sd: check_normal_derivative_identity(s, c, sd),
-        )
-        row(
-            "CONF_PERTURBED(SLICE(PERT_T4))",
-            lambda s, c, sd: check_normal_derivative_identity(s, c, sd),
-        )
 
-    if cfg.suite in ("global", "all"):
-        row("ROUND_S(4,1)", lambda s, c, sd: check_gauss_bonnet(s, c, sd))
-        row("FLAT_T4", lambda s, c, sd: check_gauss_bonnet(s, c, sd))
-        row("PERT_T4", lambda s, c, sd: check_gauss_bonnet(s, c, sd))
-        row("SLICE(S2xS2)", lambda s, c, sd: check_gauss_bonnet(s, c, sd))
-        row(
-            "SLICE(S2xS2)",
-            lambda s, c, sd: check_global_invariant(s, c, sd, expected=50.0 * math.pi**2 / 3.0),
-        )
-        row("GRAPH(T4_IN_T5)", lambda s, c, sd: check_global_invariant(s, c, sd))
-        row("GRAPH(T4_IN_PERT_T5)", lambda s, c, sd: check_divergence_integrals(s, c, sd))
-
+def _plan(cfg):
+    suites = tuple(_SUITE_PLANS) if cfg.suite == "all" else (cfg.suite,)
+    rows = [row for suite in suites for row in _SUITE_PLANS[suite]]
     if cfg.scenario:
-        rows = [(name, fn) for name, fn in rows if name == cfg.scenario]
+        rows = [row for row in rows if row[0] == cfg.scenario]
         if not rows:
             raise ConfigError(
                 f"scenario: {cfg.scenario!r} does not appear in suite {cfg.suite!r}"
@@ -1006,9 +900,10 @@ def run_suite(cfg, emit=None):
     rows = _plan(cfg)
     by_scenario = {}
     order = []
-    for idx, (scn_text, fn) in enumerate(rows):
+    for idx, (scn_text, check, args) in enumerate(rows):
         scn = parse_scenario(scn_text)
-        results = fn(scn, cfg, _row_seed(cfg.seed, idx))
+        args = {k: parse_scenario(v) if k.endswith("_scn") else v for k, v in args.items()}
+        results = globals()[check](scn, cfg=cfg, seed=_row_seed(cfg.seed, idx), **args)
         if scn_text not in by_scenario:
             by_scenario[scn_text] = []
             order.append(scn_text)

@@ -115,6 +115,18 @@ def test_apply_p2_on_the_flat_torus(capsys):
     assert abs(val - (-2.0 * math.sin(0.5) * math.cos(1.2))) < 1e-12
 
 
+@pytest.mark.parametrize("command", ["apply", "curvature", "extrinsic"])
+def test_negative_point_needs_no_equals_sign(capsys, command):
+    # argparse takes a word led by '-' for an option; --point must still read it
+    scenario = "GRAPH(T2_IN_T3)" if command == "extrinsic" else "FLAT_T2"
+    extra = ["--op", "q2"] if command == "apply" else []
+    code, out, err = run_cli(
+        capsys, command, "--scenario", scenario, *extra, "--point", "-1,0"
+    )
+    assert code == 0, err
+    assert json.loads(out)["point"] == [-1.0, 0.0]
+
+
 def test_apply_umbilic_guard_exits_two(capsys):
     code, _, err = run_cli(
         capsys,

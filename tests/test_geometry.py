@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from extrinsicq.geometry import (
     hessian,
     inner11,
     inner22,
+    jet_coeffs,
+    jet_values,
     laplacian,
     metric_field,
     norm2sq,
@@ -339,3 +343,35 @@ def test_field_rank_mismatch_raises():
         f + T
     with pytest.raises(JetError):
         T * T
+
+
+@pytest.mark.parametrize("leaves", ["batched", "unbatched", "mixed"])
+@pytest.mark.parametrize("rank", [0, 1, 2, 4])
+def test_jet_arrays_match_the_nested_loop(rank, leaves):
+    n, B = 3, 5
+    rng = np.random.default_rng(rank)
+    sp = jets.jet_space(n, 2)
+
+    def leaf():
+        batched = {"batched": True, "unbatched": False, "mixed": rng.random() < 0.5}[leaves]
+        return jets.Jet(sp, rng.standard_normal((sp.ncoeffs, B) if batched else sp.ncoeffs))
+
+    def tensor(r):
+        return leaf() if r == 0 else [tensor(r - 1) for _ in range(n)]
+
+    t = tensor(rank)
+    vals = jet_values(t, B)
+    coeffs = jet_coeffs(t, B, 1 + n)
+    assert vals.shape == (n,) * rank + (B,)
+    assert coeffs.shape == (1 + n,) + (n,) * rank + (B,)
+    for idx in itertools.product(range(n), repeat=rank):
+        j = t
+        for i in idx:
+            j = j[i]
+        want = np.broadcast_to(np.atleast_1d(j.value), (B,))
+        assert np.array_equal(vals[idx], want)
+        assert np.array_equal(coeffs[(0, *idx)], want)
+        for e in range(n):
+            unit = tuple(int(k == e) for k in range(n))
+            got = coeffs[(1 + e, *idx)]
+            assert np.array_equal(got, np.broadcast_to(np.atleast_1d(j.extract(unit)), (B,)))

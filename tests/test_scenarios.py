@@ -176,6 +176,12 @@ def test_rescaled_preserves_flags():
 def test_conf_phi_unknown_base():
     with pytest.raises(ScenarioError, match="no fixed conformal factor"):
         conf_phi("SLICE(NOPE)")
+    # spheres are not in the table: the name's prefix picks their factor
+    round_s = "0.1*cos(x1) + 0.07*sin(x1)*cos(x2)"
+    assert conf_phi("ROUND_S(4,1)") == conf_phi("ROUND_S(2,3)") == round_s
+    assert conf_phi("SPHERE_IN_FLAT(3,1)") == "0.1*sin(y1) + 0.07*cos(y2)*sin(y3)"
+    hat = parse_scenario("CONF_PERTURBED(ROUND_S(4,1))")
+    assert hat.metric.texts[0][0] == f"exp(2*({round_s}))*(1)"
 
 
 @pytest.mark.parametrize(

@@ -218,3 +218,17 @@ def test_report_csv_layout():
     assert row[7] == "true"
     float(row[3])
     float(row[5])
+
+
+def test_suite_plans_name_existing_checks_and_scenarios():
+    counts = {}
+    for suite in verify.SUITES:
+        rows = verify._plan(load_config({"suite": suite}))
+        counts[suite] = len(rows)
+        for scenario, check, args in rows:
+            assert check.startswith("check_") and callable(getattr(verify, check))
+            parse_scenario(scenario)
+            for key, value in args.items():
+                if key.endswith("_scn"):
+                    parse_scenario(value)
+    assert counts == {"structural": 6, "intrinsic": 8, "extrinsic": 16, "global": 7, "all": 37}
