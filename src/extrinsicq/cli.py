@@ -63,16 +63,24 @@ def _values(tensor):
     return jet_values(tensor, 1)[..., 0].tolist()
 
 
-def _parse_point(text, dim):
+def _parse_point(text, chart):
+    """Chart coordinates from text; bounded axes must contain them, periodic ones take any."""
     parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != dim:
-        raise ConfigError(f"point: expected {dim} comma-separated coordinates, got {len(parts)}")
+    if len(parts) != chart.dim:
+        raise ConfigError(
+            f"point: expected {chart.dim} comma-separated coordinates, got {len(parts)}"
+        )
     try:
         vals = [float(p) for p in parts]
     except ValueError:
         raise ConfigError(f"point: not a number in {text!r}") from None
     if not all(np.isfinite(vals)):
         raise ConfigError(f"point: coordinates must be finite, got {text!r}")
+    for ax, v in zip(chart.axes, vals):
+        if not ax.periodic and not ax.lo <= v <= ax.hi:
+            raise ConfigError(
+                f"point: {ax.name} = {v:g} lies outside the chart's range [{ax.lo:g}, {ax.hi:g}]"
+            )
     return np.array([[v] for v in vals])
 
 
@@ -131,7 +139,7 @@ def cmd_verify(args):
 
 def cmd_curvature(args):
     scn = parse_scenario(args.scenario)
-    pt = _parse_point(args.point, scn.dim)
+    pt = _parse_point(args.point, scn.chart)
     ctx = scn.context(pt, degree_cap=args.degree)
     pack = {
         "scenario": scn.name,
@@ -162,7 +170,7 @@ def cmd_extrinsic(args):
     scn = parse_scenario(args.scenario)
     if scn.kind != "embedded":
         raise ConfigError(f"scenario {scn.name} is intrinsic; this command needs an embedding")
-    pt = _parse_point(args.point, scn.dim)
+    pt = _parse_point(args.point, scn.chart)
     ctx = scn.context(pt, degree_cap=args.degree)
     pack = {
         "scenario": scn.name,
@@ -208,7 +216,7 @@ def _resolve_op(name, f_text, scn):
 def cmd_apply(args):
     scn = parse_scenario(args.scenario)
     field = _resolve_op(args.op, args.f, scn)
-    pt = _parse_point(args.point, scn.dim)
+    pt = _parse_point(args.point, scn.chart)
     ctx = scn.context(pt, degree_cap=args.degree)
     out = {
         "op": args.op,

@@ -12,11 +12,40 @@ operator is
 
 lowered on the last slot, R_{ijkl} = g_{lm} R^m_{ijk}.  With these signs the
 unit sphere satisfies R_{ijkl} = g_ik g_jl - g_il g_jk, sectional curvatures
-of round spheres are positive, Ric = (n-1) g, and scal = n(n-1)."""
+of round spheres are positive, Ric = (n-1) g, and scal = n(n-1).
+
+The builder uses the first-kind form, whose symbols cost no products:
+
+    R_{ijkl} = d_j Gamma_{l,ik} - d_i Gamma_{l,jk}
+               + Gamma^m_{jk} Gamma_{m,il} - Gamma^m_{ik} Gamma_{m,jl},
+    Gamma_{l,ik} = (d_i g_lk + d_k g_li - d_l g_ik) / 2.
+
+It and the Weyl builder compute only i < j, k < l, (i, j) <= (k, l), and
+``_fill_curvature`` fills the rest by R_ijkl = -R_jikl = -R_ijlk = R_klij.
+The first Bianchi identity is not used, so it stays a check.
+"""
 
 from . import jets
-from .geometry import _matmul, _sum
+from .geometry import _sum
 from .jets import JetError
+
+
+def _fill_curvature(comp, n, zero):
+    """The 4-tensor with the symmetries of curvature from its independent components.
+
+    ``comp(i, j, k, l)`` is called once for each i < j, k < l with
+    (i, j) <= (k, l); the rest follows from R_ijkl = -R_jikl = -R_ijlk =
+    R_klij, and components with i = j or k = l are ``zero``.
+    """
+    out = [[[[zero] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for p, (i, j) in enumerate(pairs):
+        for k, l in pairs[p:]:
+            r = comp(i, j, k, l)
+            m = -r
+            out[i][j][k][l] = out[j][i][l][k] = out[k][l][i][j] = out[l][k][j][i] = r
+            out[j][i][k][l] = out[i][j][l][k] = out[l][k][i][j] = out[k][l][j][i] = m
+    return out
 
 
 def riemann(ctx, d):
@@ -24,28 +53,24 @@ def riemann(ctx, d):
 
     def build(dd):
         n = ctx.dim
-        ga = ctx.gamma(dd + 1)
-        g = ctx.g(dd)
-        lo = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        zero = jets.constant(jets.jet_space(n, dd), 0.0)
-        for i in range(n):
-            for k in range(n):
-                for l in range(n):
-                    lo[i][i][k][l] = zero
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(n):
-                    up = []
-                    for m in range(n):
-                        t = ga[m][i][k].partial(j) - ga[m][j][k].partial(i)
-                        for a in range(n):
-                            t = t + ga[m][j][a] * ga[a][i][k] - ga[m][i][a] * ga[a][j][k]
-                        up.append(t)
-                    for l in range(n):
-                        r = _sum([g[l][m] * up[m] for m in range(n)], ctx, dd)
-                        lo[i][j][k][l] = r
-                        lo[j][i][k][l] = -r
-        return lo
+        g2 = ctx.g(dd + 2)
+        ga = ctx.gamma(dd)
+        dg = [[[g2[i][j].partial(k) for j in range(n)] for i in range(n)] for k in range(n)]
+        # first kind, G1[l][i][k] = Gamma_{l,ik} at degree dd + 1; G0 at dd
+        G1 = [[[None] * n for _ in range(n)] for _ in range(n)]
+        for l in range(n):
+            for i in range(n):
+                for k in range(i, n):
+                    G1[l][i][k] = G1[l][k][i] = (dg[i][l][k] + dg[k][l][i] - dg[l][i][k]) * 0.5
+        G0 = [[[x.truncate(dd) for x in row] for row in plane] for plane in G1]
+
+        def comp(i, j, k, l):
+            r = G1[l][i][k].partial(j) - G1[l][j][k].partial(i)
+            for m in range(n):
+                r = r + ga[m][j][k] * G0[m][i][l] - ga[m][i][k] * G0[m][j][l]
+            return r
+
+        return _fill_curvature(comp, n, jets.constant(jets.jet_space(n, dd), 0.0))
 
     return ctx.get("riemann", d, build)
 
@@ -108,22 +133,6 @@ def schouten(ctx, d):
     return ctx.get("schouten", d, build)
 
 
-def _kulkarni_nomizu(A, B, n):
-    """(A ^ B)_{ijkl} = A_ik B_jl + B_ik A_jl - A_il B_jk - B_il A_jk."""
-    out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    out[i][j][k][l] = (
-                        A[i][k] * B[j][l]
-                        + B[i][k] * A[j][l]
-                        - A[i][l] * B[j][k]
-                        - B[i][l] * A[j][k]
-                    )
-    return out
-
-
 def weyl_norm_sq(ctx, d):
     """|W|^2 with all four indices raised against the metric."""
 
@@ -180,13 +189,16 @@ def weyl(ctx, d):
     def build(dd):
         n = ctx.dim
         R = riemann(ctx, dd)
-        rho_wedge_g = _kulkarni_nomizu(schouten(ctx, dd), ctx.g(dd), n)
-        out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        out[i][j][k][l] = R[i][j][k][l] - rho_wedge_g[i][j][k][l]
-        return out
+        rho = schouten(ctx, dd)
+        g = ctx.g(dd)
+
+        def comp(i, j, k, l):
+            # R minus the Kulkarni-Nomizu product (rho ^ g)_ijkl
+            return R[i][j][k][l] - (
+                rho[i][k] * g[j][l] + g[i][k] * rho[j][l]
+                - rho[i][l] * g[j][k] - g[i][l] * rho[j][k]
+            )
+
+        return _fill_curvature(comp, n, jets.constant(jets.jet_space(n, dd), 0.0))
 
     return ctx.get("weyl", d, build)

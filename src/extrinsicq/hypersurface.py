@@ -146,18 +146,17 @@ def _induced_metric(sctx, d):
 def _tangential(X, t, sctx, d, symmetric=True):
     """The surface 2-tensor X_ab t_i^a t_j^b of an ambient 2-tensor X.
 
-    A symmetric X is summed for i <= j only and mirrored.
+    One tangent is contracted first, Y_ib = X_ab t_i^a.  A symmetric X is
+    summed for i <= j only and mirrored.
     """
     n = sctx.dim
     na = n + 1
+    Y = [[_sum([X[a][b] * t[i][a] for a in range(na)], sctx, d) for b in range(na)]
+         for i in range(n)]
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i if symmetric else 0, n):
-            out[i][j] = _sum(
-                [X[a][b] * (t[i][a] * t[j][b]) for a in range(na) for b in range(na)],
-                sctx,
-                d,
-            )
+            out[i][j] = _sum([Y[i][b] * t[j][b] for b in range(na)], sctx, d)
             if symmetric:
                 out[j][i] = out[i][j]
     return out
@@ -230,22 +229,18 @@ def second_fundamental(sctx, d):
         t = tangents(sctx, dd)
         gb = ambient_metric_on_surface(sctx, dd)
         gab = pulled_christoffel(sctx, dd)
-        out = [[None] * n for _ in range(n)]
+        out = []
         for i in range(n):
-            dnu = [nu[a].partial(i) for a in range(na)]
+            tn = [[t[i][b] * nu[c] for c in range(na)] for b in range(na)]
             cov = []
             for a in range(na):
-                s = dnu[a]
+                s = nu[a].partial(i)
                 for b in range(na):
                     for c in range(na):
-                        s = s + gab[a][b][c] * (t[i][b] * nu[c])
+                        s = s + gab[a][b][c] * tn[b][c]
                 cov.append(s)
-            for j in range(n):
-                out[i][j] = _sum(
-                    [gb[a][b] * (cov[a] * t[j][b]) for a in range(na) for b in range(na)],
-                    sctx,
-                    dd,
-                )
+            low = [_sum([gb[a][b] * cov[a] for a in range(na)], sctx, dd) for b in range(na)]
+            out.append([_sum([low[b] * t[j][b] for b in range(na)], sctx, dd) for j in range(n)])
         return out
 
     return sctx.get("second_fundamental", d, build)
@@ -298,34 +293,20 @@ def pulled_schouten(sctx, d):
     return sctx.get("rhobar", d, build)
 
 
+def _pulled_curvature(sctx, tensor, d):
+    """An ambient curvature-type 4-tensor composed with the embedding."""
+    T = tensor(sctx.ambient, d)
+    io = iota_jets(sctx, d)
+    zero = jets.constant(jets.jet_space(sctx.dim, d), 0.0)
+    return curvature._fill_curvature(
+        lambda a, b, c, e: jets.compose(T[a][b][c][e], io), sctx.dim + 1, zero
+    )
+
+
 def pulled_weyl(sctx, d):
     """Ambient Weyl tensor along the surface, ambient indices."""
 
-    def build(dd):
-        W = curvature.weyl(sctx.ambient, dd)
-        io = iota_jets(sctx, dd)
-        na = sctx.dim + 1
-        zero = jets.constant(jets.jet_space(sctx.dim, dd), 0.0)
-        out = [[[[zero] * na for _ in range(na)] for _ in range(na)] for _ in range(na)]
-        for a in range(na):
-            for b in range(a + 1, na):
-                for c in range(na):
-                    for e in range(c + 1, na):
-                        if (a, b) > (c, e):
-                            continue
-                        p = jets.compose(W[a][b][c][e], io)
-                        out[a][b][c][e] = p
-                        out[b][a][c][e] = -p
-                        out[a][b][e][c] = -p
-                        out[b][a][e][c] = p
-                        if (a, b) != (c, e):
-                            out[c][e][a][b] = p
-                            out[e][c][a][b] = -p
-                            out[c][e][b][a] = -p
-                            out[e][c][b][a] = p
-        return out
-
-    return sctx.get("weylbar", d, build)
+    return sctx.get("weylbar", d, lambda dd: _pulled_curvature(sctx, curvature.weyl, dd))
 
 
 def jbar(sctx, d):
@@ -383,29 +364,25 @@ def rho_bar_normal_tangential(sctx, d):
 
 
 def _normal_tt(sctx, T, d):
-    """The surface 2-tensor T(nu, t_i, t_j, nu) of an ambient 4-tensor T."""
+    """The surface 2-tensor T(nu, t_i, t_j, nu) of an ambient curvature-type
+    4-tensor T, which vanishes for a = b or c = e."""
     na = sctx.dim + 1
     nu = normal(sctx, d)
-    t = tangents(sctx, d)
+    nn = [[nu[a] * nu[e] for e in range(na)] for a in range(na)]
+    ae = [(a, e) for a in range(na) for e in range(na)]
     X = [
-        [
-            _sum([(nu[a] * nu[e]) * T[a][b][c][e] for a in range(na) for e in range(na)], sctx, d)
-            for c in range(na)
-        ]
+        [_sum([nn[a][e] * T[a][b][c][e] for a, e in ae if a != b and e != c], sctx, d)
+         for c in range(na)]
         for b in range(na)
     ]
-    return _tangential(X, t, sctx, d, symmetric=False)
+    return _tangential(X, tangents(sctx, d), sctx, d, symmetric=False)
 
 
 def normal_riemann(sctx, d):
     """The 2-tensor Rbar(nu, t_i, t_j, nu) of normal ambient curvature."""
 
     def build(dd):
-        R = [
-            [[[jets.compose(c, iota_jets(sctx, dd)) for c in row3] for row3 in row2] for row2 in row1]
-            for row1 in curvature.riemann(sctx.ambient, dd)
-        ]
-        return _normal_tt(sctx, R, dd)
+        return _normal_tt(sctx, _pulled_curvature(sctx, curvature.riemann, dd), dd)
 
     return sctx.get("normal_riemann", d, build)
 

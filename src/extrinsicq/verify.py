@@ -878,7 +878,8 @@ def _plan(cfg):
     suites = tuple(_SUITE_PLANS) if cfg.suite == "all" else (cfg.suite,)
     rows = [row for suite in suites for row in _SUITE_PLANS[suite]]
     if cfg.scenario:
-        rows = [row for row in rows if row[0] == cfg.scenario]
+        name = parse_scenario(cfg.scenario).name
+        rows = [row for row in rows if parse_scenario(row[0]).name == name]
         if not rows:
             raise ConfigError(
                 f"scenario: {cfg.scenario!r} does not appear in suite {cfg.suite!r}"

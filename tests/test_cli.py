@@ -221,6 +221,24 @@ def test_non_finite_point_exits_two(capsys, point):
     assert "must be finite" in err
 
 
+def test_point_outside_a_bounded_axis_exits_two(capsys):
+    # x1 is a polar angle of the round sphere's chart, in [0, pi]
+    code, out, err = run_cli(
+        capsys, "curvature", "--scenario", "ROUND_S(4,1)", "--point", "3.5,1,1,1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "x1 = 3.5 lies outside" in err
+
+
+def test_point_on_a_periodic_axis_may_lie_anywhere(capsys):
+    code, out, _ = run_cli(
+        capsys, "curvature", "--scenario", "ROUND_S(4,1)", "--point", "0.7,1.1,0.3,-20"
+    )
+    assert code == 0
+    assert json.loads(out)["point"] == [0.7, 1.1, 0.3, -20.0]
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
@@ -275,6 +293,16 @@ def test_verify_streams_checks_and_writes_a_report(capsys, tmp_path):
     assert report["config"]["suite"] == "structural"
     assert report["passed"] is True
     assert str(out_path) in err
+
+
+def test_verify_scenario_matches_by_parsed_name(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "structural", "--scenario", "ROUND_S(3, 1.3)"
+    )
+    assert code == 0
+    lines = [json.loads(ln) for ln in out.strip().splitlines()]
+    assert lines[-1]["passed"] is True
+    assert len(lines) > 1
 
 
 def test_verify_csv_report(capsys, tmp_path):

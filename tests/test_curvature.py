@@ -1,22 +1,27 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from extrinsicq import curvature
+from extrinsicq import curvature, jets
 from extrinsicq.geometry import (
     Axis,
     Chart,
     Field,
     Metric,
     MetricContext,
+    _sum,
     differential,
     divergence2,
     expression_field,
     hessian,
     inner11,
+    jet_coeffs,
     metric_field,
 )
 from extrinsicq.exprlang import parse_expression
 from extrinsicq.jets import JetError
+from extrinsicq.scenarios import parse_scenario
 from helpers import jval
 
 TWO_PI = 2.0 * np.pi
@@ -259,3 +264,107 @@ def test_low_dimension_guards():
         curvature.schouten(ctx, 0)
     with pytest.raises(JetError):
         curvature.weyl(ctx, 0)
+
+
+# ---- reference builders ------------------------------------------------------
+# The component-by-component definitions: R^m_ijk from the second-kind
+# symbols, lowered on the last slot, for every (i < j, k, l); the Weyl tensor
+# as R minus the full Kulkarni-Nomizu product over all n^4 components.
+
+
+def reference_riemann(ctx, d):
+    n = ctx.dim
+    ga = ctx.gamma(d + 1)
+    g = ctx.g(d)
+    zero = jets.constant(jets.jet_space(n, d), 0.0)
+    lo = [[[[zero] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                up = []
+                for m in range(n):
+                    t = ga[m][i][k].partial(j) - ga[m][j][k].partial(i)
+                    for a in range(n):
+                        t = t + ga[m][j][a] * ga[a][i][k] - ga[m][i][a] * ga[a][j][k]
+                    up.append(t)
+                for l in range(n):
+                    r = _sum([g[l][m] * up[m] for m in range(n)], ctx, d)
+                    lo[i][j][k][l] = r
+                    lo[j][i][k][l] = -r
+    return lo
+
+
+def reference_weyl(ctx, d):
+    n = ctx.dim
+    R = reference_riemann(ctx, d)
+    A, B = curvature.schouten(ctx, d), ctx.g(d)
+    W = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        kn = A[i][k] * B[j][l] + B[i][k] * A[j][l] - A[i][l] * B[j][k] - B[i][l] * A[j][k]
+        W[i][j][k][l] = R[i][j][k][l] - kn
+    return W
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+@pytest.mark.parametrize("name", ["PERT_T4", "ROUND_S(3,1.3)", "GRAPH(T4_IN_PERT_T5)"])
+def test_curvature_builders_match_the_reference(name, d):
+    scn = parse_scenario(name)
+    ctx = scn.context(rand_points(scn.chart, 6, 11))
+    if scn.kind == "embedded":
+        ctx = ctx.ambient  # the 5-dimensional ambient metric along the surface
+    B, nc = ctx.nbatch, jets.jet_space(ctx.dim, d).ncoeffs
+    want_R = jet_coeffs(reference_riemann(ctx, d), B, nc)
+    scale = np.max(np.abs(want_R))
+    np.testing.assert_allclose(
+        jet_coeffs(curvature.riemann(ctx, d), B, nc), want_R, rtol=0, atol=1e-12 * scale
+    )
+    np.testing.assert_allclose(
+        jet_coeffs(curvature.weyl(ctx, d), B, nc),
+        jet_coeffs(reference_weyl(ctx, d), B, nc),
+        rtol=0,
+        atol=1e-12 * scale,
+    )
+
+
+def test_fill_computes_each_pair_of_pairs_once():
+    n = 4
+    rng = np.random.default_rng(14)
+    calls = []
+
+    def comp(*ix):
+        calls.append(ix)
+        return rng.standard_normal()
+
+    R = np.array(curvature._fill_curvature(comp, n, 0.0))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    assert calls == [p + q for a, p in enumerate(pairs) for q in pairs[a:]]
+    # the three terms of the first Bianchi identity are each computed
+    assert {(0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)} <= set(calls)
+    np.testing.assert_array_equal(R, -np.swapaxes(R, 0, 1))
+    np.testing.assert_array_equal(R, -np.swapaxes(R, 2, 3))
+    np.testing.assert_array_equal(R, np.moveaxis(R, [0, 1, 2, 3], [2, 3, 0, 1]))
+
+
+# i < j, k < l, (i, j) <= (k, l) in five variables: 10 pairs, 55 pairs of pairs
+RIEMANN_COMPONENTS_5 = 55
+RIEMANN_PRODUCTS_5 = 2 * 5 * RIEMANN_COMPONENTS_5
+
+
+def test_riemann_build_product_count(monkeypatch):
+    scn = parse_scenario("GRAPH(T4_IN_PERT_T5)")
+    ctx = scn.context(rand_points(scn.chart, 4, 15)).ambient
+    d = 1
+    # the inputs the build reads, built beforehand
+    ctx.g(d + 2)
+    ctx.gamma(d)
+    count = 0
+    mul = jets.Jet.__mul__
+
+    def counting_mul(self, other):
+        nonlocal count
+        count += isinstance(other, jets.Jet)
+        return mul(self, other)
+
+    monkeypatch.setattr(jets.Jet, "__mul__", counting_mul)
+    curvature.riemann(ctx, d)
+    assert 0 < count <= RIEMANN_PRODUCTS_5
