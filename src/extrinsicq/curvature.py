@@ -20,31 +20,39 @@ The builder uses the first-kind form, whose symbols cost no products:
                + Gamma^m_{jk} Gamma_{m,il} - Gamma^m_{ik} Gamma_{m,jl},
     Gamma_{l,ik} = (d_i g_lk + d_k g_li - d_l g_ik) / 2.
 
-It and the Weyl builder compute only i < j, k < l, (i, j) <= (k, l), and
+It and the Weyl builder compute only the components at
+``independent_components`` (i < j, k < l, (i, j) <= (k, l)), and
 ``_fill_curvature`` fills the rest by R_ijkl = -R_jikl = -R_ijlk = R_klij.
 The first Bianchi identity is not used, so it stays a check.
 """
+
+import functools
 
 from . import jets
 from .geometry import _sum
 from .jets import JetError
 
 
-def _fill_curvature(comp, n, zero):
+@functools.lru_cache(maxsize=None)
+def independent_components(n):
+    """The index quadruples i < j, k < l, (i, j) <= (k, l) of a curvature-type
+    4-tensor in n dimensions, in the order ``_fill_curvature`` reads them."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return tuple(p + q for a, p in enumerate(pairs) for q in pairs[a:])
+
+
+def _fill_curvature(comps, n, zero):
     """The 4-tensor with the symmetries of curvature from its independent components.
 
-    ``comp(i, j, k, l)`` is called once for each i < j, k < l with
-    (i, j) <= (k, l); the rest follows from R_ijkl = -R_jikl = -R_ijlk =
-    R_klij, and components with i = j or k = l are ``zero``.
+    ``comps`` holds the components at ``independent_components(n)``, in that
+    order; the rest follows from R_ijkl = -R_jikl = -R_ijlk = R_klij, and
+    components with i = j or k = l are ``zero``.
     """
     out = [[[[zero] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for p, (i, j) in enumerate(pairs):
-        for k, l in pairs[p:]:
-            r = comp(i, j, k, l)
-            m = -r
-            out[i][j][k][l] = out[j][i][l][k] = out[k][l][i][j] = out[l][k][j][i] = r
-            out[j][i][k][l] = out[i][j][l][k] = out[l][k][i][j] = out[k][l][j][i] = m
+    for (i, j, k, l), r in zip(independent_components(n), comps, strict=True):
+        m = -r
+        out[i][j][k][l] = out[j][i][l][k] = out[k][l][i][j] = out[l][k][j][i] = r
+        out[j][i][k][l] = out[i][j][l][k] = out[l][k][i][j] = out[k][l][j][i] = m
     return out
 
 
@@ -64,13 +72,13 @@ def riemann(ctx, d):
                     G1[l][i][k] = G1[l][k][i] = (dg[i][l][k] + dg[k][l][i] - dg[l][i][k]) * 0.5
         G0 = [[[x.truncate(dd) for x in row] for row in plane] for plane in G1]
 
-        def comp(i, j, k, l):
+        comps = []
+        for i, j, k, l in independent_components(n):
             r = G1[l][i][k].partial(j) - G1[l][j][k].partial(i)
             for m in range(n):
                 r = r + ga[m][j][k] * G0[m][i][l] - ga[m][i][k] * G0[m][j][l]
-            return r
-
-        return _fill_curvature(comp, n, jets.constant(jets.jet_space(n, dd), 0.0))
+            comps.append(r)
+        return _fill_curvature(comps, n, jets.constant(jets.jet_space(n, dd), 0.0))
 
     return ctx.get("riemann", d, build)
 
@@ -192,13 +200,14 @@ def weyl(ctx, d):
         rho = schouten(ctx, dd)
         g = ctx.g(dd)
 
-        def comp(i, j, k, l):
-            # R minus the Kulkarni-Nomizu product (rho ^ g)_ijkl
-            return R[i][j][k][l] - (
+        # R minus the Kulkarni-Nomizu product (rho ^ g)_ijkl
+        comps = [
+            R[i][j][k][l] - (
                 rho[i][k] * g[j][l] + g[i][k] * rho[j][l]
                 - rho[i][l] * g[j][k] - g[i][l] * rho[j][k]
             )
-
-        return _fill_curvature(comp, n, jets.constant(jets.jet_space(n, dd), 0.0))
+            for i, j, k, l in independent_components(n)
+        ]
+        return _fill_curvature(comps, n, jets.constant(jets.jet_space(n, dd), 0.0))
 
     return ctx.get("weyl", d, build)

@@ -203,20 +203,9 @@ def normal(sctx, d):
 
 def pulled_christoffel(sctx, d):
     """Ambient Christoffel symbols composed with the embedding."""
-
-    def build(dd):
-        ga = sctx.ambient.gamma(dd)
-        io = iota_jets(sctx, dd)
-        na = sctx.dim + 1
-        out = [[[None] * na for _ in range(na)] for _ in range(na)]
-        for k in range(na):
-            for i in range(na):
-                for j in range(i, na):
-                    p = jets.compose(ga[k][i][j], io)
-                    out[k][i][j] = out[k][j][i] = p
-        return out
-
-    return sctx.get("gammabar", d, build)
+    return sctx.get(
+        "gammabar", d, lambda dd: _pull_symmetric(sctx, sctx.ambient.gamma(dd), dd)
+    )
 
 
 def second_fundamental(sctx, d):
@@ -271,36 +260,43 @@ def tracefree_second_fundamental(sctx, d):
     return sctx.get("tracefree_L", d, build)
 
 
-def pull(sctx, ambient_jet, d):
-    """Compose an ambient-variable jet with the embedding at surface degree d."""
-    return jets.compose(ambient_jet, iota_jets(sctx, d))
+def pull(sctx, ambient_jets, d):
+    """Compose ambient-variable jets with the embedding at surface degree d.
+
+    One composition for the whole list, so the embedding's offset monomials
+    are built once.
+    """
+    return jets.compose(ambient_jets, iota_jets(sctx, d))
+
+
+def _pull_symmetric(sctx, T, d):
+    """Pull back T[k][a][b], symmetric in its last two ambient indices.
+
+    Only the entries with a <= b are read, and all are pulled in one call.
+    """
+    na = sctx.dim + 1
+    kab = [(k, a, b) for k in range(len(T)) for a in range(na) for b in range(a, na)]
+    out = [[[None] * na for _ in range(na)] for _ in T]
+    for (k, a, b), p in zip(kab, pull(sctx, [T[k][a][b] for k, a, b in kab], d)):
+        out[k][a][b] = out[k][b][a] = p
+    return out
 
 
 def pulled_schouten(sctx, d):
     """Ambient Schouten tensor along the surface, ambient indices."""
-
-    def build(dd):
-        rb = curvature.schouten(sctx.ambient, dd)
-        io = iota_jets(sctx, dd)
-        na = sctx.dim + 1
-        out = [[None] * na for _ in range(na)]
-        for a in range(na):
-            for b in range(a, na):
-                p = jets.compose(rb[a][b], io)
-                out[a][b] = out[b][a] = p
-        return out
-
-    return sctx.get("rhobar", d, build)
+    return sctx.get(
+        "rhobar",
+        d,
+        lambda dd: _pull_symmetric(sctx, [curvature.schouten(sctx.ambient, dd)], dd)[0],
+    )
 
 
 def _pulled_curvature(sctx, tensor, d):
     """An ambient curvature-type 4-tensor composed with the embedding."""
+    na = sctx.dim + 1
     T = tensor(sctx.ambient, d)
-    io = iota_jets(sctx, d)
-    zero = jets.constant(jets.jet_space(sctx.dim, d), 0.0)
-    return curvature._fill_curvature(
-        lambda a, b, c, e: jets.compose(T[a][b][c][e], io), sctx.dim + 1, zero
-    )
+    comps = pull(sctx, [T[i][j][k][l] for i, j, k, l in curvature.independent_components(na)], d)
+    return curvature._fill_curvature(comps, na, jets.constant(jets.jet_space(sctx.dim, d), 0.0))
 
 
 def pulled_weyl(sctx, d):
@@ -313,7 +309,7 @@ def jbar(sctx, d):
     """Ambient J along the surface."""
 
     def build(dd):
-        return pull(sctx, curvature.jfun(sctx.ambient, dd), dd)
+        return pull(sctx, [curvature.jfun(sctx.ambient, dd)], dd)[0]
 
     return sctx.get("jbar", d, build)
 
@@ -418,17 +414,15 @@ def _pulled_nabla_rho(sctx, d):
         na = sctx.dim + 1
         rb1 = curvature.schouten(sctx.ambient, dd + 1)
         ga = sctx.ambient.gamma(dd)
-        io = iota_jets(sctx, dd)
-        out = [[[None] * na for _ in range(na)] for _ in range(na)]
+        N = [[[None] * na for _ in range(na)] for _ in range(na)]
         for c in range(na):
             for a in range(na):
                 for b in range(a, na):
                     t = rb1[a][b].partial(c)
                     for e in range(na):
                         t = t - ga[e][c][a] * rb1[e][b] - ga[e][c][b] * rb1[a][e]
-                    p = jets.compose(t, io)
-                    out[c][a][b] = out[c][b][a] = p
-        return out
+                    N[c][a][b] = t
+        return _pull_symmetric(sctx, N, dd)
 
     return sctx.get("nabla_rhobar", d, build)
 

@@ -485,46 +485,78 @@ def powi(a, n):
     return out if out is not None else constant(a.space, 1.0)
 
 
-def compose(outer, args):
-    """Substitute inner jets into ``outer``'s Taylor polynomial.
+def _substitute(w, C):
+    """Coefficients of sum_alpha C[alpha] w^alpha for a stack of outer polynomials.
 
-    ``args[j]`` is the expansion of the j-th outer variable as a jet over the
-    inner variables.  Its constant term must be the point ``outer`` was
-    expanded about; only the offsets ``args[j] - args[j].value`` enter, so a
-    mismatch is the caller's bug and is not detectable here.  The result is
-    truncated to min(outer.degree, inner degree): coefficients of ``outer``
-    beyond its stored degree are unknown and would pollute anything higher.
-
-    Monomials in the offsets are built grade by grade, each from a parent one
-    grade down, so the work is one jet product per retained outer monomial.
+    ``w`` are jets in one space with zero constant term, the offsets of the
+    outer variables.  Their monomials w^alpha are built grade by grade, each
+    from a parent one grade down, so the work is one jet product per
+    monomial, shared by every outer.  ``C[i]`` holds the outers' coefficients
+    of the i-th monomial in graded order (i = 0 is the constant), shape
+    (nout, batch) with a batch of 1 for unbatched outers.  Each outer's sum
+    runs over the monomials in that order.  Returns an array of shape
+    (nout, ncoeffs, batch), with a batch of 1 if nothing is batched.
     """
-    if len(args) != outer.nvars:
+    space = w[0].space
+    nv = len(w)
+    nb = max([C.shape[2]] + [b.coeffs.shape[1] for b in w if b.coeffs.ndim == 2])
+    out = np.zeros((C.shape[1], space.ncoeffs, nb))
+    out[:, 0] = C[0]
+    prev = {(0,) * nv: constant(space, 1.0)}
+    i = 0
+    for q in range(1, space.degree + 1):
+        cur = {}
+        for alpha in _grade_block(nv, q):
+            i += 1
+            j = next(k for k, e in enumerate(alpha) if e)
+            parent = list(alpha)
+            parent[j] -= 1
+            m = cur[alpha] = prev[tuple(parent)] * w[j]
+            if np.any(C[i]):
+                # a monomial's constant term is zero, so coefficient 0 stays C[0]
+                mc = m.coeffs[1:] if m.coeffs.ndim == 2 else m.coeffs[1:, None]
+                out[:, 1:] += mc * C[i][:, None, :]
+        prev = cur
+    return out
+
+
+def compose(outers, args):
+    """Substitute inner jets into the Taylor polynomials of a stack of outers.
+
+    ``outers`` share one jet space; ``args[j]`` is the expansion of the j-th
+    outer variable as a jet over the inner variables.  Its constant term must
+    be the point the outers were expanded about; only the offsets
+    ``args[j] - args[j].value`` enter, so a mismatch is the caller's bug and
+    is not detectable here.  The results are truncated to min(outer degree,
+    inner degree): coefficients of an outer beyond its stored degree are
+    unknown and would pollute anything higher.
+
+    The offset monomials are built once per call and every outer is a
+    coefficient sum against them (``_substitute``).  Returns a list of jets,
+    one per outer.
+    """
+    outers = list(outers)
+    outer_space = outers[0].space
+    if any(o.space is not outer_space for o in outers[1:]):
+        raise JetError("composed outer jets must share a single jet space")
+    if len(args) != outer_space.nvars:
         raise JetError(
-            f"outer jet has {outer.nvars} variables, got {len(args)} arguments"
+            f"outer jets have {outer_space.nvars} variables, got {len(args)} arguments"
         )
     inner_space = args[0].space
     for b in args[1:]:
         if b.space is not inner_space:
             raise JetError("composition arguments must share a single jet space")
-    d = min(outer.degree, inner_space.degree)
+    d = min(outer_space.degree, inner_space.degree)
     space = jet_space(inner_space.nvars, d)
     w = []
     for b in args:
         c = b.coeffs[: space.ncoeffs].copy()
         c[0] = 0.0
         w.append(Jet(space, c))
-    result = constant(space, outer.coeffs[0])
-    prev = {(0,) * outer.nvars: constant(space, 1.0)}
-    for q in range(1, d + 1):
-        cur = {}
-        for alpha in _grade_block(outer.nvars, q):
-            j = next(i for i, e in enumerate(alpha) if e)
-            parent = list(alpha)
-            parent[j] -= 1
-            m = prev[tuple(parent)] * w[j]
-            cur[alpha] = m
-            c = outer.coeffs[outer.space.index[alpha]]
-            if np.any(c):
-                result = result + m * c
-        prev = cur
-    return result
+    nc = outer_space.prefix_count(d)
+    C = np.stack(np.broadcast_arrays(*[o.coeffs[:nc].reshape(nc, -1) for o in outers]), axis=1)
+    out = _substitute(w, C)
+    if all(x.coeffs.ndim == 1 for x in [*outers, *args]):
+        out = out[:, :, 0]
+    return [Jet(space, r) for r in out]

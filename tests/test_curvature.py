@@ -329,17 +329,16 @@ def test_curvature_builders_match_the_reference(name, d):
 def test_fill_computes_each_pair_of_pairs_once():
     n = 4
     rng = np.random.default_rng(14)
-    calls = []
+    calls = curvature.independent_components(n)
+    comps = rng.standard_normal(len(calls))
 
-    def comp(*ix):
-        calls.append(ix)
-        return rng.standard_normal()
-
-    R = np.array(curvature._fill_curvature(comp, n, 0.0))
+    R = np.array(curvature._fill_curvature(list(comps), n, 0.0))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    assert calls == [p + q for a, p in enumerate(pairs) for q in pairs[a:]]
+    assert list(calls) == [p + q for a, p in enumerate(pairs) for q in pairs[a:]]
     # the three terms of the first Bianchi identity are each computed
     assert {(0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)} <= set(calls)
+    # each component lands at its own indices
+    assert [R[ix] for ix in calls] == list(comps)
     np.testing.assert_array_equal(R, -np.swapaxes(R, 0, 1))
     np.testing.assert_array_equal(R, -np.swapaxes(R, 2, 3))
     np.testing.assert_array_equal(R, np.moveaxis(R, [0, 1, 2, 3], [2, 3, 0, 1]))

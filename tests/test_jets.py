@@ -206,8 +206,8 @@ def test_compose_matches_symbolic_substitution():
     y0 = (poly_eval(b1, point), poly_eval(b2, point))
     inner_sp = jet_space(3, 4)
     outer_sp = jet_space(2, 4)
-    got = compose(
-        poly_jet(P, outer_sp, y0),
+    (got,) = compose(
+        [poly_jet(P, outer_sp, y0)],
         [poly_jet(b1, inner_sp, point), poly_jet(b2, inner_sp, point)],
     )
     want = poly_jet(poly_substitute(P, [b1, b2]), inner_sp, point)
@@ -219,7 +219,7 @@ def test_compose_truncates_to_min_degree():
     outer_sp = jet_space(1, 5)
     y = seed_variable(inner_sp, 0, 0.2) * seed_variable(inner_sp, 1, 0.5)
     outer = jets.exp(seed_variable(outer_sp, 0, float(y.value)))
-    assert compose(outer, [y]).degree == 2
+    assert compose([outer], [y])[0].degree == 2
 
 
 def test_compose_degree_zero_is_value_extraction():
@@ -228,7 +228,7 @@ def test_compose_degree_zero_is_value_extraction():
     y0 = (1.2, -0.4)
     outer = jets.sin(seed_variable(outer_sp, 0, y0[0])) * seed_variable(outer_sp, 1, y0[1])
     args = [constant(inner_sp, y0[0]), constant(inner_sp, y0[1])]
-    out = compose(outer, args)
+    (out,) = compose([outer], args)
     assert out.degree == 0
     assert out.value == pytest.approx(math.sin(1.2) * -0.4)
 
@@ -282,7 +282,7 @@ def test_batched_compose_matches_loop():
     outer = jets.sin(seed_variable(outer_sp, 0, a1.value)) + jets.exp(
         seed_variable(outer_sp, 1, a2.value)
     )
-    got = compose(outer, [a1, a2])
+    (got,) = compose([outer], [a1, a2])
     for b in range(5):
         xb = seed_variable(inner_sp, 0, v[0, b])
         yb = seed_variable(inner_sp, 1, v[1, b])
@@ -292,7 +292,7 @@ def test_batched_compose_matches_loop():
             seed_variable(outer_sp, 1, float(a2b.value))
         )
         np.testing.assert_allclose(
-            got.coeffs[:, b], compose(outb, [a1b, a2b]).coeffs, rtol=1e-12, atol=1e-13
+            got.coeffs[:, b], compose([outb], [a1b, a2b])[0].coeffs, rtol=1e-12, atol=1e-13
         )
 
 
