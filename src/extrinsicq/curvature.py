@@ -20,20 +20,17 @@ The builder uses the first-kind form, whose symbols cost no products:
                + Gamma^m_{jk} Gamma_{m,il} - Gamma^m_{ik} Gamma_{m,jl},
     Gamma_{l,ik} = (d_i g_lk + d_k g_li - d_l g_ik) / 2.
 
-It and the Weyl builder compute only the components at
-``independent_components`` (i < j, k < l, (i, j) <= (k, l)), and
-``_fill_curvature`` fills the rest by R_ijkl = -R_jikl = -R_ijlk = R_klij.
+It and the Weyl builder compute only ``independent_components`` (i < j,
+k < l, (i, j) <= (k, l)); ``_fill_curvature`` fills the rest by
+R_ijkl = -R_jikl = -R_ijlk = R_klij.
 The first Bianchi identity is not used, so it stays a check.
 """
-
-import functools
 
 from . import jets
 from .geometry import _sum
 from .jets import JetError
 
 
-@functools.lru_cache(maxsize=None)
 def independent_components(n):
     """The index quadruples i < j, k < l, (i, j) <= (k, l) of a curvature-type
     4-tensor in n dimensions, in the order ``_fill_curvature`` reads them."""
@@ -42,12 +39,9 @@ def independent_components(n):
 
 
 def _fill_curvature(comps, n, zero):
-    """The 4-tensor with the symmetries of curvature from its independent components.
-
-    ``comps`` holds the components at ``independent_components(n)``, in that
-    order; the rest follows from R_ijkl = -R_jikl = -R_ijlk = R_klij, and
-    components with i = j or k = l are ``zero``.
-    """
+    """The 4-tensor with the symmetries of curvature from ``comps``, its
+    components at ``independent_components(n)``; the rest follows from
+    R_ijkl = -R_jikl = -R_ijlk = R_klij, and i = j or k = l gives ``zero``."""
     out = [[[[zero] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for (i, j, k, l), r in zip(independent_components(n), comps, strict=True):
         m = -r

@@ -254,9 +254,6 @@ class GeometryContext:
     def detg(self, d):
         return self._inv_pair(d)[1]
 
-    def sqrt_detg(self, d):
-        return self.get("sqrtdetg", d, lambda dd: jets.sqrt(self.detg(dd)))
-
     def gamma(self, d):
         """Christoffel symbols of the second kind, gamma[k][i][j])."""
 

@@ -203,9 +203,7 @@ def normal(sctx, d):
 
 def pulled_christoffel(sctx, d):
     """Ambient Christoffel symbols composed with the embedding."""
-    return sctx.get(
-        "gammabar", d, lambda dd: _pull_symmetric(sctx, sctx.ambient.gamma(dd), dd)
-    )
+    return sctx.get("gammabar", d, lambda dd: _pull_symmetric(sctx, sctx.ambient.gamma(dd), dd))
 
 
 def second_fundamental(sctx, d):
@@ -261,19 +259,13 @@ def tracefree_second_fundamental(sctx, d):
 
 
 def pull(sctx, ambient_jets, d):
-    """Compose ambient-variable jets with the embedding at surface degree d.
-
-    One composition for the whole list, so the embedding's offset monomials
-    are built once.
-    """
+    """Compose a list of ambient-variable jets with the embedding at surface degree d."""
     return jets.compose(ambient_jets, iota_jets(sctx, d))
 
 
 def _pull_symmetric(sctx, T, d):
-    """Pull back T[k][a][b], symmetric in its last two ambient indices.
-
-    Only the entries with a <= b are read, and all are pulled in one call.
-    """
+    """Pull back T[k][a][b], symmetric in its last two ambient indices: the
+    entries with a <= b are read, and all are pulled in one call."""
     na = sctx.dim + 1
     kab = [(k, a, b) for k in range(len(T)) for a in range(na) for b in range(a, na)]
     out = [[[None] * na for _ in range(na)] for _ in T]
@@ -307,11 +299,7 @@ def pulled_weyl(sctx, d):
 
 def jbar(sctx, d):
     """Ambient J along the surface."""
-
-    def build(dd):
-        return pull(sctx, [curvature.jfun(sctx.ambient, dd)], dd)[0]
-
-    return sctx.get("jbar", d, build)
+    return sctx.get("jbar", d, lambda dd: pull(sctx, [curvature.jfun(sctx.ambient, dd)], dd)[0])
 
 
 def rho_bar_nn(sctx, d):

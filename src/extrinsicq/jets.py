@@ -15,6 +15,11 @@ per-segment walk over long rows.  The layered kernel adds each target's
 pairs left to right; reduceat may group three or more of them differently,
 so the two kernels agree to rounding, not bit for bit.
 
+Composition substitutes inner jets into a stack of outer Taylor polynomials:
+the monomials of the inner offsets are built once, one product each, and
+every outer is a coefficient sum against them.  The elementary functions
+are the one-variable case of the same substitution.
+
 Degrees are bookkept explicitly.  Asking for information beyond the stored
 degree raises DegreeExhaustedError rather than returning garbage, and
 domain violations (log of a nonpositive value, division by zero) raise
@@ -379,23 +384,15 @@ def seed_variable(space, var, value):
 # ---- elementary functions ----------------------------------------------
 #
 # Each is the composition of a one-variable Taylor series s_0 + s_1 w + ...
-# with the offset jet w = a - a.value, evaluated by Horner.  Since w has no
-# constant term, the series only needs degree+1 coefficients and the result
-# is exact through the truncation degree.
+# with the offset jet w = a - a.value: the one-variable case of the
+# substitution behind ``compose``.  Since w has no constant term, the series
+# only needs degree+1 coefficients and the result is exact through the
+# truncation degree.
 
 
 def _series(a, coeffs_for):
-    a0 = a.value
-    d = a.degree
-    s = coeffs_for(a0, d)
-    if d == 0:
-        return constant(a.space, s[0])
-    w = Jet(a.space, a.coeffs.copy())
-    w.coeffs[0] = 0.0
-    r = constant(a.space, s[d])
-    for k in range(d - 1, -1, -1):
-        r = r * w + s[k]
-    return r
+    s = np.asarray(coeffs_for(a.value, a.degree))
+    return Jet(a.space, _substitute([a], a.space, s[:, None])[0])
 
 
 def exp(a):
@@ -485,45 +482,41 @@ def powi(a, n):
     return out if out is not None else constant(a.space, 1.0)
 
 
-def _substitute(w, C):
-    """Coefficients of sum_alpha C[alpha] w^alpha for a stack of outer polynomials.
+def _substitute(args, space, C):
+    """Coefficients, shape (nout, ncoeffs[, batch]), of sum_i C[i] w^alpha_i
+    at the offsets w = args - args.value in ``space``.
 
-    ``w`` are jets in one space with zero constant term, the offsets of the
-    outer variables.  Their monomials w^alpha are built grade by grade, each
-    from a parent one grade down, so the work is one jet product per
-    monomial, shared by every outer.  ``C[i]`` holds the outers' coefficients
-    of the i-th monomial in graded order (i = 0 is the constant), shape
-    (nout, batch) with a batch of 1 for unbatched outers.  Each outer's sum
-    runs over the monomials in that order.  Returns an array of shape
-    (nout, ncoeffs, batch), with a batch of 1 if nothing is batched.
+    The monomials w^alpha are built grade by grade, each from a parent one
+    grade down: one jet product each, shared by all outers.  ``C[i]``, shape
+    (nout,) or (nout, batch), holds the outers' coefficients of the i-th
+    monomial in graded order, and each outer sums its terms in that order.
     """
-    space = w[0].space
-    nv = len(w)
-    nb = max([C.shape[2]] + [b.coeffs.shape[1] for b in w if b.coeffs.ndim == 2])
-    out = np.zeros((C.shape[1], space.ncoeffs, nb))
+    w = [Jet(space, b.coeffs[: space.ncoeffs].copy()) for b in args]
+    for x in w:
+        x.coeffs[0] = 0.0
+    batched = C.ndim == 3 or any(b.batch is not None for b in args)
+    C = C.reshape(C.shape[0], C.shape[1], -1)
+    out = np.zeros((C.shape[1], space.ncoeffs, max(C.shape[2], *(b.batch or 1 for b in args))))
     out[:, 0] = C[0]
-    prev = {(0,) * nv: constant(space, 1.0)}
+    prev = {(0,) * len(w): constant(space, 1.0)}
     i = 0
     for q in range(1, space.degree + 1):
         cur = {}
-        for alpha in _grade_block(nv, q):
+        for alpha in _grade_block(len(w), q):
             i += 1
             j = next(k for k, e in enumerate(alpha) if e)
-            parent = list(alpha)
-            parent[j] -= 1
-            m = cur[alpha] = prev[tuple(parent)] * w[j]
+            m = cur[alpha] = prev[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]] * w[j]
             if np.any(C[i]):
-                # a monomial's constant term is zero, so coefficient 0 stays C[0]
-                mc = m.coeffs[1:] if m.coeffs.ndim == 2 else m.coeffs[1:, None]
-                out[:, 1:] += mc * C[i][:, None, :]
+                # a monomial's constant term is zero: coefficient 0 stays C[0]
+                out[:, 1:] += m.coeffs[1:].reshape(space.ncoeffs - 1, -1) * C[i][:, None]
         prev = cur
-    return out
+    return out if batched else out[:, :, 0]
 
 
 def compose(outers, args):
     """Substitute inner jets into the Taylor polynomials of a stack of outers.
 
-    ``outers`` share one jet space; ``args[j]`` is the expansion of the j-th
+    ``outers`` share one jet space.  ``args[j]`` is the expansion of the j-th
     outer variable as a jet over the inner variables.  Its constant term must
     be the point the outers were expanded about; only the offsets
     ``args[j] - args[j].value`` enter, so a mismatch is the caller's bug and
@@ -531,32 +524,21 @@ def compose(outers, args):
     inner degree): coefficients of an outer beyond its stored degree are
     unknown and would pollute anything higher.
 
-    The offset monomials are built once per call and every outer is a
-    coefficient sum against them (``_substitute``).  Returns a list of jets,
-    one per outer.
+    The offset monomials are built once for the whole stack (``_substitute``).
+    Returns one jet per outer.
     """
-    outers = list(outers)
     outer_space = outers[0].space
-    if any(o.space is not outer_space for o in outers[1:]):
+    if any(o.space is not outer_space for o in outers):
         raise JetError("composed outer jets must share a single jet space")
     if len(args) != outer_space.nvars:
-        raise JetError(
-            f"outer jets have {outer_space.nvars} variables, got {len(args)} arguments"
-        )
+        raise JetError(f"outer jets have {outer_space.nvars} variables, got {len(args)} arguments")
     inner_space = args[0].space
-    for b in args[1:]:
-        if b.space is not inner_space:
-            raise JetError("composition arguments must share a single jet space")
+    if any(b.space is not inner_space for b in args):
+        raise JetError("composition arguments must share a single jet space")
     d = min(outer_space.degree, inner_space.degree)
     space = jet_space(inner_space.nvars, d)
-    w = []
-    for b in args:
-        c = b.coeffs[: space.ncoeffs].copy()
-        c[0] = 0.0
-        w.append(Jet(space, c))
     nc = outer_space.prefix_count(d)
-    C = np.stack(np.broadcast_arrays(*[o.coeffs[:nc].reshape(nc, -1) for o in outers]), axis=1)
-    out = _substitute(w, C)
-    if all(x.coeffs.ndim == 1 for x in [*outers, *args]):
-        out = out[:, :, 0]
-    return [Jet(space, r) for r in out]
+    C = [o.coeffs[:nc] for o in outers]
+    if any(c.ndim == 2 for c in C):
+        C = np.broadcast_arrays(*[c.reshape(nc, -1) for c in C])
+    return [Jet(space, r) for r in _substitute(args, space, np.stack(C, axis=1))]

@@ -420,6 +420,8 @@ def _num(text, what):
         v = float(text)
     except ValueError:
         raise ScenarioError(f"{what} must be a number, got {text!r}") from None
+    if not math.isfinite(v):
+        raise ScenarioError(f"{what} must be finite, got {text!r}")
     return v
 
 

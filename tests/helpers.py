@@ -138,3 +138,49 @@ def richardson_partial(f, x, i, h=1e-3):
     d1 = diff(h)
     d2 = diff(h / 2.0)
     return (4.0 * d2 - d1) / 3.0
+
+
+# ---- reference substitutions -----------------------------------------------
+# One outer composed at a time, and series evaluated by Horner's rule: the
+# direct forms that jets.compose and jets._series share one substitution for.
+
+
+def reference_compose(outer, args):
+    """``outer``'s Taylor polynomial at the offsets of ``args``, alone."""
+    inner_space = args[0].space
+    d = min(outer.degree, inner_space.degree)
+    space = jets.jet_space(inner_space.nvars, d)
+    w = []
+    for b in args:
+        c = b.coeffs[: space.ncoeffs].copy()
+        c[0] = 0.0
+        w.append(jets.Jet(space, c))
+    result = jets.constant(space, outer.coeffs[0])
+    prev = {(0,) * outer.nvars: jets.constant(space, 1.0)}
+    for q in range(1, d + 1):
+        cur = {}
+        for alpha in jets._grade_block(outer.nvars, q):
+            j = next(i for i, e in enumerate(alpha) if e)
+            parent = list(alpha)
+            parent[j] -= 1
+            m = prev[tuple(parent)] * w[j]
+            cur[alpha] = m
+            c = outer.coeffs[outer.space.index[alpha]]
+            if np.any(c):
+                result = result + m * c
+        prev = cur
+    return result
+
+
+def reference_series(a, coeffs_for):
+    """s_0 + s_1 w + ... + s_d w^d at w = a - a.value, by Horner's rule."""
+    d = a.degree
+    s = coeffs_for(a.value, d)
+    if d == 0:
+        return jets.constant(a.space, s[0])
+    w = jets.Jet(a.space, a.coeffs.copy())
+    w.coeffs[0] = 0.0
+    r = jets.constant(a.space, s[d])
+    for k in range(d - 1, -1, -1):
+        r = r * w + s[k]
+    return r

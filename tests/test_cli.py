@@ -221,6 +221,22 @@ def test_non_finite_point_exits_two(capsys, point):
     assert "must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("apply", "--op", "q2", "--scenario", "ROUND_S(4,inf)", "--point", "1,1,1,1"),
+        ("apply", "--op", "q2", "--scenario", "SPHERE_IN_FLAT(4,inf)", "--point", "1,1,1,1"),
+        ("verify", "--scenario", "ROUND_S(4,inf)"),
+    ],
+)
+def test_non_finite_scenario_number_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "radius must be finite" in err
+    assert "Traceback" not in err
+
+
 def test_point_outside_a_bounded_axis_exits_two(capsys):
     # x1 is a polar angle of the round sphere's chart, in [0, pi]
     code, out, err = run_cli(

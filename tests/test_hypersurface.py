@@ -1,10 +1,13 @@
 """Embedded hypersurfaces against closed-form and finite-difference oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
 from extrinsicq import curvature, hypersurface as hs, jets
 from extrinsicq.geometry import Axis, Chart, Metric, conformal_rescale
+from extrinsicq.scenarios import parse_scenario
 
 from helpers import jval
 
@@ -614,3 +617,35 @@ def test_tracefree_shape_rescales_with_weight_one():
     for i in range(3):
         for j in range(3):
             assert np.max(np.abs(scale * jval(La[i][j], B) - jval(Lb[i][j], B))) < 1e-10
+
+
+# one product per offset monomial of degree 1..2 in five variables
+PULL_PRODUCTS_5 = math.comb(7, 5) - 1
+
+
+def test_pulled_christoffel_product_count(monkeypatch):
+    scn = parse_scenario("GRAPH(T4_IN_PERT_T5)")
+    sctx = scn.context(surface_points(scn.embedding, 4, 15))
+    d = 2
+    # the inputs the build reads, built beforehand
+    sctx.ambient.gamma(d)
+    hs.iota_jets(sctx, d)
+    count = composes = 0
+    mul, compose = jets.Jet.__mul__, jets.compose
+
+    def counting_mul(self, other):
+        nonlocal count
+        count += isinstance(other, jets.Jet)
+        return mul(self, other)
+
+    def counting_compose(outers, args):
+        nonlocal composes
+        composes += 1
+        return compose(outers, args)
+
+    monkeypatch.setattr(jets.Jet, "__mul__", counting_mul)
+    monkeypatch.setattr(jets, "compose", counting_compose)
+    G = hs.pulled_christoffel(sctx, d)
+    assert 0 < count <= PULL_PRODUCTS_5
+    assert composes == 1
+    assert G[4][1][3] is G[4][3][1] and G[4][1][3].degree == d

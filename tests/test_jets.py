@@ -24,6 +24,8 @@ from helpers import (
     poly_mul,
     poly_random,
     poly_substitute,
+    reference_compose,
+    reference_series,
 )
 
 
@@ -294,6 +296,70 @@ def test_batched_compose_matches_loop():
         np.testing.assert_allclose(
             got.coeffs[:, b], compose([outb], [a1b, a2b])[0].coeffs, rtol=1e-12, atol=1e-13
         )
+
+
+def _random_jet(rng, space, batch, zero_every=0):
+    shape = (space.ncoeffs,) if batch is None else (space.ncoeffs, batch)
+    c = rng.standard_normal(shape)
+    if zero_every:
+        c[1::zero_every] = 0.0  # some monomials no outer uses
+    return Jet(space, c)
+
+
+@pytest.mark.parametrize("batch", [None, 6])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+def test_compose_stack_is_bit_identical_to_single_outers(degree, batch):
+    rng = np.random.default_rng(40 + degree)
+    # inner degree 4 truncated to the outers' degree, then the reverse
+    for outer_deg, inner_deg in ((degree, 4), (4, degree)):
+        outer_sp, inner_sp = jet_space(3, outer_deg), jet_space(2, inner_deg)
+        outers = [_random_jet(rng, outer_sp, batch) for _ in range(3)]
+        outers += [_random_jet(rng, outer_sp, None, zero_every=2)]
+        outers += [constant(outer_sp, 0.7), _random_jet(rng, outer_sp, batch, zero_every=3)]
+        args = [_random_jet(rng, inner_sp, batch) for _ in range(3)]
+        got = compose(outers, args)
+        assert len(got) == len(outers)
+        for outer, g in zip(outers, got):
+            want = reference_compose(outer, args).coeffs
+            assert g.degree == degree
+            if batch is not None:  # an unbatched reference stands for every point
+                want = np.broadcast_to(want.reshape(len(want), -1), g.coeffs.shape)
+            np.testing.assert_array_equal(g.coeffs, want)
+            assert (g.batch is None) == (batch is None)
+
+
+def test_compose_rejects_outers_in_different_spaces():
+    x = seed_variable(jet_space(1, 2), 0, 0.3)
+    with pytest.raises(JetError, match="single jet space"):
+        compose([x, x.truncate(1)], [seed_variable(jet_space(2, 2), 0, 0.3)])
+
+
+SERIES_FUNCTIONS = {
+    "exp": jets.exp,
+    "log": jets.log,
+    "sin": jets.sin,
+    "cos": jets.cos,
+    "sqrt": jets.sqrt,
+    "powf": lambda a: jets.powf(a, -1.7),
+    "recip": jets.recip,
+}
+
+
+@pytest.mark.parametrize("batch", [None, 1, 9, 300])
+@pytest.mark.parametrize("degree", [0, 1, 2, 4, 6, 8])
+@pytest.mark.parametrize("name", sorted(SERIES_FUNCTIONS))
+def test_series_match_horner(name, degree, batch, monkeypatch):
+    rng = np.random.default_rng(degree)
+    sp = jet_space(2, degree)
+    a = _random_jet(rng, sp, batch)
+    a.coeffs[0] = rng.uniform(0.3, 2.5, size=a.coeffs[0].shape)
+    got = SERIES_FUNCTIONS[name](a)
+    monkeypatch.setattr(jets, "_series", reference_series)
+    want = SERIES_FUNCTIONS[name](a)
+    assert got.coeffs.shape == want.coeffs.shape
+    # relative to each point's largest coefficient
+    err = np.abs(got.coeffs - want.coeffs) / np.max(np.abs(want.coeffs), axis=0)
+    assert np.max(err) <= 1e-14
 
 
 def test_partial_of_degree_zero_raises():

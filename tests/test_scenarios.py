@@ -205,6 +205,24 @@ def test_parser_rejects_malformed_input(bad, fragment):
         parse_scenario(bad)
 
 
+@pytest.mark.parametrize(
+    "bad, fragment",
+    [
+        ("ROUND_S(4,inf)", "radius must be finite"),
+        ("ROUND_S(4,-inf)", "radius must be finite"),
+        ("ROUND_S(4,1e400)", "radius must be finite"),
+        ("ROUND_S(inf,1)", "dimension must be finite"),
+        ("ROUND_S(nan,1)", "dimension must be finite"),
+        ("ROUND_S(4,nan)", "radius must be finite"),
+        ("SPHERE_IN_FLAT(4,inf)", "radius must be finite"),
+        ("CONF_PERTURBED(ROUND_S(4,inf))", "radius must be finite"),
+    ],
+)
+def test_parser_rejects_non_finite_numbers(bad, fragment):
+    with pytest.raises(ScenarioError, match=fragment):
+        parse_scenario(bad)
+
+
 def test_parser_accepts_whitespace():
     scn = parse_scenario("  ROUND_S( 4 , 1.0 )  ")
     assert scn.name == "ROUND_S(4,1)"
