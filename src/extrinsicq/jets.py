@@ -487,29 +487,27 @@ def _substitute(args, space, C):
     at the offsets w = args - args.value in ``space``.
 
     The monomials w^alpha are built grade by grade, each from a parent one
-    grade down: one jet product each, shared by all outers.  ``C[i]``, shape
-    (nout,) or (nout, batch), holds the outers' coefficients of the i-th
-    monomial in graded order, and each outer sums its terms in that order.
+    grade down: one jet product each from grade 2 on, shared by all outers.
+    ``C[i]``, shape (nout,) or (nout, batch), holds the outers' coefficients
+    of the i-th monomial in graded order, and each outer sums its terms in
+    that order.
     """
     w = [Jet(space, b.coeffs[: space.ncoeffs].copy()) for b in args]
     for x in w:
         x.coeffs[0] = 0.0
     batched = C.ndim == 3 or any(b.batch is not None for b in args)
     C = C.reshape(C.shape[0], C.shape[1], -1)
+    used = C.any(axis=(1, 2))  # monomials some outer has a coefficient for
     out = np.zeros((C.shape[1], space.ncoeffs, max(C.shape[2], *(b.batch or 1 for b in args))))
     out[:, 0] = C[0]
-    prev = {(0,) * len(w): constant(space, 1.0)}
-    i = 0
-    for q in range(1, space.degree + 1):
-        cur = {}
-        for alpha in _grade_block(len(w), q):
-            i += 1
-            j = next(k for k, e in enumerate(alpha) if e)
-            m = cur[alpha] = prev[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]] * w[j]
-            if np.any(C[i]):
-                # a monomial's constant term is zero: coefficient 0 stays C[0]
-                out[:, 1:] += m.coeffs[1:].reshape(space.ncoeffs - 1, -1) * C[i][:, None]
-        prev = cur
+    mono = {(0,) * len(w): None}  # the constant 1: grade-1 monomials are w itself
+    for i, alpha in enumerate(jet_space(len(w), space.degree).mi[1:], 1):
+        j = next(k for k, e in enumerate(alpha) if e)
+        parent = mono[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]]
+        m = mono[alpha] = w[j] if parent is None else parent * w[j]
+        if used[i]:
+            # a monomial's constant term is zero: coefficient 0 stays C[0]
+            out[:, 1:] += m.coeffs[1:].reshape(space.ncoeffs - 1, -1) * C[i][:, None]
     return out if batched else out[:, :, 0]
 
 

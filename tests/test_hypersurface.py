@@ -619,7 +619,7 @@ def test_tracefree_shape_rescales_with_weight_one():
             assert np.max(np.abs(scale * jval(La[i][j], B) - jval(Lb[i][j], B))) < 1e-10
 
 
-# one product per offset monomial of degree 1..2 in five variables
+# at most one product per offset monomial of degree 1..2 in five variables
 PULL_PRODUCTS_5 = math.comb(7, 5) - 1
 
 

@@ -21,7 +21,7 @@ import sys
 
 
 def rows(path):
-    """{(scenario, check, occurrence): row} of one report."""
+    """{(scenario block, check, occurrence): row} of one report."""
     with open(path) as fh:
         report = json.load(fh)
     out = {}
@@ -33,9 +33,11 @@ def rows(path):
     return report, out
 
 
-def label(key):
-    scenario, check, n = key
-    return f"{check}@{scenario}" + (f" #{n + 1}" if n else "")
+def label(key, row):
+    """check@scenario, with the scenario the row itself names (an audit row
+    in one scenario's block may integrate on another)."""
+    block, check, n = key
+    return f"{check}@{row.get('scenario', block)}" + (f" #{n + 1}" if n else "")
 
 
 def main(argv):
@@ -65,13 +67,14 @@ def main(argv):
         print("differing rows, |delta max_abs_err| / scale:")
         for delta, k, other in sorted(diffs, key=lambda t: -t[0]):
             extra = f"  (also {', '.join(other)})" if other else ""
-            print(f"  {delta:.3e}  {label(k)}{extra}")
+            print(f"  {delta:.3e}  {label(k, a[k])}{extra}")
     flips = [k for k in common if a[k].get("passed") != b[k].get("passed")]
     for k in flips:
-        print(f"FLIP  {label(k)}: passed {a[k].get('passed')} -> {b[k].get('passed')}")
-    only = [(argv[0], k) for k in a if k not in b] + [(argv[1], k) for k in b if k not in a]
-    for path, k in only:
-        print(f"ONLY IN {path}: {label(k)}")
+        print(f"FLIP  {label(k, a[k])}: passed {a[k].get('passed')} -> {b[k].get('passed')}")
+    only = [(argv[0], k, a[k]) for k in a if k not in b]
+    only += [(argv[1], k, b[k]) for k in b if k not in a]
+    for path, k, row in only:
+        print(f"ONLY IN {path}: {label(k, row)}")
     if not flips and not only:
         print("no pass/fail flips")
     return 1 if flips or only else 0
