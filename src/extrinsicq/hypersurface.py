@@ -8,7 +8,9 @@ induced metric (so all intrinsic machinery applies unchanged) and also owns
 an ambient MetricContext whose jets are seeded along the image of the
 embedding.  Ambient quantities come across in two steps: curvature is
 computed as jets in the ambient variables, then composed with the embedding
-component jets to become jets in the surface variables.
+component jets to become jets in the surface variables.  The normal is
+contracted first: L comes from the Gauss formula -gbar(nu, nabla_i t_j), and
+nabla0_weyl_normal applies nu to each ambient tensor before the tangents.
 
 The unit normal is built from the generalized cross product of the tangent
 frame (cofactor covector, raised with the ambient metric and normalized);
@@ -207,27 +209,27 @@ def pulled_christoffel(sctx, d):
 
 
 def second_fundamental(sctx, d):
-    """L_ij = gbar(nabla_i nu, t_j) along the surface."""
+    """L_ij = gbar(nabla_i nu, t_j) by the Gauss formula, as gbar(nu, t_j) = 0:
+    L_ij = -nu_a (d_i t_j^a + Gammabar^a_bc t_i^b t_j^c), with nu at degree d,
+    nu_a Gammabar^a_bc contracted once, and i <= j summed and mirrored."""
 
     def build(dd):
         n = sctx.dim
         na = n + 1
-        nu = normal(sctx, dd + 1)
-        t = tangents(sctx, dd)
+        dt = tangents(sctx, dd + 1)
+        nu = normal(sctx, dd)
         gb = ambient_metric_on_surface(sctx, dd)
         gab = pulled_christoffel(sctx, dd)
-        out = []
+        nu_low = [_sum([gb[a][b] * nu[b] for b in range(na)], sctx, dd) for a in range(na)]
+        P = [[None] * na for _ in range(na)]
+        for b in range(na):
+            for c in range(b, na):
+                P[b][c] = P[c][b] = _sum([nu_low[a] * gab[a][b][c] for a in range(na)], sctx, dd)
+        out = _tangential(P, tangents(sctx, dd), sctx, dd)
         for i in range(n):
-            tn = [[t[i][b] * nu[c] for c in range(na)] for b in range(na)]
-            cov = []
-            for a in range(na):
-                s = nu[a].partial(i)
-                for b in range(na):
-                    for c in range(na):
-                        s = s + gab[a][b][c] * tn[b][c]
-                cov.append(s)
-            low = [_sum([gb[a][b] * cov[a] for a in range(na)], sctx, dd) for b in range(na)]
-            out.append([_sum([low[b] * t[j][b] for b in range(na)], sctx, dd) for j in range(n)])
+            for j in range(i, n):
+                s = _sum([nu_low[a] * dt[j][a].partial(i) for a in range(na)], sctx, dd)
+                out[i][j] = out[j][i] = -(s + out[i][j])
         return out
 
     return sctx.get("second_fundamental", d, build)
@@ -328,21 +330,21 @@ def rho_bar_tangential(sctx, d):
     return sctx.get("rhobar_tt", d, build)
 
 
+def _covector(Y, sctx, d):
+    """The surface covector Y_b t_i^b of an ambient covector Y."""
+    t = tangents(sctx, d)
+    return [_sum([Y[b] * t[i][b] for b in range(len(Y))], sctx, d) for i in range(sctx.dim)]
+
+
 def rho_bar_normal_tangential(sctx, d):
     """rhobar(nu, t_i) as a surface covector."""
 
     def build(dd):
-        n = sctx.dim
-        na = n + 1
+        na = sctx.dim + 1
         rb = pulled_schouten(sctx, dd)
         nu = normal(sctx, dd)
-        t = tangents(sctx, dd)
-        Y = [None] * na
-        for b in range(na):
-            Y[b] = _sum([nu[a] * rb[a][b] for a in range(na)], sctx, dd)
-        return [
-            _sum([Y[b] * t[i][b] for b in range(na)], sctx, dd) for i in range(n)
-        ]
+        Y = [_sum([nu[a] * rb[a][b] for a in range(na)], sctx, dd) for b in range(na)]
+        return _covector(Y, sctx, dd)
 
     return sctx.get("rhobar_nt", d, build)
 
@@ -437,21 +439,12 @@ def nabla0_rho_normal(sctx, d):
     """(nabla_nu rhobar)(nu, t_i) as a surface covector."""
 
     def build(dd):
-        n = sctx.dim
-        na = n + 1
+        na = sctx.dim + 1
         N = _pulled_nabla_rho(sctx, dd)
         nu = normal(sctx, dd)
-        t = tangents(sctx, dd)
-        Y = [None] * na
-        for b in range(na):
-            Y[b] = _sum(
-                [(nu[c] * nu[a]) * N[c][a][b] for c in range(na) for a in range(na)],
-                sctx,
-                dd,
-            )
-        return [
-            _sum([Y[b] * t[i][b] for b in range(na)], sctx, dd) for i in range(n)
-        ]
+        nn = [(c, a) for c in range(na) for a in range(na)]
+        Y = [_sum([(nu[c] * nu[a]) * N[c][a][b] for c, a in nn], sctx, dd) for b in range(na)]
+        return _covector(Y, sctx, dd)
 
     return sctx.get("nabla0_rho_n", d, build)
 
@@ -459,9 +452,12 @@ def nabla0_rho_normal(sctx, d):
 def nabla0_weyl_normal(sctx, d=0):
     """(nabla_nu Wbar)(nu, t_i, t_j, nu) as a surface 2-tensor of values.
 
-    Only needed, and only computed, at degree 0: the contraction is assembled
-    from constant and linear jet coefficients with einsums instead of
-    composing all five-index components.
+    Only needed, and only computed, at degree 0, from the constant and linear
+    jet coefficients with einsums.  nu is applied first, to dW, W and
+    Gammabar, so no term exceeds (n+1)^4 per point:
+    d_nu W(nu, b, c, nu) - W(Gammabar(nu, nu), b, c, nu)
+    - W(nu, Gammabar(nu, b), c, nu) - W(nu, b, Gammabar(nu, c), nu)
+    - W(nu, b, c, Gammabar(nu, nu)), contracted with t_i^b t_j^c.
     """
     if d != 0:
         raise DegreeExhaustedError(
@@ -473,24 +469,20 @@ def nabla0_weyl_normal(sctx, d=0):
         na = n + 1
         B = sctx.nbatch
         amb = sctx.ambient
-        # coefficient 1 + e of a degree-1 jet is its first partial along e
-        W1 = jet_coeffs(curvature.weyl(amb, 1), B, na + 1)
-        Wv, dWv = W1[0], W1[1:]
-        Gv = jet_values(amb.gamma(0), B)
-        nW = (
-            dWv
-            - np.einsum("feaZ,fbcdZ->eabcdZ", Gv, Wv)
-            - np.einsum("febZ,afcdZ->eabcdZ", Gv, Wv)
-            - np.einsum("fecZ,abfdZ->eabcdZ", Gv, Wv)
-            - np.einsum("fedZ,abcfZ->eabcdZ", Gv, Wv)
-        )
         nuv = jet_values(normal(sctx, 0), B)
         tv = jet_values(tangents(sctx, 0), B)
-        # normals first: each contraction shrinks the five-index tensor by a
-        # factor n + 1 before the tangents enter
-        X = np.einsum("eabcdZ,eZ->abcdZ", nW, nuv)
-        X = np.einsum("abcdZ,aZ->bcdZ", X, nuv)
-        X = np.einsum("bcdZ,dZ->bcZ", X, nuv)
+        # coefficient 1 + e of a degree-1 jet is its first partial along e
+        W1 = jet_coeffs(curvature.weyl(amb, 1), B, na + 1)
+        dW = np.einsum("eabcdZ,eZ->abcdZ", W1[1:], nuv)
+        dW = np.einsum("abcZ,aZ->bcZ", np.einsum("abcdZ,dZ->abcZ", dW, nuv), nuv)
+        Wn = np.einsum("abcdZ,dZ->abcZ", W1[0], nuv)
+        Wnn = np.einsum("abcZ,aZ->bcZ", Wn, nuv)
+        Gn = np.einsum("feaZ,eZ->faZ", jet_values(amb.gamma(0), B), nuv)
+        Gnn = np.einsum("faZ,aZ->fZ", Gn, nuv)
+        # the last two terms are the transposes of the first two, by the
+        # symmetries W(nu, b, c, f) = W(f, c, b, nu) and Wnn_bc = Wnn_cb
+        S = np.einsum("fZ,fbcZ->bcZ", Gnn, Wn) + np.einsum("fbZ,fcZ->bcZ", Gn, Wnn)
+        X = dW - S - S.swapaxes(0, 1)
         T = np.einsum("bcZ,ibZ,jcZ->ijZ", X, tv, tv)
         sp = jets.jet_space(n, 0)
         return [[jets.constant(sp, T[i, j]) for j in range(n)] for i in range(n)]

@@ -49,6 +49,9 @@ SCHEMA_VERSION = 1
 TOL_POINT = 1e-7
 TOL_INTEGRAL = 1e-5
 TOL_CONTROL = 1e-12
+# leggauss builds an n x n matrix; 2^24 points of a 4-d chart take 0.5 GB
+MAX_GAUSS_NODES = 1000
+MAX_POINTS = 2**24
 
 SUITES = ("structural", "intrinsic", "extrinsic", "global", "all")
 _FOURTH_ORDER_SUITES = ("intrinsic", "extrinsic", "global", "all")
@@ -172,8 +175,13 @@ class Quadrature:
     def __init__(self, chart, nodes=12, gauss_nodes=16):
         nodes = int(nodes)
         gauss_nodes = int(gauss_nodes)
-        if nodes < 1 or gauss_nodes < 1:
-            raise ConfigError("quadrature needs at least one node per axis")
+        total = math.prod(nodes if ax.periodic else gauss_nodes for ax in chart.axes)
+        if min(nodes, gauss_nodes) < 1 or gauss_nodes > MAX_GAUSS_NODES or total > MAX_POINTS:
+            raise ConfigError(
+                f"quadrature: need 1 to {MAX_GAUSS_NODES} nodes per bounded axis, at least 1 "
+                f"per periodic one and at most {MAX_POINTS} points; got nodes={nodes}, "
+                f"gauss_nodes={gauss_nodes}, {total} points"
+            )
         xs, ws = [], []
         for ax in chart.axes:
             span = ax.hi - ax.lo

@@ -10,7 +10,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from extrinsicq import jets
+from extrinsicq import curvature, jets
+from extrinsicq import hypersurface as hs
+from extrinsicq.geometry import _sum, jet_coeffs, jet_values
 
 
 # ---- exact polynomial oracle ---------------------------------------------
@@ -184,3 +186,55 @@ def reference_series(a, coeffs_for):
     for k in range(d - 1, -1, -1):
         r = r * w + s[k]
     return r
+
+
+# ---- reference extrinsic builders ------------------------------------------
+# The direct forms the hypersurface builders replaced: L through the
+# derivative of the normal, and the Weyl normal derivative through the full
+# five-index covariant derivative before any normal contracts it.
+
+
+def reference_second_fundamental(sctx, d):
+    """L_ij = gbar(nabla_i nu, t_j), with nu at degree d + 1."""
+    n = sctx.dim
+    na = n + 1
+    nu = hs.normal(sctx, d + 1)
+    t = hs.tangents(sctx, d)
+    gb = hs.ambient_metric_on_surface(sctx, d)
+    gab = hs.pulled_christoffel(sctx, d)
+    out = []
+    for i in range(n):
+        tn = [[t[i][b] * nu[c] for c in range(na)] for b in range(na)]
+        cov = []
+        for a in range(na):
+            s = nu[a].partial(i)
+            for b in range(na):
+                for c in range(na):
+                    s = s + gab[a][b][c] * tn[b][c]
+            cov.append(s)
+        low = [_sum([gb[a][b] * cov[a] for a in range(na)], sctx, d) for b in range(na)]
+        out.append([_sum([low[b] * t[j][b] for b in range(na)], sctx, d) for j in range(n)])
+    return out
+
+
+def reference_nabla0_weyl_normal(sctx):
+    """(nabla_nu Wbar)(nu, t_i, t_j, nu) values, shape (n, n, batch)."""
+    na = sctx.dim + 1
+    B = sctx.nbatch
+    amb = sctx.ambient
+    W1 = jet_coeffs(curvature.weyl(amb, 1), B, na + 1)
+    Wv, dWv = W1[0], W1[1:]
+    Gv = jet_values(amb.gamma(0), B)
+    nW = (
+        dWv
+        - np.einsum("feaZ,fbcdZ->eabcdZ", Gv, Wv)
+        - np.einsum("febZ,afcdZ->eabcdZ", Gv, Wv)
+        - np.einsum("fecZ,abfdZ->eabcdZ", Gv, Wv)
+        - np.einsum("fedZ,abcfZ->eabcdZ", Gv, Wv)
+    )
+    nuv = jet_values(hs.normal(sctx, 0), B)
+    tv = jet_values(hs.tangents(sctx, 0), B)
+    X = np.einsum("eabcdZ,eZ->abcdZ", nW, nuv)
+    X = np.einsum("abcdZ,aZ->bcdZ", X, nuv)
+    X = np.einsum("bcdZ,dZ->bcZ", X, nuv)
+    return np.einsum("bcZ,ibZ,jcZ->ijZ", X, tv, tv)

@@ -278,6 +278,26 @@ def test_integrate_volume(capsys):
     assert abs(got - (2.0 * math.pi) ** 2) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("integrate", "--scenario", "ROUND_S(2,1)", "--f", "1", "--gauss-nodes", "100000000"),
+         "gauss_nodes=100000000"),
+        (("integrate", "--scenario", "FLAT_T4", "--f", "1", "--nodes", "100"),
+         "100000000 points"),
+        (("verify", "--suite", "global", "--scenario", "ROUND_S(4,1)",
+          "--gauss-nodes", "100000000"), "gauss_nodes=100000000"),
+        (("verify", "--suite", "global", "--scenario", "FLAT_T4", "--nodes", "100"),
+         "100000000 points"),
+    ],
+)
+def test_oversized_quadrature_exits_two(capsys, argv, message):
+    # refused before the rule allocates anything; never run near the ceiling
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert message in err and "Traceback" not in err
+
+
 def test_integrate_needs_exactly_one_integrand(capsys):
     code, _, err = run_cli(capsys, "integrate", "--scenario", "FLAT_T2")
     assert code == 2

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from extrinsicq import curvature, hypersurface as hs, jets
-from extrinsicq.geometry import Axis, Chart, Metric, conformal_rescale
+from extrinsicq.geometry import Axis, Chart, Metric, conformal_rescale, jet_coeffs, jet_values
 from extrinsicq.scenarios import parse_scenario
 
-from helpers import jval
+from helpers import jval, reference_nabla0_weyl_normal, reference_second_fundamental
 
 TAU = 2.0 * np.pi
 
@@ -649,3 +649,80 @@ def test_pulled_christoffel_product_count(monkeypatch):
     assert 0 < count <= PULL_PRODUCTS_5
     assert composes == 1
     assert G[4][1][3] is G[4][3][1] and G[4][1][3].degree == d
+
+
+# ---- the Gauss formula and the normals-first Weyl derivative -----------------
+
+REFERENCE_SCENARIOS = (
+    "GRAPH(T4_IN_PERT_T5)",
+    "SLICE(S2xS2)",
+    "CONF_PERTURBED(SLICE(PERT_T4))",
+    "SPHERE_IN_FLAT(4,1)",
+)
+
+
+def _fresh_pair(text, B, seed):
+    scn = parse_scenario(text)
+    pts = surface_points(scn.embedding, B, seed)
+    return scn.context(pts), scn.context(pts)
+
+
+@pytest.mark.parametrize("text", REFERENCE_SCENARIOS)
+def test_second_fundamental_matches_the_normal_derivative_form(text):
+    # -gbar(nu, nabla_i t_j) against gbar(nabla_i nu, t_j), coefficient by coefficient
+    B = 6
+    sctx, ref = _fresh_pair(text, B, 23)
+    n = sctx.dim
+    for d in range(3):
+        nc = jets.jet_space(n, d).ncoeffs
+        L = hs.second_fundamental(sctx, d)
+        want = jet_coeffs(reference_second_fundamental(ref, d), B, nc)
+        got = jet_coeffs(L, B, nc)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        for i in range(n):
+            for j in range(n):
+                assert np.array_equal(L[i][j].coeffs, L[j][i].coeffs)
+
+
+@pytest.mark.parametrize("text", REFERENCE_SCENARIOS)
+def test_nabla0_weyl_matches_the_five_index_form(text):
+    B = 6
+    sctx, ref = _fresh_pair(text, B, 24)
+    want = reference_nabla0_weyl_normal(ref)
+    got = jet_values(hs.nabla0_weyl_normal(sctx), B)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# nu lowered (25), nu_a Gammabar^a_bc for b <= c (75), contracted with t_i
+# (100), then n(n+1)/2 entries of 2(n+1) products each (100), at n = 4
+SECOND_FUNDAMENTAL_PRODUCTS_5 = 350
+
+
+def test_second_fundamental_product_count_and_degrees(monkeypatch):
+    scn = parse_scenario("GRAPH(T4_IN_PERT_T5)")
+    pts = surface_points(scn.embedding, 4, 15)
+    sctx = scn.context(pts)
+    d = 2
+    # the inputs the build reads, built beforehand
+    hs.tangents(sctx, d + 1)
+    hs.normal(sctx, d)
+    hs.ambient_metric_on_surface(sctx, d)
+    hs.pulled_christoffel(sctx, d)
+    count = 0
+    mul = jets.Jet.__mul__
+
+    def counting_mul(self, other):
+        nonlocal count
+        count += isinstance(other, jets.Jet)
+        return mul(self, other)
+
+    monkeypatch.setattr(jets.Jet, "__mul__", counting_mul)
+    hs.second_fundamental(sctx, d)
+    assert 0 < count <= SECOND_FUNDAMENTAL_PRODUCTS_5
+    monkeypatch.undo()
+
+    # on a fresh context, L at degree 2 builds no frame quantity deeper than 2
+    fresh = scn.context(pts)
+    hs.second_fundamental(fresh, d)
+    deep = [(key, dd) for key, dd in fresh._cache if key in ("normal", "gbar", "gbar_inv") and dd > d]
+    assert deep == []

@@ -1,11 +1,15 @@
-"""tools/compare_reports.py on small hand-made reports."""
+"""The scripts in tools/: compare_reports.py on small hand-made reports, and
+products_by_build.py on one small chunk."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_reports.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "compare_reports.py"
+PRODUCTS = ROOT / "tools" / "products_by_build.py"
 
 
 def _report(rows):
@@ -52,3 +56,31 @@ def test_compare_reports_bad_input_exits_two(tmp_path):
     )
     assert out.returncode == 2
     assert out.stderr.startswith("error:")
+
+
+def _products(*argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(PRODUCTS), *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_products_by_build_charges_the_innermost_build():
+    out = _products("SPHERE_IN_FLAT(3,1)", "ext_q3", "--points", "4")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == "SPHERE_IN_FLAT(3,1)  ext_q3  4 points"
+    rows = {tuple(line.split()[:3]): int(line.split()[3]) for line in lines[2:-2]}
+    # L at degree 2 for ext_q3, and the ambient Christoffel symbols it pulls
+    assert rows[("surface", "second_fundamental", "2")] > 0
+    assert rows[("metric", "gamma", "2")] > 0
+    total = lines[-2].split()
+    assert total[0] == "total" and int(total[1]) == sum(rows.values())
+    assert lines[-1].startswith("wall ")
+
+
+def test_products_by_build_bad_input_exits_two():
+    for argv in (("FLAT_T2", "total_q4"), ("FLAT_T2", "nope"), ("FLAT_T2", "q2", "--points", "0")):
+        out = _products(*argv)
+        assert out.returncode == 2
+        assert out.stderr.startswith("error:")
