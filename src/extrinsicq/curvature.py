@@ -27,7 +27,7 @@ The first Bianchi identity is not used, so it stays a check.
 """
 
 from . import jets
-from .geometry import _sum
+from .geometry import _flat, _negated
 from .jets import JetError
 
 
@@ -65,13 +65,13 @@ def riemann(ctx, d):
                 for k in range(i, n):
                     G1[l][i][k] = G1[l][k][i] = (dg[i][l][k] + dg[k][l][i] - dg[l][i][k]) * 0.5
         G0 = [[[x.truncate(dd) for x in row] for row in plane] for plane in G1]
+        nga = _negated(ga)
 
         comps = []
         for i, j, k, l in independent_components(n):
-            r = G1[l][i][k].partial(j) - G1[l][j][k].partial(i)
-            for m in range(n):
-                r = r + ga[m][j][k] * G0[m][i][l] - ga[m][i][k] * G0[m][j][l]
-            comps.append(r)
+            xs = [x for m in range(n) for x in (ga[m][j][k], nga[m][i][k])]
+            ys = [y for m in range(n) for y in (G0[m][i][l], G0[m][j][l])]
+            comps.append(jets.dot(xs, ys, start=G1[l][i][k].partial(j) - G1[l][j][k].partial(i)))
         return _fill_curvature(comps, n, jets.constant(jets.jet_space(n, dd), 0.0))
 
     return ctx.get("riemann", d, build)
@@ -83,15 +83,11 @@ def ricci(ctx, d):
     def build(dd):
         n = ctx.dim
         R = riemann(ctx, dd)
-        gi = ctx.ginv(dd)
+        gi = _flat(ctx.ginv(dd))
         out = [[None] * n for _ in range(n)]
         for a in range(n):
             for b in range(a, n):
-                s = _sum(
-                    [gi[k][l] * R[a][k][b][l] for k in range(n) for l in range(n)],
-                    ctx,
-                    dd,
-                )
+                s = jets.dot(gi, [R[a][k][b][l] for k in range(n) for l in range(n)])
                 out[a][b] = out[b][a] = s
         return out
 
@@ -100,10 +96,8 @@ def ricci(ctx, d):
 
 def scal(ctx, d):
     def build(dd):
-        n = ctx.dim
         ric = ricci(ctx, dd)
-        gi = ctx.ginv(dd)
-        return _sum([gi[a][b] * ric[a][b] for a in range(n) for b in range(n)], ctx, dd)
+        return jets.dot(_flat(ctx.ginv(dd)), _flat(ric))
 
     return ctx.get("scal", d, build)
 
@@ -148,10 +142,9 @@ def weyl_norm_sq(ctx, d):
             for j in range(n):
                 for k in range(n):
                     for l in range(n):
+                        col = [T[a][j][k][l] for a in range(n)]
                         for i in range(n):
-                            out[i][j][k][l] = _sum(
-                                [gi[i][a] * T[a][j][k][l] for a in range(n)], ctx, dd
-                            )
+                            out[i][j][k][l] = jets.dot(gi[i], col)
             return out
 
         def rot(T):
@@ -164,17 +157,7 @@ def weyl_norm_sq(ctx, d):
         up = W
         for _ in range(4):
             up = rot(raise_first(up))
-        return _sum(
-            [
-                up[i][j][k][l] * W[i][j][k][l]
-                for i in range(n)
-                for j in range(n)
-                for k in range(n)
-                for l in range(n)
-            ],
-            ctx,
-            dd,
-        )
+        return jets.dot(*(_flat(_flat(_flat(T))) for T in (up, W)))
 
     return ctx.get("weylnormsq", d, build)
 
@@ -194,11 +177,12 @@ def weyl(ctx, d):
         rho = schouten(ctx, dd)
         g = ctx.g(dd)
 
+        nrho, ng = [[-x for x in row] for row in rho], [[-x for x in row] for row in g]
         # R minus the Kulkarni-Nomizu product (rho ^ g)_ijkl
         comps = [
-            R[i][j][k][l] - (
-                rho[i][k] * g[j][l] + g[i][k] * rho[j][l]
-                - rho[i][l] * g[j][k] - g[i][l] * rho[j][k]
+            R[i][j][k][l] - jets.dot(
+                [rho[i][k], g[i][k], nrho[i][l], ng[i][l]],
+                [g[j][l], rho[j][l], g[j][k], rho[j][k]],
             )
             for i, j, k, l in independent_components(n)
         ]

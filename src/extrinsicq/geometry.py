@@ -13,8 +13,10 @@ results can be cached per context; the calculus combinators (differential,
 divergence, laplacian, hessian, traces and inner products) assemble fields
 into new fields without fixing a degree prematurely.  Tensors are nested
 lists of jets, always fully covariant; indices are raised explicitly with
-the inverse metric where needed.  ``jet_values`` and ``jet_coeffs`` turn a
-tensor into one numpy array, batch axis last.
+the inverse metric where needed.  Each index contraction is one ``jets.dot``
+per entry, with a subtracted term as a negated factor, which is exact.
+``jet_values`` and ``jet_coeffs`` turn a tensor into one numpy array, batch
+axis last.
 """
 
 import itertools
@@ -263,15 +265,12 @@ class GeometryContext:
             gi = self.ginv(dd)
             dg = [[[g1[i][j].partial(k) for j in range(n)] for i in range(n)] for k in range(n)]
             out = [[[None] * n for _ in range(n)] for _ in range(n)]
-            for k in range(n):
-                for i in range(n):
-                    for j in range(i, n):
-                        s = None
-                        for l in range(n):
-                            term = gi[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
-                            s = term if s is None else s + term
-                        s = s * 0.5
-                        out[k][i][j] = out[k][j][i] = s
+            for i in range(n):
+                for j in range(i, n):
+                    # first kind, twice: Gamma_{l,ij} * 2 for every l
+                    first = [dg[i][j][l] + dg[j][i][l] - dg[l][i][j] for l in range(n)]
+                    for k in range(n):
+                        out[k][i][j] = out[k][j][i] = jets.dot(gi[k], first) * 0.5
             return out
 
         return self.get("gamma", d, build)
@@ -425,23 +424,18 @@ def metric_field():
     return Field(2, lambda ctx, d: ctx.g(d))
 
 
-def _zero(ctx, d):
-    return jets.constant(jets.jet_space(ctx.dim, d), 0.0)
-
-
-def _sum(terms, ctx, d):
-    s = None
-    for t in terms:
-        s = t if s is None else s + t
-    return s if s is not None else _zero(ctx, d)
-
-
 def _matmul(A, B):
     n = len(A)
-    return [
-        [_sum([A[i][k] * B[k][j] for k in range(n)], None, None) for j in range(n)]
-        for i in range(n)
-    ]
+    return [[jets.dot(A[i], [B[k][j] for k in range(n)]) for j in range(n)] for i in range(n)]
+
+
+def _flat(M):
+    return [x for row in M for x in row]
+
+
+def _negated(ga):
+    """-Gamma^k_ij, the factors that subtract Christoffel terms in a jets.dot."""
+    return [[[-x for x in row] for row in plane] for plane in ga]
 
 
 # ---- calculus combinators --------------------------------------------------
@@ -469,15 +463,13 @@ def divergence(w):
         n = ctx.dim
         om = w(ctx, d + 1)
         gi = ctx.ginv(d)
-        ga = ctx.gamma(d)
-        terms = []
-        for i in range(n):
-            for j in range(n):
-                cov = om[j].partial(i)
-                for k in range(n):
-                    cov = cov - ga[k][i][j] * om[k]
-                terms.append(gi[i][j] * cov)
-        return _sum(terms, ctx, d)
+        nga = _negated(ctx.gamma(d))
+        cov = [
+            jets.dot([nga[k][i][j] for k in range(n)], om, start=om[j].partial(i))
+            for i in range(n)
+            for j in range(n)
+        ]
+        return jets.dot(_flat(gi), cov)
 
     return Field(0, fn)
 
@@ -493,13 +485,11 @@ def hessian(f):
         n = ctx.dim
         j = f(ctx, d + 2)
         dj = [j.partial(i) for i in range(n)]
-        ga = ctx.gamma(d)
+        nga = _negated(ctx.gamma(d))
         out = [[None] * n for _ in range(n)]
         for i in range(n):
             for k in range(i, n):
-                h = dj[i].partial(k)
-                for l in range(n):
-                    h = h - ga[l][i][k] * dj[l]
+                h = jets.dot([nga[l][i][k] for l in range(n)], dj, start=dj[i].partial(k))
                 out[i][k] = out[k][i] = h
         return out
 
@@ -512,18 +502,17 @@ def divergence2(T):
     def fn(ctx, d):
         n = ctx.dim
         t = T(ctx, d + 1)
-        gi = ctx.ginv(d)
-        ga = ctx.gamma(d)
+        gi = _flat(ctx.ginv(d))
+        nga = _negated(ctx.gamma(d))
         out = []
         for j in range(n):
-            terms = []
+            cov = []
             for i in range(n):
                 for k in range(n):
-                    cov = t[k][j].partial(i)
-                    for a in range(n):
-                        cov = cov - ga[a][i][k] * t[a][j] - ga[a][i][j] * t[k][a]
-                    terms.append(gi[i][k] * cov)
-            out.append(_sum(terms, ctx, d))
+                    xs = [x for a in range(n) for x in (nga[a][i][k], nga[a][i][j])]
+                    ys = [y for a in range(n) for y in (t[a][j], t[k][a])]
+                    cov.append(jets.dot(xs, ys, start=t[k][j].partial(i)))
+            out.append(jets.dot(gi, cov))
         return out
 
     return Field(1, fn)
@@ -541,12 +530,8 @@ def apply2(T, w):
         t = T(ctx, d)
         gi = ctx.ginv(d)
         om = w(ctx, d)
-        raised = [
-            _sum([gi[k][j] * om[j] for j in range(n)], ctx, d) for k in range(n)
-        ]
-        return [
-            _sum([t[i][k] * raised[k] for k in range(n)], ctx, d) for i in range(n)
-        ]
+        raised = [jets.dot(gi[k], om) for k in range(n)]
+        return [jets.dot(t[i], raised) for i in range(n)]
 
     return Field(1, fn)
 
@@ -558,9 +543,8 @@ def inner11(a, b):
         n = ctx.dim
         av, bv = a(ctx, d), b(ctx, d)
         gi = ctx.ginv(d)
-        return _sum(
-            [gi[i][j] * (av[i] * bv[j]) for i in range(n) for j in range(n)], ctx, d
-        )
+        ab = [av[i] * bv[j] for i in range(n) for j in range(n)]
+        return jets.dot(_flat(gi), ab)
 
     return Field(0, fn)
 
@@ -569,10 +553,8 @@ def trace2(T):
     """g^{ij} T_ij."""
 
     def fn(ctx, d):
-        n = ctx.dim
         t = T(ctx, d)
-        gi = ctx.ginv(d)
-        return _sum([gi[i][j] * t[i][j] for i in range(n) for j in range(n)], ctx, d)
+        return jets.dot(_flat(ctx.ginv(d)), _flat(t))
 
     return Field(0, fn)
 
@@ -581,10 +563,9 @@ def inner22(S, T):
     """Full contraction g^{ik} g^{jl} S_ij T_kl, i.e. trace(g^-1 S g^-1 T)."""
 
     def fn(ctx, d):
-        n = ctx.dim
         su = _matmul(ctx.ginv(d), S(ctx, d))
         tu = _matmul(ctx.ginv(d), T(ctx, d))
-        return _sum([su[i][j] * tu[j][i] for i in range(n) for j in range(n)], ctx, d)
+        return jets.dot(_flat(su), _flat(zip(*tu)))
 
     return Field(0, fn)
 
@@ -610,6 +591,6 @@ def trace_cube(T):
         n = ctx.dim
         up = _matmul(ctx.ginv(d), T(ctx, d))
         cube = _matmul(_matmul(up, up), up)
-        return _sum([cube[i][i] for i in range(n)], ctx, d)
+        return sum((cube[i][i] for i in range(1, n)), cube[0][0])
 
     return Field(0, fn)

@@ -27,8 +27,9 @@ from .geometry import (
     Field,
     GeometryContext,
     MetricContext,
+    _flat,
     _invert_spd,
-    _sum,
+    _negated,
     jet_coeffs,
     jet_values,
 )
@@ -142,40 +143,30 @@ def ambient_inverse_on_surface(sctx, d):
 
 def _induced_metric(sctx, d):
     t = tangents(sctx, d)
-    return _tangential(ambient_metric_on_surface(sctx, d), t, sctx, d)
+    return _tangential(ambient_metric_on_surface(sctx, d), t)
 
 
-def _tangential(X, t, sctx, d, symmetric=True):
-    """The surface 2-tensor X_ab t_i^a t_j^b of an ambient 2-tensor X.
+def _tangential(X, t):
+    """The surface 2-tensor X_ab t_i^a t_j^b of a symmetric ambient 2-tensor X.
 
-    One tangent is contracted first, Y_ib = X_ab t_i^a.  A symmetric X is
-    summed for i <= j only and mirrored.
+    One tangent is contracted first, Y_ib = X_ab t_i^a; the result is summed
+    for i <= j only and mirrored.
     """
-    n = sctx.dim
-    na = n + 1
-    Y = [[_sum([X[a][b] * t[i][a] for a in range(na)], sctx, d) for b in range(na)]
-         for i in range(n)]
+    n = len(t)
+    Y = [[jets.dot(col, t[i]) for col in zip(*X)] for i in range(n)]
     out = [[None] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i if symmetric else 0, n):
-            out[i][j] = _sum([Y[i][b] * t[j][b] for b in range(na)], sctx, d)
-            if symmetric:
-                out[j][i] = out[i][j]
+        for j in range(i, n):
+            out[i][j] = out[j][i] = jets.dot(Y[i], t[j])
     return out
 
 
 def _det(M):
-    n = len(M)
-    if n == 1:
+    if len(M) == 1:
         return M[0][0]
-    total = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in M[1:]]
-        term = M[0][j] * _det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    signed = [-x if j % 2 else x for j, x in enumerate(M[0])]
+    minors = [_det([row[:j] + row[j + 1 :] for row in M[1:]]) for j in range(len(M))]
+    return jets.dot(signed, minors)
 
 
 def normal(sctx, d):
@@ -193,10 +184,8 @@ def normal(sctx, d):
                 m = -m
             cof.append(m)
         gbi = ambient_inverse_on_surface(sctx, dd)
-        raised = [
-            _sum([gbi[a][b] * cof[b] for b in range(na)], sctx, dd) for a in range(na)
-        ]
-        norm_sq = _sum([raised[a] * cof[a] for a in range(na)], sctx, dd)
+        raised = [jets.dot(gbi[a], cof) for a in range(na)]
+        norm_sq = jets.dot(raised, cof)
         scale = jets.recip(jets.sqrt(norm_sq)) * sctx.embedding.sigma
         return [scale * raised[a] for a in range(na)]
 
@@ -220,15 +209,15 @@ def second_fundamental(sctx, d):
         nu = normal(sctx, dd)
         gb = ambient_metric_on_surface(sctx, dd)
         gab = pulled_christoffel(sctx, dd)
-        nu_low = [_sum([gb[a][b] * nu[b] for b in range(na)], sctx, dd) for a in range(na)]
+        nu_low = [jets.dot(gb[a], nu) for a in range(na)]
         P = [[None] * na for _ in range(na)]
         for b in range(na):
             for c in range(b, na):
-                P[b][c] = P[c][b] = _sum([nu_low[a] * gab[a][b][c] for a in range(na)], sctx, dd)
-        out = _tangential(P, tangents(sctx, dd), sctx, dd)
+                P[b][c] = P[c][b] = jets.dot(nu_low, [gab[a][b][c] for a in range(na)])
+        out = _tangential(P, tangents(sctx, dd))
         for i in range(n):
             for j in range(i, n):
-                s = _sum([nu_low[a] * dt[j][a].partial(i) for a in range(na)], sctx, dd)
+                s = jets.dot(nu_low, [dt[j][a].partial(i) for a in range(na)])
                 out[i][j] = out[j][i] = -(s + out[i][j])
         return out
 
@@ -242,9 +231,7 @@ def mean_curvature(sctx, d):
         n = sctx.dim
         L = second_fundamental(sctx, dd)
         hi = sctx.ginv(dd)
-        return _sum(
-            [hi[i][j] * L[i][j] for i in range(n) for j in range(n)], sctx, dd
-        ) * (1.0 / n)
+        return jets.dot(_flat(hi), _flat(L)) * (1.0 / n)
 
     return sctx.get("mean_curvature", d, build)
 
@@ -311,11 +298,8 @@ def rho_bar_nn(sctx, d):
         na = sctx.dim + 1
         rb = pulled_schouten(sctx, dd)
         nu = normal(sctx, dd)
-        return _sum(
-            [rb[a][b] * (nu[a] * nu[b]) for a in range(na) for b in range(na)],
-            sctx,
-            dd,
-        )
+        nn = [nu[a] * nu[b] for a in range(na) for b in range(na)]
+        return jets.dot(_flat(rb), nn)
 
     return sctx.get("rhobar_nn", d, build)
 
@@ -325,7 +309,7 @@ def rho_bar_tangential(sctx, d):
 
     def build(dd):
         rb = pulled_schouten(sctx, dd)
-        return _tangential(rb, tangents(sctx, dd), sctx, dd)
+        return _tangential(rb, tangents(sctx, dd))
 
     return sctx.get("rhobar_tt", d, build)
 
@@ -333,7 +317,7 @@ def rho_bar_tangential(sctx, d):
 def _covector(Y, sctx, d):
     """The surface covector Y_b t_i^b of an ambient covector Y."""
     t = tangents(sctx, d)
-    return [_sum([Y[b] * t[i][b] for b in range(len(Y))], sctx, d) for i in range(sctx.dim)]
+    return [jets.dot(Y, t[i]) for i in range(sctx.dim)]
 
 
 def rho_bar_normal_tangential(sctx, d):
@@ -343,7 +327,7 @@ def rho_bar_normal_tangential(sctx, d):
         na = sctx.dim + 1
         rb = pulled_schouten(sctx, dd)
         nu = normal(sctx, dd)
-        Y = [_sum([nu[a] * rb[a][b] for a in range(na)], sctx, dd) for b in range(na)]
+        Y = [jets.dot(nu, [rb[a][b] for a in range(na)]) for b in range(na)]
         return _covector(Y, sctx, dd)
 
     return sctx.get("rhobar_nt", d, build)
@@ -351,17 +335,17 @@ def rho_bar_normal_tangential(sctx, d):
 
 def _normal_tt(sctx, T, d):
     """The surface 2-tensor T(nu, t_i, t_j, nu) of an ambient curvature-type
-    4-tensor T, which vanishes for a = b or c = e."""
+    4-tensor T, which vanishes for a = b or c = e.  X_bc = T(nu, b, c, nu) is
+    symmetric, as T_abce = T_ecba, so it is summed for b <= c and mirrored."""
     na = sctx.dim + 1
     nu = normal(sctx, d)
     nn = [[nu[a] * nu[e] for e in range(na)] for a in range(na)]
-    ae = [(a, e) for a in range(na) for e in range(na)]
-    X = [
-        [_sum([nn[a][e] * T[a][b][c][e] for a, e in ae if a != b and e != c], sctx, d)
-         for c in range(na)]
-        for b in range(na)
-    ]
-    return _tangential(X, tangents(sctx, d), sctx, d, symmetric=False)
+    X = [[None] * na for _ in range(na)]
+    for b in range(na):
+        for c in range(b, na):
+            ae = [(a, e) for a in range(na) for e in range(na) if a != b and e != c]
+            X[b][c] = X[c][b] = jets.dot([nn[a][e] for a, e in ae], [T[a][b][c][e] for a, e in ae])
+    return _tangential(X, tangents(sctx, d))
 
 
 def normal_riemann(sctx, d):
@@ -403,15 +387,14 @@ def _pulled_nabla_rho(sctx, d):
     def build(dd):
         na = sctx.dim + 1
         rb1 = curvature.schouten(sctx.ambient, dd + 1)
-        ga = sctx.ambient.gamma(dd)
+        nga = _negated(sctx.ambient.gamma(dd))
         N = [[[None] * na for _ in range(na)] for _ in range(na)]
         for c in range(na):
             for a in range(na):
                 for b in range(a, na):
-                    t = rb1[a][b].partial(c)
-                    for e in range(na):
-                        t = t - ga[e][c][a] * rb1[e][b] - ga[e][c][b] * rb1[a][e]
-                    N[c][a][b] = t
+                    xs = [x for e in range(na) for x in (nga[e][c][a], nga[e][c][b])]
+                    ys = [y for e in range(na) for y in (rb1[e][b], rb1[a][e])]
+                    N[c][a][b] = jets.dot(xs, ys, start=rb1[a][b].partial(c))
         return _pull_symmetric(sctx, N, dd)
 
     return sctx.get("nabla_rhobar", d, build)
@@ -428,9 +411,8 @@ def nabla0_rho_tangential(sctx, d):
         X = [[None] * na for _ in range(na)]
         for a in range(na):
             for b in range(a, na):
-                s = _sum([nu[c] * N[c][a][b] for c in range(na)], sctx, dd)
-                X[a][b] = X[b][a] = s
-        return _tangential(X, t, sctx, dd)
+                X[a][b] = X[b][a] = jets.dot(nu, [N[c][a][b] for c in range(na)])
+        return _tangential(X, t)
 
     return sctx.get("nabla0_rho_tt", d, build)
 
@@ -442,8 +424,9 @@ def nabla0_rho_normal(sctx, d):
         na = sctx.dim + 1
         N = _pulled_nabla_rho(sctx, dd)
         nu = normal(sctx, dd)
-        nn = [(c, a) for c in range(na) for a in range(na)]
-        Y = [_sum([(nu[c] * nu[a]) * N[c][a][b] for c, a in nn], sctx, dd) for b in range(na)]
+        ca = [(c, a) for c in range(na) for a in range(na)]
+        nn = [nu[c] * nu[a] for c, a in ca]
+        Y = [jets.dot(nn, [N[c][a][b] for c, a in ca]) for b in range(na)]
         return _covector(Y, sctx, dd)
 
     return sctx.get("nabla0_rho_n", d, build)

@@ -15,6 +15,11 @@ per-segment walk over long rows.  The layered kernel adds each target's
 pairs left to right; reduceat may group three or more of them differently,
 so the two kernels agree to rounding, not bit for bit.
 
+A contraction start + xs[0]*ys[0] + xs[1]*ys[1] + ... is one ``dot``, bit
+for bit the loop of products and additions but with no jet per term: its
+products come from one reduceat over the stacked operands, or from
+``_LAYERED_MIN_BATCH`` points on are layered into one accumulator.
+
 Composition substitutes inner jets into a stack of outer Taylor polynomials:
 the monomials of the inner offsets are built once, one product each, and
 every outer is a coefficient sum against them.  The elementary functions
@@ -196,6 +201,73 @@ def _cauchy_layered(space, ca, cb):
     return out
 
 
+def _product(space, ca, cb):
+    """Truncated product of aligned coefficient arrays by the kernel for their batch."""
+    # two comparisons, not max(): this runs on every small product
+    if ca.ndim == 2 and (ca.shape[1] >= _LAYERED_MIN_BATCH or cb.shape[1] >= _LAYERED_MIN_BATCH):
+        return _cauchy_layered(space, ca, cb)
+    return _cauchy_reduceat(space, ca, cb)
+
+
+def _stack(cs, nc, B, mixed):
+    """(nc,) or (nc, B) coefficient arrays, both kinds if ``mixed``, as one
+    (nc, len(cs), B) array."""
+    if mixed:
+        a = np.empty((len(cs), nc, B))
+        for i, c in enumerate(cs):
+            a[i] = c.reshape(nc, -1)
+    else:
+        a = np.array(cs)
+    return np.ascontiguousarray(a.reshape(len(cs), nc, B).transpose(1, 0, 2))
+
+
+def dot(xs, ys, start=None):
+    """start + xs[0]*ys[0] + xs[1]*ys[1] + ..., summed left to right, at the
+    lowest degree among the operands: bit-identical to that loop of products
+    and additions, with no jet per term.  Below ``_LAYERED_MIN_BATCH`` points
+    the operands are stacked as (ncoeffs, terms, batch): one gather and one
+    reduceat make the products, one accumulate adds them in order.  From
+    there on each product is layered into one accumulator, as the stacked
+    gather would outgrow the cache."""
+    m = len(xs)
+    if len(ys) != m or not m:
+        raise JetError(f"dot needs as many xs as ys, and one at least: got {m} and {len(ys)}")
+    ops = [*xs, *ys] if start is None else [start, *xs, *ys]
+    spaces = {j.space for j in ops}
+    if len({sp.nvars for sp in spaces}) > 1:
+        raise JetError("jets live over different variables")
+    shapes = {j.coeffs.shape[1:] for j in ops}
+    batches = shapes - {()}
+    if len(batches) > 1:
+        raise JetError(f"batch sizes differ: {sorted(b[0] for b in batches)}")
+    space = min(spaces, key=lambda sp: sp.degree)
+    nc, B = space.ncoeffs, max(batches, default=(1,))[0]
+    cs = [j.coeffs[:nc] for j in ops]
+    k = len(ops) - 2 * m  # 1 with a start, else 0
+    if B < _LAYERED_MIN_BATCH:
+        I, J, starts, _ = space.mul_table()
+        terms = np.empty((nc, k + m, B))
+        if k:
+            terms[:, 0] = cs[0].reshape(nc, -1)
+        # no more terms per reduceat than make a row of a layered batch
+        step = max(1, (_LAYERED_MIN_BATCH - 1) // B)
+        for lo in range(k, k + m, step):
+            hi = min(lo + step, k + m)
+            X, Y = (_stack(c, nc, B, len(shapes) > 1) for c in (cs[lo:hi], cs[m + lo : m + hi]))
+            np.add.reduceat(X[I] * Y[J], starts, axis=0, out=terms[:, lo:hi])
+        np.add.accumulate(terms, axis=1, out=terms)
+        out = terms[:, -1].copy()
+    else:
+        pairs = zip(cs[k : k + m], cs[k + m :])
+        prods = (_product(space, *_align(x, y)).reshape(nc, -1) for x, y in pairs)
+        out = cs[0].reshape(nc, -1) if k else next(prods)
+        if k or out.shape[1] < B:  # the accumulator must be a new array with every point
+            out = np.broadcast_to(out, (nc, B)).copy()
+        for p in prods:
+            out += p
+    return Jet(space, out if batches else out[:, 0])
+
+
 def _common(a, b):
     """Truncate two jets to their shared degree; insist on matching variables."""
     if a.space.nvars != b.space.nvars:
@@ -272,13 +344,7 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             a, b = _common(self, other)
-            ca, cb = _align(a.coeffs, b.coeffs)
-            # two comparisons, not max(): this runs on every small product
-            if ca.ndim == 2 and (
-                ca.shape[1] >= _LAYERED_MIN_BATCH or cb.shape[1] >= _LAYERED_MIN_BATCH
-            ):
-                return Jet(a.space, _cauchy_layered(a.space, ca, cb))
-            return Jet(a.space, _cauchy_reduceat(a.space, ca, cb))
+            return Jet(a.space, _product(a.space, *_align(a.coeffs, b.coeffs)))
         return self._scale(_as_value(other))
 
     __rmul__ = __mul__
@@ -482,6 +548,14 @@ def powi(a, n):
     return out if out is not None else constant(a.space, 1.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _monomial_parents(nvars, degree):
+    """(index of alpha - e_j, j) for each alpha > 0 in graded order, j its first variable."""
+    mi, index = jet_space(nvars, degree).mi[1:], jet_space(nvars, degree).index
+    js = [next(k for k, e in enumerate(a) if e) for a in mi]
+    return tuple((index[a[:j] + (a[j] - 1,) + a[j + 1 :]], j) for a, j in zip(mi, js))
+
+
 def _substitute(args, space, C):
     """Coefficients, shape (nout, ncoeffs[, batch]), of sum_i C[i] w^alpha_i
     at the offsets w = args - args.value in ``space``.
@@ -492,23 +566,24 @@ def _substitute(args, space, C):
     of the i-th monomial in graded order, and each outer sums its terms in
     that order.
     """
-    w = [Jet(space, b.coeffs[: space.ncoeffs].copy()) for b in args]
+    nc = space.ncoeffs
+    w = [Jet(space, b.coeffs[:nc].copy()) for b in args]
     for x in w:
         x.coeffs[0] = 0.0
-    batched = C.ndim == 3 or any(b.batch is not None for b in args)
-    C = C.reshape(C.shape[0], C.shape[1], -1)
-    used = C.any(axis=(1, 2))  # monomials some outer has a coefficient for
-    out = np.zeros((C.shape[1], space.ncoeffs, max(C.shape[2], *(b.batch or 1 for b in args))))
-    out[:, 0] = C[0]
-    mono = {(0,) * len(w): None}  # the constant 1: grade-1 monomials are w itself
-    for i, alpha in enumerate(jet_space(len(w), space.degree).mi[1:], 1):
-        j = next(k for k, e in enumerate(alpha) if e)
-        parent = mono[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]]
-        m = mono[alpha] = w[j] if parent is None else parent * w[j]
+    batch = max([*C.shape[2:], *(n for b in args for n in b.coeffs.shape[1:])], default=0)
+    C = C.reshape(C.shape[0], C.shape[1], 1, -1)
+    used = C.any(axis=(1, 2, 3)).tolist()  # monomials some outer has a coefficient for
+    out = np.zeros((C.shape[1], nc, batch or 1))
+    out[:, 0] = C[0, :, 0]
+    # a monomial's constant term is zero: coefficient 0 stays C[0]
+    rest = out[:, 1:]
+    mono = [None]  # the constant 1: grade-1 monomials are w itself
+    for i, (parent, j) in enumerate(_monomial_parents(len(w), space.degree), 1):
+        m = w[j] if parent == 0 else mono[parent] * w[j]
+        mono.append(m)
         if used[i]:
-            # a monomial's constant term is zero: coefficient 0 stays C[0]
-            out[:, 1:] += m.coeffs[1:].reshape(space.ncoeffs - 1, -1) * C[i][:, None]
-    return out if batched else out[:, :, 0]
+            rest += m.coeffs[1:].reshape(nc - 1, -1) * C[i]
+    return out if batch else out[:, :, 0]
 
 
 def compose(outers, args):

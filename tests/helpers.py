@@ -12,7 +12,7 @@ import numpy as np
 
 from extrinsicq import curvature, jets
 from extrinsicq import hypersurface as hs
-from extrinsicq.geometry import _sum, jet_coeffs, jet_values
+from extrinsicq.geometry import jet_coeffs, jet_values
 
 
 # ---- exact polynomial oracle ---------------------------------------------
@@ -212,9 +212,28 @@ def reference_second_fundamental(sctx, d):
                 for c in range(na):
                     s = s + gab[a][b][c] * tn[b][c]
             cov.append(s)
-        low = [_sum([gb[a][b] * cov[a] for a in range(na)], sctx, d) for b in range(na)]
-        out.append([_sum([low[b] * t[j][b] for b in range(na)], sctx, d) for j in range(n)])
+        low = [reference_dot([gb[a][b] for a in range(na)], cov) for b in range(na)]
+        out.append([reference_dot(low, t[j]) for j in range(n)])
     return out
+
+
+def reference_normal_tt(sctx, T, d):
+    """T(nu, t_i, t_j, nu) with every (b, c) of X_bc = T(nu, b, c, nu) summed
+    and every (i, j) of the surface tensor, with no symmetry used."""
+    na = sctx.dim + 1
+    nu = hs.normal(sctx, d)
+    t = hs.tangents(sctx, d)
+    X = []
+    for b in range(na):
+        ae = [(a, e) for a in range(na) for e in range(na) if a != b]
+        X.append([
+            reference_dot([nu[a] * nu[e] for a, e in ae if e != c],
+                          [T[a][b][c][e] for a, e in ae if e != c])
+            for c in range(na)
+        ])
+    Y = [[reference_dot([X[a][b] for a in range(na)], t[i]) for b in range(na)]
+         for i in range(sctx.dim)]
+    return [[reference_dot(Y[i], t[j]) for j in range(sctx.dim)] for i in range(sctx.dim)]
 
 
 def reference_nabla0_weyl_normal(sctx):
@@ -238,3 +257,33 @@ def reference_nabla0_weyl_normal(sctx):
     X = np.einsum("abcdZ,aZ->bcdZ", X, nuv)
     X = np.einsum("bcdZ,dZ->bcZ", X, nuv)
     return np.einsum("bcZ,ibZ,jcZ->ijZ", X, tv, tv)
+
+
+# ---- reference contraction -------------------------------------------------
+
+
+def reference_dot(xs, ys, start=None):
+    """start + xs[0]*ys[0] + ..., one jet product and one addition per term."""
+    r = start
+    for x, y in zip(xs, ys, strict=True):
+        r = x * y if r is None else r + x * y
+    return r
+
+
+def count_products(monkeypatch):
+    """Count jet products from here on: each ``Jet * Jet`` and each term of a
+    ``jets.dot`` adds one to ``counter[0]`` of the returned one-item list."""
+    counter = [0]
+    mul, dot = jets.Jet.__mul__, jets.dot
+
+    def counting_mul(self, other):
+        counter[0] += isinstance(other, jets.Jet)
+        return mul(self, other)
+
+    def counting_dot(xs, ys, start=None):
+        counter[0] += len(xs)
+        return dot(xs, ys, start)
+
+    monkeypatch.setattr(jets.Jet, "__mul__", counting_mul)
+    monkeypatch.setattr(jets, "dot", counting_dot)
+    return counter

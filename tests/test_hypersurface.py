@@ -9,7 +9,13 @@ from extrinsicq import curvature, hypersurface as hs, jets
 from extrinsicq.geometry import Axis, Chart, Metric, conformal_rescale, jet_coeffs, jet_values
 from extrinsicq.scenarios import parse_scenario
 
-from helpers import jval, reference_nabla0_weyl_normal, reference_second_fundamental
+from helpers import (
+    count_products,
+    jval,
+    reference_nabla0_weyl_normal,
+    reference_normal_tt,
+    reference_second_fundamental,
+)
 
 TAU = 2.0 * np.pi
 
@@ -630,23 +636,18 @@ def test_pulled_christoffel_product_count(monkeypatch):
     # the inputs the build reads, built beforehand
     sctx.ambient.gamma(d)
     hs.iota_jets(sctx, d)
-    count = composes = 0
-    mul, compose = jets.Jet.__mul__, jets.compose
-
-    def counting_mul(self, other):
-        nonlocal count
-        count += isinstance(other, jets.Jet)
-        return mul(self, other)
+    composes = 0
+    compose = jets.compose
 
     def counting_compose(outers, args):
         nonlocal composes
         composes += 1
         return compose(outers, args)
 
-    monkeypatch.setattr(jets.Jet, "__mul__", counting_mul)
+    count = count_products(monkeypatch)
     monkeypatch.setattr(jets, "compose", counting_compose)
     G = hs.pulled_christoffel(sctx, d)
-    assert 0 < count <= PULL_PRODUCTS_5
+    assert 0 < count[0] <= PULL_PRODUCTS_5
     assert composes == 1
     assert G[4][1][3] is G[4][3][1] and G[4][1][3].degree == d
 
@@ -693,6 +694,45 @@ def test_nabla0_weyl_matches_the_five_index_form(text):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("text", REFERENCE_SCENARIOS)
+def test_normal_tt_matches_the_full_form(text):
+    # X_bc for b <= c and the surface tensor for i <= j, against every entry summed
+    B = 6
+    sctx, ref = _fresh_pair(text, B, 25)
+    n = sctx.dim
+    pulled = {
+        "normal_weyl": hs.pulled_weyl,
+        "normal_riemann": lambda c, d: hs._pulled_curvature(c, curvature.riemann, d),
+    }
+    for name, pull in pulled.items():
+        for d in range(3):
+            nc = jets.jet_space(n, d).ncoeffs
+            got_t = getattr(hs, name)(sctx, d)
+            got = jet_coeffs(got_t, B, nc)
+            want = jet_coeffs(reference_normal_tt(ref, pull(ref, d), d), B, nc)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            for i in range(n):
+                for j in range(n):
+                    assert np.array_equal(got_t[i][j].coeffs, got_t[j][i].coeffs)
+
+
+# nu nu (25), X_bc for b <= c (15 entries of 16 terms), contracted with t_i
+# (100), then n(n+1)/2 entries of n+1 terms (50), at n = 4; 605 without symmetry
+NORMAL_TT_PRODUCTS_5 = 415
+
+
+def test_normal_weyl_product_count(monkeypatch):
+    scn = parse_scenario("GRAPH(T4_IN_PERT_T5)")
+    sctx = scn.context(surface_points(scn.embedding, 4, 15))
+    # the inputs the build reads, built beforehand
+    hs.normal(sctx, 0)
+    hs.tangents(sctx, 0)
+    hs.pulled_weyl(sctx, 0)
+    count = count_products(monkeypatch)
+    hs.normal_weyl(sctx, 0)
+    assert 0 < count[0] <= NORMAL_TT_PRODUCTS_5
+
+
 # nu lowered (25), nu_a Gammabar^a_bc for b <= c (75), contracted with t_i
 # (100), then n(n+1)/2 entries of 2(n+1) products each (100), at n = 4
 SECOND_FUNDAMENTAL_PRODUCTS_5 = 350
@@ -708,17 +748,9 @@ def test_second_fundamental_product_count_and_degrees(monkeypatch):
     hs.normal(sctx, d)
     hs.ambient_metric_on_surface(sctx, d)
     hs.pulled_christoffel(sctx, d)
-    count = 0
-    mul = jets.Jet.__mul__
-
-    def counting_mul(self, other):
-        nonlocal count
-        count += isinstance(other, jets.Jet)
-        return mul(self, other)
-
-    monkeypatch.setattr(jets.Jet, "__mul__", counting_mul)
+    count = count_products(monkeypatch)
     hs.second_fundamental(sctx, d)
-    assert 0 < count <= SECOND_FUNDAMENTAL_PRODUCTS_5
+    assert 0 < count[0] <= SECOND_FUNDAMENTAL_PRODUCTS_5
     monkeypatch.undo()
 
     # on a fresh context, L at degree 2 builds no frame quantity deeper than 2

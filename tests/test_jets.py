@@ -25,6 +25,7 @@ from helpers import (
     poly_random,
     poly_substitute,
     reference_compose,
+    reference_dot,
     reference_series,
 )
 
@@ -495,6 +496,55 @@ def test_product_switches_kernel_at_threshold(batch):
     large = batch is not None and batch >= LAYERED
     kernel = jets._cauchy_layered if large else jets._cauchy_reduceat
     assert np.array_equal((a * b).coeffs, kernel(sp, ca, cb))
+
+
+def _dot_operand(rng, nvars, degree, batch):
+    """Coefficients over twelve decades, so that any other order of summation
+    shows, with some signed zeros."""
+    shape = (jet_space(nvars, degree).ncoeffs,) + (() if batch is None else (batch,))
+    c = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
+    c[rng.random(shape) < 0.1] = -0.0
+    return Jet(jet_space(nvars, degree), c)
+
+
+@pytest.mark.parametrize("batch", [None, 1, 9, LAYERED - 1, LAYERED, 1024])
+@pytest.mark.parametrize("degree", range(5))
+@pytest.mark.parametrize("nvars", range(1, 6))
+def test_dot_is_bit_identical_to_the_loop(nvars, degree, batch):
+    rng = np.random.default_rng(100 * nvars + 10 * degree + (batch or 0))
+    # more terms than one reduceat stacks below the layered threshold
+    m = 16 if batch is None or batch < LAYERED else 3
+    uniform = [[_dot_operand(rng, nvars, degree, batch) for _ in range(m)] for _ in range(2)]
+    # every third operand unbatched, every second one a degree deeper
+    mixed = [
+        [_dot_operand(rng, nvars, degree + i % 2, None if i % 3 == s else batch) for i in range(m)]
+        for s in range(2)
+    ]
+    for xs, ys in (uniform, mixed):
+        for start in (None, _dot_operand(rng, nvars, degree + 2, batch)):
+            got = jets.dot(xs, ys, start)
+            want = reference_dot(xs, ys, start)
+            assert got.degree == degree and got.batch == want.batch
+            np.testing.assert_array_equal(got.coeffs, want.coeffs)
+            np.testing.assert_array_equal(np.signbit(got.coeffs), np.signbit(want.coeffs))
+
+
+def test_dot_rejects_mismatched_operands():
+    a = seed_variable(jet_space(2, 2), 0, 0.3)
+    b = seed_variable(jet_space(3, 2), 0, 0.3)
+    with pytest.raises(JetError, match="different variables"):
+        jets.dot([a], [b])
+    with pytest.raises(JetError, match="different variables"):
+        jets.dot([a], [a], start=b)
+    p, q = Jet(a.space, np.ones((a.space.ncoeffs, 4))), Jet(a.space, np.ones((a.space.ncoeffs, 5)))
+    with pytest.raises(JetError, match="batch sizes differ"):
+        jets.dot([p, a], [a, q])
+    with pytest.raises(JetError, match="batch sizes differ"):
+        jets.dot([p], [p], start=q)
+    with pytest.raises(JetError, match="as many xs as ys"):
+        jets.dot([a, a], [a])
+    with pytest.raises(JetError, match="as many xs as ys"):
+        jets.dot([], [])
 
 
 SP23 = jet_space(2, 3)

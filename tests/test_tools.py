@@ -79,6 +79,17 @@ def test_products_by_build_charges_the_innermost_build():
     assert lines[-1].startswith("wall ")
 
 
+def test_products_by_build_counts_each_dot_term():
+    # gamma and riemann contract through jets.dot only: on the flat 4-dimensional
+    # ambient, n * n(n+1)/2 * n = 160 terms, and 21 independent components
+    # of 2n = 8 terms each
+    out = _products("SPHERE_IN_FLAT(3,1)", "ext_q3", "--points", "4")
+    assert out.returncode == 0, out.stderr
+    rows = {tuple(line.split()[:3]): int(line.split()[3]) for line in out.stdout.splitlines()[2:-2]}
+    assert rows[("metric", "gamma", "2")] == 160
+    assert rows[("metric", "riemann", "0")] == 168
+
+
 def test_products_by_build_bad_input_exits_two():
     for argv in (("FLAT_T2", "total_q4"), ("FLAT_T2", "nope"), ("FLAT_T2", "q2", "--points", "0")):
         out = _products(*argv)

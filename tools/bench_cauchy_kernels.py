@@ -1,4 +1,4 @@
-"""Time the two Cauchy product kernels of ``extrinsicq.jets`` side by side.
+"""Time the Cauchy product kernels of ``extrinsicq.jets`` side by side.
 
 Usage, from the root of a checkout:
 
@@ -6,11 +6,17 @@ Usage, from the root of a checkout:
 
 For nvars {4, 5} x degree {0, 1, 2, 3, 6} x batch {8, 64, 128, 256, 1024}
 it times ``_cauchy_reduceat`` and ``_cauchy_layered`` on the same random
-operands and prints one JSON object: microseconds per product for each
-kernel (the best of 7 repeats of a loop of about 0.02 s), their ratio, and
-the largest difference between the two results relative to the largest
-absolute value.  Product tables are built before timing.  Run it
-single-threaded (OMP_NUM_THREADS=1) on an otherwise idle machine.
+operands ("rows"): microseconds per product for each kernel, their ratio,
+and the largest difference between the two results relative to the largest
+absolute value.  For nvars {4, 5} x degree {1, 2} x terms {4, 16, 25} x
+batch {8, 128, 1024} it times a sum of products of jets, xs[0]*ys[0] +
+xs[1]*ys[1] + ..., three ways ("dot_rows"): as a loop of ``Jet`` products
+and additions, as ``jets.dot``, and stacked into one reduceat whatever the
+batch (the form ``jets.dot`` uses below ``_LAYERED_MIN_BATCH``), and checks
+that ``jets.dot`` equals the loop bit for bit.  Every time is the best of 7
+repeats of a loop of about 0.02 s, and product tables are built before
+timing.  It prints one JSON object.  Run it single-threaded
+(OMP_NUM_THREADS=1) on an otherwise idle machine.
 """
 
 import json
@@ -25,6 +31,9 @@ from extrinsicq import jets
 NVARS = (4, 5)
 DEGREES = (0, 1, 2, 3, 6)
 BATCHES = (8, 64, 128, 256, 1024)
+DOT_DEGREES = (1, 2)
+DOT_TERMS = (4, 16, 25)
+DOT_BATCHES = (8, 128, 1024)
 
 
 def per_call(fn, repeats=7, budget=0.02):
@@ -44,6 +53,52 @@ def per_call(fn, repeats=7, budget=0.02):
             fn()
         best = min(best, (time.perf_counter() - t) / n)
     return best
+
+
+def loop_dot(xs, ys):
+    r = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        r = r + x * y
+    return r
+
+
+def stacked_dot(space, X, Y):
+    """sum_m X[:, m] * Y[:, m] of (ncoeffs, terms, batch) stacks: one gather,
+    one reduceat, one accumulate."""
+    I, J, starts, _ = space.mul_table()
+    return np.add.accumulate(np.add.reduceat(X[I] * Y[J], starts, axis=0), axis=1)[:, -1]
+
+
+def dot_rows(rng):
+    rows = []
+    for nvars in NVARS:
+        for degree in DOT_DEGREES:
+            space = jets.jet_space(nvars, degree)
+            space.mul_table()
+            for terms in DOT_TERMS:
+                for batch in DOT_BATCHES:
+                    X, Y = (rng.standard_normal((space.ncoeffs, terms, batch)) for _ in range(2))
+                    xs = [jets.Jet(space, X[:, m].copy()) for m in range(terms)]
+                    ys = [jets.Jet(space, Y[:, m].copy()) for m in range(terms)]
+                    loop = per_call(lambda: loop_dot(xs, ys))
+                    dot = per_call(lambda: jets.dot(xs, ys))
+                    stacked = per_call(lambda: stacked_dot(space, X, Y))
+                    rows.append(
+                        {
+                            "nvars": nvars,
+                            "degree": degree,
+                            "terms": terms,
+                            "batch": batch,
+                            "loop_us": round(loop * 1e6, 2),
+                            "dot_us": round(dot * 1e6, 2),
+                            "stacked_us": round(stacked * 1e6, 2),
+                            "speedup": round(loop / dot, 2),
+                            "bit_identical": bool(
+                                np.array_equal(jets.dot(xs, ys).coeffs, loop_dot(xs, ys).coeffs)
+                            ),
+                        }
+                    )
+    return rows
 
 
 def main():
@@ -83,6 +138,7 @@ def main():
             "processor": platform.processor() or platform.machine(),
         },
         "rows": rows,
+        "dot_rows": dot_rows(rng),
     }
     print(json.dumps(out, indent=1))
 

@@ -16,8 +16,9 @@ innermost ``GeometryContext.get`` build running when it is made, named by
 (context kind, cache key, degree): the kind is ``surface`` for the induced
 metric of an embedded scenario and ``metric`` otherwise (the ambient context
 of an embedded scenario, or an intrinsic one), and assembled operator fields
-share the key ``field``.  Products made outside any build are charged to
-``(none)``.  It prints one line per build with its products and their time,
+share the key ``field``.  Each term of a ``jets.dot`` counts as one product,
+and the time of the whole call is charged with it.  Products made outside any
+build are charged to ``(none)``.  It prints one line per build with its products and their time,
 most time first, then the totals and the wall time of the evaluation.
 
 Exit status: 0 on a result, 2 on a bad scenario, field or point count, or a
@@ -51,7 +52,7 @@ def charge(field, ctx):
     """Evaluate ``field`` on ``ctx``; return ({build: [products, seconds]}, wall seconds)."""
     table = defaultdict(lambda: [0, 0.0])
     stack = []
-    get, mul = GeometryContext.get, jets.Jet.__mul__
+    get, mul, dot = GeometryContext.get, jets.Jet.__mul__, jets.dot
 
     def traced_get(c, key, d, build):
         kind = "surface" if isinstance(c, hs.EmbeddedSurfaceContext) else "metric"
@@ -66,18 +67,25 @@ def charge(field, ctx):
 
         return get(c, key, d, traced_build)
 
-    def counted_mul(a, b):
-        if not isinstance(b, jets.Jet):
-            return mul(a, b)
+    def counted(products, fn, *args):
         t0 = time.perf_counter()
-        out = mul(a, b)
+        out = fn(*args)
         row = table[stack[-1] if stack else NONE]
-        row[0] += 1
+        row[0] += products
         row[1] += time.perf_counter() - t0
         return out
 
+    def counted_mul(a, b):
+        if not isinstance(b, jets.Jet):
+            return mul(a, b)
+        return counted(1, mul, a, b)
+
+    def counted_dot(xs, ys, start=None):
+        return counted(len(xs), dot, xs, ys, start)
+
     GeometryContext.get = traced_get
     jets.Jet.__mul__ = jets.Jet.__rmul__ = counted_mul
+    jets.dot = counted_dot
     try:
         t0 = time.perf_counter()
         jet_values(field(ctx, 0), ctx.nbatch)
@@ -85,6 +93,7 @@ def charge(field, ctx):
     finally:
         GeometryContext.get = get
         jets.Jet.__mul__ = jets.Jet.__rmul__ = mul
+        jets.dot = dot
     return dict(table), wall
 
 
