@@ -27,7 +27,7 @@ The first Bianchi identity is not used, so it stays a check.
 """
 
 from . import jets
-from .geometry import _flat, _negated
+from .geometry import _flat
 from .jets import JetError
 
 
@@ -65,11 +65,10 @@ def riemann(ctx, d):
                 for k in range(i, n):
                     G1[l][i][k] = G1[l][k][i] = (dg[i][l][k] + dg[k][l][i] - dg[l][i][k]) * 0.5
         G0 = [[[x.truncate(dd) for x in row] for row in plane] for plane in G1]
-        nga = _negated(ga)
 
         comps = []
         for i, j, k, l in independent_components(n):
-            xs = [x for m in range(n) for x in (ga[m][j][k], nga[m][i][k])]
+            xs = [x for m in range(n) for x in (ga[m][j][k], -ga[m][i][k])]
             ys = [y for m in range(n) for y in (G0[m][i][l], G0[m][j][l])]
             comps.append(jets.dot(xs, ys, start=G1[l][i][k].partial(j) - G1[l][j][k].partial(i)))
         return _fill_curvature(comps, n, jets.constant(jets.jet_space(n, dd), 0.0))
@@ -177,11 +176,10 @@ def weyl(ctx, d):
         rho = schouten(ctx, dd)
         g = ctx.g(dd)
 
-        nrho, ng = [[-x for x in row] for row in rho], [[-x for x in row] for row in g]
         # R minus the Kulkarni-Nomizu product (rho ^ g)_ijkl
         comps = [
             R[i][j][k][l] - jets.dot(
-                [rho[i][k], g[i][k], nrho[i][l], ng[i][l]],
+                [rho[i][k], g[i][k], -rho[i][l], -g[i][l]],
                 [g[j][l], rho[j][l], g[j][k], rho[j][k]],
             )
             for i, j, k, l in independent_components(n)

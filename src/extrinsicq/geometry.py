@@ -14,7 +14,8 @@ divergence, laplacian, hessian, traces and inner products) assemble fields
 into new fields without fixing a degree prematurely.  Tensors are nested
 lists of jets, always fully covariant; indices are raised explicitly with
 the inverse metric where needed.  Each index contraction is one ``jets.dot``
-per entry, with a subtracted term as a negated factor, which is exact.
+per entry, with a subtracted term as a negated factor, which is exact; the
+factor is negated per call, so no negated tensor is kept.
 ``jet_values`` and ``jet_coeffs`` turn a tensor into one numpy array, batch
 axis last.
 """
@@ -433,11 +434,6 @@ def _flat(M):
     return [x for row in M for x in row]
 
 
-def _negated(ga):
-    """-Gamma^k_ij, the factors that subtract Christoffel terms in a jets.dot."""
-    return [[[-x for x in row] for row in plane] for plane in ga]
-
-
 # ---- calculus combinators --------------------------------------------------
 
 
@@ -463,9 +459,9 @@ def divergence(w):
         n = ctx.dim
         om = w(ctx, d + 1)
         gi = ctx.ginv(d)
-        nga = _negated(ctx.gamma(d))
+        ga = ctx.gamma(d)
         cov = [
-            jets.dot([nga[k][i][j] for k in range(n)], om, start=om[j].partial(i))
+            jets.dot([-ga[k][i][j] for k in range(n)], om, start=om[j].partial(i))
             for i in range(n)
             for j in range(n)
         ]
@@ -485,11 +481,11 @@ def hessian(f):
         n = ctx.dim
         j = f(ctx, d + 2)
         dj = [j.partial(i) for i in range(n)]
-        nga = _negated(ctx.gamma(d))
+        ga = ctx.gamma(d)
         out = [[None] * n for _ in range(n)]
         for i in range(n):
             for k in range(i, n):
-                h = jets.dot([nga[l][i][k] for l in range(n)], dj, start=dj[i].partial(k))
+                h = jets.dot([-ga[l][i][k] for l in range(n)], dj, start=dj[i].partial(k))
                 out[i][k] = out[k][i] = h
         return out
 
@@ -503,13 +499,13 @@ def divergence2(T):
         n = ctx.dim
         t = T(ctx, d + 1)
         gi = _flat(ctx.ginv(d))
-        nga = _negated(ctx.gamma(d))
+        ga = ctx.gamma(d)
         out = []
         for j in range(n):
             cov = []
             for i in range(n):
                 for k in range(n):
-                    xs = [x for a in range(n) for x in (nga[a][i][k], nga[a][i][j])]
+                    xs = [-x for a in range(n) for x in (ga[a][i][k], ga[a][i][j])]
                     ys = [y for a in range(n) for y in (t[a][j], t[k][a])]
                     cov.append(jets.dot(xs, ys, start=t[k][j].partial(i)))
             out.append(jets.dot(gi, cov))

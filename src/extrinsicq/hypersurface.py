@@ -29,7 +29,6 @@ from .geometry import (
     MetricContext,
     _flat,
     _invert_spd,
-    _negated,
     jet_coeffs,
     jet_values,
 )
@@ -387,12 +386,12 @@ def _pulled_nabla_rho(sctx, d):
     def build(dd):
         na = sctx.dim + 1
         rb1 = curvature.schouten(sctx.ambient, dd + 1)
-        nga = _negated(sctx.ambient.gamma(dd))
+        ga = sctx.ambient.gamma(dd)
         N = [[[None] * na for _ in range(na)] for _ in range(na)]
         for c in range(na):
             for a in range(na):
                 for b in range(a, na):
-                    xs = [x for e in range(na) for x in (nga[e][c][a], nga[e][c][b])]
+                    xs = [-x for e in range(na) for x in (ga[e][c][a], ga[e][c][b])]
                     ys = [y for e in range(na) for y in (rb1[e][b], rb1[a][e])]
                     N[c][a][b] = jets.dot(xs, ys, start=rb1[a][b].partial(c))
         return _pull_symmetric(sctx, N, dd)

@@ -249,7 +249,7 @@ def dot(xs, ys, start=None):
         terms = np.empty((nc, k + m, B))
         if k:
             terms[:, 0] = cs[0].reshape(nc, -1)
-        # no more terms per reduceat than make a row of a layered batch
+        # reduceat slows down on rows as long as a layered batch: stack fewer terms
         step = max(1, (_LAYERED_MIN_BATCH - 1) // B)
         for lo in range(k, k + m, step):
             hi = min(lo + step, k + m)

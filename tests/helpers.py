@@ -223,14 +223,12 @@ def reference_normal_tt(sctx, T, d):
     na = sctx.dim + 1
     nu = hs.normal(sctx, d)
     t = hs.tangents(sctx, d)
-    X = []
+    nn = [[nu[a] * nu[e] for e in range(na)] for a in range(na)]
+    X = [[None] * na for _ in range(na)]
     for b in range(na):
-        ae = [(a, e) for a in range(na) for e in range(na) if a != b]
-        X.append([
-            reference_dot([nu[a] * nu[e] for a, e in ae if e != c],
-                          [T[a][b][c][e] for a, e in ae if e != c])
-            for c in range(na)
-        ])
+        for c in range(na):
+            ae = [(a, e) for a in range(na) for e in range(na) if a != b and e != c]
+            X[b][c] = reference_dot([nn[a][e] for a, e in ae], [T[a][b][c][e] for a, e in ae])
     Y = [[reference_dot([X[a][b] for a in range(na)], t[i]) for b in range(na)]
          for i in range(sctx.dim)]
     return [[reference_dot(Y[i], t[j]) for j in range(sctx.dim)] for i in range(sctx.dim)]
