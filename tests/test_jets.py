@@ -515,13 +515,16 @@ def test_dot_is_bit_identical_to_the_loop(nvars, degree, batch):
     # more terms than one reduceat stacks below the layered threshold
     m = 16 if batch is None or batch < LAYERED else 3
     uniform = [[_dot_operand(rng, nvars, degree, batch) for _ in range(m)] for _ in range(2)]
-    # every third operand unbatched, every second one a degree deeper
+    # every third x and every second y unbatched, so some terms are both, and
+    # every second operand a degree deeper
     mixed = [
-        [_dot_operand(rng, nvars, degree + i % 2, None if i % 3 == s else batch) for i in range(m)]
-        for s in range(2)
+        [_dot_operand(rng, nvars, degree + i % 2, None if i % p == 0 else batch) for i in range(m)]
+        for p in (3, 2)
     ]
+    # no start, one at the operands' batch and an unbatched one
+    starts = [None] + [_dot_operand(rng, nvars, degree + 2, b) for b in {batch: 0, None: 0}]
     for xs, ys in (uniform, mixed):
-        for start in (None, _dot_operand(rng, nvars, degree + 2, batch)):
+        for start in starts:
             got = jets.dot(xs, ys, start)
             want = reference_dot(xs, ys, start)
             assert got.degree == degree and got.batch == want.batch
