@@ -6,6 +6,12 @@ second fundamental form, the Fialkow tensor, and normal components of ambient
 curvature.  Everything is built from the geometry combinators, so each
 returned Field evaluates at whatever jet degree the caller asks for.
 
+In dimension 4, ``fourth_order_fields`` writes each weighted constituent of
+the total-curvature integrand once and builds from them ``integrand_i1..i3``,
+the pointwise invariant ``c_invariant`` and ``ads_parts``, the paper's
+Alexakis-Deser-Schwimmer-type split of the integrand into an Euler density,
+local conformal invariants and a divergence.
+
 Sign conventions follow the rest of the package: the Laplacian is the raw
 divergence of the gradient (non-positive), so some classical transformation
 laws pick up a sign relative to texts that use its negative.  Concretely,
@@ -18,6 +24,8 @@ with g-hat = e^{2 phi} g:
 and in general P_k f-hat = e^{-b phi} P_k (e^{a phi} f) with a, b the
 bidegree weights; the tests pin all of these numerically.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,6 +99,12 @@ def schouten_field():
     return Field(2, lambda ctx, d: curvature.schouten(ctx, d))
 
 
+def _q4_local(c_rho):
+    """(n/2) J^2 - c |rho|^2, the part of Q4 without derivatives, and J."""
+    J = q2()
+    return _dim_scaled(J * J, lambda n: 0.5 * n) - norm2sq(schouten_field()) * float(c_rho), J
+
+
 def q4(c_rho=2.0):
     """Fourth Q-curvature (n/2) J^2 - c |rho|^2 - Lap J.
 
@@ -99,13 +113,8 @@ def q4(c_rho=2.0):
     curvature misses the Gauss-Bonnet value and the fourth-order operator
     below loses conformal covariance away from the critical dimension.
     """
-    J = q2()
-    body = (
-        _dim_scaled(J * J, lambda n: 0.5 * n)
-        - norm2sq(schouten_field()) * float(c_rho)
-        - laplacian(J)
-    )
-    return _min_dim(body, 3)
+    local, J = _q4_local(c_rho)
+    return _min_dim(local - laplacian(J), 3)
 
 
 def p4(f, c_rho=2.0):
@@ -279,17 +288,46 @@ def ext_p4_critical(f):
     return _exactly_dim(body, 4)
 
 
-def c_invariant():
-    """The pointwise conformal invariant of weight -4 attached to a generic
-    4-dimensional hypersurface: e^{4 phi} C-hat = C.
+class FourthOrderFields(NamedTuple):
+    """The dimension-4 integrand, its pointwise invariant, the three parts of
+    its ADS-type decomposition, and the two total divergences of Lo."""
 
-    Every coefficient here is pinned numerically: sampling the conformal
-    defect of the twelve constituents over batches of (embedding, rescaling)
+    i1: Field
+    i2: Field
+    i3: Field
+    c_invariant: Field
+    euler: Field
+    invariant: Field
+    divergence: Field
+    shape_divdiv: Field
+    shape_laplacian: Field
+
+
+def fourth_order_fields():
+    """Every field of the dimension-4 integrand, each weighted constituent
+    written once:
+
+      i1 = (Q4 + Lap J) + (9/2)|script W|^2
+      i2 = the five first-normal-derivative terms
+      i3 = (five terms algebraic in Lo) - 21 (Lo^2, script W)
+      C  = i2 + (five algebraic terms) + 2 delta delta(Lo^2) + (1/2) Lap |Lo|^2
+
+    and the ADS-type decomposition i1 + i2 + i3 = E + I + V into
+
+      E = Q4 + |W|^2/4, the Euler density,
+      I = C + (9/2)|script W|^2 - 21 (Lo^2, script W) - |W|^2/4, local
+          invariants of weight -4,
+      V = Lap J - 2 delta delta(Lo^2) - (1/2) Lap |Lo|^2, a divergence,
+
+    with W the Weyl tensor of the surface.  The total integrand stays
+    i1 + i2 + i3: V needs the induced metric at jet degree 4.
+
+    The coefficients of C are pinned numerically: sampling the conformal
+    defect of its twelve constituents over batches of (embedding, rescaling)
     pairs leaves a null space spanned by exactly this combination together
-    with (Lo^2, W), which is invariant on its own and therefore omitted.
-
-    Evaluates at degree 0 only, since the Weyl normal derivative term is
-    assembled pointwise.
+    with (Lo^2, script W), which is invariant on its own and therefore
+    omitted.  C evaluates at degree 0 only, since the Weyl normal derivative
+    term is assembled pointwise.
     """
     Lo = tracefree_shape_field()
     H = mean_curvature_field()
@@ -297,60 +335,72 @@ def c_invariant():
     W = normal_weyl_field()
     Lo2 = square2(Lo)
     lo_norm = norm2sq(Lo)
-    body = (
+    q4_local, J = _q4_local(2.0)
+    first_normal = (
         inner22(Lo, nabla0_rho_field()) * 2.0
         + inner22(Lo, nabla0_weyl_field()) * 4.0
         + inner22(Lo, hessian(H)) * 2.0
         + H * inner22(Lo, rho) * 2.0
         + H * inner22(Lo, W) * 9.0
-        + inner22(Lo2, rho) * 8.0
+    )
+    algebraic = (
+        inner22(Lo2, rho) * 8.0
         - rho_bar_nn_field() * lo_norm * 2.0
-        - q2() * lo_norm * 3.0
+        - J * lo_norm * 3.0
         - H * H * lo_norm * 3.0
         - H * trace_cube(Lo)
-        + divdiv(Lo2) * 2.0
-        + laplacian(lo_norm) * 0.5
     )
-    return _exactly_dim(body, 4)
+    normal_weyl_sq = norm2sq(W) * 4.5
+    lo2_weyl = inner22(Lo2, W) * 21.0
+    shape_divdiv, shape_laplacian = divdiv(Lo2), laplacian(lo_norm)
+    shape_divergence = shape_divdiv * 2.0 + shape_laplacian * 0.5
+    weyl_quarter = Field(0, curvature.weyl_norm_sq) * 0.25
+    c = first_normal + algebraic + shape_divergence
+    return FourthOrderFields(
+        *(
+            _exactly_dim(f, 4)
+            for f in (
+                q4_local + normal_weyl_sq,
+                first_normal,
+                algebraic - lo2_weyl,
+                c,
+                q4() + weyl_quarter,
+                c + normal_weyl_sq - lo2_weyl - weyl_quarter,
+                laplacian(J) - shape_divergence,
+            )
+        ),
+        shape_divdiv,
+        shape_laplacian,
+    )
+
+
+def c_invariant():
+    """The pointwise conformal invariant C of weight -4 attached to a generic
+    4-dimensional hypersurface: e^{4 phi} C-hat = C (see fourth_order_fields)."""
+    return fourth_order_fields().c_invariant
+
+
+def ads_parts():
+    """(E, I, V): the Euler density, the weight -4 invariants and the
+    divergence whose sum is the total-curvature integrand i1 + i2 + i3."""
+    f = fourth_order_fields()
+    return f.euler, f.invariant, f.divergence
 
 
 def integrand_i1():
     """2 J^2 - 2 |rho|^2 + (9/2) |script W|^2; integrates to the total
     extrinsic Q-curvature in dimension 4."""
-    J = q2()
-    body = J * J * 2.0 - norm2sq(schouten_field()) * 2.0 + norm2sq(normal_weyl_field()) * 4.5
-    return _exactly_dim(body, 4)
+    return fourth_order_fields().i1
 
 
 def integrand_i2():
     """The first-normal-derivative part of the total-curvature integrand."""
-    Lo = tracefree_shape_field()
-    H = mean_curvature_field()
-    body = (
-        inner22(Lo, nabla0_rho_field()) * 2.0
-        + inner22(Lo, nabla0_weyl_field()) * 4.0
-        + inner22(Lo, hessian(H)) * 2.0
-        + H * inner22(Lo, schouten_field()) * 2.0
-        + H * inner22(Lo, normal_weyl_field()) * 9.0
-    )
-    return _exactly_dim(body, 4)
+    return fourth_order_fields().i2
 
 
 def integrand_i3():
     """The algebraic-in-Lo part of the total-curvature integrand."""
-    Lo = tracefree_shape_field()
-    Lo2 = square2(Lo)
-    lo_norm = norm2sq(Lo)
-    H = mean_curvature_field()
-    body = (
-        inner22(Lo2, schouten_field()) * 8.0
-        - rho_bar_nn_field() * lo_norm * 2.0
-        - q2() * lo_norm * 3.0
-        - H * H * lo_norm * 3.0
-        - H * trace_cube(Lo)
-        - inner22(Lo2, normal_weyl_field()) * 21.0
-    )
-    return _exactly_dim(body, 4)
+    return fourth_order_fields().i3
 
 
 def normal_derivative_identity():

@@ -39,8 +39,6 @@ from .geometry import (
     expression_field,
     jet_values,
     laplacian,
-    norm2sq,
-    square2,
 )
 from .scenarios import ScenarioError, conf_phi, parse_scenario
 
@@ -461,21 +459,50 @@ def check_q_law(scn, which, cfg, seed, pairs=1):
 # ---- pointwise invariant --------------------------------------------------------
 
 
-def check_c_invariance(scn, cfg, seed, phis=3):
-    """e^{4 phi} C_hat = C pointwise on a non-umbilic 4-dimensional surface."""
+def _need_surface4(scn):
     if scn.dim != 4 or scn.kind != "embedded":
         raise ConfigError("the pointwise invariant lives on 4-dimensional hypersurfaces")
-    rng = np.random.default_rng(seed)
-    pts = _points(scn, _npoints(4), rng)
-    base_ctx = scn.context(pts, degree_cap=cfg.degree)
-    base = _at(base_ctx, ops.c_invariant())
+
+
+def _weight4_defect(scn, cfg, ctx, field):
+    """defect(phi_text) of e^{4 phi} field_hat = field on ctx's points."""
+    base = _at(ctx, field)
 
     def defect(phi_text):
-        _, hat_ctx, phi = _rescaled_pair(scn, phi_text, pts, cfg.degree, base_ctx)
-        lhs = np.exp(4.0 * _at(base_ctx, phi)) * _at(hat_ctx, ops.c_invariant())
+        _, hat_ctx, phi = _rescaled_pair(scn, phi_text, ctx.points, cfg.degree, ctx)
+        lhs = np.exp(4.0 * _at(ctx, phi)) * _at(hat_ctx, field)
         return _defect(lhs, base, np.max(np.abs(base)))
 
+    return defect
+
+
+def check_c_invariance(scn, cfg, seed, phis=3):
+    """e^{4 phi} C_hat = C pointwise on a non-umbilic 4-dimensional surface."""
+    _need_surface4(scn)
+    rng = np.random.default_rng(seed)
+    pts = _points(scn, _npoints(4), rng)
+    defect = _weight4_defect(scn, cfg, scn.context(pts, degree_cap=cfg.degree), ops.c_invariant())
     return _control_and_draws("c_invariance", scn, cfg, seed, rng, pts, phis, defect)
+
+
+def check_ads_decomposition(scn, cfg, seed, phis=3):
+    """The ADS-type decomposition i1 + i2 + i3 = E + I + V pointwise, then
+    e^{4 phi} I_hat = I for its invariant part I."""
+    _need_surface4(scn)
+    parts = ops.ads_parts()
+    total = ops.integrand_i1() + ops.integrand_i2() + ops.integrand_i3()
+    invariance = []
+
+    def rows(ctx, rng):
+        whole = _at(ctx, total)
+        res = whole - sum(_at(ctx, p) for p in parts)
+        defect = _weight4_defect(scn, cfg, ctx, parts[1])
+        invariance.extend(
+            _control_and_draws("ads_invariant", scn, cfg, seed, rng, ctx.points, phis, defect)
+        )
+        return [("ads_identity", res, np.max(np.abs(whole)), 1e-10)]
+
+    return _pointwise_checks(scn, cfg, seed, rows) + invariance
 
 
 # ---- umbilic normal-derivative identity ----------------------------------------
@@ -590,9 +617,8 @@ def check_gauss_bonnet(scn, cfg, seed):
     if scn.euler is None:
         raise ConfigError(f"scenario {scn.name} has no recorded Euler characteristic")
     quad = Quadrature(scn.chart, cfg.nodes, cfg.gauss_nodes)
-    integrand = ops.q4() + Field(0, curvature.weyl_norm_sq) * 0.25
     (total,), (absolute,) = integrate(
-        [integrand], scn, quad, degree_cap=cfg.degree, absolute=True
+        [ops.ads_parts()[0]], scn, quad, degree_cap=cfg.degree, absolute=True
     )
     target = 8.0 * math.pi**2 * scn.euler
     return [
@@ -608,10 +634,6 @@ def check_gauss_bonnet(scn, cfg, seed):
     ]
 
 
-def _total_q4_fields():
-    return [ops.integrand_i1() + ops.integrand_i2() + ops.integrand_i3()]
-
-
 def check_global_invariant(scn, cfg, seed, expected=None):
     """The total fourth-order extrinsic curvature integral is unchanged by a
     conformal rescaling of the ambient metric.  ``expected`` additionally
@@ -621,7 +643,7 @@ def check_global_invariant(scn, cfg, seed, expected=None):
     quadrature grid; a second full integration pass would only re-test the
     summation."""
     quad = Quadrature(scn.chart, cfg.nodes, cfg.gauss_nodes)
-    field = _total_q4_fields()[0]
+    field = ops.integrand_i1() + ops.integrand_i2() + ops.integrand_i3()
     (base,), (absolute,) = integrate(
         [field], scn, quad, degree_cap=cfg.degree, absolute=True
     )
@@ -662,14 +684,16 @@ def check_global_invariant(scn, cfg, seed, expected=None):
 
 
 def check_divergence_integrals(scn, cfg, seed):
-    """Total divergences integrate to zero on a closed hypersurface."""
-    lo = ops.tracefree_shape_field()
+    """Total divergences integrate to zero on a closed hypersurface, the
+    divergence part of the ADS-type decomposition among them."""
+    four = ops.fourth_order_fields()
     fields = [
         divdiv(ops.normal_weyl_field()),
-        divdiv(square2(lo)),
-        laplacian(norm2sq(lo)),
+        four.shape_divdiv,
+        four.shape_laplacian,
+        four.divergence,
     ]
-    names = ["divdiv_normal_weyl", "divdiv_shape_squared", "laplacian_shape_norm"]
+    names = ["divdiv_normal_weyl", "divdiv_shape_squared", "laplacian_shape_norm", "ads_divergence"]
     quad = Quadrature(scn.chart, cfg.nodes, cfg.gauss_nodes)
     totals, absolutes = integrate(fields, scn, quad, degree_cap=cfg.degree, absolute=True)
     return [
@@ -878,6 +902,8 @@ _SUITE_PLANS = {
         ("SLICE(S2xS2)", "check_global_invariant", {"expected": 50.0 * math.pi**2 / 3.0}),
         ("GRAPH(T4_IN_T5)", "check_global_invariant", {}),
         ("GRAPH(T4_IN_PERT_T5)", "check_divergence_integrals", {}),
+        ("GRAPH(T4_IN_PERT_T5)", "check_ads_decomposition", {}),
+        ("GRAPH(T4_IN_T5)", "check_ads_decomposition", {}),
     ),
 }
 

@@ -12,7 +12,18 @@ import numpy as np
 
 from extrinsicq import curvature, jets
 from extrinsicq import hypersurface as hs
-from extrinsicq.geometry import jet_coeffs, jet_values
+from extrinsicq import operators as ops
+from extrinsicq.geometry import (
+    hessian,
+    inner22,
+    jet_coeffs,
+    jet_values,
+    divdiv,
+    laplacian,
+    norm2sq,
+    square2,
+    trace_cube,
+)
 
 
 # ---- exact polynomial oracle ---------------------------------------------
@@ -255,6 +266,98 @@ def reference_nabla0_weyl_normal(sctx):
     X = np.einsum("abcdZ,aZ->bcdZ", X, nuv)
     X = np.einsum("bcdZ,dZ->bcZ", X, nuv)
     return np.einsum("bcZ,ibZ,jcZ->ijZ", X, tv, tv)
+
+
+def reference_weyl_norm_sq(ctx, d):
+    """|W|^2 with each of the four indices of W raised in turn, 4 n^5 products."""
+    n = ctx.dim
+    W = curvature.weyl(ctx, d)
+    gi = ctx.ginv(d)
+
+    def raise_first(T):
+        out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    col = [T[a][j][k][l] for a in range(n)]
+                    for i in range(n):
+                        out[i][j][k][l] = jets.dot(gi[i], col)
+        return out
+
+    def rot(T):
+        # cycle indices so each raise_first hits a fresh slot
+        return [
+            [[[T[j][k][l][i] for l in range(n)] for k in range(n)] for j in range(n)]
+            for i in range(n)
+        ]
+
+    def flat(T):
+        return [x for a in T for b in a for c in b for x in c]
+
+    up = W
+    for _ in range(4):
+        up = rot(raise_first(up))
+    return jets.dot(flat(up), flat(W))
+
+
+# ---- reference fourth-order integrand ----------------------------------------
+# Each field written out term by term, as one left-to-right sum: the forms
+# that operators.fourth_order_fields builds from shared constituents.
+
+
+def reference_integrand_i1():
+    J = ops.q2()
+    return J * J * 2.0 - norm2sq(ops.schouten_field()) * 2.0 + norm2sq(ops.normal_weyl_field()) * 4.5
+
+
+def reference_integrand_i2():
+    Lo = ops.tracefree_shape_field()
+    H = ops.mean_curvature_field()
+    return (
+        inner22(Lo, ops.nabla0_rho_field()) * 2.0
+        + inner22(Lo, ops.nabla0_weyl_field()) * 4.0
+        + inner22(Lo, hessian(H)) * 2.0
+        + H * inner22(Lo, ops.schouten_field()) * 2.0
+        + H * inner22(Lo, ops.normal_weyl_field()) * 9.0
+    )
+
+
+def reference_integrand_i3():
+    Lo = ops.tracefree_shape_field()
+    Lo2 = square2(Lo)
+    lo_norm = norm2sq(Lo)
+    H = ops.mean_curvature_field()
+    return (
+        inner22(Lo2, ops.schouten_field()) * 8.0
+        - ops.rho_bar_nn_field() * lo_norm * 2.0
+        - ops.q2() * lo_norm * 3.0
+        - H * H * lo_norm * 3.0
+        - H * trace_cube(Lo)
+        - inner22(Lo2, ops.normal_weyl_field()) * 21.0
+    )
+
+
+def reference_c_invariant():
+    Lo = ops.tracefree_shape_field()
+    H = ops.mean_curvature_field()
+    rho = ops.schouten_field()
+    W = ops.normal_weyl_field()
+    Lo2 = square2(Lo)
+    lo_norm = norm2sq(Lo)
+    return (
+        inner22(Lo, ops.nabla0_rho_field()) * 2.0
+        + inner22(Lo, ops.nabla0_weyl_field()) * 4.0
+        + inner22(Lo, hessian(H)) * 2.0
+        + H * inner22(Lo, rho) * 2.0
+        + H * inner22(Lo, W) * 9.0
+        + inner22(Lo2, rho) * 8.0
+        - ops.rho_bar_nn_field() * lo_norm * 2.0
+        - ops.q2() * lo_norm * 3.0
+        - H * H * lo_norm * 3.0
+        - H * trace_cube(Lo)
+        + divdiv(Lo2) * 2.0
+        + laplacian(lo_norm) * 0.5
+    )
 
 
 # ---- reference contraction -------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from extrinsicq import hypersurface as hs, jets, operators as ops
 from extrinsicq.exprlang import parse_expression
+from extrinsicq.scenarios import parse_scenario
 from extrinsicq.geometry import (
     Axis,
     Chart,
@@ -16,7 +17,13 @@ from extrinsicq.geometry import (
     inner22,
 )
 
-from helpers import jval
+from helpers import (
+    jval,
+    reference_c_invariant,
+    reference_integrand_i1,
+    reference_integrand_i2,
+    reference_integrand_i3,
+)
 from test_hypersurface import (
     flat_metric,
     graph3_embedding,
@@ -481,3 +488,46 @@ def test_wrong_context_and_dimension_guards():
             ),
             1,
         )
+
+
+# ---- the fourth-order integrand and its ADS-type decomposition --------------
+
+_GRAPHS = ("GRAPH(T4_IN_PERT_T5)", "GRAPH(T4_IN_T5)")
+
+
+def graph_values(name, field, seed=31, B=6):
+    """A field's values on a fresh context of a catalog graph at B points."""
+    scn = parse_scenario(name)
+    pts = np.stack([np.random.default_rng(seed + k).uniform(0.0, TAU, B) for k in range(4)])
+    return jval(field(scn.context(pts, degree_cap=6), 0), B)
+
+
+@pytest.mark.parametrize("name", _GRAPHS)
+def test_integrands_equal_their_term_by_term_references(name):
+    for new, ref in (
+        (ops.integrand_i1, reference_integrand_i1),
+        (ops.integrand_i2, reference_integrand_i2),
+        (ops.integrand_i3, reference_integrand_i3),
+    ):
+        np.testing.assert_array_equal(graph_values(name, new()), graph_values(name, ref()))
+    c, want = graph_values(name, ops.c_invariant()), graph_values(name, reference_c_invariant())
+    assert np.max(np.abs(want)) > 1e-4
+    assert np.max(np.abs(c - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", _GRAPHS)
+def test_ads_decomposition_sums_to_the_integrand(name):
+    total = graph_values(name, ops.integrand_i1() + ops.integrand_i2() + ops.integrand_i3())
+    euler, invariant, divergence = ops.ads_parts()
+    parts = graph_values(name, euler + invariant + divergence)
+    # every part carries weight, so the sum does not hold trivially
+    assert min(np.max(np.abs(graph_values(name, p))) for p in ops.ads_parts()) > 1e-4
+    assert np.max(np.abs(total - parts)) <= 1e-12 * np.max(np.abs(total))
+
+
+def test_ads_parts_need_dimension_four():
+    emb = graph3_embedding()
+    sctx = hs.EmbeddedSurfaceContext(emb, surface_points(emb, 3, 32))
+    for part in ops.ads_parts():
+        with pytest.raises(jets.JetError):
+            part(sctx, 0)

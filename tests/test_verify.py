@@ -1,5 +1,6 @@
 """Quadrature, config validation, and the check-suite harness."""
 
+import inspect
 import json
 import math
 
@@ -223,12 +224,25 @@ def test_report_csv_layout():
 def test_suite_plans_name_existing_checks_and_scenarios():
     counts = {}
     for suite in verify.SUITES:
-        rows = verify._plan(load_config({"suite": suite}))
+        cfg = load_config({"suite": suite})
+        rows = verify._plan(cfg)
         counts[suite] = len(rows)
         for scenario, check, args in rows:
             assert check.startswith("check_") and callable(getattr(verify, check))
-            parse_scenario(scenario)
+            scn = parse_scenario(scenario)
             for key, value in args.items():
                 if key.endswith("_scn"):
                     parse_scenario(value)
-    assert counts == {"structural": 6, "intrinsic": 8, "extrinsic": 16, "global": 7, "all": 37}
+            # a misspelt argument in a row fails here, not when the row runs
+            inspect.signature(getattr(verify, check)).bind(scn, cfg=cfg, seed=0, **args)
+    assert counts == {"structural": 6, "intrinsic": 8, "extrinsic": 16, "global": 9, "all": 39}
+
+
+def test_ads_decomposition_check():
+    cfg = load_config({"suite": "global"})
+    results = verify.check_ads_decomposition(parse_scenario("GRAPH(T4_IN_T5)"), cfg, seed=7, phis=1)
+    assert [r.check for r in results] == ["ads_identity", "ads_invariant[phi=0]", "ads_invariant"]
+    assert [r.tol for r in results] == [1e-10, cfg.tol_control, cfg.tol_point]
+    assert all(r.passed for r in results)
+    with pytest.raises(ConfigError):
+        verify.check_ads_decomposition(parse_scenario("PERT_T4"), cfg, seed=7)
