@@ -129,34 +129,17 @@ def schouten(ctx, d):
 
 
 def weyl_norm_sq(ctx, d):
-    """|W|^2 with all four indices raised against the metric."""
+    """|W|^2 = 4 tr(G W G W): W as a symmetric matrix over index pairs
+    I = (i < j), and G^{IA} = g^ia g^jb - g^ib g^ja the metric on 2-forms."""
 
     def build(dd):
-        n = ctx.dim
-        W = weyl(ctx, dd)
-        gi = ctx.ginv(dd)
-
-        def raise_first(T):
-            out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        col = [T[a][j][k][l] for a in range(n)]
-                        for i in range(n):
-                            out[i][j][k][l] = jets.dot(gi[i], col)
-            return out
-
-        def rot(T):
-            # cycle indices so each raise_first hits a fresh slot
-            return [
-                [[[T[j][k][l][i] for l in range(n)] for k in range(n)] for j in range(n)]
-                for i in range(n)
-            ]
-
-        up = W
-        for _ in range(4):
-            up = rot(raise_first(up))
-        return jets.dot(*(_flat(_flat(_flat(T))) for T in (up, W)))
+        n, W, gi = ctx.dim, weyl(ctx, dd), ctx.ginv(dd)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        G = [[jets.dot([gi[i][a], -gi[i][b]], [gi[j][b], gi[j][a]]) for a, b in pairs]
+             for i, j in pairs]
+        GW = [[jets.dot(row, [W[a][b][k][l] for a, b in pairs]) for k, l in pairs] for row in G]
+        col = [GW[K][I] for I in range(len(pairs)) for K in range(len(pairs))]
+        return jets.dot(_flat(GW), col) * 4.0
 
     return ctx.get("weylnormsq", d, build)
 

@@ -21,7 +21,7 @@ from extrinsicq.geometry import (
 from extrinsicq.exprlang import parse_expression
 from extrinsicq.jets import JetError
 from extrinsicq.scenarios import parse_scenario
-from helpers import count_products, jval, reference_dot
+from helpers import count_products, jval, reference_dot, reference_weyl_norm_sq
 
 TWO_PI = 2.0 * np.pi
 
@@ -358,3 +358,30 @@ def test_riemann_build_product_count(monkeypatch):
     count = count_products(monkeypatch)
     curvature.riemann(ctx, d)
     assert 0 < count[0] <= RIEMANN_PRODUCTS_5
+
+
+# the last is conformally flat, so there |W|^2 is rounding noise on both sides
+@pytest.mark.parametrize(
+    "name, curved", [("PERT_T4", True), ("PERT_T5", True), ("CONF_PERTURBED(ROUND_S(4,1))", False)]
+)
+def test_weyl_norm_by_the_two_form_metric_matches_raising_each_index(name, curved):
+    scn = parse_scenario(name)
+    B = 6
+    ctx = scn.context(rand_points(scn.chart, B, 16))
+    want = jval(reference_weyl_norm_sq(ctx, 1), B)
+    got = jval(curvature.weyl_norm_sq(ctx, 1), B)
+    scale = np.max(np.abs(want))
+    assert (scale > 1e-3) == curved
+    assert np.max(np.abs(got - want)) <= 1e-12 * (scale if curved else 1.0)
+
+
+def test_weyl_norm_product_count(monkeypatch):
+    # 6 pairs at n = 4: G costs 2 * 36 products, G W 36 * 6, the trace 36;
+    # raising each index of W in turn took 4 n^5 = 4096
+    scn = parse_scenario("PERT_T4")
+    ctx = scn.context(rand_points(scn.chart, 4, 17))
+    curvature.weyl(ctx, 0)
+    ctx.ginv(0)
+    count = count_products(monkeypatch)
+    curvature.weyl_norm_sq(ctx, 0)
+    assert 0 < count[0] <= 400
