@@ -532,29 +532,6 @@ def apply2(T, w):
     return Field(1, fn)
 
 
-def inner11(a, b):
-    """g^{ij} a_i b_j."""
-
-    def fn(ctx, d):
-        n = ctx.dim
-        av, bv = a(ctx, d), b(ctx, d)
-        gi = ctx.ginv(d)
-        ab = [av[i] * bv[j] for i in range(n) for j in range(n)]
-        return jets.dot(_flat(gi), ab)
-
-    return Field(0, fn)
-
-
-def trace2(T):
-    """g^{ij} T_ij."""
-
-    def fn(ctx, d):
-        t = T(ctx, d)
-        return jets.dot(_flat(ctx.ginv(d)), _flat(t))
-
-    return Field(0, fn)
-
-
 def inner22(S, T):
     """Full contraction g^{ik} g^{jl} S_ij T_kl, i.e. trace(g^-1 S g^-1 T)."""
 

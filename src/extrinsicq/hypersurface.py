@@ -285,11 +285,6 @@ def pulled_weyl(sctx, d):
     return sctx.get("weylbar", d, lambda dd: _pulled_curvature(sctx, curvature.weyl, dd))
 
 
-def jbar(sctx, d):
-    """Ambient J along the surface."""
-    return sctx.get("jbar", d, lambda dd: pull(sctx, [curvature.jfun(sctx.ambient, dd)], dd)[0])
-
-
 def rho_bar_nn(sctx, d):
     """rhobar(nu, nu)."""
 

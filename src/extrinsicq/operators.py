@@ -6,11 +6,9 @@ second fundamental form, the Fialkow tensor, and normal components of ambient
 curvature.  Everything is built from the geometry combinators, so each
 returned Field evaluates at whatever jet degree the caller asks for.
 
-In dimension 4, ``fourth_order_fields`` writes each weighted constituent of
-the total-curvature integrand once and builds from them ``integrand_i1..i3``,
-the pointwise invariant ``c_invariant`` and ``ads_parts``, the paper's
-Alexakis-Deser-Schwimmer-type split of the integrand into an Euler density,
-local conformal invariants and a divergence.
+In dimension 4 ``fourth_order_fields`` builds ``integrand_i1..i3``,
+``c_invariant`` and the ADS-type decomposition ``ads_parts`` from one set of
+weighted constituents.
 
 Sign conventions follow the rest of the package: the Laplacian is the raw
 divergence of the gradient (non-positive), so some classical transformation
@@ -24,8 +22,6 @@ with g-hat = e^{2 phi} g:
 and in general P_k f-hat = e^{-b phi} P_k (e^{a phi} f) with a, b the
 bidegree weights; the tests pin all of these numerically.
 """
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -288,46 +284,18 @@ def ext_p4_critical(f):
     return _exactly_dim(body, 4)
 
 
-class FourthOrderFields(NamedTuple):
-    """The dimension-4 integrand, its pointwise invariant, the three parts of
-    its ADS-type decomposition, and the two total divergences of Lo."""
-
-    i1: Field
-    i2: Field
-    i3: Field
-    c_invariant: Field
-    euler: Field
-    invariant: Field
-    divergence: Field
-    shape_divdiv: Field
-    shape_laplacian: Field
-
-
 def fourth_order_fields():
-    """Every field of the dimension-4 integrand, each weighted constituent
-    written once:
+    """The fields of the dimension-4 total-curvature integrand by name, from
+    constituents each written once.  With A the five terms algebraic in Lo,
+    D = 2 delta delta(Lo^2) + Lap|Lo|^2 / 2 and W the surface's Weyl tensor:
 
-      i1 = (Q4 + Lap J) + (9/2)|script W|^2
-      i2 = the five first-normal-derivative terms
-      i3 = (five terms algebraic in Lo) - 21 (Lo^2, script W)
-      C  = i2 + (five algebraic terms) + 2 delta delta(Lo^2) + (1/2) Lap |Lo|^2
+      i1 = (Q4 + Lap J) + (9/2)|script W|^2,  i3 = A - 21 (Lo^2, script W),
+      c_invariant = i2 + A + D,  and i1 + i2 + i3 = euler + invariant + divergence,
+      euler = Q4 + |W|^2/4,  divergence = Lap J - D,
+      invariant = c_invariant + (9/2)|script W|^2 - 21 (Lo^2, script W) - |W|^2/4.
 
-    and the ADS-type decomposition i1 + i2 + i3 = E + I + V into
-
-      E = Q4 + |W|^2/4, the Euler density,
-      I = C + (9/2)|script W|^2 - 21 (Lo^2, script W) - |W|^2/4, local
-          invariants of weight -4,
-      V = Lap J - 2 delta delta(Lo^2) - (1/2) Lap |Lo|^2, a divergence,
-
-    with W the Weyl tensor of the surface.  The total integrand stays
-    i1 + i2 + i3: V needs the induced metric at jet degree 4.
-
-    The coefficients of C are pinned numerically: sampling the conformal
-    defect of its twelve constituents over batches of (embedding, rescaling)
-    pairs leaves a null space spanned by exactly this combination together
-    with (Lo^2, script W), which is invariant on its own and therefore
-    omitted.  C evaluates at degree 0 only, since the Weyl normal derivative
-    term is assembled pointwise.
+    The total integrand stays i1 + i2 + i3, as Lap J needs the induced metric
+    at jet degree 4.
     """
     Lo = tracefree_shape_field()
     H = mean_curvature_field()
@@ -356,51 +324,55 @@ def fourth_order_fields():
     shape_divergence = shape_divdiv * 2.0 + shape_laplacian * 0.5
     weyl_quarter = Field(0, curvature.weyl_norm_sq) * 0.25
     c = first_normal + algebraic + shape_divergence
-    return FourthOrderFields(
-        *(
-            _exactly_dim(f, 4)
-            for f in (
-                q4_local + normal_weyl_sq,
-                first_normal,
-                algebraic - lo2_weyl,
-                c,
-                q4() + weyl_quarter,
-                c + normal_weyl_sq - lo2_weyl - weyl_quarter,
-                laplacian(J) - shape_divergence,
-            )
-        ),
-        shape_divdiv,
-        shape_laplacian,
-    )
+    fields = {
+        "i1": q4_local + normal_weyl_sq,
+        "i2": first_normal,
+        "i3": algebraic - lo2_weyl,
+        "c_invariant": c,
+        "euler": q4() + weyl_quarter,
+        "invariant": c + normal_weyl_sq - lo2_weyl - weyl_quarter,
+        "divergence": laplacian(J) - shape_divergence,
+    }
+    fields = {name: _exactly_dim(f, 4) for name, f in fields.items()}
+    return fields | {"shape_divdiv": shape_divdiv, "shape_laplacian": shape_laplacian}
 
 
 def c_invariant():
-    """The pointwise conformal invariant C of weight -4 attached to a generic
-    4-dimensional hypersurface: e^{4 phi} C-hat = C (see fourth_order_fields)."""
-    return fourth_order_fields().c_invariant
+    """The pointwise conformal invariant of weight -4 attached to a generic
+    4-dimensional hypersurface: e^{4 phi} C-hat = C.
+
+    Every coefficient here is pinned numerically: sampling the conformal
+    defect of the twelve constituents over batches of (embedding, rescaling)
+    pairs leaves a null space spanned by exactly this combination together
+    with (Lo^2, W), which is invariant on its own and therefore omitted.
+
+    Evaluates at degree 0 only, since the Weyl normal derivative term is
+    assembled pointwise.
+    """
+    return fourth_order_fields()["c_invariant"]
 
 
 def ads_parts():
-    """(E, I, V): the Euler density, the weight -4 invariants and the
-    divergence whose sum is the total-curvature integrand i1 + i2 + i3."""
+    """(euler, invariant, divergence) of ``fourth_order_fields``, whose sum is
+    the total-curvature integrand i1 + i2 + i3."""
     f = fourth_order_fields()
-    return f.euler, f.invariant, f.divergence
+    return f["euler"], f["invariant"], f["divergence"]
 
 
 def integrand_i1():
     """2 J^2 - 2 |rho|^2 + (9/2) |script W|^2; integrates to the total
     extrinsic Q-curvature in dimension 4."""
-    return fourth_order_fields().i1
+    return fourth_order_fields()["i1"]
 
 
 def integrand_i2():
     """The first-normal-derivative part of the total-curvature integrand."""
-    return fourth_order_fields().i2
+    return fourth_order_fields()["i2"]
 
 
 def integrand_i3():
     """The algebraic-in-Lo part of the total-curvature integrand."""
-    return fourth_order_fields().i3
+    return fourth_order_fields()["i3"]
 
 
 def normal_derivative_identity():

@@ -459,13 +459,11 @@ def check_q_law(scn, which, cfg, seed, pairs=1):
 # ---- pointwise invariant --------------------------------------------------------
 
 
-def _need_surface4(scn):
+def _weight4_defect(scn, cfg, ctx, field):
+    """defect(phi_text) of e^{4 phi} field_hat = field on ctx's points, for a
+    field of a 4-dimensional hypersurface."""
     if scn.dim != 4 or scn.kind != "embedded":
         raise ConfigError("the pointwise invariant lives on 4-dimensional hypersurfaces")
-
-
-def _weight4_defect(scn, cfg, ctx, field):
-    """defect(phi_text) of e^{4 phi} field_hat = field on ctx's points."""
     base = _at(ctx, field)
 
     def defect(phi_text):
@@ -478,7 +476,6 @@ def _weight4_defect(scn, cfg, ctx, field):
 
 def check_c_invariance(scn, cfg, seed, phis=3):
     """e^{4 phi} C_hat = C pointwise on a non-umbilic 4-dimensional surface."""
-    _need_surface4(scn)
     rng = np.random.default_rng(seed)
     pts = _points(scn, _npoints(4), rng)
     defect = _weight4_defect(scn, cfg, scn.context(pts, degree_cap=cfg.degree), ops.c_invariant())
@@ -488,15 +485,14 @@ def check_c_invariance(scn, cfg, seed, phis=3):
 def check_ads_decomposition(scn, cfg, seed, phis=3):
     """The ADS-type decomposition i1 + i2 + i3 = E + I + V pointwise, then
     e^{4 phi} I_hat = I for its invariant part I."""
-    _need_surface4(scn)
     parts = ops.ads_parts()
     total = ops.integrand_i1() + ops.integrand_i2() + ops.integrand_i3()
     invariance = []
 
     def rows(ctx, rng):
+        defect = _weight4_defect(scn, cfg, ctx, parts[1])
         whole = _at(ctx, total)
         res = whole - sum(_at(ctx, p) for p in parts)
-        defect = _weight4_defect(scn, cfg, ctx, parts[1])
         invariance.extend(
             _control_and_draws("ads_invariant", scn, cfg, seed, rng, ctx.points, phis, defect)
         )
@@ -687,15 +683,14 @@ def check_divergence_integrals(scn, cfg, seed):
     """Total divergences integrate to zero on a closed hypersurface, the
     divergence part of the ADS-type decomposition among them."""
     four = ops.fourth_order_fields()
-    fields = [
-        divdiv(ops.normal_weyl_field()),
-        four.shape_divdiv,
-        four.shape_laplacian,
-        four.divergence,
-    ]
-    names = ["divdiv_normal_weyl", "divdiv_shape_squared", "laplacian_shape_norm", "ads_divergence"]
+    fields = {
+        "divdiv_normal_weyl": divdiv(ops.normal_weyl_field()),
+        "divdiv_shape_squared": four["shape_divdiv"],
+        "laplacian_shape_norm": four["shape_laplacian"],
+        "ads_divergence": four["divergence"],
+    }
     quad = Quadrature(scn.chart, cfg.nodes, cfg.gauss_nodes)
-    totals, absolutes = integrate(fields, scn, quad, degree_cap=cfg.degree, absolute=True)
+    totals, absolutes = integrate(fields.values(), scn, quad, degree_cap=cfg.degree, absolute=True)
     return [
         CheckResult.build(
             f"divergence_integral[{nm}]",
@@ -706,7 +701,7 @@ def check_divergence_integrals(scn, cfg, seed):
             1e-7,
             seed,
         )
-        for nm, t, a in zip(names, totals, absolutes)
+        for nm, t, a in zip(fields, totals, absolutes)
     ]
 
 

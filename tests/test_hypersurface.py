@@ -390,7 +390,7 @@ def test_product_slice_frozen_curvature_values():
     pts = surface_points(emb, 6, 13)
     sctx = hs.EmbeddedSurfaceContext(emb, pts)
     B = 6
-    assert np.max(np.abs(jval(hs.jbar(sctx, 0), B) - 5.0 / 16.0)) < 1e-10
+    assert np.max(np.abs(jval(curvature.jfun(sctx.ambient, 0), B) - 5.0 / 16.0)) < 1e-10
     assert np.max(np.abs(jval(hs.rho_bar_nn(sctx, 0), B) + 5.0 / 48.0)) < 1e-10
 
     # script W = (1/8) h_1 oplus (-1/8) h_2 on the two factors
