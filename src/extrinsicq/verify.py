@@ -482,9 +482,9 @@ def check_c_invariance(scn, cfg, seed, phis=3):
     return _control_and_draws("c_invariance", scn, cfg, seed, rng, pts, phis, defect)
 
 
-def check_ads_decomposition(scn, cfg, seed, phis=3):
+def check_ads_decomposition(scn, cfg, seed):
     """The ADS-type decomposition i1 + i2 + i3 = E + I + V pointwise, then
-    e^{4 phi} I_hat = I for its invariant part I."""
+    e^{4 phi} I_hat = I for its invariant part I over three random factors."""
     parts = ops.ads_parts()
     total = ops.integrand_i1() + ops.integrand_i2() + ops.integrand_i3()
     invariance = []
@@ -494,7 +494,7 @@ def check_ads_decomposition(scn, cfg, seed, phis=3):
         whole = _at(ctx, total)
         res = whole - sum(_at(ctx, p) for p in parts)
         invariance.extend(
-            _control_and_draws("ads_invariant", scn, cfg, seed, rng, ctx.points, phis, defect)
+            _control_and_draws("ads_invariant", scn, cfg, seed, rng, ctx.points, 3, defect)
         )
         return [("ads_identity", res, np.max(np.abs(whole)), 1e-10)]
 

@@ -14,11 +14,11 @@ from extrinsicq import curvature, jets
 from extrinsicq import hypersurface as hs
 from extrinsicq import operators as ops
 from extrinsicq.geometry import (
+    divdiv,
     hessian,
     inner22,
     jet_coeffs,
     jet_values,
-    divdiv,
     laplacian,
     norm2sq,
     square2,
@@ -307,7 +307,11 @@ def reference_weyl_norm_sq(ctx, d):
 
 def reference_integrand_i1():
     J = ops.q2()
-    return J * J * 2.0 - norm2sq(ops.schouten_field()) * 2.0 + norm2sq(ops.normal_weyl_field()) * 4.5
+    return (
+        J * J * 2.0
+        - norm2sq(ops.schouten_field()) * 2.0
+        + norm2sq(ops.normal_weyl_field()) * 4.5
+    )
 
 
 def reference_integrand_i2():

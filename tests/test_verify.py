@@ -240,7 +240,7 @@ def test_suite_plans_name_existing_checks_and_scenarios():
 
 def test_ads_decomposition_check():
     cfg = load_config({"suite": "global"})
-    results = verify.check_ads_decomposition(parse_scenario("GRAPH(T4_IN_T5)"), cfg, seed=7, phis=1)
+    results = verify.check_ads_decomposition(parse_scenario("GRAPH(T4_IN_T5)"), cfg, seed=7)
     assert [r.check for r in results] == ["ads_identity", "ads_invariant[phi=0]", "ads_invariant"]
     assert [r.tol for r in results] == [1e-10, cfg.tol_control, cfg.tol_point]
     assert all(r.passed for r in results)
