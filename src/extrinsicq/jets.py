@@ -10,10 +10,12 @@ once; unbatched and batched operands mix freely.
 Products are truncated Cauchy products over a cached pair table.  Small
 batches (and unbatched jets) sum each target's pairs with one
 ``np.add.reduceat``; from ``_LAYERED_MIN_BATCH`` points on, the pairs are
-added in layers whose targets are distinct, which avoids reduceat's slow
-per-segment walk over long rows.  The layered kernel adds each target's
-pairs left to right; reduceat may group three or more of them differently,
-so the two kernels agree to rounding, not bit for bit.
+added in layers, which avoids reduceat's slow per-segment walk over long
+rows.  Layer r holds the r-th pair of every target with more than r pairs;
+the accumulator keeps the targets sorted by pair count, so each layer is
+added in place to one block of rows, with no scatter.  The layered kernel adds each target's pairs left to right;
+reduceat may group three or more of them differently, so the two kernels
+agree to rounding, not bit for bit.
 
 A contraction start + xs[0]*ys[0] + xs[1]*ys[1] + ... is one ``dot``, bit
 for bit the loop of products and additions but with no jet per term: its
@@ -105,7 +107,7 @@ class JetSpace:
         return math.comb(d + self.nvars, self.nvars)
 
     def mul_table(self):
-        """Pair tables (I, J, starts, layers) driving truncated Cauchy products.
+        """Pair tables (I, J, starts, layers, order) driving truncated Cauchy products.
 
         Target k = index(mi[I[p]] + mi[J[p]]) collects the pairs p in
         ``starts[k]:starts[k+1]``, ordered by I.  Every target has at least
@@ -113,11 +115,16 @@ class JetSpace:
         ``starts`` strictly increasing and reduceat's empty-segment quirk out
         of play.
 
-        ``layers[r-1] = (K, I_r, J_r)`` holds the r-th pair of every target
-        with more than r pairs, so the targets K within a layer are distinct
-        and ``out[K] += a[I_r] * b[J_r]`` accumulates without collisions.
-        Starting from ``a[0] * b`` and adding the layers in order sums every
-        target's pairs in table order.
+        The layered kernel keeps its accumulator with the targets sorted by
+        pair count, ascending and stable: ``order = (perm, rank)`` puts
+        target ``perm[q]`` at row q and takes it back from row ``rank[k]``,
+        or is None where that order is the graded one (degree 0 or 1, or one
+        variable).
+        ``layers[r-1] = (lo, I_r, J_r)`` holds the r-th pair of every target
+        with more than r pairs; those targets are the rows ``lo:`` of the
+        accumulator, so ``acc[lo:] += a[I_r] * b[J_r]`` adds a layer to one
+        contiguous block.  Starting from ``a[0] * b`` and adding the layers
+        in order sums every target's pairs in table order.
         """
         if self._mul is None:
             ks, iis, jjs = [], [], []
@@ -134,12 +141,16 @@ class JetSpace:
             J = np.asarray(jjs, dtype=np.intp)[order]
             starts = np.searchsorted(k_sorted, np.arange(self.ncoeffs))
             counts = np.diff(starts, append=I.size)
+            perm = np.argsort(counts, kind="stable")
             layers = []
             for r in range(1, int(counts.max())):
-                K = np.flatnonzero(counts > r)
-                p = starts[K] + r
-                layers.append((K, I[p], J[p]))
-            self._mul = (I, J, starts, tuple(layers))
+                lo = int(np.searchsorted(counts[perm], r, side="right"))
+                p = starts[perm[lo:]] + r
+                layers.append((lo, I[p], J[p]))
+            rows = None
+            if np.any(perm != np.arange(self.ncoeffs)):
+                rows = (perm, np.argsort(perm))
+            self._mul = (I, J, starts, tuple(layers), rows)
         return self._mul
 
     def partial_table(self, var):
@@ -188,17 +199,22 @@ def _align(x, y):
 
 def _cauchy_reduceat(space, ca, cb):
     """Truncated product of aligned coefficient arrays by one reduceat."""
-    I, J, starts, _ = space.mul_table()
+    I, J, starts, _, _ = space.mul_table()
     return np.add.reduceat(ca[I] * cb[J], starts, axis=0)
 
 
 def _cauchy_layered(space, ca, cb):
-    """Truncated product of aligned batched coefficient arrays, by layers."""
-    _, _, _, layers = space.mul_table()
-    out = ca[0] * cb
-    for K, I, J in layers:
-        out[K] += ca[I] * cb[J]
-    return out
+    """Truncated product of aligned coefficient arrays, by layers.
+
+    Each layer's products are added in place to a block of rows of the
+    accumulator (``JetSpace.mul_table``); the rows go back to graded order
+    once at the end.  Every point is its own column, so an operand of one
+    column gets the bits each column of a full batch would."""
+    _, _, _, layers, order = space.mul_table()
+    acc = ca[0] * (cb if order is None else cb[order[0]])
+    for lo, I, J in layers:
+        acc[lo:] += ca[I] * cb[J]
+    return acc if order is None else acc[order[1]]
 
 
 def _product(space, ca, cb):
@@ -245,7 +261,7 @@ def dot(xs, ys, start=None):
     cs = [j.coeffs[:nc] for j in ops]
     k = len(ops) - 2 * m  # 1 with a start, else 0
     if B < _LAYERED_MIN_BATCH:
-        I, J, starts, _ = space.mul_table()
+        I, J, starts, _, _ = space.mul_table()
         terms = np.empty((nc, k + m, B))
         if k:
             terms[:, 0] = cs[0].reshape(nc, -1)

@@ -199,6 +199,20 @@ def reference_series(a, coeffs_for):
     return r
 
 
+def reference_layered(space, ca, cb):
+    """The scatter-layer Cauchy kernel: starting from ca[0] * cb, layer r
+    adds the r-th pair of every target K with more than r pairs by
+    out[K] += ca[I_r] * cb[J_r]."""
+    I, J, starts, *_ = space.mul_table()
+    counts = np.diff(starts, append=I.size)
+    out = ca[0] * cb
+    for r in range(1, int(counts.max())):
+        K = np.flatnonzero(counts > r)
+        p = starts[K] + r
+        out[K] += ca[I[p]] * cb[J[p]]
+    return out
+
+
 # ---- reference extrinsic builders ------------------------------------------
 # The direct forms the hypersurface builders replaced: L through the
 # derivative of the normal, and the Weyl normal derivative through the full

@@ -26,6 +26,7 @@ from helpers import (
     poly_substitute,
     reference_compose,
     reference_dot,
+    reference_layered,
     reference_series,
 )
 
@@ -443,8 +444,9 @@ def _reduceat_by_columns(space, ca, cb, width=16):
 
 def test_mul_table_layers_hold_every_pair_once():
     """The first pair of every target, (0, k), plus the layers' pairs are
-    exactly the truncated product's pairs, each once."""
-    for nvars, degree in [(1, 4), (3, 3), (5, 3), (4, 6)]:
+    exactly the truncated product's pairs, each once; every layer is a block
+    of accumulator rows inside the one before it."""
+    for nvars, degree in [(1, 4), (3, 3), (5, 3), (4, 6), (6, 1), (2, 0)]:
         sp = jet_space(nvars, degree)
         want = {
             (i, j, sp.index[tuple(x + y for x, y in zip(a, b))])
@@ -452,10 +454,18 @@ def test_mul_table_layers_hold_every_pair_once():
             for j, b in enumerate(sp.mi)
             if sum(a) + sum(b) <= degree
         }
+        _, _, _, layers, order = sp.mul_table()
+        perm = np.arange(sp.ncoeffs) if order is None else order[0]
+        assert sorted(perm.tolist()) == list(range(sp.ncoeffs))
+        if order is not None:
+            assert np.array_equal(perm[order[1]], np.arange(sp.ncoeffs))
+        assert (order is None) == (degree <= 1 or nvars == 1)
         entries = [(0, k, k) for k in range(sp.ncoeffs)]
-        for K, Ir, Jr in sp.mul_table()[3]:
-            assert np.unique(K).size == K.size
-            entries += zip(Ir.tolist(), Jr.tolist(), K.tolist())
+        prev = 0
+        for lo, Ir, Jr in layers:
+            assert prev <= lo < sp.ncoeffs and Ir.size == Jr.size == sp.ncoeffs - lo
+            prev = lo
+            entries += zip(Ir.tolist(), Jr.tolist(), perm[lo:].tolist())
         assert len(entries) == len(want)
         assert set(entries) == want
 
@@ -485,6 +495,29 @@ def test_product_kernels_agree(nvars, degree, batch):
         assert np.all(np.abs(jets._cauchy_layered(sp, x, y) - want) <= 1e-14 * scale)
 
 
+def _wide_range(rng, shape):
+    """Coefficients over twelve decades, so that any other order of summation
+    shows, with some signed zeros."""
+    c = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
+    c[rng.random(shape) < 0.1] = -0.0
+    return c
+
+
+@pytest.mark.parametrize("batch", [1, LAYERED, 353, 1024])
+@pytest.mark.parametrize("degree", range(jets.MAX_DEGREE + 1))
+@pytest.mark.parametrize("nvars", range(1, jets.MAX_NVARS + 1))
+def test_layered_kernel_is_bit_identical_to_the_scatter_layers(nvars, degree, batch):
+    """Same pairs, same order of addition: equal values and sign bits, with
+    one-column operands on either side."""
+    sp = jet_space(nvars, degree)
+    rng = np.random.default_rng(1000 * nvars + 10 * degree + batch)
+    ca, cb = (_wide_range(rng, (sp.ncoeffs, batch)) for _ in range(2))
+    for x, y in [(ca, cb), (ca[:, :1], cb), (ca, cb[:, :1])]:
+        got, want = jets._cauchy_layered(sp, x, y), reference_layered(sp, x, y)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("batch", [None, 1, LAYERED - 1, LAYERED, LAYERED + 1])
 def test_product_switches_kernel_at_threshold(batch):
     sp = jet_space(5, 3)
@@ -499,12 +532,8 @@ def test_product_switches_kernel_at_threshold(batch):
 
 
 def _dot_operand(rng, nvars, degree, batch):
-    """Coefficients over twelve decades, so that any other order of summation
-    shows, with some signed zeros."""
     shape = (jet_space(nvars, degree).ncoeffs,) + (() if batch is None else (batch,))
-    c = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
-    c[rng.random(shape) < 0.1] = -0.0
-    return Jet(jet_space(nvars, degree), c)
+    return Jet(jet_space(nvars, degree), _wide_range(rng, shape))
 
 
 @pytest.mark.parametrize("batch", [None, 1, 9, LAYERED - 1, LAYERED, 1024])

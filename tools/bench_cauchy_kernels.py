@@ -65,7 +65,7 @@ def loop_dot(xs, ys):
 def stacked_dot(space, X, Y):
     """sum_m X[:, m] * Y[:, m] of (ncoeffs, terms, batch) stacks: one gather,
     one reduceat, one accumulate."""
-    I, J, starts, _ = space.mul_table()
+    I, J, starts, *_ = space.mul_table()
     return np.add.accumulate(np.add.reduceat(X[I] * Y[J], starts, axis=0), axis=1)[:, -1]
 
 
