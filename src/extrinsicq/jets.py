@@ -25,7 +25,11 @@ products come from one reduceat over the stacked operands, or from
 Composition substitutes inner jets into a stack of outer Taylor polynomials:
 the monomials of the inner offsets are built once, one product each, and
 every outer is a coefficient sum against them.  The elementary functions
-are the one-variable case of the same substitution.
+are the one-variable case of the same substitution.  From
+``_LAYERED_MIN_BATCH`` points on, an offset with the same bits at every
+point (a chart coordinate's, under sin or cos) keeps one column, and its
+monomials are built on that column by the layered kernel, which gives each
+point the bits the full batch would.
 
 Degrees are bookkept explicitly.  Asking for information beyond the stored
 degree raises DegreeExhaustedError rather than returning garbage, and
@@ -572,6 +576,13 @@ def _monomial_parents(nvars, degree):
     return tuple((index[a[:j] + (a[j] - 1,) + a[j + 1 :]], j) for a, j in zip(mi, js))
 
 
+def _same_every_point(c):
+    """Whether a (rows, batch) array holds the same bits in every column
+    (bits, so that -0.0 and +0.0 differ)."""
+    v = c.view(np.int64)
+    return bool((v == v[:, :1]).all())
+
+
 def _substitute(args, space, C):
     """Coefficients, shape (nout, ncoeffs[, batch]), of sum_i C[i] w^alpha_i
     at the offsets w = args - args.value in ``space``.
@@ -581,11 +592,23 @@ def _substitute(args, space, C):
     ``C[i]``, shape (nout,) or (nout, batch), holds the outers' coefficients
     of the i-th monomial in graded order, and each outer sums its terms in
     that order.
+
+    When every arg has ``_LAYERED_MIN_BATCH`` points or more, an offset
+    whose coefficients have the same bits at every point (a chart
+    coordinate's, say) is kept as one unbatched column, and monomials of
+    such offsets alone are built on that column by the layered kernel.
+    That kernel works point by point, so each point gets the bits the full
+    batch would.  Below the threshold reduceat makes the products, and it
+    sums one column differently, so nothing is narrowed there.
     """
     nc = space.ncoeffs
-    w = [Jet(space, b.coeffs[:nc].copy()) for b in args]
-    for x in w:
-        x.coeffs[0] = 0.0
+    narrow = all(b.batch is not None and b.batch >= _LAYERED_MIN_BATCH for b in args)
+    w = []
+    for b in args:
+        c = b.coeffs[:nc]
+        c = (c[:, 0] if narrow and _same_every_point(c[1:]) else c).copy()
+        c[0] = 0.0
+        w.append(Jet(space, c))
     batch = max([*C.shape[2:], *(n for b in args for n in b.coeffs.shape[1:])], default=0)
     C = C.reshape(C.shape[0], C.shape[1], 1, -1)
     used = C.any(axis=(1, 2, 3)).tolist()  # monomials some outer has a coefficient for
@@ -595,7 +618,12 @@ def _substitute(args, space, C):
     rest = out[:, 1:]
     mono = [None]  # the constant 1: grade-1 monomials are w itself
     for i, (parent, j) in enumerate(_monomial_parents(len(w), space.degree), 1):
-        m = w[j] if parent == 0 else mono[parent] * w[j]
+        if parent == 0:
+            m = w[j]
+        elif narrow and mono[parent].batch is None and w[j].batch is None:
+            m = Jet(space, _cauchy_layered(space, mono[parent].coeffs, w[j].coeffs))
+        else:
+            m = mono[parent] * w[j]
         mono.append(m)
         if used[i]:
             rest += m.coeffs[1:].reshape(nc - 1, -1) * C[i]

@@ -199,6 +199,27 @@ def reference_series(a, coeffs_for):
     return r
 
 
+def reference_substitute(args, space, C):
+    """``jets._substitute`` with every monomial a full-batch jet product."""
+    nc = space.ncoeffs
+    w = [jets.Jet(space, b.coeffs[:nc].copy()) for b in args]
+    for x in w:
+        x.coeffs[0] = 0.0
+    batch = max([*C.shape[2:], *(n for b in args for n in b.coeffs.shape[1:])], default=0)
+    C = C.reshape(C.shape[0], C.shape[1], 1, -1)
+    used = C.any(axis=(1, 2, 3)).tolist()
+    out = np.zeros((C.shape[1], nc, batch or 1))
+    out[:, 0] = C[0, :, 0]
+    rest = out[:, 1:]
+    mono = [None]
+    for i, (parent, j) in enumerate(jets._monomial_parents(len(w), space.degree), 1):
+        m = w[j] if parent == 0 else mono[parent] * w[j]
+        mono.append(m)
+        if used[i]:
+            rest += m.coeffs[1:].reshape(nc - 1, -1) * C[i]
+    return out if batch else out[:, :, 0]
+
+
 def reference_layered(space, ca, cb):
     """The scatter-layer Cauchy kernel: starting from ca[0] * cb, layer r
     adds the r-th pair of every target K with more than r pairs by

@@ -28,6 +28,7 @@ from helpers import (
     reference_dot,
     reference_layered,
     reference_series,
+    reference_substitute,
 )
 
 
@@ -577,6 +578,75 @@ def test_dot_rejects_mismatched_operands():
         jets.dot([a, a], [a])
     with pytest.raises(JetError, match="as many xs as ys"):
         jets.dot([], [])
+
+
+def _offset_operands(batch, degree=4):
+    """Operands at ``batch`` points in (0.5, 1.5) whose offsets have the same
+    bits at every point: a chart coordinate, 0.3 x1 + x2, and a dense random
+    offset whose products round."""
+    sp = jet_space(2, degree)
+    rng = np.random.default_rng(batch)
+    x1, x2 = (seed_variable(sp, v, rng.uniform(0.5, 1.5, batch)) for v in range(2))
+    dense = _wide_range(rng, sp.ncoeffs)
+    dense[0] = 0.0
+    return [x1, 0.3 * x1 + x2, Jet(sp, x2.coeffs[:1] + dense[:, None])]
+
+
+def _same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("batch", [LAYERED - 1, LAYERED, 1024])
+def test_offsets_equal_at_every_point_give_the_full_batch_bits(batch, monkeypatch):
+    """Series and a compose of uniform and varying args, against the
+    substitution that builds every monomial over the whole batch."""
+    operands = _offset_operands(batch)
+    x1, lin, _ = operands
+    varying = jets.exp(x1 * lin)  # its offsets differ from point to point
+    rng = np.random.default_rng(7)
+    outer_sp = jet_space(3, 4)
+    outers = [_random_jet(rng, outer_sp, b) for b in (None, batch, None)]
+
+    def run():
+        vals = [SERIES_FUNCTIONS[n](a).coeffs for n in sorted(SERIES_FUNCTIONS) for a in operands]
+        mixes = ([x1, varying, lin], [varying, x1, varying], [lin, x1, lin])
+        return vals + [j.coeffs for args in mixes for j in compose(outers, args)]
+
+    got = run()
+    monkeypatch.setattr(jets, "_substitute", reference_substitute)
+    for g, w in zip(got, run(), strict=True):
+        _same_bits(g, w)
+
+
+def _layered_operand_shapes(monkeypatch):
+    shapes = []
+    kernel = jets._cauchy_layered
+
+    def spy(space, ca, cb):
+        shapes.append((ca.shape[1:], cb.shape[1:]))
+        return kernel(space, ca, cb)
+
+    monkeypatch.setattr(jets, "_cauchy_layered", spy)
+    return shapes
+
+
+def test_sin_of_a_coordinate_builds_its_monomials_on_one_column(monkeypatch):
+    x1 = _offset_operands(1024)[0]
+    shapes = _layered_operand_shapes(monkeypatch)
+    jets.sin(x1)
+    assert shapes and set(shapes) == {((), ())}
+
+
+def test_offsets_differing_in_the_sign_of_a_zero_stay_batched(monkeypatch):
+    a = _offset_operands(1024)[0]
+    a.coeffs[a.space.index[(0, 1)], ::2] = -0.0  # +0.0 at the other points
+    got = jets.sin(a).coeffs
+    shapes = _layered_operand_shapes(monkeypatch)
+    _same_bits(got, jets.sin(a).coeffs)
+    assert shapes and all(((1024,), (1024,)) == s for s in shapes)
+    monkeypatch.setattr(jets, "_substitute", reference_substitute)
+    _same_bits(got, jets.sin(a).coeffs)
 
 
 SP23 = jet_space(2, 3)
