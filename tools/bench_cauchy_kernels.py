@@ -13,7 +13,10 @@ batch {8, 128, 1024} it times a sum of products of jets, xs[0]*ys[0] +
 xs[1]*ys[1] + ..., three ways ("dot_rows"): as a loop of ``Jet`` products
 and additions, as ``jets.dot``, and stacked into one reduceat whatever the
 batch (the form ``jets.dot`` uses below ``_LAYERED_MIN_BATCH``), and checks
-that ``jets.dot`` equals the loop bit for bit.  Every time is the best of 7
+that ``jets.dot`` equals the loop bit for bit.  For nvars {4, 5} x degree
+{2, 3, 4} x batch {128, 1024} it times ``jets.sin`` of a chart coordinate,
+whose offset is the same at every point, and of a jet whose offset varies
+from point to point ("series_rows").  Every time is the best of 7
 repeats of a loop of about 0.02 s, and product tables are built before
 timing.  It prints one JSON object.  Run it single-threaded
 (OMP_NUM_THREADS=1) on an otherwise idle machine.
@@ -34,6 +37,8 @@ BATCHES = (8, 64, 128, 256, 1024)
 DOT_DEGREES = (1, 2)
 DOT_TERMS = (4, 16, 25)
 DOT_BATCHES = (8, 128, 1024)
+SERIES_DEGREES = (2, 3, 4)
+SERIES_BATCHES = (128, 1024)
 
 
 def per_call(fn, repeats=7, budget=0.02):
@@ -101,6 +106,27 @@ def dot_rows(rng):
     return rows
 
 
+def series_rows(rng):
+    rows = []
+    for nvars in NVARS:
+        for degree in SERIES_DEGREES:
+            space = jets.jet_space(nvars, degree)
+            space.mul_table()
+            for batch in SERIES_BATCHES:
+                coordinate = jets.seed_variable(space, 0, rng.uniform(0.5, 1.5, batch))
+                varying = jets.Jet(space, rng.standard_normal((space.ncoeffs, batch)))
+                rows.append(
+                    {
+                        "nvars": nvars,
+                        "degree": degree,
+                        "batch": batch,
+                        "coordinate_us": round(per_call(lambda: jets.sin(coordinate)) * 1e6, 2),
+                        "varying_us": round(per_call(lambda: jets.sin(varying)) * 1e6, 2),
+                    }
+                )
+    return rows
+
+
 def main():
     rng = np.random.default_rng(0)
     rows = []
@@ -139,6 +165,7 @@ def main():
         },
         "rows": rows,
         "dot_rows": dot_rows(rng),
+        "series_rows": series_rows(rng),
     }
     print(json.dumps(out, indent=1))
 
