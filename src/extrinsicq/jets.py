@@ -13,9 +13,10 @@ batches (and unbatched jets) sum each target's pairs with one
 added in layers, which avoids reduceat's slow per-segment walk over long
 rows.  Layer r holds the r-th pair of every target with more than r pairs;
 the accumulator keeps the targets sorted by pair count, so each layer is
-added in place to one block of rows, with no scatter.  The layered kernel adds each target's pairs left to right;
-reduceat may group three or more of them differently, so the two kernels
-agree to rounding, not bit for bit.
+added in place to one block of rows, with no scatter
+(``BENCH_prefix_layers.json``).  The layered kernel adds each target's
+pairs left to right; reduceat may group three or more of them differently,
+so the two kernels agree to rounding, not bit for bit.
 
 A contraction start + xs[0]*ys[0] + xs[1]*ys[1] + ... is one ``dot``, bit
 for bit the loop of products and additions but with no jet per term: its
@@ -29,7 +30,8 @@ are the one-variable case of the same substitution.  From
 ``_LAYERED_MIN_BATCH`` points on, an offset with the same bits at every
 point (a chart coordinate's, under sin or cos) keeps one column, and its
 monomials are built on that column by the layered kernel, which gives each
-point the bits the full batch would.
+point the bits the full batch would (``BENCH_prefix_layers.json``,
+"series_rows").
 
 Degrees are bookkept explicitly.  Asking for information beyond the stored
 degree raises DegreeExhaustedError rather than returning garbage, and
@@ -49,10 +51,12 @@ MAX_DEGREE = 8
 _DIV_FLOOR = 1e-300
 
 # Batch size from which products use the layered kernel.  Below it the
-# per-layer Python overhead outweighs reduceat's per-segment cost: at 4-5
-# variables and degrees 1-6 the layered kernel runs at 0.2-0.7x of reduceat's
-# speed at 8 points and 0.6-2.8x at 64; at 128 it is faster in all cases but
-# one (0.8x), and everywhere from 256 (BENCH_cauchy_layers.json, "kernels").
+# per-layer Python overhead can outweigh reduceat's per-segment cost: at 4-5
+# variables and degrees 1-6 the layered kernel runs at 0.36-1.5x of reduceat's
+# speed at 8 points and 0.73-4.5x at 64 (slower at degree 2 only); from 128 on
+# it is faster everywhere, 1.1-6.7x at 128 (BENCH_prefix_layers.json,
+# "kernels").  Moving the threshold would change how every product of a
+# 64-127-point chunk is summed, so it stays.
 _LAYERED_MIN_BATCH = 128
 
 

@@ -504,6 +504,11 @@ def _wide_range(rng, shape):
     return c
 
 
+def _same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("batch", [1, LAYERED, 353, 1024])
 @pytest.mark.parametrize("degree", range(jets.MAX_DEGREE + 1))
 @pytest.mark.parametrize("nvars", range(1, jets.MAX_NVARS + 1))
@@ -514,9 +519,7 @@ def test_layered_kernel_is_bit_identical_to_the_scatter_layers(nvars, degree, ba
     rng = np.random.default_rng(1000 * nvars + 10 * degree + batch)
     ca, cb = (_wide_range(rng, (sp.ncoeffs, batch)) for _ in range(2))
     for x, y in [(ca, cb), (ca[:, :1], cb), (ca, cb[:, :1])]:
-        got, want = jets._cauchy_layered(sp, x, y), reference_layered(sp, x, y)
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        _same_bits(jets._cauchy_layered(sp, x, y), reference_layered(sp, x, y))
 
 
 @pytest.mark.parametrize("batch", [None, 1, LAYERED - 1, LAYERED, LAYERED + 1])
@@ -590,11 +593,6 @@ def _offset_operands(batch, degree=4):
     dense = _wide_range(rng, sp.ncoeffs)
     dense[0] = 0.0
     return [x1, 0.3 * x1 + x2, Jet(sp, x2.coeffs[:1] + dense[:, None])]
-
-
-def _same_bits(got, want):
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("batch", [LAYERED - 1, LAYERED, 1024])
