@@ -18,7 +18,10 @@ The builder uses the first-kind form, whose symbols cost no products:
 
     R_{ijkl} = d_j Gamma_{l,ik} - d_i Gamma_{l,jk}
                + Gamma^m_{jk} Gamma_{m,il} - Gamma^m_{ik} Gamma_{m,jl},
-    Gamma_{l,ik} = (d_i g_lk + d_k g_li - d_l g_ik) / 2.
+    Gamma_{l,ik} = (d_i g_lk + d_k g_li - d_l g_ik) / 2,
+
+with the first-kind symbols from ``geometry.christoffel_first``, the same
+function the second-kind ``gamma`` raises.
 
 It and the Weyl builder compute only ``independent_components`` (i < j,
 k < l, (i, j) <= (k, l)); ``_fill_curvature`` fills the rest by
@@ -27,7 +30,7 @@ The first Bianchi identity is not used, so it stays a check.
 """
 
 from . import jets
-from .geometry import _flat
+from .geometry import _flat, christoffel_first, symmetric
 from .jets import JetError
 
 
@@ -55,16 +58,10 @@ def riemann(ctx, d):
 
     def build(dd):
         n = ctx.dim
-        g2 = ctx.g(dd + 2)
-        ga = ctx.gamma(dd)
-        dg = [[[g2[i][j].partial(k) for j in range(n)] for i in range(n)] for k in range(n)]
         # first kind, G1[l][i][k] = Gamma_{l,ik} at degree dd + 1; G0 at dd
-        G1 = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for l in range(n):
-            for i in range(n):
-                for k in range(i, n):
-                    G1[l][i][k] = G1[l][k][i] = (dg[i][l][k] + dg[k][l][i] - dg[l][i][k]) * 0.5
+        G1 = christoffel_first(ctx.g(dd + 2))
         G0 = [[[x.truncate(dd) for x in row] for row in plane] for plane in G1]
+        ga = ctx.gamma(dd)
 
         comps = []
         for i, j, k, l in independent_components(n):
@@ -83,12 +80,9 @@ def ricci(ctx, d):
         n = ctx.dim
         R = riemann(ctx, dd)
         gi = _flat(ctx.ginv(dd))
-        out = [[None] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a, n):
-                s = jets.dot(gi, [R[a][k][b][l] for k in range(n) for l in range(n)])
-                out[a][b] = out[b][a] = s
-        return out
+        return symmetric(
+            n, lambda a, b: jets.dot(gi, [R[a][k][b][l] for k in range(n) for l in range(n)])
+        )
 
     return ctx.get("ricci", d, build)
 

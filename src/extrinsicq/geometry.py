@@ -15,9 +15,11 @@ into new fields without fixing a degree prematurely.  Tensors are nested
 lists of jets, always fully covariant; indices are raised explicitly with
 the inverse metric where needed.  Each index contraction is one ``jets.dot``
 per entry, with a subtracted term as a negated factor, which is exact; the
-factor is negated per call, so no negated tensor is kept.
-``jet_values`` and ``jet_coeffs`` turn a tensor into one numpy array, batch
-axis last.
+factor is negated per call, so no negated tensor is kept.  Every module
+fills a symmetric tensor with ``symmetric``, takes first-kind Christoffel
+symbols from ``christoffel_first`` and covariant derivatives from
+``covariant``.  ``jet_values`` and ``jet_coeffs`` turn a tensor into one numpy
+array, batch axis last.
 """
 
 import itertools
@@ -100,18 +102,17 @@ class Metric:
                         f"metric components g{i+1}{j+1} and g{j+1}{i+1} disagree: "
                         f"{texts[i][j]!r} vs {texts[j][i]!r}"
                     )
-        exprs = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                try:
-                    e = parse_expression(texts[i][j], chart.names)
-                except ExprError as err:
-                    err.args = (f"metric component g{i+1}{j+1}: {err.args[0]}",)
-                    raise
-                exprs[i][j] = exprs[j][i] = e
+
+        def parse(i, j):
+            try:
+                return parse_expression(texts[i][j], chart.names)
+            except ExprError as err:
+                err.args = (f"metric component g{i+1}{j+1}: {err.args[0]}",)
+                raise
+
         self.chart = chart
         self.texts = texts
-        self.exprs = tuple(tuple(row) for row in exprs)
+        self.exprs = tuple(tuple(row) for row in symmetric(n, parse))
 
     @classmethod
     def from_dict(cls, chart, mapping):
@@ -174,6 +175,47 @@ def jet_coeffs(tensor, nbatch, ncoeffs):
 def jet_values(tensor, nbatch):
     """Values of a nested jet tensor as one array of shape (n_1, ..., n_r, nbatch)."""
     return jet_coeffs(tensor, nbatch, 1)[0]
+
+
+def symmetric(n, entry):
+    """The n x n nested list with ``entry(i, j)`` at [i][j] and [j][i] for
+    i <= j, called row by row."""
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            out[i][j] = out[j][i] = entry(i, j)
+    return out
+
+
+def christoffel_first(g1):
+    """Christoffel symbols of the first kind, one degree below the metric jets
+    ``g1``: G[l][i][j] = Gamma_{l,ij} = (d_i g_lj + d_j g_li - d_l g_ij) / 2."""
+    n = len(g1)
+    dg = [[[g1[i][j].partial(k) for j in range(n)] for i in range(n)] for k in range(n)]
+    return [
+        symmetric(n, lambda i, j: (dg[i][l][j] + dg[j][l][i] - dg[l][i][j]) * 0.5)
+        for l in range(n)
+    ]
+
+
+def covariant(T, ga, c, idx):
+    """One component of a covariant derivative of a covariant tensor T,
+    (nabla_c T)_idx = d_c T_idx - sum_e sum_s Gamma^e_{c idx_s} T_(idx, e in slot s),
+    as one ``jets.dot``: e outermost, the slots of ``idx`` in order.  T is one
+    degree deeper than the symbols ``ga``."""
+
+    def at(ix):
+        x = T
+        for i in ix:
+            x = x[i]
+        return x
+
+    xs, ys = [], []
+    for e, plane in enumerate(ga):
+        for s, a in enumerate(idx):
+            xs.append(-plane[c][a])
+            ys.append(at(idx[:s] + (e,) + idx[s + 1 :]))
+    return jets.dot(xs, ys, start=at(idx).partial(c))
 
 
 def _truncate_any(obj, d):
@@ -248,31 +290,21 @@ class GeometryContext:
     def g(self, d):
         raise NotImplementedError
 
-    def _inv_pair(self, d):
+    def ginv(self, d):
+        # the key keeps its name: perfbench's tracer maps it to a layer
         return self.get("invdet", d, lambda dd: _invert_spd(self.g(dd), self, dd))
 
-    def ginv(self, d):
-        return self._inv_pair(d)[0]
-
-    def detg(self, d):
-        return self._inv_pair(d)[1]
-
     def gamma(self, d):
-        """Christoffel symbols of the second kind, gamma[k][i][j])."""
+        """Christoffel symbols of the second kind, gamma[k][i][j] = g^kl Gamma_{l,ij}."""
 
         def build(dd):
             n = self.dim
-            g1 = self.g(dd + 1)
+            G = christoffel_first(self.g(dd + 1))
             gi = self.ginv(dd)
-            dg = [[[g1[i][j].partial(k) for j in range(n)] for i in range(n)] for k in range(n)]
-            out = [[[None] * n for _ in range(n)] for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    # first kind, twice: Gamma_{l,ij} * 2 for every l
-                    first = [dg[i][j][l] + dg[j][i][l] - dg[l][i][j] for l in range(n)]
-                    for k in range(n):
-                        out[k][i][j] = out[k][j][i] = jets.dot(gi[k], first) * 0.5
-            return out
+            return [
+                symmetric(n, lambda i, j: jets.dot(gi[k], [G[l][i][j] for l in range(n)]))
+                for k in range(n)
+            ]
 
         return self.get("gamma", d, build)
 
@@ -287,18 +319,13 @@ class MetricContext(GeometryContext):
     def g(self, d):
         def build(dd):
             xs = self.coords(dd)
-            n = self.dim
-            out = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    out[i][j] = out[j][i] = self.metric.exprs[i][j](xs)
-            return out
+            return symmetric(self.dim, lambda i, j: self.metric.exprs[i][j](xs))
 
         return self.get("g", d, build)
 
 
 def _invert_spd(gmat, ctx, d):
-    """Gauss-Jordan over the jet ring; returns (inverse, determinant).
+    """Gauss-Jordan over the jet ring; returns the inverse.
 
     No pivoting: for a positive-definite matrix every pivot is a ratio of
     leading principal minors, so positivity of the pivots IS the positivity
@@ -311,7 +338,6 @@ def _invert_spd(gmat, ctx, d):
     inv = [
         [jets.constant(sp, 1.0 if i == j else 0.0) for j in range(n)] for i in range(n)
     ]
-    det = None
     for k in range(n):
         piv = a[k][k]
         pv = np.atleast_1d(piv.value)
@@ -323,7 +349,6 @@ def _invert_spd(gmat, ctx, d):
                 f"metric is not positive definite at {ctx.describe_point(b)}: "
                 f"pivot {k + 1} is {pv[b]:.4e} against diagonal {base[b]:.4e}"
             )
-        det = piv if det is None else det * piv
         ip = jets.recip(piv)
         a[k] = [x * ip for x in a[k]]
         inv[k] = [x * ip for x in inv[k]]
@@ -335,7 +360,7 @@ def _invert_spd(gmat, ctx, d):
                 continue  # structural zero, common for diagonal metrics
             a[i] = [a[i][j] - f * a[k][j] for j in range(n)]
             inv[i] = [inv[i][j] - f * inv[k][j] for j in range(n)]
-    return inv, det
+    return inv
 
 
 # ---- fields ----------------------------------------------------------------
@@ -458,14 +483,9 @@ def divergence(w):
     def fn(ctx, d):
         n = ctx.dim
         om = w(ctx, d + 1)
-        gi = ctx.ginv(d)
+        gi = _flat(ctx.ginv(d))
         ga = ctx.gamma(d)
-        cov = [
-            jets.dot([-ga[k][i][j] for k in range(n)], om, start=om[j].partial(i))
-            for i in range(n)
-            for j in range(n)
-        ]
-        return jets.dot(_flat(gi), cov)
+        return jets.dot(gi, [covariant(om, ga, i, (j,)) for i in range(n) for j in range(n)])
 
     return Field(0, fn)
 
@@ -482,12 +502,7 @@ def hessian(f):
         j = f(ctx, d + 2)
         dj = [j.partial(i) for i in range(n)]
         ga = ctx.gamma(d)
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for k in range(i, n):
-                h = jets.dot([-ga[l][i][k] for l in range(n)], dj, start=dj[i].partial(k))
-                out[i][k] = out[k][i] = h
-        return out
+        return symmetric(n, lambda i, k: covariant(dj, ga, k, (i,)))
 
     return Field(2, fn)
 
@@ -500,16 +515,10 @@ def divergence2(T):
         t = T(ctx, d + 1)
         gi = _flat(ctx.ginv(d))
         ga = ctx.gamma(d)
-        out = []
-        for j in range(n):
-            cov = []
-            for i in range(n):
-                for k in range(n):
-                    xs = [-x for a in range(n) for x in (ga[a][i][k], ga[a][i][j])]
-                    ys = [y for a in range(n) for y in (t[a][j], t[k][a])]
-                    cov.append(jets.dot(xs, ys, start=t[k][j].partial(i)))
-            out.append(jets.dot(gi, cov))
-        return out
+        return [
+            jets.dot(gi, [covariant(t, ga, i, (k, j)) for i in range(n) for k in range(n)])
+            for j in range(n)
+        ]
 
     return Field(1, fn)
 

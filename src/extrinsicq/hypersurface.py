@@ -29,8 +29,10 @@ from .geometry import (
     MetricContext,
     _flat,
     _invert_spd,
+    covariant,
     jet_coeffs,
     jet_values,
+    symmetric,
 )
 from .jets import DegreeExhaustedError, JetError
 
@@ -65,10 +67,6 @@ class Embedding:
         self.iota_texts = iota
         self.iota_exprs = tuple(exprs)
         self.sigma = float(sigma)
-
-    def flipped(self):
-        """The same surface with the opposite normal."""
-        return Embedding(self.chart, self.ambient_metric, self.iota_texts, -self.sigma)
 
     def __repr__(self):
         return f"Embedding(dim {self.chart.dim} -> {self.ambient_metric.chart.dim})"
@@ -123,19 +121,14 @@ def ambient_metric_on_surface(sctx, d):
     def build(dd):
         io = iota_jets(sctx, dd)
         m = sctx.embedding.ambient_metric
-        na = m.chart.dim
-        out = [[None] * na for _ in range(na)]
-        for a in range(na):
-            for b in range(a, na):
-                out[a][b] = out[b][a] = m.exprs[a][b](io)
-        return out
+        return symmetric(m.chart.dim, lambda a, b: m.exprs[a][b](io))
 
     return sctx.get("gbar", d, build)
 
 
 def ambient_inverse_on_surface(sctx, d):
     def build(dd):
-        return _invert_spd(ambient_metric_on_surface(sctx, dd), sctx, dd)[0]
+        return _invert_spd(ambient_metric_on_surface(sctx, dd), sctx, dd)
 
     return sctx.get("gbar_inv", d, build)
 
@@ -153,11 +146,7 @@ def _tangential(X, t):
     """
     n = len(t)
     Y = [[jets.dot(col, t[i]) for col in zip(*X)] for i in range(n)]
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            out[i][j] = out[j][i] = jets.dot(Y[i], t[j])
-    return out
+    return symmetric(n, lambda i, j: jets.dot(Y[i], t[j]))
 
 
 def _det(M):
@@ -209,16 +198,11 @@ def second_fundamental(sctx, d):
         gb = ambient_metric_on_surface(sctx, dd)
         gab = pulled_christoffel(sctx, dd)
         nu_low = [jets.dot(gb[a], nu) for a in range(na)]
-        P = [[None] * na for _ in range(na)]
-        for b in range(na):
-            for c in range(b, na):
-                P[b][c] = P[c][b] = jets.dot(nu_low, [gab[a][b][c] for a in range(na)])
-        out = _tangential(P, tangents(sctx, dd))
-        for i in range(n):
-            for j in range(i, n):
-                s = jets.dot(nu_low, [dt[j][a].partial(i) for a in range(na)])
-                out[i][j] = out[j][i] = -(s + out[i][j])
-        return out
+        P = symmetric(na, lambda b, c: jets.dot(nu_low, [gab[a][b][c] for a in range(na)]))
+        Pt = _tangential(P, tangents(sctx, dd))
+        return symmetric(
+            n, lambda i, j: -(jets.dot(nu_low, [dt[j][a].partial(i) for a in range(na)]) + Pt[i][j])
+        )
 
     return sctx.get("second_fundamental", d, build)
 
@@ -334,12 +318,12 @@ def _normal_tt(sctx, T, d):
     na = sctx.dim + 1
     nu = normal(sctx, d)
     nn = [[nu[a] * nu[e] for e in range(na)] for a in range(na)]
-    X = [[None] * na for _ in range(na)]
-    for b in range(na):
-        for c in range(b, na):
-            ae = [(a, e) for a in range(na) for e in range(na) if a != b and e != c]
-            X[b][c] = X[c][b] = jets.dot([nn[a][e] for a, e in ae], [T[a][b][c][e] for a, e in ae])
-    return _tangential(X, tangents(sctx, d))
+
+    def entry(b, c):
+        ae = [(a, e) for a in range(na) for e in range(na) if a != b and e != c]
+        return jets.dot([nn[a][e] for a, e in ae], [T[a][b][c][e] for a, e in ae])
+
+    return _tangential(symmetric(na, entry), tangents(sctx, d))
 
 
 def normal_riemann(sctx, d):
@@ -382,13 +366,7 @@ def _pulled_nabla_rho(sctx, d):
         na = sctx.dim + 1
         rb1 = curvature.schouten(sctx.ambient, dd + 1)
         ga = sctx.ambient.gamma(dd)
-        N = [[[None] * na for _ in range(na)] for _ in range(na)]
-        for c in range(na):
-            for a in range(na):
-                for b in range(a, na):
-                    xs = [-x for e in range(na) for x in (ga[e][c][a], ga[e][c][b])]
-                    ys = [y for e in range(na) for y in (rb1[e][b], rb1[a][e])]
-                    N[c][a][b] = jets.dot(xs, ys, start=rb1[a][b].partial(c))
+        N = [symmetric(na, lambda a, b: covariant(rb1, ga, c, (a, b))) for c in range(na)]
         return _pull_symmetric(sctx, N, dd)
 
     return sctx.get("nabla_rhobar", d, build)
@@ -401,12 +379,8 @@ def nabla0_rho_tangential(sctx, d):
         na = sctx.dim + 1
         N = _pulled_nabla_rho(sctx, dd)
         nu = normal(sctx, dd)
-        t = tangents(sctx, dd)
-        X = [[None] * na for _ in range(na)]
-        for a in range(na):
-            for b in range(a, na):
-                X[a][b] = X[b][a] = jets.dot(nu, [N[c][a][b] for c in range(na)])
-        return _tangential(X, t)
+        X = symmetric(na, lambda a, b: jets.dot(nu, [N[c][a][b] for c in range(na)]))
+        return _tangential(X, tangents(sctx, dd))
 
     return sctx.get("nabla0_rho_tt", d, build)
 

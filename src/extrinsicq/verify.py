@@ -131,8 +131,9 @@ def load_config(data):
     if cfg.gauss_nodes < 4:
         raise ConfigError(f"gauss_nodes: need at least 4 per bounded axis, got {cfg.gauss_nodes}")
     for key in ("tol_point", "tol_integral", "tol_control"):
-        if not 0.0 < getattr(cfg, key):
-            raise ConfigError(f"{key}: tolerance must be positive")
+        val = getattr(cfg, key)
+        if not 0.0 < val < math.inf:
+            raise ConfigError(f"{key}: tolerance must be positive and finite, got {val}")
     if cfg.degree > jets.MAX_DEGREE:
         raise ConfigError(f"degree: jets stop at degree {jets.MAX_DEGREE}, got {cfg.degree}")
     if cfg.suite in _FOURTH_ORDER_SUITES:

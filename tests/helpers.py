@@ -14,6 +14,7 @@ from extrinsicq import curvature, jets
 from extrinsicq import hypersurface as hs
 from extrinsicq import operators as ops
 from extrinsicq.geometry import (
+    Field,
     divdiv,
     hessian,
     inner22,
@@ -232,6 +233,87 @@ def reference_layered(space, ca, cb):
         p = starts[K] + r
         out[K] += ca[I[p]] * cb[J[p]]
     return out
+
+
+# ---- reference connection builders -----------------------------------------
+# Each formula as its builder wrote it out before geometry.christoffel_first,
+# covariant and symmetric: the first-kind symbols twice over, gamma scaling
+# after its contraction, and every -Gamma.T correction by hand.
+
+
+def reference_gamma(ctx, d):
+    """gamma[k][i][j] = (g^kl (d_i g_jl + d_j g_il - d_l g_ij)) * 0.5."""
+    n = ctx.dim
+    g1 = ctx.g(d + 1)
+    gi = ctx.ginv(d)
+    dg = [[[g1[i][j].partial(k) for j in range(n)] for i in range(n)] for k in range(n)]
+    out = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            first = [dg[i][j][l] + dg[j][i][l] - dg[l][i][j] for l in range(n)]
+            for k in range(n):
+                out[k][i][j] = out[k][j][i] = jets.dot(gi[k], first) * 0.5
+    return out
+
+
+def reference_riemann_first_kind(ctx, d):
+    """R_ijkl from first-kind symbols built in place from the metric partials."""
+    n = ctx.dim
+    g2 = ctx.g(d + 2)
+    ga = ctx.gamma(d)
+    dg = [[[g2[i][j].partial(k) for j in range(n)] for i in range(n)] for k in range(n)]
+    G1 = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for l in range(n):
+        for i in range(n):
+            for k in range(i, n):
+                G1[l][i][k] = G1[l][k][i] = (dg[i][l][k] + dg[k][l][i] - dg[l][i][k]) * 0.5
+    G0 = [[[x.truncate(d) for x in row] for row in plane] for plane in G1]
+    comps = []
+    for i, j, k, l in curvature.independent_components(n):
+        xs = [x for m in range(n) for x in (ga[m][j][k], -ga[m][i][k])]
+        ys = [y for m in range(n) for y in (G0[m][i][l], G0[m][j][l])]
+        comps.append(jets.dot(xs, ys, start=G1[l][i][k].partial(j) - G1[l][j][k].partial(i)))
+    return curvature._fill_curvature(comps, n, jets.constant(jets.jet_space(n, d), 0.0))
+
+
+def reference_hessian(f):
+    """d_k d_i f - Gamma^l_ik d_l f for i <= k, mirrored."""
+
+    def fn(ctx, d):
+        n = ctx.dim
+        j = f(ctx, d + 2)
+        dj = [j.partial(i) for i in range(n)]
+        ga = ctx.gamma(d)
+        out = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for k in range(i, n):
+                h = jets.dot([-ga[l][i][k] for l in range(n)], dj, start=dj[i].partial(k))
+                out[i][k] = out[k][i] = h
+        return out
+
+    return Field(2, fn)
+
+
+def reference_divergence2(T):
+    """(div T)_j = g^ik (d_i T_kj - Gamma^a_ik T_aj - Gamma^a_ij T_ka)."""
+
+    def fn(ctx, d):
+        n = ctx.dim
+        t = T(ctx, d + 1)
+        gi = [x for row in ctx.ginv(d) for x in row]
+        ga = ctx.gamma(d)
+        out = []
+        for j in range(n):
+            cov = []
+            for i in range(n):
+                for k in range(n):
+                    xs = [-x for a in range(n) for x in (ga[a][i][k], ga[a][i][j])]
+                    ys = [y for a in range(n) for y in (t[a][j], t[k][a])]
+                    cov.append(jets.dot(xs, ys, start=t[k][j].partial(i)))
+            out.append(jets.dot(gi, cov))
+        return out
+
+    return Field(1, fn)
 
 
 # ---- reference extrinsic builders ------------------------------------------

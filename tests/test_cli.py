@@ -395,6 +395,14 @@ def test_verify_rejects_low_degree_for_fourth_order_suites(capsys):
     assert "requires degree >= 5" in err
 
 
+def test_verify_rejects_an_infinite_tolerance(capsys):
+    argv = ["verify", "--suite", "intrinsic", "--scenario", "FLAT_T2", "--tol", "inf"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "tol_point: tolerance must be positive and finite" in err
+
+
 def test_verify_missing_config_file_exits_two(capsys):
     code, _, err = run_cli(capsys, "verify", "--config", "/no/such/file.yaml")
     assert code == 2

@@ -10,6 +10,7 @@ from extrinsicq.geometry import (
     Field,
     Metric,
     MetricContext,
+    covariant,
     differential,
     divergence2,
     expression_field,
@@ -20,7 +21,14 @@ from extrinsicq.geometry import (
 from extrinsicq.exprlang import parse_expression
 from extrinsicq.jets import JetError
 from extrinsicq.scenarios import parse_scenario
-from helpers import count_products, jval, reference_dot, reference_weyl_norm_sq
+from helpers import (
+    count_products,
+    jval,
+    reference_dot,
+    reference_gamma,
+    reference_riemann_first_kind,
+    reference_weyl_norm_sq,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -201,6 +209,27 @@ def test_contracted_second_bianchi():
         np.testing.assert_allclose(jval(lhs[i], B), jval(rhs[i], B), rtol=1e-8, atol=1e-11)
 
 
+@pytest.mark.parametrize("d", [0, 1])
+@pytest.mark.parametrize("name", ["PERT_T4", "CONF_PERTURBED(ROUND_S(4,1))"])
+def test_second_bianchi(name, d):
+    # nabla_e R_abcd + nabla_c R_abde + nabla_d R_abec = 0, uncontracted
+    scn = parse_scenario(name)
+    ctx = scn.context(rand_points(scn.chart, 4, 23))
+    n, B, nc = ctx.dim, ctx.nbatch, jets.jet_space(ctx.dim, d).ncoeffs
+    R1, ga = curvature.riemann(ctx, d + 1), ctx.gamma(d)
+    nabla_R = np.empty((n,) * 5 + (nc, B))
+    for e, a, b, c, f in itertools.product(range(n), repeat=5):
+        nabla_R[e, a, b, c, f] = jet_coeffs(covariant(R1, ga, e, (a, b, c, f)), B, nc)
+    cyclic = (
+        nabla_R
+        + np.einsum("cabfe...->eabcf...", nabla_R)
+        + np.einsum("fabec...->eabcf...", nabla_R)
+    )
+    scale = np.max(np.abs(nabla_R))
+    assert scale > 1e-3
+    np.testing.assert_allclose(cyclic, 0.0, rtol=0, atol=1e-12 * scale)
+
+
 def test_weyl_three_dimensions_vanishes():
     m = pert_t3()
     ctx = MetricContext(m, rand_points(m.chart, 3, 7))
@@ -321,6 +350,24 @@ def test_curvature_builders_match_the_reference(name, d):
         jet_coeffs(reference_weyl(ctx, d), B, nc),
         rtol=0,
         atol=1e-12 * scale,
+    )
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+@pytest.mark.parametrize("name", ["PERT_T4", "ROUND_S(3,1.3)", "GRAPH(T4_IN_PERT_T5)"])
+def test_connection_builders_match_the_parent_forms(name, d):
+    # the first-kind symbols come from one builder; every bit stays the same
+    scn = parse_scenario(name)
+    ctx = scn.context(rand_points(scn.chart, 6, 12))
+    if scn.kind == "embedded":
+        ctx = ctx.ambient
+    B, nc = ctx.nbatch, jets.jet_space(ctx.dim, d).ncoeffs
+    np.testing.assert_array_equal(
+        jet_coeffs(ctx.gamma(d), B, nc), jet_coeffs(reference_gamma(ctx, d), B, nc)
+    )
+    np.testing.assert_array_equal(
+        jet_coeffs(curvature.riemann(ctx, d), B, nc),
+        jet_coeffs(reference_riemann_first_kind(ctx, d), B, nc),
     )
 
 

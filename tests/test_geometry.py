@@ -14,6 +14,7 @@ from extrinsicq.geometry import (
     apply2,
     conformal_rescale,
     constant_field,
+    covariant,
     differential,
     divergence,
     divergence2,
@@ -29,7 +30,8 @@ from extrinsicq.geometry import (
     trace_cube,
 )
 from extrinsicq.jets import DegreeExhaustedError, JetError, SingularFieldError
-from helpers import jval, richardson_partial
+from extrinsicq.scenarios import parse_scenario
+from helpers import jval, reference_divergence2, reference_hessian, richardson_partial
 
 TWO_PI = 2.0 * np.pi
 
@@ -119,7 +121,36 @@ def test_flat_metric_has_trivial_geometry():
         for j in range(3):
             want = 1.0 if i == j else 0.0
             np.testing.assert_allclose(np.atleast_1d(gi[i][j].value), want, atol=1e-15)
-    np.testing.assert_allclose(np.atleast_1d(ctx.detg(1).value), 1.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", [0, 1])
+@pytest.mark.parametrize("name", ["PERT_T4", "CONF_PERTURBED(ROUND_S(4,1))"])
+def test_every_component_of_nabla_g_vanishes(name, d):
+    scn = parse_scenario(name)
+    ctx = scn.context(rand_points(scn.chart, 5, 21))
+    n, B, nc = ctx.dim, ctx.nbatch, jets.jet_space(ctx.dim, d).ncoeffs
+    g1, ga = ctx.g(d + 1), ctx.gamma(d)
+    idx = range(n)
+    nabla_g = [[[covariant(g1, ga, c, (a, b)) for b in idx] for a in idx] for c in idx]
+    dg = [[[g1[a][b].partial(c) for b in idx] for a in idx] for c in idx]
+    scale = np.max(np.abs(jet_coeffs(dg, B, nc)))
+    np.testing.assert_allclose(jet_coeffs(nabla_g, B, nc), 0.0, rtol=0, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("d", [0, 1])
+@pytest.mark.parametrize("name", ["PERT_T4", "GRAPH(T4_IN_PERT_T5)"])
+def test_hessian_and_divergence2_match_the_parent_forms(name, d):
+    scn = parse_scenario(name)
+    ctx = scn.context(rand_points(scn.chart, 5, 22))
+    f = expression_field(parse_expression("sin(x1)*cos(x2) + 0.3*sin(x3 + x4)", scn.chart.names))
+    B, nc = ctx.nbatch, jets.jet_space(ctx.dim, d).ncoeffs
+    for build, reference, field in [
+        (hessian, reference_hessian, f),
+        (divergence2, reference_divergence2, hessian(f)),
+    ]:
+        np.testing.assert_array_equal(
+            jet_coeffs(build(field)(ctx, d), B, nc), jet_coeffs(reference(field)(ctx, d), B, nc)
+        )
 
 
 def test_sphere_christoffels_closed_form():
@@ -149,14 +180,6 @@ def test_inverse_times_metric_is_identity_jets():
             if i == j:
                 want[0] = 1.0
             np.testing.assert_allclose(acc.coeffs, want, atol=1e-12)
-
-
-def test_determinant_matches_numpy():
-    m = pert_t3()
-    ctx = MetricContext(m, rand_points(m.chart, 6, 2))
-    gv = metric_values(m, ctx)  # (3, 3, B)
-    want = np.linalg.det(np.moveaxis(gv, 2, 0))
-    np.testing.assert_allclose(np.atleast_1d(ctx.detg(0).value), want, rtol=1e-12)
 
 
 def test_non_positive_metric_is_rejected_with_point():

@@ -205,7 +205,8 @@ def test_orientation_flip_negates_normal_and_shape():
     emb = graph_embedding()
     pts = surface_points(emb, 5, 3)
     a = hs.EmbeddedSurfaceContext(emb, pts)
-    b = hs.EmbeddedSurfaceContext(emb.flipped(), pts)
+    flipped = hs.Embedding(emb.chart, emb.ambient_metric, emb.iota_texts, -emb.sigma)
+    b = hs.EmbeddedSurfaceContext(flipped, pts)
     B = 5
     for x, y in zip(hs.normal(a, 1), hs.normal(b, 1)):
         assert np.max(np.abs(jval(x, B) + jval(y, B))) < 1e-14

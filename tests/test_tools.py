@@ -95,3 +95,14 @@ def test_products_by_build_bad_input_exits_two():
         out = _products(*argv)
         assert out.returncode == 2
         assert out.stderr.startswith("error:")
+
+
+def test_products_by_build_counts_one_column_monomials():
+    # from 128 points on, compose builds the monomials of a chart coordinate
+    # on one column; those products still count, so the total stays put
+    totals = []
+    for points in ("127", "128"):
+        out = _products("ROUND_S(4,1)", "q4", "--points", points)
+        assert out.returncode == 0, out.stderr
+        totals.append(int(out.stdout.splitlines()[-2].split()[1]))
+    assert totals[0] == totals[1]

@@ -145,6 +145,10 @@ def test_load_config_defaults():
         ({"scenario": "NOPE"}, "scenario: unknown scenario"),
         ({"suite": "intrinsic", "degree": 4}, "requires degree >= 5, got 4"),
         ({"suite": "structural", "degree": 2}, "requires degree >= 3"),
+        ({"tol_point": math.inf}, "tol_point: tolerance must be positive and finite"),
+        ({"tol_integral": math.inf}, "tol_integral: tolerance must be positive and finite"),
+        ({"tol_control": math.inf}, "tol_control: tolerance must be positive and finite"),
+        ({"tol_control": math.nan}, "tol_control: tolerance must be positive and finite"),
     ],
 )
 def test_load_config_rejections(data, fragment):

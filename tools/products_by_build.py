@@ -17,7 +17,9 @@ innermost ``GeometryContext.get`` build running when it is made, named by
 metric of an embedded scenario and ``metric`` otherwise (the ambient context
 of an embedded scenario, or an intrinsic one), and assembled operator fields
 share the key ``field``.  Each term of a ``jets.dot`` counts as one product,
-and the time of the whole call is charged with it.  Products made outside any
+and the time of the whole call is charged with it.  So does each monomial
+product that ``jets.compose`` makes on one unbatched column, the only caller
+that hands ``jets._cauchy_layered`` a 1-d operand.  Products made outside any
 build are charged to ``(none)``.  It prints one line per build with its products and their time,
 most time first, then the totals and the wall time of the evaluation.
 
@@ -53,6 +55,7 @@ def charge(field, ctx):
     table = defaultdict(lambda: [0, 0.0])
     stack = []
     get, mul, dot = GeometryContext.get, jets.Jet.__mul__, jets.dot
+    layered = jets._cauchy_layered
 
     def traced_get(c, key, d, build):
         kind = "surface" if isinstance(c, hs.EmbeddedSurfaceContext) else "metric"
@@ -83,9 +86,15 @@ def charge(field, ctx):
     def counted_dot(xs, ys, start=None):
         return counted(len(xs), dot, xs, ys, start)
 
+    def counted_layered(space, ca, cb):
+        if ca.ndim != 1:  # a batched product, already counted by its caller
+            return layered(space, ca, cb)
+        return counted(1, layered, space, ca, cb)
+
     GeometryContext.get = traced_get
     jets.Jet.__mul__ = jets.Jet.__rmul__ = counted_mul
     jets.dot = counted_dot
+    jets._cauchy_layered = counted_layered
     try:
         t0 = time.perf_counter()
         jet_values(field(ctx, 0), ctx.nbatch)
@@ -94,6 +103,7 @@ def charge(field, ctx):
         GeometryContext.get = get
         jets.Jet.__mul__ = jets.Jet.__rmul__ = mul
         jets.dot = dot
+        jets._cauchy_layered = layered
     return dict(table), wall
 
 
