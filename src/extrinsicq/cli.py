@@ -18,6 +18,7 @@ log of a nonpositive value).
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -110,6 +111,21 @@ def _emit_json(obj):
     print(json.dumps(obj), flush=True)
 
 
+def _finite(val):
+    if isinstance(val, list):
+        return all(_finite(v) for v in val)
+    return not isinstance(val, float) or math.isfinite(val)
+
+
+def _print_result(out):
+    """Print a command's result as strict JSON; a non-finite number in it is a domain error."""
+    bad = [key for key, val in out.items() if not _finite(val)]
+    if bad:
+        where = ", ".join(f"{v:.6g}" for v in out["point"])
+        raise SingularFieldError(f"{', '.join(bad)}: not finite at the point ({where})")
+    print(json.dumps(out, indent=2, allow_nan=False))
+
+
 # ---- subcommands ----------------------------------------------------------------
 
 
@@ -162,7 +178,7 @@ def cmd_curvature(args):
     if scn.dim >= 3:
         pack["schouten"] = _values(curvature.schouten(ctx, 0))
         pack["weyl"] = _values(curvature.weyl(ctx, 0))
-    print(json.dumps(pack, indent=2))
+    _print_result(pack)
     return 0
 
 
@@ -194,7 +210,7 @@ def cmd_extrinsic(args):
     }
     if scn.dim >= 3:
         pack["fialkow"] = _values(hs.fialkow(ctx, 0))
-    print(json.dumps(pack, indent=2))
+    _print_result(pack)
     return 0
 
 
@@ -226,7 +242,7 @@ def cmd_apply(args):
     }
     if args.f is not None:
         out["f"] = args.f
-    print(json.dumps(out, indent=2))
+    _print_result(out)
     return 0
 
 
@@ -242,19 +258,15 @@ def cmd_integrate(args):
         label = args.f
     quad = Quadrature(scn.chart, args.nodes, args.gauss_nodes)
     (total,) = integrate([field], scn, quad, degree_cap=args.degree)
-    print(
-        json.dumps(
-            {
-                "scenario": scn.name,
-                "integrand": label,
-                "integral": total,
-                "npoints": quad.npoints,
-                "nodes": args.nodes,
-                "gauss_nodes": args.gauss_nodes,
-            },
-            indent=2,
-        )
-    )
+    out = {
+        "scenario": scn.name,
+        "integrand": label,
+        "integral": total,
+        "npoints": quad.npoints,
+        "nodes": args.nodes,
+        "gauss_nodes": args.gauss_nodes,
+    }
+    print(json.dumps(out, indent=2, allow_nan=False))
     return 0
 
 
@@ -353,7 +365,10 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_points(argv))
     try:
-        return args.fn(args)
+        # a value that leaves the float range is refused where it is printed
+        # or integrated, so numpy's warnings about it would only add noise
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (
         ConfigError,
         ScenarioError,

@@ -3,6 +3,11 @@
 Metric components, embeddings, conformal factors, and test functions enter
 the package as strings in this grammar.  Expressions evaluate over jets, so
 a single parse serves values, derivatives, and whole verification grids.
+A build that evaluates a list of expressions on one argument list (a
+metric's components, an embedding, an ambient metric along the embedding)
+passes them one memo, so it evaluates each distinct subexpression once: the
+conformal factor that ``conformal_rescale`` writes into every component, for
+instance, is expanded once per build, not once per component.
 
 Grammar (conventional precedence, left associative):
 
@@ -172,21 +177,35 @@ class _Parser:
             raise ExprError("unclosed '('", self.text, open_pos)
 
 
-def _eval(node, args, space):
+def _eval(node, args, space, memo):
+    """The value of ``node``; every other node's value is kept in ``memo``.
+
+    Nodes are tuples, so an equal subtree anywhere in the expressions that
+    share ``memo`` is looked up, not evaluated again.  A subtree that raises
+    leaves no entry.
+    """
     kind = node[0]
     if kind == "num":
         return node[1]
     if kind == "var":
         return args[node[1]]
+    out = memo.get(node)
+    if out is None:
+        out = memo[node] = _eval_op(node, args, space, memo)
+    return out
+
+
+def _eval_op(node, args, space, memo):
+    kind = node[0]
     if kind == "neg":
-        return -_eval(node[1], args, space)
+        return -_eval(node[1], args, space, memo)
     if kind == "call":
-        arg = _eval(node[2], args, space)
+        arg = _eval(node[2], args, space, memo)
         if not isinstance(arg, jets.Jet):
             arg = jets.constant(space, arg)
         return _FUNCS[node[1]](arg)
     if kind == "pow":
-        base = _eval(node[1], args, space)
+        base = _eval(node[1], args, space, memo)
         if not isinstance(base, jets.Jet):
             base = jets.constant(space, base)
         e = node[2]
@@ -194,8 +213,8 @@ def _eval(node, args, space):
             return jets.powi(base, int(e))
         return jets.powf(base, e)
     op = node[1]
-    lhs = _eval(node[2], args, space)
-    rhs = _eval(node[3], args, space)
+    lhs = _eval(node[2], args, space, memo)
+    rhs = _eval(node[3], args, space, memo)
     if op == "+":
         return lhs + rhs
     if op == "-":
@@ -210,7 +229,10 @@ class Expression:
 
     Calling it with one jet per variable (all in the same space) returns the
     jet of the expression's value.  Constant expressions come back as
-    constant jets in the arguments' space.
+    constant jets in the arguments' space.  Expressions evaluated on the same
+    arguments may share a ``memo`` dict, passed positionally: each distinct
+    subexpression among them is then evaluated once.  Without one, each call
+    has its own.
     """
 
     __slots__ = ("text", "variables", "_ast")
@@ -223,7 +245,7 @@ class Expression:
     def __repr__(self):
         return f"Expression({self.text!r}, variables={self.variables})"
 
-    def __call__(self, args):
+    def __call__(self, args, memo=None):
         if len(args) != len(self.variables):
             raise jets.JetError(
                 f"expression over {len(self.variables)} variables called "
@@ -234,7 +256,7 @@ class Expression:
             if a.space is not space:
                 raise jets.JetError("expression arguments must share one jet space")
         try:
-            out = _eval(self._ast, args, space)
+            out = _eval(self._ast, args, space, {} if memo is None else memo)
         except jets.SingularFieldError as err:
             raise jets.SingularFieldError(f"{err} while evaluating '{self.text}'") from err
         except ZeroDivisionError:

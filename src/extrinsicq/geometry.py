@@ -319,7 +319,8 @@ class MetricContext(GeometryContext):
     def g(self, d):
         def build(dd):
             xs = self.coords(dd)
-            return symmetric(self.dim, lambda i, j: self.metric.exprs[i][j](xs))
+            memo = {}
+            return symmetric(self.dim, lambda i, j: self.metric.exprs[i][j](xs, memo))
 
         return self.get("g", d, build)
 

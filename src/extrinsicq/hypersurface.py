@@ -100,9 +100,13 @@ class EmbeddedSurfaceContext(GeometryContext):
 
 def iota_jets(sctx, d):
     """Embedding components as surface jets."""
-    return sctx.get(
-        "iota", d, lambda dd: [e(sctx.coords(dd)) for e in sctx.embedding.iota_exprs]
-    )
+
+    def build(dd):
+        xs = sctx.coords(dd)
+        memo = {}
+        return [e(xs, memo) for e in sctx.embedding.iota_exprs]
+
+    return sctx.get("iota", d, build)
 
 
 def tangents(sctx, d):
@@ -121,7 +125,8 @@ def ambient_metric_on_surface(sctx, d):
     def build(dd):
         io = iota_jets(sctx, dd)
         m = sctx.embedding.ambient_metric
-        return symmetric(m.chart.dim, lambda a, b: m.exprs[a][b](io))
+        memo = {}
+        return symmetric(m.chart.dim, lambda a, b: m.exprs[a][b](io, memo))
 
     return sctx.get("gbar", d, build)
 

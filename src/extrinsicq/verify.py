@@ -213,7 +213,8 @@ def integrate(fields, scenario, quad, degree_cap=6, chunk=1024, absolute=False):
     scenarios), and compensates the final summation with math.fsum.  Returns
     the list of integrals, or (integrals, integrals of |field|) when
     ``absolute`` is set.  The quadrature must have been built on the
-    scenario's own chart.
+    scenario's own chart.  A term that is not finite raises SingularFieldError
+    naming its chart point; so does a total beyond the float range.
     """
     if quad.chart.axes != scenario.chart.axes:
         raise ConfigError(
@@ -233,12 +234,20 @@ def integrate(fields, scenario, quad, degree_cap=6, chunk=1024, absolute=False):
         dens = w * np.sqrt(np.linalg.det(np.moveaxis(gm, -1, 0)))
         for k, f in enumerate(fields):
             term = dens * jet_values(f(ctx, 0), nb)
+            bad = np.flatnonzero(~np.isfinite(term))
+            if bad.size:
+                raise jets.SingularFieldError(
+                    f"the integrand is not finite at the chart point {ctx.describe_point(bad[0])}"
+                )
             parts[k].append(term)
             if absolute:
                 aparts[k].append(np.abs(term))
-    totals = [math.fsum(np.concatenate(p)) for p in parts]
-    if absolute:
-        return totals, [math.fsum(np.concatenate(p)) for p in aparts]
+    try:
+        totals = [math.fsum(np.concatenate(p)) for p in parts]
+        if absolute:
+            return totals, [math.fsum(np.concatenate(p)) for p in aparts]
+    except OverflowError:
+        raise jets.SingularFieldError("the integral overflows the float range") from None
     return totals
 
 

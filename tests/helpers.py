@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from extrinsicq import curvature, jets
+from extrinsicq import curvature, exprlang, jets
 from extrinsicq import hypersurface as hs
 from extrinsicq import operators as ops
 from extrinsicq.geometry import (
@@ -509,3 +509,50 @@ def count_products(monkeypatch):
     monkeypatch.setattr(jets.Jet, "__mul__", counting_mul)
     monkeypatch.setattr(jets, "dot", counting_dot)
     return counter
+
+
+# ---- series expansions and expression memos ----------------------------------
+
+SERIES = ("exp", "log", "sin", "cos", "powf", "sqrt", "recip")
+
+
+def count_series(monkeypatch):
+    """Count series expansions from here on, as perfbench's tracer does.
+
+    Each call of a jets series function, directly or through the expression
+    language's function table, adds one to ``counter[0]`` of the returned
+    one-item list; one made inside another (sqrt calls powf) does not.
+    """
+    counter = [0]
+    depth = [0]
+
+    def counting(fn):
+        def call(*args):
+            counter[0] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+
+        return call
+
+    for name in SERIES:
+        monkeypatch.setattr(jets, name, counting(getattr(jets, name)))
+    for name in exprlang._FUNCS:
+        monkeypatch.setitem(exprlang._FUNCS, name, getattr(jets, name))
+    return counter
+
+
+def evaluate_each(exprs, args):
+    """Expressions, or nested lists of them, each evaluated on ``args`` with
+    its own memo: no subexpression is shared between two of them."""
+    if isinstance(exprs, (list, tuple)):
+        return [evaluate_each(e, args) for e in exprs]
+    return exprs(args, {})
+
+
+def assert_same_bits(got, want):
+    """Equal arrays with equal sign bits, so -0.0 differs from 0.0."""
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))

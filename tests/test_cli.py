@@ -1,6 +1,8 @@
 """The extrinsic-q command line: subcommands, exit codes, report files."""
 
+import contextlib
 import functools
+import io
 import json
 import math
 import os
@@ -10,6 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from extrinsicq import cli
 
@@ -209,6 +212,27 @@ def test_input_function_outside_its_domain_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "log of a nonpositive value" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("apply", "--scenario", "ROUND_S(4,1)", "--point", "1,1,1,1", "--op", "p4",
+          "--f", "exp(800)*x1"), "value: not finite at the point (1, 1, 1, 1)"),
+        (("integrate", "--scenario", "PERT_T4", "--nodes", "4", "--f", "exp(800)*cos(x1)"),
+         "the integrand is not finite at the chart point (0, 0, 0, 0)"),
+        (("integrate", "--scenario", "PERT_T4", "--nodes", "4", "--f", "exp(800)"),
+         "the integrand is not finite at the chart point (0, 0, 0, 0)"),
+        (("integrate", "--scenario", "PERT_T4", "--nodes", "4", "--f", "exp(706)"),
+         "the integral overflows"),
+    ],
+)
+def test_non_finite_result_exits_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("point", ["nan,1", "1,inf", "1,-inf"])
@@ -424,3 +448,81 @@ def test_bad_expression_exits_two(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+# ---- random argv ----------------------------------------------------------------
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+# (name, dimension); the last two are refused by the catalog
+_SCENARIOS = [
+    ("FLAT_T2", 2), ("PERT_T4", 4), ("ROUND_S(2,1)", 2), ("ROUND_S(4,1)", 4),
+    ("ROUND_S(3,1e200)", 3), ("CONF_PERTURBED(ROUND_S(2,1))", 2), ("SPHERE_IN_FLAT(3,1)", 3),
+    ("GRAPH(T2_IN_T3)", 2), ("SLICE(S2xS2)", 4), ("ROUND_S(9,1)", 9), ("NOPE", 2),
+]
+_EMBEDDED = {"SPHERE_IN_FLAT(3,1)", "GRAPH(T2_IN_T3)", "SLICE(S2xS2)"}
+_COORDS = st.floats(0.05, 3.1)
+_BAD_COORDS = st.one_of(
+    st.floats(-10, 10), st.sampled_from([0.0, math.pi, math.nan, math.inf, -math.inf, 1e300])
+)
+_EXPRS = st.sampled_from([
+    "x1", "sin(x1)*cos(x2)", "exp(800)*x1", "exp(800)*cos(x1)", "exp(800)", "exp(706)",
+    "exp(exp(x1))", "log(x1-5)", "1/(x1-x1)", "x1^-0.5", "1/0", "x9", "(", "", "-x1",
+])
+_OPS = sorted({*cli._NULLARY_OPS, *cli._UNARY_OPS, "nope"})
+
+
+@st.composite
+def _argv(draw):
+    """Mostly well-formed argv for apply, curvature or integrate, with bad values mixed in."""
+    command = draw(st.sampled_from(["apply", "curvature", "integrate"]))
+    name, dim = draw(st.sampled_from(_SCENARIOS))
+    argv = [command, "--scenario", name]
+    if command != "integrate":
+        size = draw(st.sampled_from([dim, dim, dim, 1, 5]))
+        coords = draw(st.lists(_COORDS, min_size=size, max_size=size))
+        if draw(st.booleans()):
+            coords[0] = draw(_BAD_COORDS)
+        point = ",".join(map(str, coords))
+        argv += ["--point", draw(st.sampled_from([point, point, point, draw(st.text(max_size=6))]))]
+    if command != "curvature":
+        fitting = [o for o in _OPS if name in _EMBEDDED or o not in cli._EMBEDDED_ONLY]
+        op = draw(st.sampled_from(draw(st.sampled_from([fitting, fitting, _OPS]))))
+        takes_f = op not in cli._NULLARY_OPS
+        if command == "integrate":
+            # exactly one of --op and --f, as a rule
+            use_op, use_f = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+        else:
+            use_op, use_f = True, draw(st.sampled_from([takes_f, takes_f, not takes_f]))
+        argv += ["--op", op] if use_op else []
+        argv += ["--f", draw(_EXPRS)] if use_f else []
+    if command == "integrate":
+        argv += ["--nodes", str(draw(st.integers(-1, 3))), "--gauss-nodes", str(draw(st.integers(-1, 3)))]
+    if draw(st.booleans()):
+        argv += ["--degree", str(draw(st.integers(-1, 9)))]
+    return argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(argv=_argv())
+@example(argv=["apply", "--scenario", "ROUND_S(4,1)", "--point", "1,1,1,1", "--op", "p4",
+               "--f", "exp(800)*x1"])
+@example(argv=["integrate", "--scenario", "PERT_T4", "--nodes", "3", "--f", "exp(800)*cos(x1)"])
+@example(argv=["integrate", "--scenario", "PERT_T4", "--nodes", "3", "--f", "exp(800)"])
+@example(argv=["integrate", "--scenario", "PERT_T4", "--nodes", "3", "--f", "exp(706)"])
+def test_random_argv_exits_cleanly_with_strict_json(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as stop:  # argparse's usage errors
+            code = stop.code
+    assert code in (0, 1, 2), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)
+    else:
+        assert code != 0

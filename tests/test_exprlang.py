@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from extrinsicq import jets
 from extrinsicq.exprlang import ExprError, parse_expression
 from extrinsicq.jets import SingularFieldError, jet_space, seed_variable
+from helpers import assert_same_bits, count_series
 
 
 def ev(text, variables, values, degree=2):
@@ -92,6 +94,32 @@ def test_eval_domain_error_names_expression():
     with pytest.raises(SingularFieldError) as err:
         e([seed_variable(sp, 0, 1.0)])
     assert "log(x1 - 2)" in str(err.value)
+
+
+def test_a_shared_memo_evaluates_each_distinct_subexpression_once(monkeypatch):
+    sp = jet_space(2, 2)
+    args = [seed_variable(sp, 0, np.array([0.3, -1.2])), seed_variable(sp, 1, 0.7)]
+    texts = ["exp(2*(sin(x1)))*(1 + x2)", "exp(2*(sin(x1)))*(cos(x2))", "sin(x1)"]
+    exprs = [parse_expression(t, ("x1", "x2")) for t in texts]
+    count = count_series(monkeypatch)
+    memo = {}
+    shared = [e(args, memo) for e in exprs]
+    assert count[0] == 3  # exp, sin and cos once each
+    count[0] = 0
+    alone = [e(args) for e in exprs]
+    assert count[0] == 6
+    for got, want in zip(shared, alone):
+        assert_same_bits(got.coeffs, want.coeffs)
+
+
+def test_a_shared_memo_keeps_no_failed_subexpression():
+    sp = jet_space(1, 2)
+    args = [seed_variable(sp, 0, 1.0)]
+    memo = {}
+    for text in ("1 + log(x1 - 2)", "2*log(x1 - 2)"):
+        with pytest.raises(SingularFieldError, match=re.escape(f"evaluating '{text}'")):
+            parse_expression(text, ("x1",))(args, memo)
+    assert [node for node in memo if node[0] == "call"] == []
 
 
 def test_eval_division_by_zero_constant():

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -31,7 +32,15 @@ from extrinsicq.geometry import (
 )
 from extrinsicq.jets import DegreeExhaustedError, JetError, SingularFieldError
 from extrinsicq.scenarios import parse_scenario
-from helpers import jval, reference_divergence2, reference_hessian, richardson_partial
+from helpers import (
+    assert_same_bits,
+    count_series,
+    evaluate_each,
+    jval,
+    reference_divergence2,
+    reference_hessian,
+    richardson_partial,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -352,6 +361,39 @@ def test_conformal_rescale_values_and_validation():
     )
     with pytest.raises(ExprError):
         conformal_rescale(m, "sin(q9)")
+
+
+@pytest.mark.parametrize(
+    "name, series",
+    [("CONF_PERTURBED(PERT_T4)", 11), ("CONF_PERTURBED(GRAPH(T4_IN_PERT_T5))", 16)],
+)
+def test_one_metric_build_expands_each_series_once(name, series, monkeypatch):
+    # one memo per build: each rescaled component repeats exp(2*(phi)), so
+    # one series per component would be 62 and 107 expansions
+    scn = parse_scenario(name)
+    ctx = scn.context(rand_points(scn.chart, 8, 23))
+    count = count_series(monkeypatch)
+    ctx.g(2)
+    assert count[0] == series
+
+
+@pytest.mark.parametrize("name", ["CONF_PERTURBED(PERT_T4)", "CONF_PERTURBED(ROUND_S(4,1))"])
+def test_metric_build_matches_each_component_alone(name):
+    scn = parse_scenario(name)
+    ctx = scn.context(rand_points(scn.chart, 8, 24))
+    for d in (0, 2):
+        B, nc = ctx.nbatch, jets.jet_space(ctx.dim, d).ncoeffs
+        want = evaluate_each(ctx.metric.exprs, ctx.coords(d))
+        assert_same_bits(jet_coeffs(ctx.g(d), B, nc), jet_coeffs(want, B, nc))
+
+
+def test_a_raising_subexpression_shared_by_components_raises_in_every_build():
+    ch = torus_chart(2)
+    m = Metric.from_dict(ch, {"g11": "1 + log(x1-5)^2", "g22": "2 + log(x1-5)^2", "g12": "0"})
+    ctx = MetricContext(m, rand_points(ch, 3, 25))
+    for _ in range(2):
+        with pytest.raises(SingularFieldError, match=re.escape("evaluating '1 + log(x1-5)^2'")):
+            ctx.g(1)
 
 
 def test_field_rank_mismatch_raises():

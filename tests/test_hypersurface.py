@@ -10,7 +10,9 @@ from extrinsicq.geometry import Axis, Chart, Metric, conformal_rescale, jet_coef
 from extrinsicq.scenarios import parse_scenario
 
 from helpers import (
+    assert_same_bits,
     count_products,
+    evaluate_each,
     jval,
     reference_nabla0_weyl_normal,
     reference_normal_tt,
@@ -759,3 +761,24 @@ def test_second_fundamental_product_count_and_degrees(monkeypatch):
     hs.second_fundamental(fresh, d)
     deep = [(key, dd) for key, dd in fresh._cache if key in ("normal", "gbar", "gbar_inv") and dd > d]
     assert deep == []
+
+
+@pytest.mark.parametrize("name", ["CONF_PERTURBED(GRAPH(T4_IN_PERT_T5))", "SLICE(S2xS2)"])
+def test_embedding_builds_match_each_component_alone(name):
+    scn = parse_scenario(name)
+    pts = np.array([np.linspace(ax.lo + 0.3, ax.hi - 0.3, 8) for ax in scn.chart.axes])
+    sctx = scn.context(pts)
+    emb = scn.embedding
+    for d in (0, 2):
+        B = sctx.nbatch
+        io = evaluate_each(emb.iota_exprs, sctx.coords(d))
+        gbar = evaluate_each(emb.ambient_metric.exprs, io)
+        nc = jets.jet_space(sctx.dim, d).ncoeffs
+        assert_same_bits(jet_coeffs(hs.iota_jets(sctx, d), B, nc), jet_coeffs(io, B, nc))
+        assert_same_bits(
+            jet_coeffs(hs.ambient_metric_on_surface(sctx, d), B, nc), jet_coeffs(gbar, B, nc)
+        )
+        amb = sctx.ambient
+        want = evaluate_each(emb.ambient_metric.exprs, amb.coords(d))
+        ncb = jets.jet_space(amb.dim, d).ncoeffs
+        assert_same_bits(jet_coeffs(amb.g(d), B, ncb), jet_coeffs(want, B, ncb))

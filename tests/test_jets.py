@@ -17,6 +17,7 @@ from extrinsicq.jets import (
     seed_variable,
 )
 from helpers import (
+    assert_same_bits,
     fd_rate,
     poly_derivative_value,
     poly_eval,
@@ -504,11 +505,6 @@ def _wide_range(rng, shape):
     return c
 
 
-def _same_bits(got, want):
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-
-
 @pytest.mark.parametrize("batch", [1, LAYERED, 353, 1024])
 @pytest.mark.parametrize("degree", range(jets.MAX_DEGREE + 1))
 @pytest.mark.parametrize("nvars", range(1, jets.MAX_NVARS + 1))
@@ -519,7 +515,7 @@ def test_layered_kernel_is_bit_identical_to_the_scatter_layers(nvars, degree, ba
     rng = np.random.default_rng(1000 * nvars + 10 * degree + batch)
     ca, cb = (_wide_range(rng, (sp.ncoeffs, batch)) for _ in range(2))
     for x, y in [(ca, cb), (ca[:, :1], cb), (ca, cb[:, :1])]:
-        _same_bits(jets._cauchy_layered(sp, x, y), reference_layered(sp, x, y))
+        assert_same_bits(jets._cauchy_layered(sp, x, y), reference_layered(sp, x, y))
 
 
 @pytest.mark.parametrize("batch", [None, 1, LAYERED - 1, LAYERED, LAYERED + 1])
@@ -614,7 +610,7 @@ def test_offsets_equal_at_every_point_give_the_full_batch_bits(batch, monkeypatc
     got = run()
     monkeypatch.setattr(jets, "_substitute", reference_substitute)
     for g, w in zip(got, run(), strict=True):
-        _same_bits(g, w)
+        assert_same_bits(g, w)
 
 
 def _layered_operand_shapes(monkeypatch):
@@ -641,10 +637,10 @@ def test_offsets_differing_in_the_sign_of_a_zero_stay_batched(monkeypatch):
     a.coeffs[a.space.index[(0, 1)], ::2] = -0.0  # +0.0 at the other points
     got = jets.sin(a).coeffs
     shapes = _layered_operand_shapes(monkeypatch)
-    _same_bits(got, jets.sin(a).coeffs)
+    assert_same_bits(got, jets.sin(a).coeffs)
     assert shapes and all(((1024,), (1024,)) == s for s in shapes)
     monkeypatch.setattr(jets, "_substitute", reference_substitute)
-    _same_bits(got, jets.sin(a).coeffs)
+    assert_same_bits(got, jets.sin(a).coeffs)
 
 
 SP23 = jet_space(2, 3)

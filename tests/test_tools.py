@@ -106,3 +106,17 @@ def test_products_by_build_counts_one_column_monomials():
         assert out.returncode == 0, out.stderr
         totals.append(int(out.stdout.splitlines()[-2].split()[1]))
     assert totals[0] == totals[1]
+
+
+def test_products_by_build_counts_series_per_build():
+    # the rescaled ambient metric writes exp(2*(phi)) into each of its 10
+    # components, and one build expands it, and each sin and cos, once
+    out = _products("CONF_PERTURBED(SPHERE_IN_FLAT(3,1))", "ext_q3", "--points", "4")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[1].split() == ["kind", "key", "degree", "products", "series", "seconds"]
+    series = {tuple(line.split()[:3]): int(line.split()[4]) for line in lines[2:-2]}
+    assert series[("metric", "g", "3")] == 4
+    assert series[("surface", "gbar", "2")] == 4
+    assert series[("surface", "iota", "4")] == 6
+    assert int(lines[-2].split()[2]) == sum(series.values())

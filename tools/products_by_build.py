@@ -19,9 +19,14 @@ of an embedded scenario, or an intrinsic one), and assembled operator fields
 share the key ``field``.  Each term of a ``jets.dot`` counts as one product,
 and the time of the whole call is charged with it.  So does each monomial
 product that ``jets.compose`` makes on one unbatched column, the only caller
-that hands ``jets._cauchy_layered`` a 1-d operand.  Products made outside any
-build are charged to ``(none)``.  It prints one line per build with its products and their time,
-most time first, then the totals and the wall time of the evaluation.
+that hands ``jets._cauchy_layered`` a 1-d operand.  Series expansions are
+counted per build in the same way, as perfbench's tracer counts them: each call
+of a jets series function, directly or through the expression language's
+function table ``exprlang._FUNCS``, counts once, and one made inside another
+(sqrt calls powf) does not count.  Products and series made outside any build
+are charged to ``(none)``.  It prints one line per build with its products,
+its series and the time of its products, most time first, then the totals and
+the wall time of the evaluation.
 
 Exit status: 0 on a result, 2 on a bad scenario, field or point count, or a
 point outside the field's domain.
@@ -32,7 +37,7 @@ import sys
 import time
 from collections import defaultdict
 
-from extrinsicq import cli, jets
+from extrinsicq import cli, exprlang, jets
 from extrinsicq import hypersurface as hs
 from extrinsicq import operators as ops
 from extrinsicq.geometry import GeometryContext, jet_values
@@ -40,6 +45,7 @@ from extrinsicq.scenarios import ScenarioError, parse_scenario
 from extrinsicq.verify import ConfigError, Quadrature, VerifyConfig
 
 NONE = ("-", "(none)", "-")
+SERIES = ("exp", "log", "sin", "cos", "powf", "sqrt", "recip")
 
 
 def _field(name, scn):
@@ -51,11 +57,14 @@ def _field(name, scn):
 
 
 def charge(field, ctx):
-    """Evaluate ``field`` on ``ctx``; return ({build: [products, seconds]}, wall seconds)."""
-    table = defaultdict(lambda: [0, 0.0])
+    """Evaluate ``field`` on ``ctx``; return ({build: [products, series, seconds]}, wall seconds)."""
+    table = defaultdict(lambda: [0, 0, 0.0])
     stack = []
     get, mul, dot = GeometryContext.get, jets.Jet.__mul__, jets.dot
     layered = jets._cauchy_layered
+    series = {name: getattr(jets, name) for name in SERIES}
+    funcs = dict(exprlang._FUNCS)
+    depth = [0]
 
     def traced_get(c, key, d, build):
         kind = "surface" if isinstance(c, hs.EmbeddedSurfaceContext) else "metric"
@@ -75,8 +84,20 @@ def charge(field, ctx):
         out = fn(*args)
         row = table[stack[-1] if stack else NONE]
         row[0] += products
-        row[1] += time.perf_counter() - t0
+        row[2] += time.perf_counter() - t0
         return out
+
+    def counted_series(fn):
+        def call(*args):
+            if depth[0] == 0:
+                table[stack[-1] if stack else NONE][1] += 1
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+
+        return call
 
     def counted_mul(a, b):
         if not isinstance(b, jets.Jet):
@@ -95,6 +116,9 @@ def charge(field, ctx):
     jets.Jet.__mul__ = jets.Jet.__rmul__ = counted_mul
     jets.dot = counted_dot
     jets._cauchy_layered = counted_layered
+    for name, fn in series.items():
+        setattr(jets, name, counted_series(fn))
+    exprlang._FUNCS.update({name: getattr(jets, name) for name in funcs})
     try:
         t0 = time.perf_counter()
         jet_values(field(ctx, 0), ctx.nbatch)
@@ -104,6 +128,9 @@ def charge(field, ctx):
         jets.Jet.__mul__ = jets.Jet.__rmul__ = mul
         jets.dot = dot
         jets._cauchy_layered = layered
+        for name, fn in series.items():
+            setattr(jets, name, fn)
+        exprlang._FUNCS.update(funcs)
     return dict(table), wall
 
 
@@ -130,13 +157,12 @@ def main(argv):
         print(f"error: {err}", file=sys.stderr)
         return 2
     print(f"{scn.name}  {args.field}  {ctx.nbatch} points")
-    print(f"{'kind':<8} {'key':<20} {'degree':>6} {'products':>9} {'seconds':>9}")
-    rows = sorted(table.items(), key=lambda kv: -kv[1][1])
-    for (kind, key, d), (count, secs) in rows:
-        print(f"{kind:<8} {key:<20} {d!s:>6} {count:>9} {secs:>9.4f}")
-    count = sum(r[0] for r in table.values())
-    secs = sum(r[1] for r in table.values())
-    print(f"{'total':<8} {'':<20} {'':>6} {count:>9} {secs:>9.4f}")
+    print(f"{'kind':<8} {'key':<20} {'degree':>6} {'products':>9} {'series':>7} {'seconds':>9}")
+    rows = sorted(table.items(), key=lambda kv: -kv[1][2])
+    for (kind, key, d), (count, nseries, secs) in rows:
+        print(f"{kind:<8} {key:<20} {d!s:>6} {count:>9} {nseries:>7} {secs:>9.4f}")
+    count, nseries, secs = (sum(r[k] for r in table.values()) for k in range(3))
+    print(f"{'total':<8} {'':<20} {'':>6} {count:>9} {nseries:>7} {secs:>9.4f}")
     print(f"wall {wall:.4f} s")
     return 0
 
