@@ -7,7 +7,8 @@ A build that evaluates a list of expressions on one argument list (a
 metric's components, an embedding, an ambient metric along the embedding)
 passes them one memo, so it evaluates each distinct subexpression once: the
 conformal factor that ``conformal_rescale`` writes into every component, for
-instance, is expanded once per build, not once per component.
+instance, is expanded once per build, not once per component.  The memo keeps
+only the subexpressions that occur more than once, and only for that build.
 
 Grammar (conventional precedence, left associative):
 
@@ -177,19 +178,19 @@ class _Parser:
             raise ExprError("unclosed '('", self.text, open_pos)
 
 
-def _eval(node, args, space, memo):
-    """The value of ``node``; every other node's value is kept in ``memo``.
+_ONCE = object()  # a node without a slot in the memo
 
-    Nodes are tuples, so an equal subtree anywhere in the expressions that
-    share ``memo`` is looked up, not evaluated again.  A subtree that raises
-    leaves no entry.
-    """
+
+def _eval(node, args, space, memo):
+    """The value of ``node``; kept in ``memo`` if the memo has a slot for it."""
     kind = node[0]
     if kind == "num":
         return node[1]
     if kind == "var":
         return args[node[1]]
-    out = memo.get(node)
+    out = memo.get(node, _ONCE)
+    if out is _ONCE:
+        return _eval_op(node, args, space, memo)
     if out is None:
         out = memo[node] = _eval_op(node, args, space, memo)
     return out
@@ -224,15 +225,46 @@ def _eval_op(node, args, space, memo):
     return lhs / rhs
 
 
+def _children(node):
+    if node[0] in ("bin", "call"):
+        return node[2:]
+    return node[1:2]
+
+
+def shared_memo(exprs):
+    """An empty memo for evaluating every expression of ``exprs`` once, on one
+    argument list.
+
+    It has a slot for each subtree that those calls would otherwise evaluate
+    more than once, and none for the others, so a subtree used once is freed
+    as soon as its parent is built.  Nodes are tuples, so equal subtrees of
+    different expressions share one slot.  A subtree that raises leaves its
+    slot empty.  Code that evaluates the same list often keeps one memo and
+    passes a copy to each evaluation.
+    """
+    seen = {}
+    stack = [e._ast for e in exprs]
+    while stack:
+        node = stack.pop()
+        if node[0] in ("num", "var"):
+            continue
+        if node in seen:
+            # evaluated once through its slot, so its own subtrees are not repeats
+            seen[node] = True
+            continue
+        seen[node] = False
+        stack.extend(_children(node))
+    return {node: None for node, again in seen.items() if again}
+
+
 class Expression:
     """A parsed expression over a fixed tuple of variable names.
 
     Calling it with one jet per variable (all in the same space) returns the
     jet of the expression's value.  Constant expressions come back as
     constant jets in the arguments' space.  Expressions evaluated on the same
-    arguments may share a ``memo`` dict, passed positionally: each distinct
-    subexpression among them is then evaluated once.  Without one, each call
-    has its own.
+    arguments may share a memo from :func:`shared_memo`, passed positionally:
+    each subexpression they share is then evaluated once.
     """
 
     __slots__ = ("text", "variables", "_ast")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .exprlang import ExprError, parse_expression
+from .exprlang import ExprError, parse_expression, shared_memo
 from .jets import DegreeExhaustedError, JetError, SingularFieldError
 
 # relative pivot floor for the positive-definiteness check; absolute pivots
@@ -88,7 +88,7 @@ class Metric:
     contexts.  ``texts`` is the full dim x dim matrix of strings.
     """
 
-    __slots__ = ("chart", "texts", "exprs")
+    __slots__ = ("chart", "texts", "exprs", "_memo")
 
     def __init__(self, chart, texts):
         n = chart.dim
@@ -113,6 +113,16 @@ class Metric:
         self.chart = chart
         self.texts = texts
         self.exprs = tuple(tuple(row) for row in symmetric(n, parse))
+        self._memo = shared_memo(self.exprs[i][j] for i in range(n) for j in range(i, n))
+
+    def evaluate(self, args):
+        """The component matrix at ``args``, one jet per chart variable.
+
+        Components share one memo, so a subexpression common to several of
+        them, such as the factor of a conformal rescaling, is evaluated once.
+        """
+        memo = dict(self._memo)
+        return symmetric(self.chart.dim, lambda i, j: self.exprs[i][j](args, memo))
 
     @classmethod
     def from_dict(cls, chart, mapping):
@@ -317,12 +327,7 @@ class MetricContext(GeometryContext):
         self.metric = metric
 
     def g(self, d):
-        def build(dd):
-            xs = self.coords(dd)
-            memo = {}
-            return symmetric(self.dim, lambda i, j: self.metric.exprs[i][j](xs, memo))
-
-        return self.get("g", d, build)
+        return self.get("g", d, lambda dd: self.metric.evaluate(self.coords(dd)))
 
 
 def _invert_spd(gmat, ctx, d):

@@ -22,7 +22,7 @@ points outward, so round spheres get H = +1/r.
 import numpy as np
 
 from . import curvature, jets
-from .exprlang import ExprError, parse_expression
+from .exprlang import ExprError, parse_expression, shared_memo
 from .geometry import (
     Field,
     GeometryContext,
@@ -40,7 +40,7 @@ from .jets import DegreeExhaustedError, JetError
 class Embedding:
     """A hypersurface chart, its ambient metric, the map, and an orientation."""
 
-    __slots__ = ("chart", "ambient_metric", "iota_texts", "iota_exprs", "sigma")
+    __slots__ = ("chart", "ambient_metric", "iota_texts", "iota_exprs", "sigma", "_memo")
 
     def __init__(self, chart, ambient_metric, iota, sigma=1.0):
         if ambient_metric.chart.dim != chart.dim + 1:
@@ -67,6 +67,13 @@ class Embedding:
         self.iota_texts = iota
         self.iota_exprs = tuple(exprs)
         self.sigma = float(sigma)
+        self._memo = shared_memo(self.iota_exprs)
+
+    def evaluate(self, args):
+        """The embedding's components at ``args``, one jet per surface variable,
+        each shared subexpression evaluated once."""
+        memo = dict(self._memo)
+        return [e(args, memo) for e in self.iota_exprs]
 
     def __repr__(self):
         return f"Embedding(dim {self.chart.dim} -> {self.ambient_metric.chart.dim})"
@@ -100,13 +107,7 @@ class EmbeddedSurfaceContext(GeometryContext):
 
 def iota_jets(sctx, d):
     """Embedding components as surface jets."""
-
-    def build(dd):
-        xs = sctx.coords(dd)
-        memo = {}
-        return [e(xs, memo) for e in sctx.embedding.iota_exprs]
-
-    return sctx.get("iota", d, build)
+    return sctx.get("iota", d, lambda dd: sctx.embedding.evaluate(sctx.coords(dd)))
 
 
 def tangents(sctx, d):
@@ -121,14 +122,8 @@ def tangents(sctx, d):
 
 def ambient_metric_on_surface(sctx, d):
     """The ambient metric components evaluated along the embedding."""
-
-    def build(dd):
-        io = iota_jets(sctx, dd)
-        m = sctx.embedding.ambient_metric
-        memo = {}
-        return symmetric(m.chart.dim, lambda a, b: m.exprs[a][b](io, memo))
-
-    return sctx.get("gbar", d, build)
+    m = sctx.embedding.ambient_metric
+    return sctx.get("gbar", d, lambda dd: m.evaluate(iota_jets(sctx, dd)))
 
 
 def ambient_inverse_on_surface(sctx, d):

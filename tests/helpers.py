@@ -546,10 +546,10 @@ def count_series(monkeypatch):
 
 def evaluate_each(exprs, args):
     """Expressions, or nested lists of them, each evaluated on ``args`` with
-    its own memo: no subexpression is shared between two of them."""
+    no memo, so that no subexpression is shared between or within them."""
     if isinstance(exprs, (list, tuple)):
         return [evaluate_each(e, args) for e in exprs]
-    return exprs(args, {})
+    return exprs(args)
 
 
 def assert_same_bits(got, want):

@@ -510,9 +510,9 @@ def _argv(draw):
 @given(argv=_argv())
 @example(argv=["apply", "--scenario", "ROUND_S(4,1)", "--point", "1,1,1,1", "--op", "p4",
                "--f", "exp(800)*x1"])
-@example(argv=["integrate", "--scenario", "PERT_T4", "--nodes", "3", "--f", "exp(800)*cos(x1)"])
-@example(argv=["integrate", "--scenario", "PERT_T4", "--nodes", "3", "--f", "exp(800)"])
-@example(argv=["integrate", "--scenario", "PERT_T4", "--nodes", "3", "--f", "exp(706)"])
+@example(argv=["integrate", "--scenario", "PERT_T4", "--nodes", "4", "--f", "exp(800)*cos(x1)"])
+@example(argv=["integrate", "--scenario", "PERT_T4", "--nodes", "4", "--f", "exp(800)"])
+@example(argv=["integrate", "--scenario", "PERT_T4", "--nodes", "4", "--f", "exp(706)"])
 def test_random_argv_exits_cleanly_with_strict_json(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extrinsicq import jets
-from extrinsicq.exprlang import ExprError, parse_expression
+from extrinsicq.exprlang import ExprError, parse_expression, shared_memo
 from extrinsicq.jets import SingularFieldError, jet_space, seed_variable
 from helpers import assert_same_bits, count_series
 
@@ -101,8 +101,11 @@ def test_a_shared_memo_evaluates_each_distinct_subexpression_once(monkeypatch):
     args = [seed_variable(sp, 0, np.array([0.3, -1.2])), seed_variable(sp, 1, 0.7)]
     texts = ["exp(2*(sin(x1)))*(1 + x2)", "exp(2*(sin(x1)))*(cos(x2))", "sin(x1)"]
     exprs = [parse_expression(t, ("x1", "x2")) for t in texts]
+    memo = shared_memo(exprs)
+    # slots only for what recurs: exp(2*(sin(x1))) and sin(x1), which the
+    # third expression is; not 2*(sin(x1)), 1 + x2 or cos(x2)
+    assert sorted(node[0] + node[1] for node in memo) == ["callexp", "callsin"]
     count = count_series(monkeypatch)
-    memo = {}
     shared = [e(args, memo) for e in exprs]
     assert count[0] == 3  # exp, sin and cos once each
     count[0] = 0
@@ -115,11 +118,13 @@ def test_a_shared_memo_evaluates_each_distinct_subexpression_once(monkeypatch):
 def test_a_shared_memo_keeps_no_failed_subexpression():
     sp = jet_space(1, 2)
     args = [seed_variable(sp, 0, 1.0)]
-    memo = {}
-    for text in ("1 + log(x1 - 2)", "2*log(x1 - 2)"):
-        with pytest.raises(SingularFieldError, match=re.escape(f"evaluating '{text}'")):
-            parse_expression(text, ("x1",))(args, memo)
-    assert [node for node in memo if node[0] == "call"] == []
+    exprs = [parse_expression(t, ("x1",)) for t in ("1 + log(x1 - 2)", "2*log(x1 - 2)")]
+    memo = shared_memo(exprs)
+    assert len(memo) == 1
+    for e in exprs:
+        with pytest.raises(SingularFieldError, match=re.escape(f"evaluating '{e.text}'")):
+            e(args, memo)
+    assert list(memo.values()) == [None]
 
 
 def test_eval_division_by_zero_constant():
