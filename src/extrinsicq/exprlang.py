@@ -262,17 +262,19 @@ class Expression:
 
     Calling it with one jet per variable (all in the same space) returns the
     jet of the expression's value.  Constant expressions come back as
-    constant jets in the arguments' space.  Expressions evaluated on the same
-    arguments may share a memo from :func:`shared_memo`, passed positionally:
-    each subexpression they share is then evaluated once.
+    constant jets in the arguments' space.  A subexpression that recurs
+    within the expression is evaluated once.  Expressions evaluated on the
+    same arguments may share a memo from :func:`shared_memo`, passed
+    positionally: each subexpression they share is then evaluated once.
     """
 
-    __slots__ = ("text", "variables", "_ast")
+    __slots__ = ("text", "variables", "_ast", "_memo")
 
     def __init__(self, text, variables, ast):
         self.text = text
         self.variables = tuple(variables)
         self._ast = ast
+        self._memo = shared_memo((self,))
 
     def __repr__(self):
         return f"Expression({self.text!r}, variables={self.variables})"
@@ -288,7 +290,7 @@ class Expression:
             if a.space is not space:
                 raise jets.JetError("expression arguments must share one jet space")
         try:
-            out = _eval(self._ast, args, space, {} if memo is None else memo)
+            out = _eval(self._ast, args, space, dict(self._memo) if memo is None else memo)
         except jets.SingularFieldError as err:
             raise jets.SingularFieldError(f"{err} while evaluating '{self.text}'") from err
         except ZeroDivisionError:

@@ -546,7 +546,7 @@ def count_series(monkeypatch):
 
 def evaluate_each(exprs, args):
     """Expressions, or nested lists of them, each evaluated on ``args`` with
-    no memo, so that no subexpression is shared between or within them."""
+    its own memo, so that no subexpression is shared between two of them."""
     if isinstance(exprs, (list, tuple)):
         return [evaluate_each(e, args) for e in exprs]
     return exprs(args)

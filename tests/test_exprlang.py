@@ -111,6 +111,9 @@ def test_a_shared_memo_evaluates_each_distinct_subexpression_once(monkeypatch):
     count[0] = 0
     alone = [e(args) for e in exprs]
     assert count[0] == 6
+    count[0] = 0
+    parse_expression("sin(x1)*cos(x2) + 2*sin(x1)", ("x1", "x2"))(args)
+    assert count[0] == 2  # a repeat within one expression is evaluated once too
     for got, want in zip(shared, alone):
         assert_same_bits(got.coeffs, want.coeffs)
 
