@@ -14,8 +14,8 @@ divergence, laplacian, hessian, traces and inner products) assemble fields
 into new fields without fixing a degree prematurely.  Tensors are nested
 lists of jets, always fully covariant; indices are raised explicitly with
 the inverse metric where needed.  Each index contraction is one ``jets.dot``
-per entry, with a subtracted term as a negated factor, which is exact; the
-factor is negated per call, so no negated tensor is kept.  Every module
+per entry; ``covariant`` has it subtract the Christoffel terms, so no
+negated symbol is made.  Every module
 fills a symmetric tensor with ``symmetric``, takes first-kind Christoffel
 symbols from ``christoffel_first`` and covariant derivatives from
 ``covariant``.  ``jet_values`` and ``jet_coeffs`` turn a tensor into one numpy
@@ -223,9 +223,9 @@ def covariant(T, ga, c, idx):
     xs, ys = [], []
     for e, plane in enumerate(ga):
         for s, a in enumerate(idx):
-            xs.append(-plane[c][a])
+            xs.append(plane[c][a])
             ys.append(at(idx[:s] + (e,) + idx[s + 1 :]))
-    return jets.dot(xs, ys, start=at(idx).partial(c))
+    return jets.dot(xs, ys, start=at(idx).partial(c), subtract=True)
 
 
 def _truncate_any(obj, d):

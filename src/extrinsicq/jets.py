@@ -245,14 +245,18 @@ def _stack(cs, nc, B, mixed):
     return np.ascontiguousarray(a.reshape(len(cs), nc, B).transpose(1, 0, 2))
 
 
-def dot(xs, ys, start=None):
+def dot(xs, ys, start=None, subtract=False):
     """start + xs[0]*ys[0] + xs[1]*ys[1] + ..., summed left to right, at the
     lowest degree among the operands: bit-identical to that loop of products
-    and additions, with no jet per term.  Below ``_LAYERED_MIN_BATCH`` points
-    the operands are stacked as (ncoeffs, terms, batch): one gather and one
-    reduceat make the products, one accumulate adds them in order.  From
-    there on each product is layered into one accumulator, as the stacked
-    gather would outgrow the cache."""
+    and additions, with no jet per term.  ``subtract`` gives
+    start - xs[0]*ys[0] - xs[1]*ys[1] - ..., bit for bit that loop with every
+    x negated: the xs' coefficients are negated, not the products, as
+    negating a product whose sum cancels to +0 would give -0.  Below
+    ``_LAYERED_MIN_BATCH`` points the operands are stacked as
+    (ncoeffs, terms, batch): one gather and one reduceat make the products,
+    one accumulate adds them in order.  From there on each product is
+    layered into one accumulator, as the stacked gather would outgrow the
+    cache."""
     m = len(xs)
     if len(ys) != m or not m:
         raise JetError(f"dot needs as many xs as ys, and one at least: got {m} and {len(ys)}")
@@ -268,6 +272,8 @@ def dot(xs, ys, start=None):
     nc, B = space.ncoeffs, max(batches, default=(1,))[0]
     cs = [j.coeffs[:nc] for j in ops]
     k = len(ops) - 2 * m  # 1 with a start, else 0
+    if subtract:
+        cs[k : k + m] = [-c for c in cs[k : k + m]]
     if B < _LAYERED_MIN_BATCH:
         I, J, starts, _, _ = space.mul_table()
         terms = np.empty((nc, k + m, B))

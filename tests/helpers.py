@@ -502,9 +502,9 @@ def count_products(monkeypatch):
         counter[0] += isinstance(other, jets.Jet)
         return mul(self, other)
 
-    def counting_dot(xs, ys, start=None):
+    def counting_dot(xs, ys, start=None, subtract=False):
         counter[0] += len(xs)
-        return dot(xs, ys, start)
+        return dot(xs, ys, start, subtract)
 
     monkeypatch.setattr(jets.Jet, "__mul__", counting_mul)
     monkeypatch.setattr(jets, "dot", counting_dot)

@@ -146,6 +146,17 @@ def test_every_component_of_nabla_g_vanishes(name, d):
     np.testing.assert_allclose(jet_coeffs(nabla_g, B, nc), 0.0, rtol=0, atol=1e-13 * scale)
 
 
+def test_covariant_negates_no_symbol(monkeypatch):
+    """``jets.dot`` subtracts the Christoffel terms, so no negated jet is made."""
+    scn = parse_scenario("PERT_T4")
+    ctx = scn.context(rand_points(scn.chart, 5, 21))
+    g1, ga = ctx.g(2), ctx.gamma(1)
+    neg, calls = jets.Jet.__neg__, []
+    monkeypatch.setattr(jets.Jet, "__neg__", lambda a: calls.append(a) or neg(a))
+    covariant(g1, ga, 0, (1, 2))
+    assert calls == []
+
+
 @pytest.mark.parametrize("d", [0, 1])
 @pytest.mark.parametrize("name", ["PERT_T4", "GRAPH(T4_IN_PERT_T5)"])
 def test_hessian_and_divergence2_match_the_parent_forms(name, d):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -552,13 +553,13 @@ def test_dot_is_bit_identical_to_the_loop(nvars, degree, batch):
     ]
     # no start, one at the operands' batch and an unbatched one
     starts = [None] + [_dot_operand(rng, nvars, degree + 2, b) for b in {batch: 0, None: 0}]
-    for xs, ys in (uniform, mixed):
-        for start in starts:
-            got = jets.dot(xs, ys, start)
-            want = reference_dot(xs, ys, start)
-            assert got.degree == degree and got.batch == want.batch
-            np.testing.assert_array_equal(got.coeffs, want.coeffs)
-            np.testing.assert_array_equal(np.signbit(got.coeffs), np.signbit(want.coeffs))
+    # the subtracting form against the loop with every x negated
+    for (xs, ys), start, subtract in itertools.product((uniform, mixed), starts, (False, True)):
+        got = jets.dot(xs, ys, start, subtract=subtract)
+        want = reference_dot([-x for x in xs] if subtract else xs, ys, start)
+        assert got.degree == degree and got.batch == want.batch
+        np.testing.assert_array_equal(got.coeffs, want.coeffs)
+        np.testing.assert_array_equal(np.signbit(got.coeffs), np.signbit(want.coeffs))
 
 
 def test_dot_rejects_mismatched_operands():

@@ -104,8 +104,8 @@ def charge(field, ctx):
             return mul(a, b)
         return counted(1, mul, a, b)
 
-    def counted_dot(xs, ys, start=None):
-        return counted(len(xs), dot, xs, ys, start)
+    def counted_dot(xs, ys, start=None, subtract=False):
+        return counted(len(xs), dot, xs, ys, start, subtract)
 
     def counted_layered(space, ca, cb):
         if ca.ndim != 1:  # a batched product, already counted by its caller
