@@ -336,9 +336,19 @@ def _invert_spd(gmat, ctx, d):
     No pivoting: for a positive-definite matrix every pivot is a ratio of
     leading principal minors, so positivity of the pivots IS the positivity
     check.  The threshold is relative to the matrix's own diagonal because
-    polar-chart metrics are legitimately tiny near coordinate poles.
+    polar-chart metrics are legitimately tiny near coordinate poles.  A
+    component beyond the float range is refused first, as it would read as a
+    non-positive pivot.
     """
     n = len(gmat)
+    for i in range(n):
+        for j in range(i, n):
+            finite = np.atleast_1d(np.isfinite(gmat[i][j].coeffs).all(axis=0))
+            if not finite.all():
+                raise SingularFieldError(
+                    f"metric components at {ctx.describe_point(int(np.argmin(finite)))} "
+                    "exceed the float range"
+                )
     sp = jets.jet_space(ctx.dim, d)
     a = [list(row) for row in gmat]
     inv = [

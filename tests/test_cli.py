@@ -196,6 +196,19 @@ def test_singular_metric_point_exits_two(capsys):
     assert "Traceback" not in err
 
 
+def test_overflowed_metric_exits_two_as_overflow(capsys):
+    # the metric of a sphere of radius 1e200 is finite in exact arithmetic
+    # and positive definite, but its components exceed the float range
+    code, out, err = run_cli(
+        capsys, "curvature", "--scenario", "ROUND_S(4,1e200)", "--point", "1,1,1,1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "exceed the float range" in err and "(1, 1, 1, 1)" in err
+    assert "positive definite" not in err
+
+
 def test_input_function_outside_its_domain_exits_two(capsys):
     code, out, err = run_cli(
         capsys,
