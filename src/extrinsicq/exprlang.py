@@ -8,7 +8,8 @@ metric's components, an embedding, an ambient metric along the embedding)
 passes them one memo, so it evaluates each distinct subexpression once: the
 conformal factor that ``conformal_rescale`` writes into every component, for
 instance, is expanded once per build, not once per component.  The memo keeps
-only the subexpressions that occur more than once, and only for that build.
+only the subexpressions that occur more than once, and each only until its
+last use in that build.
 
 Grammar (conventional precedence, left associative):
 
@@ -178,21 +179,24 @@ class _Parser:
             raise ExprError("unclosed '('", self.text, open_pos)
 
 
-_ONCE = object()  # a node without a slot in the memo
-
-
 def _eval(node, args, space, memo):
-    """The value of ``node``; kept in ``memo`` if the memo has a slot for it."""
+    """The value of ``node``; kept in ``memo`` until its last use if the memo
+    has a slot (uses left, value or None) for it."""
     kind = node[0]
     if kind == "num":
         return node[1]
     if kind == "var":
         return args[node[1]]
-    out = memo.get(node, _ONCE)
-    if out is _ONCE:
+    slot = memo.get(node)
+    if slot is None:
         return _eval_op(node, args, space, memo)
+    uses, out = slot
     if out is None:
-        out = memo[node] = _eval_op(node, args, space, memo)
+        out = _eval_op(node, args, space, memo)
+    if uses == 1:
+        del memo[node]
+    else:
+        memo[node] = (uses - 1, out)
     return out
 
 
@@ -237,24 +241,25 @@ def shared_memo(exprs):
 
     It has a slot for each subtree that those calls would otherwise evaluate
     more than once, and none for the others, so a subtree used once is freed
-    as soon as its parent is built.  Nodes are tuples, so equal subtrees of
+    as soon as its parent is built.  A slot counts the uses left and drops
+    its value at the last one.  Nodes are tuples, so equal subtrees of
     different expressions share one slot.  A subtree that raises leaves its
     slot empty.  Code that evaluates the same list often keeps one memo and
     passes a copy to each evaluation.
     """
-    seen = {}
+    uses = {}
     stack = [e._ast for e in exprs]
     while stack:
         node = stack.pop()
         if node[0] in ("num", "var"):
             continue
-        if node in seen:
+        if node in uses:
             # evaluated once through its slot, so its own subtrees are not repeats
-            seen[node] = True
+            uses[node] += 1
             continue
-        seen[node] = False
+        uses[node] = 1
         stack.extend(_children(node))
-    return {node: None for node, again in seen.items() if again}
+    return {node: (n, None) for node, n in uses.items() if n > 1}
 
 
 class Expression:

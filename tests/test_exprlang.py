@@ -108,6 +108,7 @@ def test_a_shared_memo_evaluates_each_distinct_subexpression_once(monkeypatch):
     count = count_series(monkeypatch)
     shared = [e(args, memo) for e in exprs]
     assert count[0] == 3  # exp, sin and cos once each
+    assert memo == {}  # each slot is freed at its last use
     count[0] = 0
     alone = [e(args) for e in exprs]
     assert count[0] == 6
@@ -127,7 +128,8 @@ def test_a_shared_memo_keeps_no_failed_subexpression():
     for e in exprs:
         with pytest.raises(SingularFieldError, match=re.escape(f"evaluating '{e.text}'")):
             e(args, memo)
-    assert list(memo.values()) == [None]
+    # the slot keeps both its uses and no value
+    assert list(memo.values()) == [(2, None)]
 
 
 def test_eval_division_by_zero_constant():
