@@ -236,10 +236,38 @@ def _truncate_any(obj, d):
     return obj
 
 
-class GeometryContext:
-    """Points plus a per-(quantity, degree) cache.  Subclasses supply g()."""
+class DegreePlan(dict):
+    """{cache key: deepest degree requested so far}, shared by the contexts
+    of one job that have the same degree cap.
 
-    def __init__(self, chart, points, degree_cap=6):
+    The contexts of one job, such as one verify check or one ``integrate``
+    call, ask for nearly the same quantities at the same degrees, so the
+    requests of the first plan the builds of the others.  A degree is
+    recorded once a build at it succeeds, and never above the cap.
+    ``ambient`` is the plan of the ambient contexts of embedded surface
+    contexts on this plan, as those use the same keys for other quantities.
+    """
+
+    def __init__(self, cap):
+        super().__init__()
+        self.cap = cap
+        self._ambient = None
+
+    @property
+    def ambient(self):
+        if self._ambient is None:
+            self._ambient = DegreePlan(self.cap)
+        return self._ambient
+
+
+class GeometryContext:
+    """Points plus a per-(quantity, degree) cache.  Subclasses supply g().
+
+    ``plan`` is a DegreePlan shared with sibling contexts of the same cap; a
+    context given none keeps its own.
+    """
+
+    def __init__(self, chart, points, degree_cap=6, plan=None):
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim == 1:
             pts = pts[:, None]
@@ -249,9 +277,16 @@ class GeometryContext:
             )
         if not 0 <= degree_cap <= jets.MAX_DEGREE:
             raise JetError(f"degree cap must be in 0..{jets.MAX_DEGREE}, got {degree_cap}")
+        if plan is None:
+            plan = DegreePlan(degree_cap)
+        elif plan.cap != degree_cap:
+            raise JetError(
+                f"a degree plan for cap {plan.cap} cannot serve a context capped at {degree_cap}"
+            )
         self.chart = chart
         self.points = pts
         self.degree_cap = degree_cap
+        self.plan = plan
         self._cache = {}
 
     @property
@@ -267,7 +302,14 @@ class GeometryContext:
         return f"({vals})"
 
     def get(self, key, d, build):
-        """Memoized lookup; a deeper cached copy serves shallower requests."""
+        """Memoized lookup of ``key`` at degree d.
+
+        A deeper cached copy serves shallower requests by truncation, which
+        is exact.  On a miss the quantity is built at the deepest degree the
+        plan has seen requested for it, if that is deeper than d, and that
+        copy is cached too; so a context that shares a plan builds each key
+        once, at the depth its siblings needed.
+        """
         hit = self._cache.get((key, d))
         if hit is not None:
             return hit
@@ -277,8 +319,14 @@ class GeometryContext:
                 out = _truncate_any(deep, d)
                 self._cache[(key, d)] = out
                 return out
-        out = build(d)
-        self._cache[(key, d)] = out
+        planned = self.plan.get(key, d)
+        if planned > d:
+            deep = self._cache[(key, planned)] = build(planned)
+            out = self._cache[(key, d)] = _truncate_any(deep, d)
+            return out
+        out = self._cache[(key, d)] = build(d)
+        if d <= self.degree_cap:
+            self.plan[key] = d
         return out
 
     def coords(self, d):
@@ -322,8 +370,8 @@ class GeometryContext:
 class MetricContext(GeometryContext):
     """Evaluation context for an explicitly given metric."""
 
-    def __init__(self, metric, points, degree_cap=6):
-        super().__init__(metric.chart, points, degree_cap)
+    def __init__(self, metric, points, degree_cap=6, plan=None):
+        super().__init__(metric.chart, points, degree_cap, plan)
         self.metric = metric
 
     def g(self, d):

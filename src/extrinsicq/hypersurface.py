@@ -87,8 +87,8 @@ class EmbeddedSurfaceContext(GeometryContext):
     add the extrinsic ones, cached here alongside everything else.
     """
 
-    def __init__(self, embedding, points, degree_cap=6):
-        super().__init__(embedding.chart, points, degree_cap)
+    def __init__(self, embedding, points, degree_cap=6, plan=None):
+        super().__init__(embedding.chart, points, degree_cap, plan)
         self.embedding = embedding
         sp0 = jets.jet_space(self.dim, 0)
         args0 = [jets.constant(sp0, self.points[i]) for i in range(self.dim)]
@@ -98,7 +98,7 @@ class EmbeddedSurfaceContext(GeometryContext):
             v = np.atleast_1d(np.asarray(e(args0).value, dtype=np.float64))
             rows.append(np.broadcast_to(v, (B,)))
         self.ambient = MetricContext(
-            embedding.ambient_metric, np.array(rows), degree_cap
+            embedding.ambient_metric, np.array(rows), degree_cap, self.plan.ambient
         )
 
     def g(self, d):

@@ -58,10 +58,12 @@ class Scenario:
             return None
         return self.embedding.ambient_metric.chart
 
-    def context(self, points, degree_cap=6):
+    def context(self, points, degree_cap=6, plan=None):
+        """A context on ``points``; ``plan`` is a DegreePlan shared with the
+        other contexts of one job."""
         if self.metric is not None:
-            return MetricContext(self.metric, points, degree_cap=degree_cap)
-        return hs.EmbeddedSurfaceContext(self.embedding, points, degree_cap=degree_cap)
+            return MetricContext(self.metric, points, degree_cap, plan)
+        return hs.EmbeddedSurfaceContext(self.embedding, points, degree_cap, plan)
 
     def rescaled(self, phi_text, name=None):
         """The same geometry under g -> e^{2 phi} g.

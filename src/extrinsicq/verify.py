@@ -31,6 +31,7 @@ from . import hypersurface as hs
 from . import operators as ops
 from .exprlang import parse_expression
 from .geometry import (
+    DegreePlan,
     Field,
     constant_field,
     differential,
@@ -208,7 +209,8 @@ class Quadrature:
 def integrate(fields, scenario, quad, degree_cap=6, chunk=1024, absolute=False):
     """Integrals of scalar fields against the scenario's volume form.
 
-    Evaluates every field on shared per-chunk contexts, multiplies by the
+    Evaluates every field on shared per-chunk contexts, which share one
+    degree plan, multiplies by the
     quadrature weight times sqrt(det g) (the induced metric on embedded
     scenarios), and compensates the final summation with math.fsum.  Returns
     the list of integrals, or (integrals, integrals of |field|) when
@@ -224,12 +226,13 @@ def integrate(fields, scenario, quad, degree_cap=6, chunk=1024, absolute=False):
     fields = list(fields)
     parts = [[] for _ in fields]
     aparts = [[] for _ in fields]
+    plan = DegreePlan(degree_cap)
     for lo in range(0, quad.npoints, chunk):
         sl = slice(lo, min(lo + chunk, quad.npoints))
         pts = quad.points[:, sl]
         w = quad.weights[sl]
         nb = pts.shape[1]
-        ctx = scenario.context(pts, degree_cap=degree_cap)
+        ctx = scenario.context(pts, degree_cap, plan)
         gm = jet_values(ctx.g(0), nb)
         dens = w * np.sqrt(np.linalg.det(np.moveaxis(gm, -1, 0)))
         for k, f in enumerate(fields):
@@ -341,22 +344,25 @@ def _at(ctx, fn):
 def _pointwise_checks(scn, cfg, seed, rows, cap=None):
     """Draw the row's points and context, then build one result for each
     (name, residual, scale, tol) that ``rows(ctx, rng)`` returns; the error
-    is max |residual|.  ``cap`` overrides the configured jet degree."""
+    is max |residual|.  ``cap`` overrides the configured jet degree.  Other
+    contexts the rows make share ``ctx.plan``."""
     rng = np.random.default_rng(seed)
     pts = _points(scn, _npoints(scn.dim), rng)
-    ctx = scn.context(pts, degree_cap=cfg.degree if cap is None else cap)
+    cap = cfg.degree if cap is None else cap
+    ctx = scn.context(pts, cap, DegreePlan(cap))
     return [
         CheckResult.build(name, scn.name, ctx.nbatch, np.max(np.abs(res)), scale, tol, seed)
         for name, res, scale, tol in rows(ctx, rng)
     ]
 
 
-def _rescaled_pair(scn, phi_text, pts, cap, base_ctx=None):
+def _rescaled_pair(scn, phi_text, pts, plan, base_ctx=None):
     """Contexts of the scenario and of its e^{2 phi} rescaling on the same
-    points, and phi as a field; ``base_ctx`` reuses an existing base context."""
+    points and degree plan, and phi as a field; ``base_ctx`` reuses an
+    existing base context."""
     if base_ctx is None:
-        base_ctx = scn.context(pts, degree_cap=cap)
-    hat_ctx = scn.rescaled(phi_text).context(pts, degree_cap=cap)
+        base_ctx = scn.context(pts, plan.cap, plan)
+    hat_ctx = scn.rescaled(phi_text).context(pts, plan.cap, plan)
     return base_ctx, hat_ctx, _phi_field(scn, phi_text)
 
 
@@ -396,7 +402,7 @@ _COVARIANT_OPS = {
 }
 
 
-def _covariance_defect(scn, make_op, order, phi_text, f_text, cfg, pts):
+def _covariance_defect(scn, make_op, order, phi_text, f_text, pts, plan):
     """max |Op(e^{w_in phi} f) - e^{w_out phi} Op_hat(f)| over the points.
 
     Here Op acts in the scenario's metric, Op_hat in the one rescaled by
@@ -406,7 +412,7 @@ def _covariance_defect(scn, make_op, order, phi_text, f_text, cfg, pts):
     """
     n = scn.dim
     w_in, w_out = 0.5 * (n - order), 0.5 * (n + order)
-    base_ctx, hat_ctx, phi = _rescaled_pair(scn, phi_text, pts, cfg.degree)
+    base_ctx, hat_ctx, phi = _rescaled_pair(scn, phi_text, pts, plan)
     f = _sfield(f_text, scn.chart)
     lhs = _at(base_ctx, make_op(_exp_weight(phi, w_in) * f))
     rhs = np.exp(w_out * _at(base_ctx, phi)) * _at(hat_ctx, make_op(f))
@@ -424,10 +430,11 @@ def check_covariance(scn, op_name, cfg, seed, pairs=1):
         raise ConfigError(f"{op_name} needs an embedded scenario, got {scn.name}")
     rng = np.random.default_rng(seed)
     pts = _points(scn, _npoints(scn.dim), rng)
+    plan = DegreePlan(cfg.degree)
 
     def defect(phi_text):
         f_text = _random_text(scn.basis, rng)
-        return _covariance_defect(scn, make_op, order, phi_text, f_text, cfg, pts)
+        return _covariance_defect(scn, make_op, order, phi_text, f_text, pts, plan)
 
     return _control_and_draws(f"{op_name}_covariance", scn, cfg, seed, rng, pts, pairs, defect)
 
@@ -456,9 +463,10 @@ def check_q_law(scn, which, cfg, seed, pairs=1):
         raise ConfigError(f"{which} law needs an embedded scenario")
     rng = np.random.default_rng(seed)
     pts = _points(scn, _npoints(scn.dim), rng)
+    plan = DegreePlan(cfg.degree)
 
     def defect(phi_text):
-        base_ctx, hat_ctx, phi = _rescaled_pair(scn, phi_text, pts, cfg.degree)
+        base_ctx, hat_ctx, phi = _rescaled_pair(scn, phi_text, pts, plan)
         lhs = np.exp(n * _at(base_ctx, phi)) * _at(hat_ctx, q_op())
         rhs = _at(base_ctx, q_op()) + sign * _at(base_ctx, p_op(phi))
         return _defect(lhs, rhs)
@@ -469,15 +477,15 @@ def check_q_law(scn, which, cfg, seed, pairs=1):
 # ---- pointwise invariant --------------------------------------------------------
 
 
-def _weight4_defect(scn, cfg, ctx, field):
-    """defect(phi_text) of e^{4 phi} field_hat = field on ctx's points, for a
-    field of a 4-dimensional hypersurface."""
+def _weight4_defect(scn, ctx, field):
+    """defect(phi_text) of e^{4 phi} field_hat = field on ctx's points and
+    plan, for a field of a 4-dimensional hypersurface."""
     if scn.dim != 4 or scn.kind != "embedded":
         raise ConfigError("the pointwise invariant lives on 4-dimensional hypersurfaces")
     base = _at(ctx, field)
 
     def defect(phi_text):
-        _, hat_ctx, phi = _rescaled_pair(scn, phi_text, ctx.points, cfg.degree, ctx)
+        _, hat_ctx, phi = _rescaled_pair(scn, phi_text, ctx.points, ctx.plan, ctx)
         lhs = np.exp(4.0 * _at(ctx, phi)) * _at(hat_ctx, field)
         return _defect(lhs, base, np.max(np.abs(base)))
 
@@ -488,7 +496,8 @@ def check_c_invariance(scn, cfg, seed, phis=3):
     """e^{4 phi} C_hat = C pointwise on a non-umbilic 4-dimensional surface."""
     rng = np.random.default_rng(seed)
     pts = _points(scn, _npoints(4), rng)
-    defect = _weight4_defect(scn, cfg, scn.context(pts, degree_cap=cfg.degree), ops.c_invariant())
+    ctx = scn.context(pts, cfg.degree, DegreePlan(cfg.degree))
+    defect = _weight4_defect(scn, ctx, ops.c_invariant())
     return _control_and_draws("c_invariance", scn, cfg, seed, rng, pts, phis, defect)
 
 
@@ -500,7 +509,7 @@ def check_ads_decomposition(scn, cfg, seed):
     invariance = []
 
     def rows(ctx, rng):
-        defect = _weight4_defect(scn, cfg, ctx, parts[1])
+        defect = _weight4_defect(scn, ctx, parts[1])
         whole = _at(ctx, total)
         res = whole - sum(_at(ctx, p) for p in parts)
         invariance.extend(
@@ -654,7 +663,7 @@ def check_global_invariant(scn, cfg, seed, expected=None):
         [field], scn, quad, degree_cap=cfg.degree, absolute=True
     )
     nb = min(256, quad.npoints)
-    base_ctx, hat_ctx, _ = _rescaled_pair(scn, "0", quad.points[:, :nb], cfg.degree)
+    base_ctx, hat_ctx, _ = _rescaled_pair(scn, "0", quad.points[:, :nb], DegreePlan(cfg.degree))
     bvals = _at(base_ctx, field)
     err, scale = _defect(_at(hat_ctx, field), bvals, np.max(np.abs(bvals)))
     out = [
@@ -733,9 +742,10 @@ def check_q4_audit(scn, gb_scn, cfg, seed):
     f_text = _random_text(scn.basis, rng)
     out = []
     cov = {}
+    plan = DegreePlan(cfg.degree)
     for c in (2.0, 1.0):
         err, scale = _covariance_defect(
-            scn, lambda fld, c=c: ops.p4(fld, c_rho=c), 4, phi_text, f_text, cfg, pts
+            scn, lambda fld, c=c: ops.p4(fld, c_rho=c), 4, phi_text, f_text, pts, plan
         )
         cov[c] = err / max(scale, 1.0)
         if c == 2.0:
@@ -835,9 +845,7 @@ def check_structural(scn, cfg, seed):
         Wn = batch_first(_at(ctx, ops.normal_weyl_field()))
         out.append(("normal_weyl_trace", np.einsum("bij,bij->b", ginv, Wn),
                     np.max(np.abs(Wn)), tol))
-        _, hat_ctx, phi = _rescaled_pair(
-            scn, conf_phi(scn.name), ctx.points, ctx.degree_cap, ctx
-        )
+        _, hat_ctx, phi = _rescaled_pair(scn, conf_phi(scn.name), ctx.points, ctx.plan, ctx)
         phiv = _at(ctx, phi)
         for nm, fld, weight in (
             ("tracefree_shape_weight", ops.tracefree_shape_field(), 1.0),

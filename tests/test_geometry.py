@@ -4,12 +4,14 @@ import re
 import numpy as np
 import pytest
 
-from extrinsicq import jets
+from extrinsicq import jets, operators as ops
 from extrinsicq.exprlang import ExprError, parse_expression
 from extrinsicq.geometry import (
     Axis,
     Chart,
+    DegreePlan,
     Field,
+    GeometryContext,
     Metric,
     MetricContext,
     apply2,
@@ -446,3 +448,77 @@ def test_jet_arrays_match_the_nested_loop(rank, leaves):
             unit = tuple(int(k == e) for k in range(n))
             got = coeffs[(1 + e, *idx)]
             assert np.array_equal(got, np.broadcast_to(np.atleast_1d(j.extract(unit)), (B,)))
+
+
+# ---- degree plans -------------------------------------------------------------
+
+
+def record_builds(monkeypatch):
+    """(context, key, degree) of every build any context runs from here on."""
+    built = []
+    get = GeometryContext.get
+
+    def recording_get(ctx, key, d, build):
+        def recorded(dd):
+            built.append((ctx, key, dd))
+            return build(dd)
+
+        return get(ctx, key, d, recorded)
+
+    monkeypatch.setattr(GeometryContext, "get", recording_get)
+    return built
+
+
+def _degrees_by_key(built, ctx):
+    out = {}
+    for c, key, dd in built:
+        if c is ctx:
+            out.setdefault(key, set()).add(dd)
+    return out
+
+
+@pytest.mark.parametrize("name", ["PERT_T4", "GRAPH(T4_IN_PERT_T5)"])
+def test_a_second_context_on_a_plan_builds_each_key_once(name, monkeypatch):
+    scn = parse_scenario(name)
+    pts = rand_points(scn.chart, 4, 26)
+    f = expression_field(parse_expression("sin(x1)*cos(x2)", scn.chart.names))
+    if scn.kind == "embedded":
+        fields = [ops.c_invariant(), ops.ext_p4_critical(f)]
+    else:
+        fields = [ops.q4(), ops.p4(f)]
+    plan = DegreePlan(6)
+    built = record_builds(monkeypatch)
+    first, second = (scn.context(pts, 6, plan) for _ in range(2))
+    for ctx in (first, second):
+        for field in fields:
+            field(ctx, 0)
+    # the first context builds some keys at two degrees, learning the plan
+    assert any(len(v) > 1 for v in _degrees_by_key(built, first).values())
+    for ctx in [second] + ([second.ambient] if scn.kind == "embedded" else []):
+        degrees = _degrees_by_key(built, ctx)
+        assert degrees and all(len(v) == 1 for v in degrees.values())
+
+
+def test_a_plan_stays_within_its_cap(monkeypatch):
+    m = Metric.from_dict(torus_chart(2), {"g11": "2 + sin(x1)", "g22": "2 + cos(x2)", "g12": "0"})
+    pts = rand_points(m.chart, 3, 27)
+    plan = DegreePlan(3)
+    first = MetricContext(m, pts, 3, plan)
+    with pytest.raises(DegreeExhaustedError):
+        first.gamma(3)  # needs the metric at degree 4
+    one = constant_field(1.0)
+    one(first, 5)  # a constant builds at any degree, the cap's too
+    first.g(2)
+    assert plan["g"] == 2 and max(plan.values()) <= 3
+    built = record_builds(monkeypatch)
+    second = MetricContext(m, pts, 3, plan)
+    second.gamma(0)
+    one(second, 0)
+    assert built and all(dd <= 3 for _, _, dd in built)
+    # contexts of another cap cannot share the plan, nor can the ambient
+    # context of an embedded surface context of another cap
+    with pytest.raises(JetError, match="cap 3 cannot serve a context capped at 4"):
+        MetricContext(m, pts, 4, plan)
+    scn = parse_scenario("GRAPH(T2_IN_T3)")
+    with pytest.raises(JetError, match="cannot serve"):
+        scn.context(rand_points(scn.chart, 3, 28), 4, plan)

@@ -5,19 +5,22 @@ import pytest
 
 from extrinsicq import hypersurface as hs, jets, operators as ops
 from extrinsicq.exprlang import parse_expression
-from extrinsicq.scenarios import parse_scenario
+from extrinsicq.scenarios import conf_phi, parse_scenario
 from extrinsicq.geometry import (
     Axis,
     Chart,
+    DegreePlan,
     Metric,
     MetricContext,
     conformal_rescale,
     divdiv,
     expression_field,
     inner22,
+    jet_coeffs,
 )
 
 from helpers import (
+    assert_same_bits,
     jval,
     reference_c_invariant,
     reference_integrand_i1,
@@ -531,3 +534,33 @@ def test_ads_parts_need_dimension_four():
     for part in ops.ads_parts():
         with pytest.raises(jets.JetError):
             part(sctx, 0)
+
+
+# ---- degree plans shared by the contexts of one job -------------------------
+
+
+@pytest.mark.parametrize("B", [8, 128])
+@pytest.mark.parametrize("name", ["GRAPH(T4_IN_PERT_T5)", "PERT_T4"])
+def test_a_shared_plan_gives_the_bits_of_a_fresh_context(name, B):
+    """Fields on a context whose plan a sibling filled, built at the planned
+    degrees and truncated, against the same fields on a fresh context; at 8
+    points the stacked products run, at 128 the layered ones."""
+    scn = parse_scenario(name)
+    pts = np.stack([np.random.default_rng(40 + k).uniform(0.0, TAU, B) for k in range(4)])
+    f = expression_field(parse_expression("sin(x1)*cos(x2) + 0.3*cos(x3 - x4)", scn.chart.names))
+    fields = {"q4": ops.q4()}
+    if scn.kind == "embedded":
+        fields["c_invariant"] = ops.c_invariant()
+        fields["total_q4"] = ops.integrand_i1() + ops.integrand_i2() + ops.integrand_i3()
+        fields["ext_p4_critical(f)"] = ops.ext_p4_critical(f)
+    else:
+        fields["p4(f)"] = ops.p4(f)
+    plan = DegreePlan(6)
+    # a conformal check's other context learns the plan first
+    sibling = scn.rescaled(conf_phi(name)).context(pts, 6, plan)
+    for field in fields.values():
+        field(sibling, 0)
+    shared, fresh = scn.context(pts, 6, plan), scn.context(pts, 6)
+    for label, field in fields.items():
+        got, want = (jet_coeffs(field(c, 0), B, 1) for c in (shared, fresh))
+        assert_same_bits(got, want)

@@ -70,13 +70,13 @@ def test_products_by_build_charges_the_innermost_build():
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[0] == "SPHERE_IN_FLAT(3,1)  ext_q3  4 points"
-    rows = {tuple(line.split()[:3]): int(line.split()[3]) for line in lines[2:-2]}
+    rows = {tuple(line.split()[:3]): int(line.split()[3]) for line in lines[2:-3]}
     # L at degree 2 for ext_q3, and the ambient Christoffel symbols it pulls
     assert rows[("surface", "second_fundamental", "2")] > 0
     assert rows[("metric", "gamma", "2")] > 0
-    total = lines[-2].split()
+    total = lines[-3].split()
     assert total[0] == "total" and int(total[1]) == sum(rows.values())
-    assert lines[-1].startswith("wall ")
+    assert lines[-2].startswith("wall ")
 
 
 def test_products_by_build_counts_each_dot_term():
@@ -85,7 +85,7 @@ def test_products_by_build_counts_each_dot_term():
     # of 2n = 8 terms each
     out = _products("SPHERE_IN_FLAT(3,1)", "ext_q3", "--points", "4")
     assert out.returncode == 0, out.stderr
-    rows = {tuple(line.split()[:3]): int(line.split()[3]) for line in out.stdout.splitlines()[2:-2]}
+    rows = {tuple(line.split()[:3]): int(line.split()[3]) for line in out.stdout.splitlines()[2:-3]}
     assert rows[("metric", "gamma", "2")] == 160
     assert rows[("metric", "riemann", "0")] == 168
 
@@ -104,7 +104,7 @@ def test_products_by_build_counts_one_column_monomials():
     for points in ("127", "128"):
         out = _products("ROUND_S(4,1)", "q4", "--points", points)
         assert out.returncode == 0, out.stderr
-        totals.append(int(out.stdout.splitlines()[-2].split()[1]))
+        totals.append(int(out.stdout.splitlines()[-3].split()[1]))
     assert totals[0] == totals[1]
 
 
@@ -115,8 +115,20 @@ def test_products_by_build_counts_series_per_build():
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[1].split() == ["kind", "key", "degree", "products", "series", "seconds"]
-    series = {tuple(line.split()[:3]): int(line.split()[4]) for line in lines[2:-2]}
+    series = {tuple(line.split()[:3]): int(line.split()[4]) for line in lines[2:-3]}
     assert series[("metric", "g", "3")] == 4
     assert series[("surface", "gbar", "2")] == 4
     assert series[("surface", "iota", "4")] == 6
-    assert int(lines[-2].split()[2]) == sum(series.values())
+    assert int(lines[-3].split()[2]) == sum(series.values())
+
+
+def test_products_by_build_totals_a_second_context_on_the_plan():
+    # the q4 chain asks for g, the inverse, gamma and the curvature at several
+    # degrees; a second context on the first one's plan builds each once, at
+    # the deepest of them
+    out = _products("ROUND_S(4,1)", "q4", "--points", "4")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    first = lines[-3].split()
+    assert first[:3] == ["total", "1339", "14"]
+    assert lines[-1].startswith("second context on the same plan: 795 products, 7 series, ")

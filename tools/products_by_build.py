@@ -26,7 +26,10 @@ function table ``exprlang._FUNCS``, counts once, and one made inside another
 (sqrt calls powf) does not count.  Products and series made outside any build
 are charged to ``(none)``.  It prints one line per build with its products,
 its series and the time of its products, most time first, then the totals and
-the wall time of the evaluation.
+the wall time of the evaluation.  A last line gives the same totals for a
+second context on the same points that shares the first one's degree plan,
+as each later chunk of ``integrate`` does: it builds each quantity once, at
+the deepest degree the first context asked for.
 
 Exit status: 0 on a result, 2 on a bad scenario, field or point count, or a
 point outside the field's domain.
@@ -40,7 +43,7 @@ from collections import defaultdict
 from extrinsicq import cli, exprlang, jets
 from extrinsicq import hypersurface as hs
 from extrinsicq import operators as ops
-from extrinsicq.geometry import GeometryContext, jet_values
+from extrinsicq.geometry import DegreePlan, GeometryContext, jet_values
 from extrinsicq.scenarios import ScenarioError, parse_scenario
 from extrinsicq.verify import ConfigError, Quadrature, VerifyConfig
 
@@ -134,6 +137,10 @@ def charge(field, ctx):
     return dict(table), wall
 
 
+def _totals(table):
+    return tuple(sum(r[k] for r in table.values()) for k in range(3))
+
+
 def main(argv):
     ap = argparse.ArgumentParser(
         prog="products_by_build.py",
@@ -150,8 +157,10 @@ def main(argv):
         field = _field(args.field, scn)
         cfg = VerifyConfig()
         quad = Quadrature(scn.chart, cfg.nodes, cfg.gauss_nodes)
-        ctx = scn.context(quad.points[:, : args.points], degree_cap=cfg.degree)
+        pts, plan = quad.points[:, : args.points], DegreePlan(cfg.degree)
+        ctx = scn.context(pts, cfg.degree, plan)
         table, wall = charge(field, ctx)
+        second, second_wall = charge(field, scn.context(pts, cfg.degree, plan))
     except (ConfigError, ScenarioError, jets.JetError, jets.SingularFieldError,
             ops.NonUmbilicError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -161,9 +170,12 @@ def main(argv):
     rows = sorted(table.items(), key=lambda kv: -kv[1][2])
     for (kind, key, d), (count, nseries, secs) in rows:
         print(f"{kind:<8} {key:<20} {d!s:>6} {count:>9} {nseries:>7} {secs:>9.4f}")
-    count, nseries, secs = (sum(r[k] for r in table.values()) for k in range(3))
+    count, nseries, secs = _totals(table)
     print(f"{'total':<8} {'':<20} {'':>6} {count:>9} {nseries:>7} {secs:>9.4f}")
     print(f"wall {wall:.4f} s")
+    count, nseries, secs = _totals(second)
+    print(f"second context on the same plan: {count} products, {nseries} series, "
+          f"{secs:.4f} s, wall {second_wall:.4f} s")
     return 0
 
 
