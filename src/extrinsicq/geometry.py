@@ -6,7 +6,12 @@ Christoffel symbols, and through the builders in curvature.py the curvature
 tensors), each computed once per degree and memoized.  Degree bookkeeping is
 demand driven: every quantity requests exactly the jet depth it consumes,
 and the context refuses to exceed its configured cap rather than silently
-return shallow data.
+return shallow data.  A deeper cached copy serves shallower requests by
+truncation, which is exact.  The contexts of one job (one verify check, one
+``integrate`` call) share a ``DegreePlan``, the deepest degree requested so
+far per cache key, so a later context builds each quantity once, at the
+depth its siblings needed, instead of a shallow copy first and a deep one
+later.
 
 Scalar and tensor fields are closures fn(ctx, degree) wrapped in Field so
 results can be cached per context; the calculus combinators (differential,

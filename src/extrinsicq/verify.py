@@ -13,8 +13,10 @@ draws a row's points and context and builds one result per (name, residual,
 scale, tolerance).  The conformal checks compare a scenario with its e^{2 phi}
 rescaling through ``_rescaled_pair`` (both contexts on the same points, and
 phi as a field), and ``_control_and_draws`` turns such a defect into the phi=0
-control and the worst case over random factors.  Fields come back from the
-jets as arrays through ``geometry.jet_values``, batch axis last.
+control and the worst case over random factors.  All contexts of one check
+call share one ``geometry.DegreePlan``, and so do the chunks of one
+``integrate`` call.  Fields come back from the jets as arrays through
+``geometry.jet_values``, batch axis last.
 
 Suites are fixed plans of (scenario, check name, arguments) rows, kept as
 data.  Randomness is drawn per row from a seed derived from (config.seed, row
@@ -209,14 +211,14 @@ class Quadrature:
 def integrate(fields, scenario, quad, degree_cap=6, chunk=1024, absolute=False):
     """Integrals of scalar fields against the scenario's volume form.
 
-    Evaluates every field on shared per-chunk contexts, which share one
-    degree plan, multiplies by the
-    quadrature weight times sqrt(det g) (the induced metric on embedded
-    scenarios), and compensates the final summation with math.fsum.  Returns
-    the list of integrals, or (integrals, integrals of |field|) when
-    ``absolute`` is set.  The quadrature must have been built on the
-    scenario's own chart.  A term that is not finite raises SingularFieldError
-    naming its chart point; so does a total beyond the float range.
+    Evaluates every field on shared per-chunk contexts, all on one degree
+    plan, multiplies by the quadrature weight times sqrt(det g) (the induced
+    metric on embedded scenarios), and compensates the final summation with
+    math.fsum.  Returns the list of integrals, or (integrals, integrals of
+    |field|) when ``absolute`` is set.  The quadrature must have been built
+    on the scenario's own chart.  A term that is not finite raises
+    SingularFieldError naming its chart point; so does a total beyond the
+    float range.
     """
     if quad.chart.axes != scenario.chart.axes:
         raise ConfigError(
@@ -348,8 +350,7 @@ def _pointwise_checks(scn, cfg, seed, rows, cap=None):
     contexts the rows make share ``ctx.plan``."""
     rng = np.random.default_rng(seed)
     pts = _points(scn, _npoints(scn.dim), rng)
-    cap = cfg.degree if cap is None else cap
-    ctx = scn.context(pts, cap, DegreePlan(cap))
+    ctx = scn.context(pts, degree_cap=cfg.degree if cap is None else cap)
     return [
         CheckResult.build(name, scn.name, ctx.nbatch, np.max(np.abs(res)), scale, tol, seed)
         for name, res, scale, tol in rows(ctx, rng)
@@ -496,8 +497,7 @@ def check_c_invariance(scn, cfg, seed, phis=3):
     """e^{4 phi} C_hat = C pointwise on a non-umbilic 4-dimensional surface."""
     rng = np.random.default_rng(seed)
     pts = _points(scn, _npoints(4), rng)
-    ctx = scn.context(pts, cfg.degree, DegreePlan(cfg.degree))
-    defect = _weight4_defect(scn, ctx, ops.c_invariant())
+    defect = _weight4_defect(scn, scn.context(pts, degree_cap=cfg.degree), ops.c_invariant())
     return _control_and_draws("c_invariance", scn, cfg, seed, rng, pts, phis, defect)
 
 

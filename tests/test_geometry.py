@@ -469,6 +469,14 @@ def record_builds(monkeypatch):
     return built
 
 
+def _jet_degrees(obj):
+    if isinstance(obj, jets.Jet):
+        return {obj.degree}
+    if isinstance(obj, (list, tuple)):
+        return set().union(*map(_jet_degrees, obj))
+    return set()
+
+
 def _degrees_by_key(built, ctx):
     out = {}
     for c, key, dd in built:
@@ -497,6 +505,9 @@ def test_a_second_context_on_a_plan_builds_each_key_once(name, monkeypatch):
     for ctx in [second] + ([second.ambient] if scn.kind == "embedded" else []):
         degrees = _degrees_by_key(built, ctx)
         assert degrees and all(len(v) == 1 for v in degrees.values())
+        # a request is served at its own degree, truncated from the planned build
+        for (key, d), value in ctx._cache.items():
+            assert _jet_degrees(value) <= {d}, key
 
 
 def test_a_plan_stays_within_its_cap(monkeypatch):
@@ -507,7 +518,7 @@ def test_a_plan_stays_within_its_cap(monkeypatch):
     with pytest.raises(DegreeExhaustedError):
         first.gamma(3)  # needs the metric at degree 4
     one = constant_field(1.0)
-    one(first, 5)  # a constant builds at any degree, the cap's too
+    one(first, 5)  # a constant builds at any degree, even above the cap
     first.g(2)
     assert plan["g"] == 2 and max(plan.values()) <= 3
     built = record_builds(monkeypatch)
@@ -515,8 +526,7 @@ def test_a_plan_stays_within_its_cap(monkeypatch):
     second.gamma(0)
     one(second, 0)
     assert built and all(dd <= 3 for _, _, dd in built)
-    # contexts of another cap cannot share the plan, nor can the ambient
-    # context of an embedded surface context of another cap
+    # no context of another cap, metric or embedded, can share the plan
     with pytest.raises(JetError, match="cap 3 cannot serve a context capped at 4"):
         MetricContext(m, pts, 4, plan)
     scn = parse_scenario("GRAPH(T2_IN_T3)")
