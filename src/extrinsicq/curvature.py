@@ -30,7 +30,7 @@ The first Bianchi identity is not used, so it stays a check.
 """
 
 from . import jets
-from .geometry import _flat, christoffel_first, symmetric
+from .geometry import _flat, christoffel_first, symmetric_dots
 from .jets import JetError
 
 
@@ -63,11 +63,12 @@ def riemann(ctx, d):
         G0 = [[[x.truncate(dd) for x in row] for row in plane] for plane in G1]
         ga = ctx.gamma(dd)
 
-        comps = []
-        for i, j, k, l in independent_components(n):
+        def row(i, j, k, l):
             xs = [x for m in range(n) for x in (ga[m][j][k], -ga[m][i][k])]
             ys = [y for m in range(n) for y in (G0[m][i][l], G0[m][j][l])]
-            comps.append(jets.dot(xs, ys, start=G1[l][i][k].partial(j) - G1[l][j][k].partial(i)))
+            return xs, ys, G1[l][i][k].partial(j) - G1[l][j][k].partial(i)
+
+        comps = jets.dot_rows(row(*q) for q in independent_components(n))
         return _fill_curvature(comps, n, jets.constant(jets.jet_space(n, dd), 0.0))
 
     return ctx.get("riemann", d, build)
@@ -80,8 +81,8 @@ def ricci(ctx, d):
         n = ctx.dim
         R = riemann(ctx, dd)
         gi = _flat(ctx.ginv(dd))
-        return symmetric(
-            n, lambda a, b: jets.dot(gi, [R[a][k][b][l] for k in range(n) for l in range(n)])
+        return symmetric_dots(
+            n, lambda a, b: (gi, [R[a][k][b][l] for k in range(n) for l in range(n)], None)
         )
 
     return ctx.get("ricci", d, build)
@@ -129,11 +130,17 @@ def weyl_norm_sq(ctx, d):
     def build(dd):
         n, W, gi = ctx.dim, weyl(ctx, dd), ctx.ginv(dd)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        G = [[jets.dot([gi[i][a], -gi[i][b]], [gi[j][b], gi[j][a]]) for a, b in pairs]
-             for i, j in pairs]
-        GW = [[jets.dot(row, [W[a][b][k][l] for a, b in pairs]) for k, l in pairs] for row in G]
-        col = [GW[K][I] for I in range(len(pairs)) for K in range(len(pairs))]
-        return jets.dot(_flat(GW), col) * 4.0
+        P = len(pairs)
+        G = jets.dot_rows(
+            ([gi[i][a], -gi[i][b]], [gi[j][b], gi[j][a]], None) for i, j in pairs for a, b in pairs
+        )
+        GW = jets.dot_rows(
+            (G[I * P : (I + 1) * P], [W[a][b][k][l] for a, b in pairs], None)
+            for I in range(P)
+            for k, l in pairs
+        )
+        col = [GW[K * P + I] for I in range(P) for K in range(P)]
+        return jets.dot(GW, col) * 4.0
 
     return ctx.get("weylnormsq", d, build)
 
@@ -154,13 +161,12 @@ def weyl(ctx, d):
         g = ctx.g(dd)
 
         # R minus the Kulkarni-Nomizu product (rho ^ g)_ijkl
-        comps = [
-            R[i][j][k][l] - jets.dot(
-                [rho[i][k], g[i][k], -rho[i][l], -g[i][l]],
-                [g[j][l], rho[j][l], g[j][k], rho[j][k]],
-            )
-            for i, j, k, l in independent_components(n)
-        ]
+        quads = independent_components(n)
+        kn = jets.dot_rows(
+            ([rho[i][k], g[i][k], -rho[i][l], -g[i][l]], [g[j][l], rho[j][l], g[j][k], rho[j][k]], None)
+            for i, j, k, l in quads
+        )
+        comps = [R[i][j][k][l] - p for (i, j, k, l), p in zip(quads, kn)]
         return _fill_curvature(comps, n, jets.constant(jets.jet_space(n, dd), 0.0))
 
     return ctx.get("weyl", d, build)

@@ -192,14 +192,31 @@ def jet_values(tensor, nbatch):
     return jet_coeffs(tensor, nbatch, 1)[0]
 
 
+def upper(n):
+    """The index pairs (i, j), i <= j, of an n x n matrix, row by row."""
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
 def symmetric(n, entry):
     """The n x n nested list with ``entry(i, j)`` at [i][j] and [j][i] for
     i <= j, called row by row."""
     out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            out[i][j] = out[j][i] = entry(i, j)
+    for i, j in upper(n):
+        out[i][j] = out[j][i] = entry(i, j)
     return out
+
+
+def dots(keys, row, subtract=False):
+    """{key: jets.dot(*row(*key))} for each of ``keys``, all from one
+    ``jets.dot_rows`` call; ``row`` gives (xs, ys, start)."""
+    keys = list(keys)
+    return dict(zip(keys, jets.dot_rows((row(*key) for key in keys), subtract)))
+
+
+def symmetric_dots(n, row):
+    """``symmetric(n, ...)`` of jets.dot(*row(i, j)), from one ``jets.dot_rows`` call."""
+    v = dots(upper(n), row)
+    return symmetric(n, lambda i, j: v[i, j])
 
 
 def christoffel_first(g1):
@@ -213,11 +230,12 @@ def christoffel_first(g1):
     ]
 
 
-def covariant(T, ga, c, idx):
-    """One component of a covariant derivative of a covariant tensor T,
+def covariant(T, ga, cidx):
+    """Components of a covariant derivative of a covariant tensor T,
     (nabla_c T)_idx = d_c T_idx - sum_e sum_s Gamma^e_{c idx_s} T_(idx, e in slot s),
-    as one ``jets.dot``: e outermost, the slots of ``idx`` in order.  T is one
-    degree deeper than the symbols ``ga``."""
+    one for each (c, idx) of ``cidx``, all from one ``jets.dot_rows``: in each
+    row e outermost, the slots of ``idx`` in order.  T is one degree deeper
+    than the symbols ``ga``."""
 
     def at(ix):
         x = T
@@ -225,12 +243,13 @@ def covariant(T, ga, c, idx):
             x = x[i]
         return x
 
-    xs, ys = [], []
-    for e, plane in enumerate(ga):
-        for s, a in enumerate(idx):
-            xs.append(plane[c][a])
-            ys.append(at(idx[:s] + (e,) + idx[s + 1 :]))
-    return jets.dot(xs, ys, start=at(idx).partial(c), subtract=True)
+    def row(c, idx):
+        slots = [(e, s) for e in range(len(ga)) for s in range(len(idx))]
+        xs = [ga[e][c][idx[s]] for e, s in slots]
+        ys = [at(idx[:s] + (e,) + idx[s + 1 :]) for e, s in slots]
+        return xs, ys, at(idx).partial(c)
+
+    return jets.dot_rows((row(c, idx) for c, idx in cidx), subtract=True)
 
 
 def _truncate_any(obj, d):
@@ -364,10 +383,9 @@ class GeometryContext:
             n = self.dim
             G = christoffel_first(self.g(dd + 1))
             gi = self.ginv(dd)
-            return [
-                symmetric(n, lambda i, j: jets.dot(gi[k], [G[l][i][j] for l in range(n)]))
-                for k in range(n)
-            ]
+            kij = ((k, i, j) for k in range(n) for i, j in upper(n))
+            v = dots(kij, lambda k, i, j: (gi[k], [G[l][i][j] for l in range(n)], None))
+            return [symmetric(n, lambda i, j: v[k, i, j]) for k in range(n)]
 
         return self.get("gamma", d, build)
 
@@ -521,7 +539,10 @@ def metric_field():
 
 def _matmul(A, B):
     n = len(A)
-    return [[jets.dot(A[i], [B[k][j] for k in range(n)]) for j in range(n)] for i in range(n)]
+    prod = jets.dot_rows(
+        (A[i], [B[k][j] for k in range(n)], None) for i in range(n) for j in range(n)
+    )
+    return [prod[i * n : (i + 1) * n] for i in range(n)]
 
 
 def _flat(M):
@@ -554,7 +575,7 @@ def divergence(w):
         om = w(ctx, d + 1)
         gi = _flat(ctx.ginv(d))
         ga = ctx.gamma(d)
-        return jets.dot(gi, [covariant(om, ga, i, (j,)) for i in range(n) for j in range(n)])
+        return jets.dot(gi, covariant(om, ga, [(i, (j,)) for i in range(n) for j in range(n)]))
 
     return Field(0, fn)
 
@@ -571,7 +592,8 @@ def hessian(f):
         j = f(ctx, d + 2)
         dj = [j.partial(i) for i in range(n)]
         ga = ctx.gamma(d)
-        return symmetric(n, lambda i, k: covariant(dj, ga, k, (i,)))
+        v = dict(zip(upper(n), covariant(dj, ga, [(k, (i,)) for i, k in upper(n)])))
+        return symmetric(n, lambda i, k: v[i, k])
 
     return Field(2, fn)
 
@@ -584,10 +606,8 @@ def divergence2(T):
         t = T(ctx, d + 1)
         gi = _flat(ctx.ginv(d))
         ga = ctx.gamma(d)
-        return [
-            jets.dot(gi, [covariant(t, ga, i, (k, j)) for i in range(n) for k in range(n)])
-            for j in range(n)
-        ]
+        nabla = covariant(t, ga, [(i, (k, j)) for j in range(n) for i in range(n) for k in range(n)])
+        return jets.dot_rows((gi, nabla[j * n * n : (j + 1) * n * n], None) for j in range(n))
 
     return Field(1, fn)
 
@@ -604,8 +624,8 @@ def apply2(T, w):
         t = T(ctx, d)
         gi = ctx.ginv(d)
         om = w(ctx, d)
-        raised = [jets.dot(gi[k], om) for k in range(n)]
-        return [jets.dot(t[i], raised) for i in range(n)]
+        raised = jets.dot_rows((gi[k], om, None) for k in range(n))
+        return jets.dot_rows((t[i], raised, None) for i in range(n))
 
     return Field(1, fn)
 

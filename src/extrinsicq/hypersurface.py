@@ -19,6 +19,8 @@ ambient component points upward and the standard spherical parametrization
 points outward, so round spheres get H = +1/r.
 """
 
+import itertools
+
 import numpy as np
 
 from . import curvature, jets
@@ -30,9 +32,12 @@ from .geometry import (
     _flat,
     _invert_spd,
     covariant,
+    dots,
     jet_coeffs,
     jet_values,
     symmetric,
+    symmetric_dots,
+    upper,
 )
 from .jets import DegreeExhaustedError, JetError
 
@@ -144,17 +149,28 @@ def _tangential(X, t):
     One tangent is contracted first, Y_ib = X_ab t_i^a; the result is summed
     for i <= j only and mirrored.
     """
+    n, na = len(t), len(X)
+    Y = jets.dot_rows((col, t[i], None) for i in range(n) for col in zip(*X))
+    return symmetric_dots(n, lambda i, j: (Y[i * na : (i + 1) * na], t[j], None))
+
+
+def _maximal_minors(t):
+    """The determinants of the n x n minors of the n x (n + 1) matrix t, the
+    a-th without column a.  Each is expanded along its first row, into the
+    signed entries dotted with the minors of the rows below; a minor of the
+    last L rows on columns S is made once however many minors hold it, and
+    all of one size by one ``jets.dot_rows`` call."""
     n = len(t)
-    Y = [[jets.dot(col, t[i]) for col in zip(*X)] for i in range(n)]
-    return symmetric(n, lambda i, j: jets.dot(Y[i], t[j]))
-
-
-def _det(M):
-    if len(M) == 1:
-        return M[0][0]
-    signed = [-x if j % 2 else x for j, x in enumerate(M[0])]
-    minors = [_det([row[:j] + row[j + 1 :] for row in M[1:]]) for j in range(len(M))]
-    return jets.dot(signed, minors)
+    det = {(c,): t[n - 1][c] for c in range(n + 1)}
+    for size in range(2, n + 1):
+        top = t[n - size]
+        cols = list(itertools.combinations(range(n + 1), size))
+        det = dict(zip(cols, jets.dot_rows(
+            ([-top[c] if j % 2 else top[c] for j, c in enumerate(S)],
+             [det[S[:j] + S[j + 1 :]] for j in range(size)], None)
+            for S in cols
+        )))
+    return [det[tuple(c for c in range(n + 1) if c != a)] for a in range(n + 1)]
 
 
 def normal(sctx, d):
@@ -164,15 +180,9 @@ def normal(sctx, d):
         n = sctx.dim
         na = n + 1
         t = tangents(sctx, dd)
-        cof = []
-        for a in range(na):
-            minor = [[t[i][b] for b in range(na) if b != a] for i in range(n)]
-            m = _det(minor)
-            if (n + a) % 2:
-                m = -m
-            cof.append(m)
+        cof = [-m if (n + a) % 2 else m for a, m in enumerate(_maximal_minors(t))]
         gbi = ambient_inverse_on_surface(sctx, dd)
-        raised = [jets.dot(gbi[a], cof) for a in range(na)]
+        raised = jets.dot_rows((gbi[a], cof, None) for a in range(na))
         norm_sq = jets.dot(raised, cof)
         scale = jets.recip(jets.sqrt(norm_sq)) * sctx.embedding.sigma
         return [scale * raised[a] for a in range(na)]
@@ -197,12 +207,11 @@ def second_fundamental(sctx, d):
         nu = normal(sctx, dd)
         gb = ambient_metric_on_surface(sctx, dd)
         gab = pulled_christoffel(sctx, dd)
-        nu_low = [jets.dot(gb[a], nu) for a in range(na)]
-        P = symmetric(na, lambda b, c: jets.dot(nu_low, [gab[a][b][c] for a in range(na)]))
+        nu_low = jets.dot_rows((gb[a], nu, None) for a in range(na))
+        P = symmetric_dots(na, lambda b, c: (nu_low, [gab[a][b][c] for a in range(na)], None))
         Pt = _tangential(P, tangents(sctx, dd))
-        return symmetric(
-            n, lambda i, j: -(jets.dot(nu_low, [dt[j][a].partial(i) for a in range(na)]) + Pt[i][j])
-        )
+        S = dots(upper(n), lambda i, j: (nu_low, [dt[j][a].partial(i) for a in range(na)], None))
+        return symmetric(n, lambda i, j: -(S[i, j] + Pt[i][j]))
 
     return sctx.get("second_fundamental", d, build)
 
@@ -295,7 +304,7 @@ def rho_bar_tangential(sctx, d):
 def _covector(Y, sctx, d):
     """The surface covector Y_b t_i^b of an ambient covector Y."""
     t = tangents(sctx, d)
-    return [jets.dot(Y, t[i]) for i in range(sctx.dim)]
+    return jets.dot_rows((Y, t[i], None) for i in range(sctx.dim))
 
 
 def rho_bar_normal_tangential(sctx, d):
@@ -305,7 +314,7 @@ def rho_bar_normal_tangential(sctx, d):
         na = sctx.dim + 1
         rb = pulled_schouten(sctx, dd)
         nu = normal(sctx, dd)
-        Y = [jets.dot(nu, [rb[a][b] for a in range(na)]) for b in range(na)]
+        Y = jets.dot_rows((nu, [rb[a][b] for a in range(na)], None) for b in range(na))
         return _covector(Y, sctx, dd)
 
     return sctx.get("rhobar_nt", d, build)
@@ -319,11 +328,11 @@ def _normal_tt(sctx, T, d):
     nu = normal(sctx, d)
     nn = [[nu[a] * nu[e] for e in range(na)] for a in range(na)]
 
-    def entry(b, c):
+    def row(b, c):
         ae = [(a, e) for a in range(na) for e in range(na) if a != b and e != c]
-        return jets.dot([nn[a][e] for a, e in ae], [T[a][b][c][e] for a, e in ae])
+        return [nn[a][e] for a, e in ae], [T[a][b][c][e] for a, e in ae], None
 
-    return _tangential(symmetric(na, entry), tangents(sctx, d))
+    return _tangential(symmetric_dots(na, row), tangents(sctx, d))
 
 
 def normal_riemann(sctx, d):
@@ -366,7 +375,9 @@ def _pulled_nabla_rho(sctx, d):
         na = sctx.dim + 1
         rb1 = curvature.schouten(sctx.ambient, dd + 1)
         ga = sctx.ambient.gamma(dd)
-        N = [symmetric(na, lambda a, b: covariant(rb1, ga, c, (a, b))) for c in range(na)]
+        cab = [(c, a, b) for c in range(na) for a, b in upper(na)]
+        v = dict(zip(cab, covariant(rb1, ga, [(c, (a, b)) for c, a, b in cab])))
+        N = [symmetric(na, lambda a, b: v[c, a, b]) for c in range(na)]
         return _pull_symmetric(sctx, N, dd)
 
     return sctx.get("nabla_rhobar", d, build)
@@ -379,7 +390,7 @@ def nabla0_rho_tangential(sctx, d):
         na = sctx.dim + 1
         N = _pulled_nabla_rho(sctx, dd)
         nu = normal(sctx, dd)
-        X = symmetric(na, lambda a, b: jets.dot(nu, [N[c][a][b] for c in range(na)]))
+        X = symmetric_dots(na, lambda a, b: (nu, [N[c][a][b] for c in range(na)], None))
         return _tangential(X, tangents(sctx, dd))
 
     return sctx.get("nabla0_rho_tt", d, build)
@@ -394,7 +405,7 @@ def nabla0_rho_normal(sctx, d):
         nu = normal(sctx, dd)
         ca = [(c, a) for c in range(na) for a in range(na)]
         nn = [nu[c] * nu[a] for c, a in ca]
-        Y = [jets.dot(nn, [N[c][a][b] for c, a in ca]) for b in range(na)]
+        Y = jets.dot_rows((nn, [N[c][a][b] for c, a in ca], None) for b in range(na))
         return _covector(Y, sctx, dd)
 
     return sctx.get("nabla0_rho_n", d, build)

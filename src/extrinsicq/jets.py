@@ -59,6 +59,15 @@ _DIV_FLOOR = 1e-300
 # 64-127-point chunk is summed, so it stays.
 _LAYERED_MIN_BATCH = 128
 
+# Largest gathered array, in float64 elements (pairs x products x batch), that
+# one stacked reduceat of ``dot_rows`` makes below ``_LAYERED_MIN_BATCH``.  At
+# 8 points, 5 variables and degrees 0-4, tensors of 6-55 rows take 0.77x the
+# time of one ``dot`` per row at 2**14 (geometric mean), 1.0x at 2**12 and
+# 0.72-0.79x from 2**15 to 2**18 (BENCH_dot_rows.json, "stack_bound"); the
+# paper-points run reads the same from 2**13 to 2**16, but its peak RSS grows
+# with the bound, 43.7 MB at 2**14 against 45.3 MB at 2**16.
+_STACK_ELEMENTS = 2**14
+
 
 class JetError(ValueError):
     """Structural misuse of the jet algebra: spaces, shapes, arguments."""
@@ -241,8 +250,122 @@ def _stack(cs, nc, B, mixed):
         for i, c in enumerate(cs):
             a[i] = c.reshape(nc, -1)
     else:
-        a = np.array(cs)
+        a = np.concatenate(cs)
     return np.ascontiguousarray(a.reshape(len(cs), nc, B).transpose(1, 0, 2))
+
+
+def _operands(xs, ys, start):
+    """(space, batch or None, mixed, coefficients [start, *xs, *ys]) of one
+    row of ``dot_rows``: the space is the lowest-degree operand's, every
+    operand is truncated to it, and ``mixed`` says whether batched and
+    unbatched operands meet."""
+    m = len(xs)
+    if len(ys) != m or not m:
+        raise JetError(f"dot needs as many xs as ys, and one at least: got {m} and {len(ys)}")
+    ops = [*xs, *ys] if start is None else [start, *xs, *ys]
+    spaces = {j.space for j in ops}
+    if len(spaces) == 1:
+        (space,) = spaces
+        cs = [j.coeffs for j in ops]
+    else:
+        if len({sp.nvars for sp in spaces}) > 1:
+            raise JetError("jets live over different variables")
+        space = min(spaces, key=lambda sp: sp.degree)
+        cs = [j.coeffs[: space.ncoeffs] for j in ops]
+    shapes = {c.shape for c in cs}
+    batches = {s[1] for s in shapes if len(s) == 2}
+    if len(batches) > 1:
+        raise JetError(f"batch sizes differ: {sorted(batches)}")
+    return space, (batches.pop() if batches else None), len(shapes) > 1, cs
+
+
+def _stack_plan(space, B, m):
+    """(rows, terms): how many rows of m terms at B points one chunk of
+    ``dot_rows`` stacks, and how many of a row's terms one gather takes, so
+    that the gathered array holds at most ``_STACK_ELEMENTS`` elements, or
+    one product's where a single product is larger."""
+    products = max(1, _STACK_ELEMENTS // (space.mul_table()[0].size * B))
+    return max(1, products // m), min(m, products)
+
+
+def _dot_stacked(space, B, rows, k, mixed, subtract):
+    """The rows' sums below ``_LAYERED_MIN_BATCH`` points, as (len(rows),
+    ncoeffs, B): the operands are stacked (ncoeffs, rows, terms, B), one
+    gather and one reduceat make the products, one accumulate adds each
+    row's in order, after its start if k is 1."""
+    nc, r, m = space.ncoeffs, len(rows), (len(rows[0]) - k) // 2
+    I, J, starts, _, _ = space.mul_table()
+    terms = np.empty((nc, r, k + m, B))
+    if k:
+        terms[:, :, 0] = _stack([cs[0] for cs in rows], nc, B, mixed)
+    step = _stack_plan(space, B, m)[1]
+    for lo in range(k, k + m, step):
+        hi = min(lo + step, k + m)
+        X, Y = (
+            _stack([c for cs in rows for c in cs[a:b]], nc, B, mixed).reshape(nc, r, hi - lo, B)
+            for a, b in ((lo, hi), (m + lo, m + hi))
+        )
+        if subtract:
+            np.negative(X, out=X)
+        P = X[I]
+        P *= Y[J]
+        np.add.reduceat(P, starts, axis=0, out=terms[:, :, lo:hi])
+    np.add.accumulate(terms, axis=2, out=terms)
+    return terms[:, :, -1].transpose(1, 0, 2).copy()
+
+
+def _dot_layered(space, B, cs, k, subtract):
+    """One row's sum from ``_LAYERED_MIN_BATCH`` points on: each product is
+    layered and added to one accumulator, as a stacked gather would outgrow
+    the cache."""
+    nc, m = space.ncoeffs, (len(cs) - k) // 2
+    xs = [-c for c in cs[k : k + m]] if subtract else cs[k : k + m]
+    prods = (_product(space, *_align(x, y)).reshape(nc, -1) for x, y in zip(xs, cs[k + m :]))
+    out = cs[0].reshape(nc, -1) if k else next(prods)
+    if k or out.shape[1] < B:  # the accumulator must be a new array with every point
+        out = np.broadcast_to(out, (nc, B)).copy()
+    for p in prods:
+        out += p
+    return out
+
+
+def dot_rows(rows, subtract=False):
+    """[dot(xs, ys, start, subtract) for xs, ys, start in rows], bit for bit,
+    for rows with the same number of terms.
+
+    Below ``_LAYERED_MIN_BATCH`` points, consecutive rows over one space and
+    batch, all with a start or all without, are stacked chunk by chunk
+    (``_dot_stacked``, ``_stack_plan``), so the rows of a whole tensor cost
+    a few gathers and reduceats, not one each.  From there on each row is
+    taken from ``rows`` when it is reached and layered on its own, so an
+    iterator of rows keeps one row's operands alive at a time."""
+    out, chunk, key, m = [], [], None, None
+
+    def flush():
+        space, batch, k = key
+        sums = _dot_stacked(space, batch or 1, [cs for cs, _ in chunk], k,
+                            any(mx for _, mx in chunk), subtract)
+        out.extend(Jet(space, s if batch else s[:, 0]) for s in sums)
+        chunk.clear()
+
+    for xs, ys, start in rows:
+        if m is None:
+            m = len(xs)
+        elif len(xs) != m:
+            raise JetError(f"dot_rows needs rows of one length: got {m} and {len(xs)} terms")
+        space, batch, mixed, cs = _operands(xs, ys, start)
+        k = int(start is not None)
+        if chunk and ((space, batch, k) != key or len(chunk) == limit):
+            flush()
+        if batch is not None and batch >= _LAYERED_MIN_BATCH:
+            out.append(Jet(space, _dot_layered(space, batch, cs, k, subtract)))
+            continue
+        if not chunk:
+            key, limit = (space, batch, k), _stack_plan(space, batch or 1, m)[0]
+        chunk.append((cs, mixed))
+    if chunk:
+        flush()
+    return out
 
 
 def dot(xs, ys, start=None, subtract=False):
@@ -251,51 +374,9 @@ def dot(xs, ys, start=None, subtract=False):
     and additions, with no jet per term.  ``subtract`` gives
     start - xs[0]*ys[0] - xs[1]*ys[1] - ..., bit for bit that loop with every
     x negated: the xs' coefficients are negated, not the products, as
-    negating a product whose sum cancels to +0 would give -0.  Below
-    ``_LAYERED_MIN_BATCH`` points the operands are stacked as
-    (ncoeffs, terms, batch): one gather and one reduceat make the products,
-    one accumulate adds them in order.  From there on each product is
-    layered into one accumulator, as the stacked gather would outgrow the
-    cache."""
-    m = len(xs)
-    if len(ys) != m or not m:
-        raise JetError(f"dot needs as many xs as ys, and one at least: got {m} and {len(ys)}")
-    ops = [*xs, *ys] if start is None else [start, *xs, *ys]
-    spaces = {j.space for j in ops}
-    if len({sp.nvars for sp in spaces}) > 1:
-        raise JetError("jets live over different variables")
-    shapes = {j.coeffs.shape[1:] for j in ops}
-    batches = shapes - {()}
-    if len(batches) > 1:
-        raise JetError(f"batch sizes differ: {sorted(b[0] for b in batches)}")
-    space = min(spaces, key=lambda sp: sp.degree)
-    nc, B = space.ncoeffs, max(batches, default=(1,))[0]
-    cs = [j.coeffs[:nc] for j in ops]
-    k = len(ops) - 2 * m  # 1 with a start, else 0
-    if subtract:
-        cs[k : k + m] = [-c for c in cs[k : k + m]]
-    if B < _LAYERED_MIN_BATCH:
-        I, J, starts, _, _ = space.mul_table()
-        terms = np.empty((nc, k + m, B))
-        if k:
-            terms[:, 0] = cs[0].reshape(nc, -1)
-        # reduceat slows down on rows as long as a layered batch: stack fewer terms
-        step = max(1, (_LAYERED_MIN_BATCH - 1) // B)
-        for lo in range(k, k + m, step):
-            hi = min(lo + step, k + m)
-            X, Y = (_stack(c, nc, B, len(shapes) > 1) for c in (cs[lo:hi], cs[m + lo : m + hi]))
-            np.add.reduceat(X[I] * Y[J], starts, axis=0, out=terms[:, lo:hi])
-        np.add.accumulate(terms, axis=1, out=terms)
-        out = terms[:, -1].copy()
-    else:
-        pairs = zip(cs[k : k + m], cs[k + m :])
-        prods = (_product(space, *_align(x, y)).reshape(nc, -1) for x, y in pairs)
-        out = cs[0].reshape(nc, -1) if k else next(prods)
-        if k or out.shape[1] < B:  # the accumulator must be a new array with every point
-            out = np.broadcast_to(out, (nc, B)).copy()
-        for p in prods:
-            out += p
-    return Jet(space, out if batches else out[:, 0])
+    negating a product whose sum cancels to +0 would give -0.  The one-row
+    case of ``dot_rows``."""
+    return dot_rows([(xs, ys, start)], subtract)[0]
 
 
 def _common(a, b):

@@ -493,21 +493,23 @@ def reference_dot(xs, ys, start=None):
 
 
 def count_products(monkeypatch):
-    """Count jet products from here on: each ``Jet * Jet`` and each term of a
-    ``jets.dot`` adds one to ``counter[0]`` of the returned one-item list."""
+    """Count jet products from here on: each ``Jet * Jet`` and each term of
+    each row of a ``jets.dot_rows`` (so of a ``jets.dot``) adds one to
+    ``counter[0]`` of the returned one-item list."""
     counter = [0]
-    mul, dot = jets.Jet.__mul__, jets.dot
+    mul, dot_rows = jets.Jet.__mul__, jets.dot_rows
 
     def counting_mul(self, other):
         counter[0] += isinstance(other, jets.Jet)
         return mul(self, other)
 
-    def counting_dot(xs, ys, start=None, subtract=False):
-        counter[0] += len(xs)
-        return dot(xs, ys, start, subtract)
+    def counted(rows):
+        for row in rows:
+            counter[0] += len(row[0])
+            yield row
 
     monkeypatch.setattr(jets.Jet, "__mul__", counting_mul)
-    monkeypatch.setattr(jets, "dot", counting_dot)
+    monkeypatch.setattr(jets, "dot_rows", lambda rows, subtract=False: dot_rows(counted(rows), subtract))
     return counter
 
 

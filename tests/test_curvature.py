@@ -219,7 +219,7 @@ def test_second_bianchi(name, d):
     R1, ga = curvature.riemann(ctx, d + 1), ctx.gamma(d)
     nabla_R = np.empty((n,) * 5 + (nc, B))
     for e, a, b, c, f in itertools.product(range(n), repeat=5):
-        nabla_R[e, a, b, c, f] = jet_coeffs(covariant(R1, ga, e, (a, b, c, f)), B, nc)
+        nabla_R[e, a, b, c, f] = jet_coeffs(covariant(R1, ga, [(e, (a, b, c, f))])[0], B, nc)
     cyclic = (
         nabla_R
         + np.einsum("cabfe...->eabcf...", nabla_R)

@@ -142,7 +142,8 @@ def test_every_component_of_nabla_g_vanishes(name, d):
     n, B, nc = ctx.dim, ctx.nbatch, jets.jet_space(ctx.dim, d).ncoeffs
     g1, ga = ctx.g(d + 1), ctx.gamma(d)
     idx = range(n)
-    nabla_g = [[[covariant(g1, ga, c, (a, b)) for b in idx] for a in idx] for c in idx]
+    comps = iter(covariant(g1, ga, [(c, (a, b)) for c in idx for a in idx for b in idx]))
+    nabla_g = [[[next(comps) for b in idx] for a in idx] for c in idx]
     dg = [[[g1[a][b].partial(c) for b in idx] for a in idx] for c in idx]
     scale = np.max(np.abs(jet_coeffs(dg, B, nc)))
     np.testing.assert_allclose(jet_coeffs(nabla_g, B, nc), 0.0, rtol=0, atol=1e-13 * scale)
@@ -155,7 +156,7 @@ def test_covariant_negates_no_symbol(monkeypatch):
     g1, ga = ctx.g(2), ctx.gamma(1)
     neg, calls = jets.Jet.__neg__, []
     monkeypatch.setattr(jets.Jet, "__neg__", lambda a: calls.append(a) or neg(a))
-    covariant(g1, ga, 0, (1, 2))
+    covariant(g1, ga, [(0, (1, 2))])
     assert calls == []
 
 

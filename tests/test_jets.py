@@ -580,6 +580,98 @@ def test_dot_rejects_mismatched_operands():
         jets.dot([], [])
 
 
+def _dot_rows_operands(rng, nvars, degree, batch, count, mixed, starts, m=4):
+    """``count`` rows of m terms.  ``mixed``: every third x and every second y
+    unbatched, every second operand a degree deeper, and the last row a
+    degree deeper throughout.  ``starts``: "none", "all", or "some" (every
+    second row, alternately batched and unbatched)."""
+    rows = []
+    for r in range(count):
+        base = degree + (mixed and r == count - 1 and count > 1)
+
+        def operand(i, p):
+            deeper = mixed and (i + r) % 2
+            return _dot_operand(rng, nvars, base + deeper, None if mixed and i % p == 0 else batch)
+
+        xs = [operand(i, 3) for i in range(m)]
+        ys = [operand(i, 2) for i in range(m)]
+        start = None
+        if starts == "all" or (starts == "some" and r % 2):
+            start = _dot_operand(rng, nvars, base + 2, None if r % 4 == 3 else batch)
+        rows.append((xs, ys, start))
+    return rows
+
+
+def _assert_rows_match_dot_loop(rows, subtract):
+    got = jets.dot_rows(iter(rows), subtract=subtract)
+    assert len(got) == len(rows)
+    for g, (xs, ys, start) in zip(got, rows):
+        want = reference_dot([-x for x in xs] if subtract else xs, ys, start)
+        assert g.degree == want.degree and g.batch == want.batch
+        assert_same_bits(g.coeffs, want.coeffs)
+
+
+@pytest.mark.parametrize("batch", [None, 1, 9, LAYERED - 1, LAYERED, 1024])
+@pytest.mark.parametrize("degree", range(5))
+@pytest.mark.parametrize("nvars", range(1, 6))
+def test_dot_rows_is_bit_identical_to_the_loop_row_by_row(nvars, degree, batch, monkeypatch):
+    """Rows given as a generator, 1 or 3 of them at the real stack bound, and
+    below the layered threshold 5 at a bound of two rows per chunk or of
+    three products per gather, so that chunks and a row's gathers split."""
+    rng = np.random.default_rng(100 * nvars + 10 * degree + (batch or 0))
+    m, pairs = 4, jet_space(nvars, degree).mul_table()[0].size
+    bounds = [(jets._STACK_ELEMENTS, 1), (jets._STACK_ELEMENTS, 3)]
+    if (batch or 1) < LAYERED:
+        bounds += [(pairs * (batch or 1) * m * 2, 5), (pairs * (batch or 1) * 3, 5)]
+    for (bound, count), mixed, starts in itertools.product(
+        bounds, (False, True), ("none", "all", "some")
+    ):
+        monkeypatch.setattr(jets, "_STACK_ELEMENTS", bound)
+        rows = _dot_rows_operands(rng, nvars, degree, batch, count, mixed, starts, m)
+        for subtract in (False, True):
+            _assert_rows_match_dot_loop(rows, subtract)
+
+
+def test_dot_rows_crosses_a_chunk_at_the_real_bound():
+    rng = np.random.default_rng(5)
+    sp, batch, m = jet_space(4, 2), 9, 4
+    per_chunk, per_gather = jets._stack_plan(sp, batch, m)
+    assert per_chunk > 1 and per_gather == m
+    for mixed, starts in itertools.product((False, True), ("none", "some")):
+        rows = _dot_rows_operands(rng, 4, 2, batch, per_chunk + 2, mixed, starts, m)
+        _assert_rows_match_dot_loop(rows, subtract=mixed)
+
+
+def test_stack_plan_bounds_the_gathered_array():
+    for nvars, degree, batch, m in itertools.product((2, 5), (0, 2, 4), (1, 8, 127), (1, 10, 25)):
+        sp = jet_space(nvars, degree)
+        pairs = sp.mul_table()[0].size
+        per_chunk, per_gather = jets._stack_plan(sp, batch, m)
+        assert 1 <= per_gather <= m and per_chunk >= 1
+        if per_chunk > 1:
+            assert per_gather == m and pairs * per_chunk * m * batch <= jets._STACK_ELEMENTS
+        assert pairs * per_gather * batch <= max(jets._STACK_ELEMENTS, pairs * batch)
+
+
+def test_dot_rows_rejects_mismatched_rows():
+    a = seed_variable(jet_space(2, 2), 0, 0.3)
+    b = seed_variable(jet_space(3, 2), 0, 0.3)
+    p, q = Jet(a.space, np.ones((a.space.ncoeffs, 4))), Jet(a.space, np.ones((a.space.ncoeffs, 5)))
+    assert jets.dot_rows([]) == []
+    with pytest.raises(JetError, match="rows of one length"):
+        jets.dot_rows([([a], [a], None), ([a, a], [a, a], None)])
+    with pytest.raises(JetError, match="different variables"):
+        jets.dot_rows([([a], [a], None), ([a], [b], None)])
+    with pytest.raises(JetError, match="different variables"):
+        jets.dot_rows(([a], [a], s) for s in (None, b))
+    with pytest.raises(JetError, match="batch sizes differ"):
+        jets.dot_rows([([p], [p], None), ([p, a], [a, q], None)][1:])
+    with pytest.raises(JetError, match="batch sizes differ"):
+        jets.dot_rows([([p], [a], None), ([p], [p], q)])
+    with pytest.raises(JetError, match="as many xs as ys"):
+        jets.dot_rows([([a], [a, a], None)])
+
+
 def _offset_operands(batch, degree=4):
     """Operands at ``batch`` points in (0.5, 1.5) whose offsets have the same
     bits at every point: a chart coordinate, 0.3 x1 + x2, and a dense random

@@ -16,9 +16,17 @@ batch (the form ``jets.dot`` uses below ``_LAYERED_MIN_BATCH``), and checks
 that ``jets.dot`` equals the loop bit for bit.  For nvars {4, 5} x degree
 {2, 3, 4} x batch {128, 1024} it times ``jets.sin`` of a chart coordinate,
 whose offset is the same at every point, and of a jet whose offset varies
-from point to point ("series_rows").  Every time is the best of 7
-repeats of a loop of about 0.02 s, and product tables are built before
-timing.  It prints one JSON object.  Run it single-threaded
+from point to point ("series_rows").  For 5 variables x degree 0-4 x rows
+{6, 15, 55} x terms {5, 10} at 8 points it times the rows of one tensor
+contracted one ``jets.dot`` each and by one ``jets.dot_rows`` call, the
+latter with each candidate bound on the gathered array of one stacked
+reduceat ("batched_rows", microseconds per row), checks that the two agree
+bit for bit, and picks the bound ("stack_bound"): the smallest candidate
+whose geometric mean time over the grid is within 10% of the fastest
+candidate's, as a larger bound keeps more stacked operands alive for little
+gain.  Every
+time is the best of 7 repeats of a loop of about 0.02 s, and product tables
+are built before timing.  It prints one JSON object.  Run it single-threaded
 (OMP_NUM_THREADS=1) on an otherwise idle machine.
 """
 
@@ -39,6 +47,11 @@ DOT_TERMS = (4, 16, 25)
 DOT_BATCHES = (8, 128, 1024)
 SERIES_DEGREES = (2, 3, 4)
 SERIES_BATCHES = (128, 1024)
+ROWS_DEGREES = (0, 1, 2, 3, 4)
+ROWS = (6, 15, 55)
+ROWS_TERMS = (5, 10)
+ROWS_BATCH = 8
+STACK_BOUNDS = (2**12, 2**13, 2**14, 2**15, 2**16, 2**18)
 
 
 def per_call(fn, repeats=7, budget=0.02):
@@ -127,6 +140,52 @@ def series_rows(rng):
     return rows
 
 
+def batched_rows(rng):
+    """(rows, stack_bound): per-row times of one dot each and of dot_rows at
+    each candidate bound, and the bound picked from them."""
+    out, ratios = [], {b: [] for b in STACK_BOUNDS}
+    saved = jets._STACK_ELEMENTS
+    try:
+        for degree in ROWS_DEGREES:
+            space = jets.jet_space(5, degree)
+            space.mul_table()
+            for nrows in ROWS:
+                for terms in ROWS_TERMS:
+                    rows = [
+                        tuple(
+                            [jets.Jet(space, rng.standard_normal((space.ncoeffs, ROWS_BATCH)))
+                             for _ in range(terms)]
+                            for _ in range(2)
+                        ) + (None,)
+                        for _ in range(nrows)
+                    ]
+                    one = per_call(lambda: [jets.dot(xs, ys) for xs, ys, _ in rows]) / nrows
+                    want = [jets.dot(xs, ys).coeffs for xs, ys, _ in rows]
+                    row = {"degree": degree, "rows": nrows, "terms": terms,
+                           "dot_us_per_row": round(one * 1e6, 2), "rows_us_per_row": {}}
+                    for bound in STACK_BOUNDS:
+                        jets._STACK_ELEMENTS = bound
+                        t = per_call(lambda: jets.dot_rows(rows)) / nrows
+                        got = [j.coeffs for j in jets.dot_rows(rows)]
+                        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+                        row["rows_us_per_row"][str(bound)] = round(t * 1e6, 2)
+                        ratios[bound].append(t / one)
+                    out.append(row)
+    finally:
+        jets._STACK_ELEMENTS = saved
+    gmean = {b: float(np.exp(np.mean(np.log(r)))) for b, r in ratios.items()}
+    best = min(gmean.values())
+    picked = min(b for b in STACK_BOUNDS if gmean[b] <= 1.10 * best)
+    pick = {
+        "geomean_rows_over_dot": {str(b): round(g, 3) for b, g in gmean.items()},
+        "worst_rows_over_dot": {str(b): round(max(r), 3) for b, r in ratios.items()},
+        "picked": picked,
+        "rule": "smallest candidate within 10% of the fastest geometric mean",
+        "in_use": saved,
+    }
+    return out, pick
+
+
 def main():
     rng = np.random.default_rng(0)
     rows = []
@@ -167,6 +226,7 @@ def main():
         "dot_rows": dot_rows(rng),
         "series_rows": series_rows(rng),
     }
+    out["batched_rows"], out["stack_bound"] = batched_rows(rng)
     print(json.dumps(out, indent=1))
 
 

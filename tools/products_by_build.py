@@ -16,8 +16,9 @@ innermost ``GeometryContext.get`` build running when it is made, named by
 (context kind, cache key, degree): the kind is ``surface`` for the induced
 metric of an embedded scenario and ``metric`` otherwise (the ambient context
 of an embedded scenario, or an intrinsic one), and assembled operator fields
-share the key ``field``.  Each term of a ``jets.dot`` counts as one product,
-and the time of the whole call is charged with it.  So does each monomial
+share the key ``field``.  Each term of each row of a ``jets.dot_rows`` call
+(``jets.dot`` is its one-row case) counts as one product, and the time of the
+whole call is charged with it.  So does each monomial
 product that ``jets.compose`` makes on one unbatched column, the only caller
 that hands ``jets._cauchy_layered`` a 1-d operand.  Series expansions are
 counted per build in the same way, as perfbench's tracer counts them: each call
@@ -63,7 +64,7 @@ def charge(field, ctx):
     """Evaluate ``field`` on ``ctx``; return ({build: [products, series, seconds]}, wall seconds)."""
     table = defaultdict(lambda: [0, 0, 0.0])
     stack = []
-    get, mul, dot = GeometryContext.get, jets.Jet.__mul__, jets.dot
+    get, mul, dot_rows = GeometryContext.get, jets.Jet.__mul__, jets.dot_rows
     layered = jets._cauchy_layered
     series = {name: getattr(jets, name) for name in SERIES}
     funcs = dict(exprlang._FUNCS)
@@ -83,10 +84,11 @@ def charge(field, ctx):
         return get(c, key, d, traced_build)
 
     def counted(products, fn, *args):
+        """fn(*args), its time and ``products()`` products charged once it returns."""
         t0 = time.perf_counter()
         out = fn(*args)
         row = table[stack[-1] if stack else NONE]
-        row[0] += products
+        row[0] += products()
         row[2] += time.perf_counter() - t0
         return out
 
@@ -105,19 +107,26 @@ def charge(field, ctx):
     def counted_mul(a, b):
         if not isinstance(b, jets.Jet):
             return mul(a, b)
-        return counted(1, mul, a, b)
+        return counted(lambda: 1, mul, a, b)
 
-    def counted_dot(xs, ys, start=None, subtract=False):
-        return counted(len(xs), dot, xs, ys, start, subtract)
+    def counted_dot_rows(rows, subtract=False):
+        lengths = []
+
+        def each(rows):
+            for row in rows:
+                lengths.append(len(row[0]))
+                yield row
+
+        return counted(lambda: sum(lengths), dot_rows, each(rows), subtract)
 
     def counted_layered(space, ca, cb):
         if ca.ndim != 1:  # a batched product, already counted by its caller
             return layered(space, ca, cb)
-        return counted(1, layered, space, ca, cb)
+        return counted(lambda: 1, layered, space, ca, cb)
 
     GeometryContext.get = traced_get
     jets.Jet.__mul__ = jets.Jet.__rmul__ = counted_mul
-    jets.dot = counted_dot
+    jets.dot_rows = counted_dot_rows
     jets._cauchy_layered = counted_layered
     for name, fn in series.items():
         setattr(jets, name, counted_series(fn))
@@ -129,7 +138,7 @@ def charge(field, ctx):
     finally:
         GeometryContext.get = get
         jets.Jet.__mul__ = jets.Jet.__rmul__ = mul
-        jets.dot = dot
+        jets.dot_rows = dot_rows
         jets._cauchy_layered = layered
         for name, fn in series.items():
             setattr(jets, name, fn)
