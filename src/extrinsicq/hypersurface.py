@@ -163,13 +163,15 @@ def _maximal_minors(t):
     n = len(t)
     det = {(c,): t[n - 1][c] for c in range(n + 1)}
     for size in range(2, n + 1):
-        top = t[n - size]
-        cols = list(itertools.combinations(range(n + 1), size))
-        det = dict(zip(cols, jets.dot_rows(
-            ([-top[c] if j % 2 else top[c] for j, c in enumerate(S)],
-             [det[S[:j] + S[j + 1 :]] for j in range(size)], None)
-            for S in cols
-        )))
+        top, below = t[n - size], det
+        det = dots(
+            itertools.combinations(range(n + 1), size),
+            lambda *S: (
+                [-top[c] if j % 2 else top[c] for j, c in enumerate(S)],
+                [below[S[:j] + S[j + 1 :]] for j in range(size)],
+                None,
+            ),
+        )
     return [det[tuple(c for c in range(n + 1) if c != a)] for a in range(n + 1)]
 
 
