@@ -410,12 +410,6 @@ def _invert_spd(gmat, ctx, d):
     polar-chart metrics are legitimately tiny near coordinate poles.  A
     component beyond the float range is refused first, as it would read as a
     non-positive pivot.
-
-    Each step scales the pivot row by one ``jets.dot_rows`` call and forms
-    every product f * a[k][j] of the other rows by one more.  The
-    subtractions a[i][j] - f * a[k][j] stay entry by entry: the subtracting
-    form would compute a[i][j] + (-f) * a[k][j], which can differ in the
-    sign of a zero.
     """
     n = len(gmat)
     for i in range(n):
@@ -443,15 +437,16 @@ def _invert_spd(gmat, ctx, d):
                 f"pivot {k + 1} is {pv[b]:.4e} against diagonal {base[b]:.4e}"
             )
         ip = jets.recip(piv)
-        scaled = jets.dot_rows(([x], [ip], None) for x in a[k] + inv[k])
-        a[k], inv[k] = scaled[:n], scaled[n:]
-        # a zero factor is a structural zero, common for diagonal metrics
-        rows = [i for i in range(n) if i != k and np.any(a[i][k].coeffs)]
-        prods = jets.dot_rows(([a[i][k]], [y], None) for i in rows for y in scaled)
-        for r, i in enumerate(rows):
-            p = prods[2 * n * r : 2 * n * (r + 1)]
-            a[i] = [x - q for x, q in zip(a[i], p[:n])]
-            inv[i] = [x - q for x, q in zip(inv[i], p[n:])]
+        a[k] = [x * ip for x in a[k]]
+        inv[k] = [x * ip for x in inv[k]]
+        for i in range(n):
+            if i == k:
+                continue
+            f = a[i][k]
+            if not np.any(f.coeffs):
+                continue  # structural zero, common for diagonal metrics
+            a[i] = [a[i][j] - f * a[k][j] for j in range(n)]
+            inv[i] = [inv[i][j] - f * inv[k][j] for j in range(n)]
     return inv
 
 

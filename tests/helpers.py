@@ -492,26 +492,6 @@ def reference_dot(xs, ys, start=None):
     return r
 
 
-def reference_invert(gmat, d):
-    """Gauss-Jordan over the jet ring with one jet product per entry, the
-    elimination ``geometry._invert_spd`` performs, without its checks."""
-    n = len(gmat)
-    sp = jets.jet_space(gmat[0][0].nvars, d)
-    a = [list(row) for row in gmat]
-    inv = [[jets.constant(sp, 1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        ip = jets.recip(a[k][k])
-        a[k] = [x * ip for x in a[k]]
-        inv[k] = [x * ip for x in inv[k]]
-        for i in range(n):
-            f = a[i][k]
-            if i == k or not np.any(f.coeffs):
-                continue
-            a[i] = [a[i][j] - f * a[k][j] for j in range(n)]
-            inv[i] = [inv[i][j] - f * inv[k][j] for j in range(n)]
-    return inv
-
-
 def count_products(monkeypatch):
     """Count jet products from here on: each ``Jet * Jet`` and each term of
     each row of a ``jets.dot_rows`` (so of a ``jets.dot``) adds one to

@@ -41,7 +41,6 @@ from helpers import (
     jval,
     reference_divergence2,
     reference_hessian,
-    reference_invert,
     richardson_partial,
 )
 
@@ -204,17 +203,6 @@ def test_inverse_times_metric_is_identity_jets():
             if i == j:
                 want[0] = 1.0
             np.testing.assert_allclose(acc.coeffs, want, atol=1e-12)
-
-
-@pytest.mark.parametrize("batch", [1, 7, jets._LAYERED_MIN_BATCH])
-@pytest.mark.parametrize("name", ["PERT_T4", "CONF_PERTURBED(ROUND_S(4,1))", "ROUND_S(3,1)"])
-def test_inverse_is_bit_identical_to_one_product_per_entry(name, batch):
-    scn = parse_scenario(name)
-    ctx = scn.context(rand_points(scn.chart, batch, 3))
-    n, d = ctx.dim, 2
-    nc = jets.jet_space(n, d).ncoeffs
-    got, want = ctx.ginv(d), reference_invert(ctx.g(d), d)
-    assert_same_bits(jet_coeffs(got, batch, nc), jet_coeffs(want, batch, nc))
 
 
 def test_non_positive_metric_is_rejected_with_point():
