@@ -18,13 +18,14 @@ results can be cached per context; the calculus combinators (differential,
 divergence, laplacian, hessian, traces and inner products) assemble fields
 into new fields without fixing a degree prematurely.  Tensors are nested
 lists of jets, always fully covariant; indices are raised explicitly with
-the inverse metric where needed.  Each index contraction is one ``jets.dot``
-per entry; ``covariant`` has it subtract the Christoffel terms, so no
-negated symbol is made.  Every module
-fills a symmetric tensor with ``symmetric``, takes first-kind Christoffel
-symbols from ``christoffel_first`` and covariant derivatives from
-``covariant``.  ``jet_values`` and ``jet_coeffs`` turn a tensor into one numpy
-array, batch axis last.
+the inverse metric where needed.  An index contraction makes every entry
+of a tensor with one ``jets.dot_rows`` call, one row per entry (``dots``,
+``symmetric_dots``); ``covariant`` has it subtract the Christoffel terms,
+so no negated symbol is made.  Every module fills a symmetric tensor with
+``symmetric``, takes first-kind Christoffel symbols from
+``christoffel_first`` and covariant derivatives from ``covariant``.
+``jet_values`` and ``jet_coeffs`` turn a tensor into one numpy array, batch
+axis last.
 """
 
 import itertools
@@ -206,11 +207,11 @@ def symmetric(n, entry):
     return out
 
 
-def dots(keys, row, subtract=False):
+def dots(keys, row):
     """{key: jets.dot(*row(*key))} for each of ``keys``, all from one
     ``jets.dot_rows`` call; ``row`` gives (xs, ys, start)."""
     keys = list(keys)
-    return dict(zip(keys, jets.dot_rows((row(*key) for key in keys), subtract)))
+    return dict(zip(keys, jets.dot_rows(row(*key) for key in keys)))
 
 
 def symmetric_dots(n, row):

@@ -19,9 +19,13 @@ pairs left to right; reduceat may group three or more of them differently,
 so the two kernels agree to rounding, not bit for bit.
 
 A contraction start + xs[0]*ys[0] + xs[1]*ys[1] + ... is one ``dot``, bit
-for bit the loop of products and additions but with no jet per term: its
-products come from one reduceat over the stacked operands, or from
-``_LAYERED_MIN_BATCH`` points on are layered into one accumulator.
+for bit the loop of products and additions but with no jet per term, and
+the contractions of a whole tensor are the rows of one ``dot_rows`` call,
+of which ``dot`` is the one-row case.  Below ``_LAYERED_MIN_BATCH`` points
+the rows' operands are stacked chunk by chunk, and one gather and one
+reduceat make the products of a chunk; reduceat groups each target's pairs
+the same way whatever the trailing shape, so stacking changes no bit.  From
+there on each row's products are layered into one accumulator.
 
 Composition substitutes inner jets into a stack of outer Taylor polynomials:
 the monomials of the inner offsets are built once, one product each, and

@@ -492,6 +492,16 @@ def reference_dot(xs, ys, start=None):
     return r
 
 
+def reference_det(M):
+    """Laplace expansion of a square jet matrix along its first row, one
+    ``jets.dot`` per minor, recursively."""
+    if len(M) == 1:
+        return M[0][0]
+    signed = [-x if j % 2 else x for j, x in enumerate(M[0])]
+    minors = [reference_det([row[:j] + row[j + 1 :] for row in M[1:]]) for j in range(len(M))]
+    return jets.dot(signed, minors)
+
+
 def count_products(monkeypatch):
     """Count jet products from here on: each ``Jet * Jet`` and each term of
     each row of a ``jets.dot_rows`` (so of a ``jets.dot``) adds one to

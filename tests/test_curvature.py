@@ -406,6 +406,17 @@ def test_riemann_build_product_count(monkeypatch):
     assert 0 < count[0] <= RIEMANN_PRODUCTS_5
 
 
+def test_riemann_build_makes_one_dot_rows_call(monkeypatch):
+    scn = parse_scenario("GRAPH(T4_IN_PERT_T5)")
+    ctx = scn.context(rand_points(scn.chart, 4, 15)).ambient
+    ctx.g(3)
+    ctx.gamma(1)
+    calls, dot_rows = [], jets.dot_rows
+    monkeypatch.setattr(jets, "dot_rows", lambda rows, sub=False: calls.append(1) or dot_rows(rows, sub))
+    curvature.riemann(ctx, 1)
+    assert len(calls) == 1
+
+
 # the last is conformally flat, so there |W|^2 is rounding noise on both sides
 @pytest.mark.parametrize(
     "name, curved", [("PERT_T4", True), ("PERT_T5", True), ("CONF_PERTURBED(ROUND_S(4,1))", False)]

@@ -14,6 +14,7 @@ from helpers import (
     count_products,
     evaluate_each,
     jval,
+    reference_det,
     reference_nabla0_weyl_normal,
     reference_normal_tt,
     reference_second_fundamental,
@@ -187,6 +188,24 @@ def test_normal_is_unit_and_orthogonal_as_jets():
     for i in range(2):
         dot = sum(gb[a][b] * (nu[a] * t[i][b]) for a in range(na) for b in range(na))
         assert np.max(np.abs(dot.coeffs)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["GRAPH(T4_IN_PERT_T5)", "SLICE(S2xS2)", "SPHERE_IN_FLAT(3,1)"])
+def test_maximal_minors_match_the_recursive_expansion(name, monkeypatch):
+    # bit for bit, with one dot_rows call per minor size from 2 to n
+    scn = parse_scenario(name)
+    sctx = scn.context(surface_points(scn.embedding, 5, 3))
+    t = hs.tangents(sctx, 2)
+    n = len(t)
+    calls, dot_rows = [], jets.dot_rows
+    monkeypatch.setattr(jets, "dot_rows", lambda rows, sub=False: calls.append(1) or dot_rows(rows, sub))
+    got = hs._maximal_minors(t)
+    assert len(calls) == n - 1
+    monkeypatch.undo()
+    nc = jets.jet_space(n, 2).ncoeffs
+    for a, m in enumerate(got):
+        want = reference_det([[t[i][b] for b in range(n + 1) if b != a] for i in range(n)])
+        assert_same_bits(jet_coeffs(m, 5, nc), jet_coeffs(want, 5, nc))
 
 
 def test_graph_normal_matches_closed_form():
