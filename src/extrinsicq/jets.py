@@ -65,12 +65,14 @@ _LAYERED_MIN_BATCH = 128
 
 # Largest gathered array, in float64 elements (pairs x products x batch), that
 # one stacked reduceat of ``dot_rows`` makes below ``_LAYERED_MIN_BATCH``.  At
-# 8 points, 5 variables and degrees 0-4, tensors of 6-55 rows take 0.77x the
-# time of one ``dot`` per row at 2**14 (geometric mean), 1.0x at 2**12 and
-# 0.72-0.79x from 2**15 to 2**18 (BENCH_dot_rows.json, "stack_bound"); the
-# paper-points run reads the same from 2**13 to 2**16, but its peak RSS grows
-# with the bound, 43.7 MB at 2**14 against 45.3 MB at 2**16.
-_STACK_ELEMENTS = 2**14
+# 8 points, 5 variables and degrees 0-4, the rows of a 6-55-entry tensor take
+# 0.65x the time of one ``dot`` each at 2**15, against 0.97x at 2**12, 0.71x at
+# 2**14 and 0.63-0.67x at 2**16 and 2**18 (geometric means;
+# BENCH_dot_rows.json, "stack_bound" picks the smallest bound within 10% of
+# the fastest).  A larger bound keeps more stacked operands alive: the
+# paper-points peak RSS read 43.5-43.9 MB at 2**13 and 2**14, 44.3-44.4 MB at
+# 2**15 and 45.3-45.5 MB at 2**16, with run_s the same within noise.
+_STACK_ELEMENTS = 2**15
 
 
 class JetError(ValueError):
