@@ -66,13 +66,13 @@ _LAYERED_MIN_BATCH = 128
 # Largest gathered array, in float64 elements (pairs x products x batch), that
 # one stacked reduceat of ``dot_rows`` makes below ``_LAYERED_MIN_BATCH``.  At
 # 8 points, 5 variables and degrees 0-4, the rows of a 6-55-entry tensor take
-# 0.65x the time of one ``dot`` each at 2**15, against 0.97x at 2**12, 0.71x at
-# 2**14 and 0.63-0.67x at 2**16 and 2**18 (geometric means;
-# BENCH_dot_rows.json, "stack_bound" picks the smallest bound within 10% of
-# the fastest).  A larger bound keeps more stacked operands alive: the
-# paper-points peak RSS read 43.5-43.9 MB at 2**13 and 2**14, 44.3-44.4 MB at
-# 2**15 and 45.3-45.5 MB at 2**16, with run_s the same within noise.
-_STACK_ELEMENTS = 2**15
+# 0.68x the time of one ``dot`` each at 2**14, against 0.93x at 2**12, 0.78x at
+# 2**13 and 0.60-0.66x from 2**15 to 2**18 (geometric means;
+# BENCH_dot_rows.json, "stack_bound" picks the smallest bound within 15% of
+# the fastest).  Past 2**14 the end-to-end run gains nothing and holds more
+# memory: paper-points read a median run_s of 2.51 s and peak RSS of 44.4 MB
+# at 2**15 against 2.39 s and 44.0 MB at 2**14 (10 pairs each, same parent).
+_STACK_ELEMENTS = 2**14
 
 
 class JetError(ValueError):
