@@ -71,7 +71,7 @@ _LAYERED_MIN_BATCH = 128
 # BENCH_dot_rows.json, "stack_bound" picks the smallest bound within 15% of
 # the fastest).  Past 2**14 the end-to-end run gains nothing and holds more
 # memory: paper-points read a median run_s of 2.51 s and peak RSS of 44.4 MB
-# at 2**15 against 2.39 s and 44.0 MB at 2**14 (10 pairs each, same parent).
+# at 2**15 against 2.42 s and 43.9 MB at 2**14 (10 pairs each, same parent).
 _STACK_ELEMENTS = 2**14
 
 
