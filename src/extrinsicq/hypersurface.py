@@ -159,15 +159,17 @@ def _maximal_minors(t):
     a-th without column a.  Each is expanded along its first row, into the
     signed entries dotted with the minors of the rows below; a minor of the
     last L rows on columns S is made once however many minors hold it, and
-    all of one size by one ``jets.dot_rows`` call."""
+    all of one size by one ``jets.dot_rows`` call, with the top row negated
+    once for it."""
     n = len(t)
     det = {(c,): t[n - 1][c] for c in range(n + 1)}
     for size in range(2, n + 1):
         top, below = t[n - size], det
+        signed = (top, [-x for x in top])
         det = dots(
             itertools.combinations(range(n + 1), size),
             lambda *S: (
-                [-top[c] if j % 2 else top[c] for j, c in enumerate(S)],
+                [signed[j % 2][c] for j, c in enumerate(S)],
                 [below[S[:j] + S[j + 1 :]] for j in range(size)],
                 None,
             ),
