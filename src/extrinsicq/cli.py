@@ -36,29 +36,6 @@ from .scenarios import ScenarioError, list_scenarios, parse_scenario
 from .verify import ConfigError, Quadrature, integrate, report_csv
 
 
-# Scalar operators that take no input function; all evaluate to rank-0 fields.
-_NULLARY_OPS = {
-    "q2": ops.q2,
-    "q4": ops.q4,
-    "ext_q2": ops.ext_q2,
-    "ext_q3": ops.ext_q3,
-    "ext_q4_umbilic": ops.ext_q4_umbilic,
-    "c_invariant": ops.c_invariant,
-}
-
-_UNARY_OPS = {
-    "p2": ops.p2,
-    "p4": ops.p4,
-    "ext_p2": ops.ext_p2,
-    "ext_p3": ops.ext_p3,
-    "ext_p4_umbilic": ops.ext_p4_umbilic,
-    "ext_p4_critical": ops.ext_p4_critical,
-}
-
-_EMBEDDED_ONLY = {name for name in (*_NULLARY_OPS, *_UNARY_OPS) if name.startswith("ext_")}
-_EMBEDDED_ONLY.add("c_invariant")
-
-
 def _values(tensor):
     """A batch-1 jet, or nested lists of them, as a float or nested lists of floats."""
     return jet_values(tensor, 1)[..., 0].tolist()
@@ -215,18 +192,19 @@ def cmd_extrinsic(args):
 
 
 def _resolve_op(name, f_text, scn):
-    if name in _EMBEDDED_ONLY and scn.kind != "embedded":
+    if name not in ops.OPERATORS:
+        known = ", ".join(sorted(ops.OPERATORS))
+        raise ConfigError(f"op: unknown operator {name!r} (known: {known})")
+    factory, order, embedded = ops.OPERATORS[name]
+    if embedded and scn.kind != "embedded":
         raise ConfigError(f"op: {name} needs an embedded scenario, {scn.name} is intrinsic")
-    if name in _NULLARY_OPS:
+    if order is None:
         if f_text is not None:
             raise ConfigError(f"op: {name} takes no input function, drop --f")
-        return _NULLARY_OPS[name]()
-    if name in _UNARY_OPS:
-        if f_text is None:
-            raise ConfigError(f"op: {name} needs an input function, pass --f")
-        return _UNARY_OPS[name](_surface_field(f_text, scn.chart))
-    known = ", ".join(sorted((*_NULLARY_OPS, *_UNARY_OPS)))
-    raise ConfigError(f"op: unknown operator {name!r} (known: {known})")
+        return factory()
+    if f_text is None:
+        raise ConfigError(f"op: {name} needs an input function, pass --f")
+    return factory(_surface_field(f_text, scn.chart))
 
 
 def cmd_apply(args):

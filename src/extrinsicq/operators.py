@@ -23,6 +23,8 @@ and in general P_k f-hat = e^{-b phi} P_k (e^{a phi} f) with a, b the
 bidegree weights; the tests pin all of these numerically.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
 from . import curvature, hypersurface
@@ -373,6 +375,26 @@ def integrand_i2():
 def integrand_i3():
     """The algebraic-in-Lo part of the total-curvature integrand."""
     return fourth_order_fields()["i3"]
+
+
+# Every operator a command or a check names: its factory, its order (None for
+# the curvatures, which take no input function) and whether it needs an
+# embedded scenario.
+Operator = namedtuple("Operator", "factory order embedded")
+OPERATORS = {
+    "q2": Operator(q2, None, False),
+    "q4": Operator(q4, None, False),
+    "ext_q2": Operator(ext_q2, None, True),
+    "ext_q3": Operator(ext_q3, None, True),
+    "ext_q4_umbilic": Operator(ext_q4_umbilic, None, True),
+    "c_invariant": Operator(c_invariant, None, True),
+    "p2": Operator(p2, 2, False),
+    "p4": Operator(p4, 4, False),
+    "ext_p2": Operator(ext_p2, 2, True),
+    "ext_p3": Operator(ext_p3, 3, True),
+    "ext_p4_umbilic": Operator(ext_p4_umbilic, 4, True),
+    "ext_p4_critical": Operator(ext_p4_critical, 4, True),
+}
 
 
 def normal_derivative_identity():

@@ -8,15 +8,18 @@ control first, which must pass at the much tighter control tolerance; that
 separates genuine transformation-law failures from loss of precision in the
 evaluation pipeline itself.
 
-Two scaffolds give every pointwise check its shape.  ``_pointwise_checks``
-draws a row's points and context and builds one result per (name, residual,
-scale, tolerance).  The conformal checks compare a scenario with its e^{2 phi}
-rescaling through ``_rescaled_pair`` (both contexts on the same points, and
-phi as a field), and ``_control_and_draws`` turns such a defect into the phi=0
-control and the worst case over random factors.  All contexts of one check
-call share one ``geometry.DegreePlan``, and so do the chunks of one
-``integrate`` call.  Fields come back from the jets as arrays through
-``geometry.jet_values``, batch axis last.
+Three scaffolds give every check its shape.  ``_pointwise_checks`` draws a
+row's points and context and builds one result per (name, residual, scale,
+tolerance).  Its quadrature twin ``_quadrature_checks`` integrates a list of
+fields once on the scenario's rule, with their absolute integrals, and builds
+one result per (name, error, scale, tolerance) computed from those totals.
+The conformal checks compare a scenario with its e^{2 phi} rescaling through
+``_rescaled_pair`` (both contexts on the same points, and phi as a field),
+and ``_control_and_draws`` turns such a defect into the phi=0 control and the
+worst case over random factors.  All contexts of one check call share one
+``geometry.DegreePlan``, and so do the chunks of one ``integrate`` call.
+Fields come back from the jets as arrays through ``geometry.jet_values``,
+batch axis last.
 
 Suites are fixed plans of (scenario, check name, arguments) rows, kept as
 data.  Randomness is drawn per row from a seed derived from (config.seed, row
@@ -24,7 +27,7 @@ index), so a report can be reproduced bit for bit from its own config echo.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields as dataclass_fields
 
 import numpy as np
 
@@ -54,9 +57,6 @@ TOL_CONTROL = 1e-12
 MAX_GAUSS_NODES = 1000
 MAX_POINTS = 2**24
 
-SUITES = ("structural", "intrinsic", "extrinsic", "global", "all")
-_FOURTH_ORDER_SUITES = ("intrinsic", "extrinsic", "global", "all")
-
 
 class ConfigError(ValueError):
     """Invalid verification configuration; message names the field."""
@@ -84,17 +84,7 @@ class VerifyConfig:
     tol_control: float = TOL_CONTROL
 
 
-_CONFIG_TYPES = {
-    "suite": str,
-    "scenario": str,
-    "degree": int,
-    "nodes": int,
-    "gauss_nodes": int,
-    "seed": int,
-    "tol_point": float,
-    "tol_integral": float,
-    "tol_control": float,
-}
+_CONFIG_TYPES = {f.name: f.type for f in dataclass_fields(VerifyConfig)}
 
 
 def load_config(data):
@@ -139,7 +129,7 @@ def load_config(data):
             raise ConfigError(f"{key}: tolerance must be positive and finite, got {val}")
     if cfg.degree > jets.MAX_DEGREE:
         raise ConfigError(f"degree: jets stop at degree {jets.MAX_DEGREE}, got {cfg.degree}")
-    if cfg.suite in _FOURTH_ORDER_SUITES:
+    if cfg.suite != "structural":
         if cfg.degree < 5:
             raise ConfigError(
                 f"degree: suite {cfg.suite!r} evaluates fourth-order operators and "
@@ -174,7 +164,7 @@ class Quadrature:
 
     __slots__ = ("chart", "points", "weights", "npoints", "nodes", "gauss_nodes")
 
-    def __init__(self, chart, nodes=12, gauss_nodes=16):
+    def __init__(self, chart, nodes, gauss_nodes):
         nodes = int(nodes)
         gauss_nodes = int(gauss_nodes)
         total = math.prod(nodes if ax.periodic else gauss_nodes for ax in chart.axes)
@@ -340,7 +330,7 @@ def _at(ctx, fn):
     return jet_values(fn(ctx, 0), ctx.nbatch)
 
 
-# ---- the two check scaffolds -----------------------------------------------------
+# ---- the check scaffolds ---------------------------------------------------------
 
 
 def _pointwise_checks(scn, cfg, seed, rows, cap=None):
@@ -354,6 +344,20 @@ def _pointwise_checks(scn, cfg, seed, rows, cap=None):
     return [
         CheckResult.build(name, scn.name, ctx.nbatch, np.max(np.abs(res)), scale, tol, seed)
         for name, res, scale, tol in rows(ctx, rng)
+    ]
+
+
+def _quadrature_checks(scn, cfg, seed, fields, rows, quad=None):
+    """Integrate ``fields`` once on the scenario's rule (``quad`` when the
+    check integrates on it again), with their absolute integrals, then build
+    one result for each (name, err, scale, tol) that ``rows(totals,
+    absolutes)`` returns, with the rule's point count as its samples."""
+    if quad is None:
+        quad = Quadrature(scn.chart, cfg.nodes, cfg.gauss_nodes)
+    totals, absolutes = integrate(fields, scn, quad, degree_cap=cfg.degree, absolute=True)
+    return [
+        CheckResult.build(name, scn.name, quad.npoints, err, scale, tol, seed)
+        for name, err, scale, tol in rows(totals, absolutes)
     ]
 
 
@@ -393,15 +397,6 @@ def _control_and_draws(name, scn, cfg, seed, rng, pts, draws, defect):
 
 # ---- conformal covariance -------------------------------------------------------
 
-_COVARIANT_OPS = {
-    "p2": (ops.p2, 2, "intrinsic"),
-    "p4": (ops.p4, 4, "intrinsic"),
-    "ext_p2": (ops.ext_p2, 2, "embedded"),
-    "ext_p3": (ops.ext_p3, 3, "embedded"),
-    "ext_p4_umbilic": (ops.ext_p4_umbilic, 4, "embedded"),
-    "ext_p4_critical": (ops.ext_p4_critical, 4, "embedded"),
-}
-
 
 def _covariance_defect(scn, make_op, order, phi_text, f_text, pts, plan):
     """max |Op(e^{w_in phi} f) - e^{w_out phi} Op_hat(f)| over the points.
@@ -426,8 +421,11 @@ def check_covariance(scn, op_name, cfg, seed, pairs=1):
     Emits the phi=0 control first, then the aggregated defect over ``pairs``
     random (phi, f) draws.
     """
-    make_op, order, kind = _COVARIANT_OPS[op_name]
-    if kind == "embedded" and scn.kind != "embedded":
+    op = ops.OPERATORS.get(op_name)
+    if op is None or op.order is None:
+        raise ConfigError(f"unknown covariant operator {op_name!r}")
+    make_op, order, embedded = op
+    if embedded and scn.kind != "embedded":
         raise ConfigError(f"{op_name} needs an embedded scenario, got {scn.name}")
     rng = np.random.default_rng(seed)
     pts = _points(scn, _npoints(scn.dim), rng)
@@ -442,14 +440,14 @@ def check_covariance(scn, op_name, cfg, seed, pairs=1):
 
 # ---- Q-curvature transformation laws -------------------------------------------
 
-# Q, the operator P in its law, the dimension n, the sign of P(phi), and the
-# kind of scenario it needs
+# the operators Q and P of each law, by name; the law lives in the dimension n
+# equal to the order of P
 _Q_LAWS = {
-    "q2": (ops.q2, ops.p2, 2, -1.0, "intrinsic"),
-    "ext_q2": (ops.ext_q2, ops.ext_p2, 2, -1.0, "embedded"),
-    "ext_q3": (ops.ext_q3, ops.ext_p3, 3, +1.0, "embedded"),
-    "q4": (ops.q4, ops.p4, 4, +1.0, "intrinsic"),
-    "ext_q4": (ops.ext_q4_umbilic, ops.ext_p4_umbilic, 4, +1.0, "embedded"),
+    "q2": ("q2", "p2"),
+    "ext_q2": ("ext_q2", "ext_p2"),
+    "ext_q3": ("ext_q3", "ext_p3"),
+    "q4": ("q4", "p4"),
+    "ext_q4": ("ext_q4_umbilic", "ext_p4_umbilic"),
 }
 
 
@@ -457,10 +455,12 @@ def check_q_law(scn, which, cfg, seed, pairs=1):
     """The law e^{n phi} Q_hat = Q -+ P(phi); minus in dimension two."""
     if which not in _Q_LAWS:
         raise ConfigError(f"unknown Q-curvature law {which!r}")
-    q_op, p_op, n, sign, kind = _Q_LAWS[which]
+    q_op, _, embedded = ops.OPERATORS[_Q_LAWS[which][0]]
+    p_op, n, _ = ops.OPERATORS[_Q_LAWS[which][1]]
+    sign = -1.0 if n == 2 else 1.0
     if scn.dim != n:
         raise ConfigError(f"{which} law lives in dimension {n}, scenario has {scn.dim}")
-    if kind == "embedded" and scn.kind != "embedded":
+    if embedded and scn.kind != "embedded":
         raise ConfigError(f"{which} law needs an embedded scenario")
     rng = np.random.default_rng(seed)
     pts = _points(scn, _npoints(scn.dim), rng)
@@ -603,26 +603,15 @@ def check_self_adjoint(scn, cfg, seed):
     """integral of f P4(g) equals integral of g P4(f) for the critical
     extrinsic operator (formal self-adjointness, no boundary here)."""
     rng = np.random.default_rng(seed)
-    quad = Quadrature(scn.chart, cfg.nodes, cfg.gauss_nodes)
     f = _sfield(_random_text(scn.basis, rng), scn.chart)
     g = _sfield(_random_text(scn.basis, rng), scn.chart)
-    a, b = integrate(
-        [f * ops.ext_p4_critical(g), g * ops.ext_p4_critical(f)],
-        scn,
-        quad,
-        degree_cap=cfg.degree,
-    )
-    return [
-        CheckResult.build(
-            "ext_p4_self_adjoint",
-            scn.name,
-            quad.npoints,
-            abs(a - b),
-            max(abs(a), abs(b)),
-            cfg.tol_point,
-            seed,
-        )
-    ]
+
+    def rows(totals, absolutes):
+        a, b = totals
+        return [("ext_p4_self_adjoint", abs(a - b), max(abs(a), abs(b)), cfg.tol_point)]
+
+    fields = [f * ops.ext_p4_critical(g), g * ops.ext_p4_critical(f)]
+    return _quadrature_checks(scn, cfg, seed, fields, rows)
 
 
 def check_gauss_bonnet(scn, cfg, seed):
@@ -631,22 +620,13 @@ def check_gauss_bonnet(scn, cfg, seed):
         raise ConfigError(f"Gauss-Bonnet check needs a 4-dimensional scenario, got {scn.dim}")
     if scn.euler is None:
         raise ConfigError(f"scenario {scn.name} has no recorded Euler characteristic")
-    quad = Quadrature(scn.chart, cfg.nodes, cfg.gauss_nodes)
-    (total,), (absolute,) = integrate(
-        [ops.ads_parts()[0]], scn, quad, degree_cap=cfg.degree, absolute=True
-    )
     target = 8.0 * math.pi**2 * scn.euler
-    return [
-        CheckResult.build(
-            "gauss_bonnet",
-            scn.name,
-            quad.npoints,
-            abs(total - target),
-            max(abs(target), absolute),
-            cfg.tol_integral,
-            seed,
-        )
-    ]
+
+    def rows(totals, absolutes):
+        err, scale = abs(totals[0] - target), max(abs(target), absolutes[0])
+        return [("gauss_bonnet", err, scale, cfg.tol_integral)]
+
+    return _quadrature_checks(scn, cfg, seed, [ops.ads_parts()[0]], rows)
 
 
 def check_global_invariant(scn, cfg, seed, expected=None):
@@ -659,43 +639,23 @@ def check_global_invariant(scn, cfg, seed, expected=None):
     summation."""
     quad = Quadrature(scn.chart, cfg.nodes, cfg.gauss_nodes)
     field = ops.integrand_i1() + ops.integrand_i2() + ops.integrand_i3()
-    (base,), (absolute,) = integrate(
-        [field], scn, quad, degree_cap=cfg.degree, absolute=True
-    )
     nb = min(256, quad.npoints)
     base_ctx, hat_ctx, _ = _rescaled_pair(scn, "0", quad.points[:, :nb], DegreePlan(cfg.degree))
     bvals = _at(base_ctx, field)
     err, scale = _defect(_at(hat_ctx, field), bvals, np.max(np.abs(bvals)))
-    out = [
-        CheckResult.build(
-            "total_q4_invariance[phi=0]", scn.name, nb, err, scale, cfg.tol_control, seed
-        )
-    ]
-    (hat,) = integrate([field], scn.rescaled(conf_phi(scn.name)), quad, degree_cap=cfg.degree)
-    out.append(
-        CheckResult.build(
-            "total_q4_invariance",
-            scn.name,
-            quad.npoints,
-            abs(hat - base),
-            max(abs(base), absolute),
-            cfg.tol_integral,
-            seed,
-        )
+    control = CheckResult.build(
+        "total_q4_invariance[phi=0]", scn.name, nb, err, scale, cfg.tol_control, seed
     )
-    if expected is not None:
-        out.append(
-            CheckResult.build(
-                "total_q4_value",
-                scn.name,
-                quad.npoints,
-                abs(base - expected),
-                abs(expected),
-                cfg.tol_integral,
-                seed,
-            )
-        )
-    return out
+    (hat,) = integrate([field], scn.rescaled(conf_phi(scn.name)), quad, degree_cap=cfg.degree)
+
+    def rows(totals, absolutes):
+        (base,), (absolute,) = totals, absolutes
+        out = [("total_q4_invariance", abs(hat - base), max(abs(base), absolute), cfg.tol_integral)]
+        if expected is not None:
+            out.append(("total_q4_value", abs(base - expected), abs(expected), cfg.tol_integral))
+        return out
+
+    return [control] + _quadrature_checks(scn, cfg, seed, [field], rows, quad)
 
 
 def check_divergence_integrals(scn, cfg, seed):
@@ -708,20 +668,14 @@ def check_divergence_integrals(scn, cfg, seed):
         "laplacian_shape_norm": four["shape_laplacian"],
         "ads_divergence": four["divergence"],
     }
-    quad = Quadrature(scn.chart, cfg.nodes, cfg.gauss_nodes)
-    totals, absolutes = integrate(fields.values(), scn, quad, degree_cap=cfg.degree, absolute=True)
-    return [
-        CheckResult.build(
-            f"divergence_integral[{nm}]",
-            scn.name,
-            quad.npoints,
-            abs(t),
-            a,
-            1e-7,
-            seed,
-        )
-        for nm, t, a in zip(fields, totals, absolutes)
-    ]
+
+    def rows(totals, absolutes):
+        return [
+            (f"divergence_integral[{nm}]", abs(t), a, 1e-7)
+            for nm, t, a in zip(fields, totals, absolutes)
+        ]
+
+    return _quadrature_checks(scn, cfg, seed, fields.values(), rows)
 
 
 def check_q4_audit(scn, gb_scn, cfg, seed):
@@ -740,65 +694,37 @@ def check_q4_audit(scn, gb_scn, cfg, seed):
     pts = _points(scn, _npoints(scn.dim), rng)
     phi_text = _random_text(scn.basis, rng)
     f_text = _random_text(scn.basis, rng)
-    out = []
-    cov = {}
     plan = DegreePlan(cfg.degree)
-    for c in (2.0, 1.0):
-        err, scale = _covariance_defect(
+    defects = {
+        c: _covariance_defect(
             scn, lambda fld, c=c: ops.p4(fld, c_rho=c), 4, phi_text, f_text, pts, plan
         )
-        cov[c] = err / max(scale, 1.0)
-        if c == 2.0:
-            out.append(
-                CheckResult.build(
-                    "q4_audit[c=2 covariance]", scn.name, pts.shape[1], err, scale,
-                    cfg.tol_point, seed,
-                )
-            )
-    quad = Quadrature(gb_scn.chart, cfg.nodes, cfg.gauss_nodes)
-    totals = integrate(
-        [ops.q4(c_rho=2.0), ops.q4(c_rho=1.0)], gb_scn, quad, degree_cap=cfg.degree
+        for c in (2.0, 1.0)
+    }
+    cov = {c: err / max(scale, 1.0) for c, (err, scale) in defects.items()}
+    cov_row = CheckResult.build(
+        "q4_audit[c=2 covariance]", scn.name, pts.shape[1], *defects[2.0], cfg.tol_point, seed
     )
     target = 16.0 * math.pi**2
-    gb = {c: abs(t - target) / target for c, t in zip((2.0, 1.0), totals)}
-    out.append(
-        CheckResult.build(
-            "q4_audit[c=2 gauss_bonnet]",
-            gb_scn.name,
-            quad.npoints,
-            abs(totals[0] - target),
-            target,
-            1e-6,
-            seed,
-        )
-    )
+    gb = {}
+
+    def rows(totals, absolutes):
+        gb.update({c: abs(t - target) / target for c, t in zip((2.0, 1.0), totals)})
+        return [("q4_audit[c=2 gauss_bonnet]", abs(totals[0] - target), target, 1e-6)]
+
+    (gb_row,) = _quadrature_checks(gb_scn, cfg, seed, [ops.q4(c_rho=2.0), ops.q4(c_rho=1.0)], rows)
     margin = 1e-2
     shortfall = max(0.0, margin - max(gb[1.0], cov[1.0]))
-    out.append(
-        CheckResult.build(
-            "q4_audit[c=1 rejected]",
-            gb_scn.name,
-            quad.npoints + pts.shape[1],
-            shortfall,
-            1.0,
-            cfg.tol_point,
-            seed,
-        )
-    )
     good_passes = cov[2.0] < cfg.tol_point and gb[2.0] < 1e-6
     bad_fails = max(gb[1.0], cov[1.0]) > margin
-    out.append(
-        CheckResult.build(
-            "q4_audit[exactly one passes]",
-            gb_scn.name,
-            quad.npoints + pts.shape[1],
-            0.0 if (good_passes and bad_fails) else 1.0,
-            1.0,
-            cfg.tol_point,
-            seed,
+    samples = gb_row.samples + pts.shape[1]
+    return [cov_row, gb_row] + [
+        CheckResult.build(name, gb_scn.name, samples, err, 1.0, cfg.tol_point, seed)
+        for name, err in (
+            ("q4_audit[c=1 rejected]", shortfall),
+            ("q4_audit[exactly one passes]", 0.0 if (good_passes and bad_fails) else 1.0),
         )
-    )
-    return out
+    ]
 
 
 # ---- structural identities ------------------------------------------------------
@@ -919,6 +845,7 @@ _SUITE_PLANS = {
         ("GRAPH(T4_IN_T5)", "check_ads_decomposition", {}),
     ),
 }
+SUITES = (*_SUITE_PLANS, "all")
 
 
 def _plan(cfg):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from extrinsicq import cli
+from extrinsicq.operators import OPERATORS
 
 
 def run_cli(capsys, *argv):
@@ -485,7 +486,9 @@ _EXPRS = st.sampled_from([
     "x1", "sin(x1)*cos(x2)", "exp(800)*x1", "exp(800)*cos(x1)", "exp(800)", "exp(706)",
     "exp(exp(x1))", "log(x1-5)", "1/(x1-x1)", "x1^-0.5", "1/0", "x9", "(", "", "-x1",
 ])
-_OPS = sorted({*cli._NULLARY_OPS, *cli._UNARY_OPS, "nope"})
+_OPS = sorted({*OPERATORS, "nope"})
+_EMBEDDED_ONLY = {name for name, op in OPERATORS.items() if op.embedded}
+_NULLARY = {name for name, op in OPERATORS.items() if op.order is None}
 
 
 @st.composite
@@ -502,9 +505,9 @@ def _argv(draw):
         point = ",".join(map(str, coords))
         argv += ["--point", draw(st.sampled_from([point, point, point, draw(st.text(max_size=6))]))]
     if command != "curvature":
-        fitting = [o for o in _OPS if name in _EMBEDDED or o not in cli._EMBEDDED_ONLY]
+        fitting = [o for o in _OPS if name in _EMBEDDED or o not in _EMBEDDED_ONLY]
         op = draw(st.sampled_from(draw(st.sampled_from([fitting, fitting, _OPS]))))
-        takes_f = op not in cli._NULLARY_OPS
+        takes_f = op not in _NULLARY
         if command == "integrate":
             # exactly one of --op and --f, as a rule
             use_op, use_f = draw(st.sampled_from([(True, False), (False, True), (True, True)]))

@@ -91,7 +91,8 @@ def test_products_by_build_counts_each_dot_term():
 
 
 def test_products_by_build_bad_input_exits_two():
-    for argv in (("FLAT_T2", "total_q4"), ("FLAT_T2", "nope"), ("FLAT_T2", "q2", "--points", "0")):
+    for argv in (("FLAT_T2", "total_q4"), ("FLAT_T2", "nope"), ("FLAT_T2", "p2"),
+                 ("FLAT_T2", "ext_q2"), ("FLAT_T2", "q2", "--points", "0")):
         out = _products(*argv)
         assert out.returncode == 2
         assert out.stderr.startswith("error:")

@@ -250,3 +250,54 @@ def test_ads_decomposition_check():
     assert all(r.passed for r in results)
     with pytest.raises(ConfigError):
         verify.check_ads_decomposition(parse_scenario("PERT_T4"), cfg, seed=7)
+
+
+# the rows of the five quadrature checks on a coarse rule, where the
+# identities need not hold: (check, scenario, extra arguments), then each row's
+# (name, scenario, samples, tol).  At 4 nodes per periodic axis and 5 per
+# bounded one the all-periodic charts take 256 points, SLICE(S2xS2) 400 and
+# ROUND_S(4,1) 500; the audit's covariance leg uses the 8 points of a
+# 4-dimensional pointwise check.
+_COARSE = load_config({"nodes": 4, "gauss_nodes": 5})
+_QUADRATURE_ROWS = [
+    ("check_self_adjoint", "GRAPH(T4_IN_T5)", {},
+     [("ext_p4_self_adjoint", "GRAPH(T4_IN_T5)", 256, 1e-7)]),
+    ("check_gauss_bonnet", "ROUND_S(4,1)", {},
+     [("gauss_bonnet", "ROUND_S(4,1)", 500, 1e-5)]),
+    ("check_global_invariant", "SLICE(S2xS2)", {"expected": 50.0 * math.pi**2 / 3.0},
+     [("total_q4_invariance[phi=0]", "SLICE(S2xS2)", 256, 1e-12),
+      ("total_q4_invariance", "SLICE(S2xS2)", 400, 1e-5),
+      ("total_q4_value", "SLICE(S2xS2)", 400, 1e-5)]),
+    ("check_divergence_integrals", "GRAPH(T4_IN_PERT_T5)", {},
+     [(f"divergence_integral[{nm}]", "GRAPH(T4_IN_PERT_T5)", 256, 1e-7)
+      for nm in ("divdiv_normal_weyl", "divdiv_shape_squared", "laplacian_shape_norm",
+                 "ads_divergence")]),
+    ("check_q4_audit", "PERT_T4", {"gb_scn": parse_scenario("ROUND_S(4,1)")},
+     [("q4_audit[c=2 covariance]", "PERT_T4", 8, 1e-7),
+      ("q4_audit[c=2 gauss_bonnet]", "ROUND_S(4,1)", 500, 1e-6),
+      ("q4_audit[c=1 rejected]", "ROUND_S(4,1)", 508, 1e-7),
+      ("q4_audit[exactly one passes]", "ROUND_S(4,1)", 508, 1e-7)]),
+]
+
+
+@pytest.mark.parametrize("check, scenario, args, layout", _QUADRATURE_ROWS,
+                         ids=[row[0] for row in _QUADRATURE_ROWS])
+def test_quadrature_checks_keep_their_row_layout(check, scenario, args, layout):
+    results = getattr(verify, check)(parse_scenario(scenario), cfg=_COARSE, seed=5, **args)
+    assert [(r.check, r.scenario, r.samples, r.tol) for r in results] == layout
+    assert all(r.seed == 5 for r in results)
+
+
+def test_covariance_and_law_checks_refuse_what_the_operator_table_rules_out():
+    cfg = load_config({})
+    pert4 = parse_scenario("PERT_T4")
+    with pytest.raises(ConfigError, match="^unknown covariant operator 'q2'$"):
+        verify.check_covariance(pert4, "q2", cfg, seed=0)
+    with pytest.raises(ConfigError, match="^ext_p2 needs an embedded scenario, got PERT_T4$"):
+        verify.check_covariance(pert4, "ext_p2", cfg, seed=0)
+    with pytest.raises(ConfigError, match="^unknown Q-curvature law 'p4'$"):
+        verify.check_q_law(pert4, "p4", cfg, seed=0)
+    with pytest.raises(ConfigError, match="^ext_q2 law needs an embedded scenario$"):
+        verify.check_q_law(parse_scenario("FLAT_T2"), "ext_q2", cfg, seed=0)
+    with pytest.raises(ConfigError, match="^q4 law lives in dimension 4, scenario has 3$"):
+        verify.check_q_law(parse_scenario("PERT_T3"), "q4", cfg, seed=0)

@@ -41,7 +41,7 @@ import sys
 import time
 from collections import defaultdict
 
-from extrinsicq import cli, exprlang, jets
+from extrinsicq import exprlang, jets
 from extrinsicq import hypersurface as hs
 from extrinsicq import operators as ops
 from extrinsicq.geometry import DegreePlan, GeometryContext, jet_values
@@ -52,12 +52,19 @@ NONE = ("-", "(none)", "-")
 SERIES = ("exp", "log", "sin", "cos", "powf", "sqrt", "recip")
 
 
+# the curvatures of the operator table, which take no input function, and the
+# total-Q4 integrand: {name: (factory, needs an embedded scenario)}
+FIELDS = {name: (op.factory, op.embedded) for name, op in ops.OPERATORS.items() if op.order is None}
+FIELDS["total_q4"] = (lambda: ops.integrand_i1() + ops.integrand_i2() + ops.integrand_i3(), True)
+
+
 def _field(name, scn):
-    if name == "total_q4":
-        if scn.kind != "embedded":
-            raise ConfigError(f"field: total_q4 needs an embedded scenario, {scn.name} is intrinsic")
-        return ops.integrand_i1() + ops.integrand_i2() + ops.integrand_i3()
-    return cli._resolve_op(name, None, scn)
+    if name not in FIELDS:
+        raise ConfigError(f"field: unknown field {name!r} (known: {', '.join(FIELDS)})")
+    factory, embedded = FIELDS[name]
+    if embedded and scn.kind != "embedded":
+        raise ConfigError(f"field: {name} needs an embedded scenario, {scn.name} is intrinsic")
+    return factory()
 
 
 def charge(field, ctx):
@@ -156,7 +163,7 @@ def main(argv):
         description="Jet products and their time per innermost cached build, on one chunk.",
     )
     ap.add_argument("scenario", help="catalog name, e.g. GRAPH(T4_IN_PERT_T5)")
-    ap.add_argument("field", help="q2, q4, ext_q2, ext_q3, ext_q4_umbilic, c_invariant or total_q4")
+    ap.add_argument("field", help=", ".join(FIELDS))
     ap.add_argument("--points", type=int, default=1024, help="chunk size (default 1024)")
     args = ap.parse_args(argv)
     try:
