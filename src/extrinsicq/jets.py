@@ -74,6 +74,9 @@ _LAYERED_MIN_BATCH = 128
 # at 2**15 against 2.42 s and 43.9 MB at 2**14 (10 pairs each, same parent).
 _STACK_ELEMENTS = 2**14
 
+# -0.0 is the one float64 whose bits, read as an int64, are the least int64
+_NEG_ZERO_BITS = np.iinfo(np.int64).min
+
 
 class JetError(ValueError):
     """Structural misuse of the jet algebra: spaces, shapes, arguments."""
@@ -320,18 +323,81 @@ def _dot_stacked(space, B, rows, k, mixed, subtract):
     return terms[:, :, -1].transpose(1, 0, 2).copy()
 
 
-def _dot_layered(space, B, cs, k, subtract):
+def _operand_checks(memo, jet, c):
+    """[jet, whether ``c`` is all zero, whether it is all finite (None until
+    asked)] for an operand ``jet`` of coefficients ``c``, checked once per
+    ``dot_rows`` call: ``memo`` holds the jet, so its id stays its own."""
+    key = id(jet), c.shape[0]
+    checks = memo.get(key)
+    if checks is None:
+        # the value at the first point, then the value row, rule out most
+        # operands at a fraction of the cost of a full scan
+        memo[key] = checks = [jet, not (c.item(0) or c[0].any() or c.any()), None]
+    return checks
+
+
+def _finite(checks, c):
+    if checks[2] is None:
+        checks[2] = bool(np.isfinite(c).all())
+    return checks[2]
+
+
+def _vanishing(memo, xs, ys, cs):
+    """Indices of the terms of a row, of operand jets xs and ys with
+    coefficients ``cs`` = [*xs', *ys'], whose products are zero at every
+    coefficient and point: one operand is all zero and the other all finite
+    (0 * inf would be NaN)."""
+    m, out = len(xs), []
+    for t, (x, y) in enumerate(zip(xs, ys)):
+        cx, cy = _operand_checks(memo, x, cs[t]), _operand_checks(memo, y, cs[m + t])
+        if (cx[1] and _finite(cy, cs[m + t])) or (cy[1] and _finite(cx, cs[t])):
+            out.append(t)
+    return out
+
+
+def _plus_zero(a, b, subtract):
+    """Whether the vanishing term x*y (-x*y if ``subtract``) of coefficients a
+    and b is +0 at every coefficient and point: its zero operand holds +0
+    only and the other's value row no sign bit.  Then each target's pair
+    with the value row is +0, and a sum of zeros with one +0 is +0."""
+    sa, sb = np.signbit(a) != subtract, np.signbit(b)
+    return (not a.any() and not sa.any() and not sb[0].any()) or (
+        not b.any() and not sb.any() and not sa[0].any()
+    )
+
+
+def _dot_layered(space, B, cs, k, subtract, vanishing=()):
     """One row's sum from ``_LAYERED_MIN_BATCH`` points on: each product is
     layered and added to one accumulator, as a stacked gather would outgrow
-    the cache."""
+    the cache.
+
+    The terms ``vanishing`` (``_vanishing``) are left out.  Adding their
+    ±0 products changes a partial sum only from -0 to +0, and a sum that
+    once holds +0 where the one without them holds -0 keeps it, so leaving
+    them out changes nothing but some of the sum's -0.  Where the sum holds
+    -0, a +0 term (``_plus_zero``) gives the loop's +0 at each of them;
+    without one the left-out products are made and added after all, as
+    adding ±0 in any order gives -0 only where every term is -0.  A row with
+    no start starts from -0, which is the additive identity."""
     nc, m = space.ncoeffs, (len(cs) - k) // 2
-    xs = [-c for c in cs[k : k + m]] if subtract else cs[k : k + m]
-    prods = (_product(space, *_align(x, y)).reshape(nc, -1) for x, y in zip(xs, cs[k + m :]))
-    out = cs[0].reshape(nc, -1) if k else next(prods)
+
+    def prods(terms):
+        for t in terms:
+            x = -cs[k + t] if subtract else cs[k + t]
+            yield _product(space, *_align(x, cs[k + m + t])).reshape(nc, -1)
+
+    kept = prods(t for t in range(m) if t not in vanishing)
+    out = cs[0].reshape(nc, -1) if k else next(kept, np.full((nc, 1), -0.0))
     if k or out.shape[1] < B:  # the accumulator must be a new array with every point
         out = np.broadcast_to(out, (nc, B)).copy()
-    for p in prods:
+    for p in kept:
         out += p
+    if vanishing and out.view(np.int64).min() == _NEG_ZERO_BITS:
+        if any(_plus_zero(cs[k + t], cs[k + m + t], subtract) for t in vanishing):
+            out += 0.0
+        else:
+            for p in prods(vanishing):
+                out += p
     return out
 
 
@@ -345,7 +411,7 @@ def dot_rows(rows, subtract=False):
     a few gathers and reduceats, not one each.  From there on each row is
     taken from ``rows`` when it is reached and layered on its own, so an
     iterator of rows keeps one row's operands alive at a time."""
-    out, chunk, key, m = [], [], None, None
+    out, chunk, key, m, memo = [], [], None, None, {}
 
     def flush():
         space, batch, k = key
@@ -364,7 +430,8 @@ def dot_rows(rows, subtract=False):
         if chunk and ((space, batch, k) != key or len(chunk) == limit):
             flush()
         if batch is not None and batch >= _LAYERED_MIN_BATCH:
-            out.append(Jet(space, _dot_layered(space, batch, cs, k, subtract)))
+            gone = _vanishing(memo, xs, ys, cs[k:])
+            out.append(Jet(space, _dot_layered(space, batch, cs, k, subtract, gone)))
             continue
         if not chunk:
             key, limit = (space, batch, k), _stack_plan(space, batch or 1, m)[0]

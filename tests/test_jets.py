@@ -672,6 +672,185 @@ def test_dot_rows_rejects_mismatched_rows():
         jets.dot_rows([([a], [a, a], None)])
 
 
+def _layered_calls(monkeypatch):
+    calls = [0]
+    kernel = jets._cauchy_layered
+
+    def counted(space, ca, cb):
+        calls[0] += 1
+        return kernel(space, ca, cb)
+
+    monkeypatch.setattr(jets, "_cauchy_layered", counted)
+    return calls
+
+
+def _zero_operand(rng, sp, kind, batch):
+    """A jet in ``sp`` (or one degree deeper, nonzero past ``sp``) that is all
+    zero in ``sp``: "+0" and "-0" unbatched, "mixed" batched with both signs,
+    "deeper" batched with both signs and one degree deeper."""
+    deeper = jet_space(sp.nvars, sp.degree + 1)
+    if kind in ("+0", "-0"):
+        return Jet(sp, np.full(sp.ncoeffs, 0.0 if kind == "+0" else -0.0))
+    c = np.where(rng.random((deeper.ncoeffs, batch)) < 0.5, 0.0, -0.0)
+    if kind == "mixed":
+        return Jet(sp, c[: sp.ncoeffs])
+    c[sp.ncoeffs :] = rng.standard_normal((deeper.ncoeffs - sp.ncoeffs, batch))
+    return Jet(deeper, c)
+
+
+def _vanishing_row(rng, sp, batch, start, vanishing):
+    """A row of 6 terms, those at ``vanishing`` with a zero x (even places)
+    or y (odd places) of each kind in turn, and its start: None, "batched",
+    "unbatched" or "-0" (-0 everywhere)."""
+    kinds = ("+0", "-0", "mixed", "deeper")
+    xs = [_dot_operand(rng, sp.nvars, sp.degree, batch) for _ in range(6)]
+    ys = [_dot_operand(rng, sp.nvars, sp.degree + t % 2, batch if t % 3 else None) for t in range(6)]
+    for n, t in enumerate(vanishing):
+        (xs if t % 2 == 0 else ys)[t] = _zero_operand(rng, sp, kinds[n % 4], batch)
+    if start == "-0":
+        start = Jet(sp, np.full((sp.ncoeffs, batch), -0.0))
+    elif start is not None:
+        start = _dot_operand(rng, sp.nvars, sp.degree + 1, batch if start == "batched" else None)
+    return xs, ys, start
+
+
+def _assert_dot_is_the_loop(xs, ys, start, subtract, calls):
+    """The dot's coefficients, checked against the loop, and the number of
+    products it made, counted by ``calls`` (``_layered_calls``)."""
+    calls[0] = 0
+    got = jets.dot(xs, ys, start, subtract=subtract)
+    made = calls[0]
+    want = reference_dot([-x for x in xs] if subtract else xs, ys, start)
+    assert got.degree == want.degree and got.batch == want.batch
+    assert_same_bits(got.coeffs, want.coeffs)
+    return got.coeffs, made
+
+
+def _holds_minus_zero(c):
+    return bool((np.signbit(c) & (c == 0)).any())
+
+
+@pytest.mark.parametrize("vanishing", [(), (1,), (0, 3, 4, 5), tuple(range(6))])
+@pytest.mark.parametrize("start", [None, "batched", "unbatched", "-0"])
+@pytest.mark.parametrize("batch", [LAYERED, 1024])
+def test_dot_leaves_out_vanishing_terms_bit_for_bit(batch, start, vanishing, monkeypatch):
+    """Zero xs and ys of every kind, with and without a start, added and
+    subtracted: the loop's values and sign bits, and one product per kept
+    term wherever the sum of the kept terms holds no -0."""
+    rng = np.random.default_rng(batch + len(vanishing))
+    sp = jet_space(4, 2)
+    xs, ys, first = _vanishing_row(rng, sp, batch, start, vanishing)
+    kept = [t for t in range(6) if t not in vanishing]
+    calls = _layered_calls(monkeypatch)
+    for subtract in (False, True):
+        made = _assert_dot_is_the_loop(xs, ys, first, subtract, calls)[1]
+        sx = [-xs[t] if subtract else xs[t] for t in kept]
+        partial = reference_dot(sx, [ys[t] for t in kept], first) if kept or first else None
+        exact = partial is not None and not _holds_minus_zero(partial.coeffs[: sp.ncoeffs])
+        # a left-out product of two unbatched operands is made by reduceat
+        assert made == len(kept) if exact else len(kept) <= made <= 6
+
+
+def _signed_zero_terms(sp, batch):
+    """(x, y) terms whose products are +0 and -0 everywhere: a +0 and a -0
+    unbatched x against a y of positive coefficients."""
+    pos = Jet(sp, np.random.default_rng(1).uniform(0.5, 1.5, (sp.ncoeffs, batch)))
+    return (Jet(sp, np.zeros(sp.ncoeffs)), pos), (Jet(sp, np.full(sp.ncoeffs, -0.0)), pos)
+
+
+@pytest.mark.parametrize("batch", [LAYERED, 1024])
+def test_dot_settles_each_kind_of_row_by_its_own_path(batch, monkeypatch):
+    sp = jet_space(5, 2)
+    plus, minus = _signed_zero_terms(sp, batch)
+    pos = plus[1]
+    neg_start = Jet(sp, np.full((sp.ncoeffs, batch), -0.0))
+    calls = _layered_calls(monkeypatch)
+
+    def check(terms, start, subtract, products):
+        xs, ys = [x for x, _ in terms], [y for _, y in terms]
+        got, made = _assert_dot_is_the_loop(xs, ys, start, subtract, calls)
+        assert made == products
+        return got
+
+    # no -0 left: the vanishing terms are never made
+    check([minus, plus, minus], pos, False, 0)
+    check([(pos, pos), minus, plus], None, False, 1)
+    # the +0 fix-up: a -0 sum turns +0 through the +0 term alone; a
+    # subtracted -0 x makes the +0 term
+    assert not np.signbit(check([minus, plus, minus], neg_start, False, 0)).any()
+    assert not np.signbit(check([minus, plus], None, False, 0)).any()
+    assert not np.signbit(check([plus, minus], neg_start, True, 0)).any()
+    # no +0 term: the left-out products are made after all
+    assert np.signbit(check([minus, minus], neg_start, False, 2)).all()
+    assert np.signbit(check([plus, plus], None, True, 2)).all()
+    # a zero y against an x of both signs: +0 at some places, -0 at others
+    mixed = (_dot_operand(np.random.default_rng(2), 5, 2, batch), plus[0])
+    got = check([minus, mixed], neg_start, False, 2)
+    assert np.signbit(got).any() and not np.signbit(got).all()
+
+
+@pytest.mark.parametrize("batch", [LAYERED, 1024])
+def test_dot_keeps_a_zero_times_inf_or_nan(batch, monkeypatch):
+    """A zero against an operand holding inf or NaN is made: 0 * inf is NaN.
+    The other term's operands are positive, so the sum needs no fix-up."""
+    sp = jet_space(4, 2)
+    rng = np.random.default_rng(3)
+    bad, live = (Jet(sp, rng.uniform(0.5, 1.5, (sp.ncoeffs, batch))) for _ in range(2))
+    bad.coeffs[3, 5], bad.coeffs[0, 7] = np.inf, np.nan
+    zero = Jet(sp, np.zeros(sp.ncoeffs))
+    calls = _layered_calls(monkeypatch)
+    for xs, ys in (([zero, live], [bad, live]), ([bad, live], [zero, live])):
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            got, made = _assert_dot_is_the_loop(xs, ys, None, False, calls)
+        assert np.isnan(got).any() and made == 2
+
+
+@pytest.mark.parametrize("batch", [LAYERED, 1024])
+def test_dot_rows_checks_an_operand_at_each_truncation(batch):
+    """An operand zero through degree 2 but not at degree 3 vanishes in a
+    row over degree 2 and not in one over degree 3 of the same call.  The
+    starts are positive, so neither sum needs a fix-up."""
+    rng = np.random.default_rng(4)
+    sp2 = jet_space(4, 2)
+    late = _zero_operand(rng, sp2, "deeper", batch)
+    rows = [
+        ([late], [_dot_operand(rng, 4, d, batch)], _signed_zero_terms(jet_space(4, d), batch)[0][1])
+        for d in (2, 3)
+    ]
+    for order in (rows, rows[::-1]):
+        for got, (xs, ys, start) in zip(jets.dot_rows(order), order, strict=True):
+            assert_same_bits(got.coeffs, reference_dot(xs, ys, start).coeffs)
+
+
+def test_total_q4_chunk_does_not_depend_on_leaving_out_vanishing_terms(monkeypatch):
+    """The total-Q4 integrand on one chunk of the default rule's points of
+    GRAPH(T4_IN_PERT_T5): the same bits when no term is ever left out."""
+    from extrinsicq import operators as ops
+    from extrinsicq.geometry import DegreePlan, jet_values
+    from extrinsicq.scenarios import parse_scenario
+    from extrinsicq.verify import Quadrature, VerifyConfig
+
+    cfg, scn = VerifyConfig(), parse_scenario("GRAPH(T4_IN_PERT_T5)")
+    field = ops.integrand_i1() + ops.integrand_i2() + ops.integrand_i3()
+    pts = Quadrature(scn.chart, cfg.nodes, cfg.gauss_nodes).points[:, :LAYERED]
+    vanishing, left_out = jets._vanishing, [0]
+
+    def counted(*args):
+        out = vanishing(*args)
+        left_out[0] += len(out)
+        return out
+
+    def values():
+        ctx = scn.context(pts, cfg.degree, DegreePlan(cfg.degree))
+        return jet_values(field(ctx, 0), ctx.nbatch)
+
+    monkeypatch.setattr(jets, "_vanishing", counted)
+    got = values()
+    assert left_out[0] > 0
+    monkeypatch.setattr(jets, "_vanishing", lambda *args: [])
+    assert_same_bits(got, values())
+
+
 def _offset_operands(batch, degree=4):
     """Operands at ``batch`` points in (0.5, 1.5) whose offsets have the same
     bits at every point: a chart coordinate, 0.3 x1 + x2, and a dense random

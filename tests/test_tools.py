@@ -90,6 +90,24 @@ def test_products_by_build_counts_each_dot_term():
     assert rows[("metric", "riemann", "0")] == 168
 
 
+def test_products_by_build_counts_the_terms_left_out():
+    # from 128 points on, the sphere's tangents and second derivatives make
+    # dot terms whose products vanish; they still count as products
+    counts = []
+    for points in ("4", "128"):
+        out = _products("SPHERE_IN_FLAT(3,1)", "ext_q3", "--points", points)
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        left_out = {tuple(line.split()[:3]): int(line.split()[6]) for line in lines[2:-3]}
+        total = lines[-3].split()
+        assert int(total[4]) == sum(left_out.values())
+        assert f" series, {total[4]} left out, " in lines[-1]
+        counts.append((int(total[1]), left_out))
+    (few, none_left), (many, left) = counts
+    assert few == many and not any(none_left.values())
+    assert 0 < left[("surface", "second_fundamental", "2")] < many
+
+
 def test_products_by_build_bad_input_exits_two():
     for argv in (("FLAT_T2", "total_q4"), ("FLAT_T2", "nope"), ("FLAT_T2", "p2"),
                  ("FLAT_T2", "ext_q2"), ("FLAT_T2", "q2", "--points", "0")):
@@ -115,7 +133,7 @@ def test_products_by_build_counts_series_per_build():
     out = _products("CONF_PERTURBED(SPHERE_IN_FLAT(3,1))", "ext_q3", "--points", "4")
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert lines[1].split() == ["kind", "key", "degree", "products", "series", "seconds"]
+    assert lines[1].split() == ["kind", "key", "degree", "products", "series", "seconds", "left_out"]
     series = {tuple(line.split()[:3]): int(line.split()[4]) for line in lines[2:-3]}
     assert series[("metric", "g", "3")] == 4
     assert series[("surface", "gbar", "2")] == 4

@@ -13,10 +13,12 @@ batch {8, 128, 1024} it times a sum of products of jets, xs[0]*ys[0] +
 xs[1]*ys[1] + ..., three ways ("dot_rows"): as a loop of ``Jet`` products
 and additions, as ``jets.dot``, and stacked into one reduceat whatever the
 batch (the form ``jets.dot`` uses below ``_LAYERED_MIN_BATCH``), and checks
-that ``jets.dot`` equals the loop bit for bit.  For nvars {4, 5} x degree
-{2, 3, 4} x batch {128, 1024} it times ``jets.sin`` of a chart coordinate,
-whose offset is the same at every point, and of a jet whose offset varies
-from point to point ("series_rows").  For 5 variables x degree 0-4 x rows
+that ``jets.dot`` equals the loop bit for bit.  At 128 and 1024 points it
+times the same sums again with the x of every second term all zero
+("vanishing_share" 0.5), terms that ``jets.dot`` leaves out there.  For
+nvars {4, 5} x degree {2, 3, 4} x batch {128, 1024} it times ``jets.sin`` of
+a chart coordinate, whose offset is the same at every point, and of a jet
+whose offset varies from point to point ("series_rows").  For 5 variables x degree 0-4 x rows
 {6, 15, 55} x terms {5, 10} at 8 points it times the rows of one tensor
 contracted one ``jets.dot`` each and by one ``jets.dot_rows`` call, the
 latter with each candidate bound on the gathered array of one stacked
@@ -45,6 +47,7 @@ BATCHES = (8, 64, 128, 256, 1024)
 DOT_DEGREES = (1, 2)
 DOT_TERMS = (4, 16, 25)
 DOT_BATCHES = (8, 128, 1024)
+DOT_VANISHING_BATCHES = (128, 1024)  # where rows with every second x zero are timed too
 SERIES_DEGREES = (2, 3, 4)
 SERIES_BATCHES = (128, 1024)
 ROWS_DEGREES = (0, 1, 2, 3, 4)
@@ -94,8 +97,12 @@ def dot_rows(rng):
             space = jets.jet_space(nvars, degree)
             space.mul_table()
             for terms in DOT_TERMS:
-                for batch in DOT_BATCHES:
+                for batch, share in [(b, 0.0) for b in DOT_BATCHES] + [
+                    (b, 0.5) for b in DOT_VANISHING_BATCHES
+                ]:
                     X, Y = (rng.standard_normal((space.ncoeffs, terms, batch)) for _ in range(2))
+                    if share:
+                        X[:, ::2] = 0.0
                     xs = [jets.Jet(space, X[:, m].copy()) for m in range(terms)]
                     ys = [jets.Jet(space, Y[:, m].copy()) for m in range(terms)]
                     loop = per_call(lambda: loop_dot(xs, ys))
@@ -107,12 +114,16 @@ def dot_rows(rng):
                             "degree": degree,
                             "terms": terms,
                             "batch": batch,
+                            "vanishing_share": share,
                             "loop_us": round(loop * 1e6, 2),
                             "dot_us": round(dot * 1e6, 2),
                             "stacked_us": round(stacked * 1e6, 2),
                             "speedup": round(loop / dot, 2),
                             "bit_identical": bool(
-                                np.array_equal(jets.dot(xs, ys).coeffs, loop_dot(xs, ys).coeffs)
+                                np.array_equal(
+                                    jets.dot(xs, ys).coeffs.view(np.int64),
+                                    loop_dot(xs, ys).coeffs.view(np.int64),
+                                )
                             ),
                         }
                     )

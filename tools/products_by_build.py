@@ -20,14 +20,17 @@ share the key ``field``.  Each term of each row of a ``jets.dot_rows`` call
 (``jets.dot`` is its one-row case) counts as one product, and the time of the
 whole call is charged with it.  So does each monomial
 product that ``jets.compose`` makes on one unbatched column, the only caller
-that hands ``jets._cauchy_layered`` a 1-d operand.  Series expansions are
+that hands ``jets._cauchy_layered`` a 1-d operand.  The terms that a row of
+128 points or more leaves out because their products vanish
+(``jets._vanishing``) still count as products, and once more in a column
+of their own, "left_out".  Series expansions are
 counted per build in the same way, as perfbench's tracer counts them: each call
 of a jets series function, directly or through the expression language's
 function table ``exprlang._FUNCS``, counts once, and one made inside another
 (sqrt calls powf) does not count.  Products and series made outside any build
 are charged to ``(none)``.  It prints one line per build with its products,
-its series and the time of its products, most time first, then the totals and
-the wall time of the evaluation.  A last line gives the same totals for a
+its series, the time of its products and its terms left out, most time
+first, then the totals and the wall time of the evaluation.  A last line gives the same totals for a
 second context on the same points that shares the first one's degree plan,
 as each later chunk of ``integrate`` does: it builds each quantity once, at
 the deepest degree the first context asked for.
@@ -68,11 +71,12 @@ def _field(name, scn):
 
 
 def charge(field, ctx):
-    """Evaluate ``field`` on ``ctx``; return ({build: [products, series, seconds]}, wall seconds)."""
-    table = defaultdict(lambda: [0, 0, 0.0])
+    """Evaluate ``field`` on ``ctx``; return ({build: [products, series,
+    seconds, terms left out]}, wall seconds)."""
+    table = defaultdict(lambda: [0, 0, 0.0, 0])
     stack = []
     get, mul, dot_rows = GeometryContext.get, jets.Jet.__mul__, jets.dot_rows
-    layered = jets._cauchy_layered
+    layered, vanishing = jets._cauchy_layered, jets._vanishing
     series = {name: getattr(jets, name) for name in SERIES}
     funcs = dict(exprlang._FUNCS)
     depth = [0]
@@ -131,10 +135,15 @@ def charge(field, ctx):
             return layered(space, ca, cb)
         return counted(lambda: 1, layered, space, ca, cb)
 
+    def counted_vanishing(*args):
+        out = vanishing(*args)
+        table[stack[-1] if stack else NONE][3] += len(out)
+        return out
+
     GeometryContext.get = traced_get
     jets.Jet.__mul__ = jets.Jet.__rmul__ = counted_mul
     jets.dot_rows = counted_dot_rows
-    jets._cauchy_layered = counted_layered
+    jets._cauchy_layered, jets._vanishing = counted_layered, counted_vanishing
     for name, fn in series.items():
         setattr(jets, name, counted_series(fn))
     exprlang._FUNCS.update({name: getattr(jets, name) for name in funcs})
@@ -146,7 +155,7 @@ def charge(field, ctx):
         GeometryContext.get = get
         jets.Jet.__mul__ = jets.Jet.__rmul__ = mul
         jets.dot_rows = dot_rows
-        jets._cauchy_layered = layered
+        jets._cauchy_layered, jets._vanishing = layered, vanishing
         for name, fn in series.items():
             setattr(jets, name, fn)
         exprlang._FUNCS.update(funcs)
@@ -154,7 +163,7 @@ def charge(field, ctx):
 
 
 def _totals(table):
-    return tuple(sum(r[k] for r in table.values()) for k in range(3))
+    return tuple(sum(r[k] for r in table.values()) for k in range(4))
 
 
 def main(argv):
@@ -182,16 +191,17 @@ def main(argv):
         print(f"error: {err}", file=sys.stderr)
         return 2
     print(f"{scn.name}  {args.field}  {ctx.nbatch} points")
-    print(f"{'kind':<8} {'key':<20} {'degree':>6} {'products':>9} {'series':>7} {'seconds':>9}")
+    print(f"{'kind':<8} {'key':<20} {'degree':>6} {'products':>9} {'series':>7} {'seconds':>9} "
+          f"{'left_out':>9}")
     rows = sorted(table.items(), key=lambda kv: -kv[1][2])
-    for (kind, key, d), (count, nseries, secs) in rows:
-        print(f"{kind:<8} {key:<20} {d!s:>6} {count:>9} {nseries:>7} {secs:>9.4f}")
-    count, nseries, secs = _totals(table)
-    print(f"{'total':<8} {'':<20} {'':>6} {count:>9} {nseries:>7} {secs:>9.4f}")
+    for (kind, key, d), (count, nseries, secs, gone) in rows:
+        print(f"{kind:<8} {key:<20} {d!s:>6} {count:>9} {nseries:>7} {secs:>9.4f} {gone:>9}")
+    count, nseries, secs, gone = _totals(table)
+    print(f"{'total':<8} {'':<20} {'':>6} {count:>9} {nseries:>7} {secs:>9.4f} {gone:>9}")
     print(f"wall {wall:.4f} s")
-    count, nseries, secs = _totals(second)
+    count, nseries, secs, gone = _totals(second)
     print(f"second context on the same plan: {count} products, {nseries} series, "
-          f"{secs:.4f} s, wall {second_wall:.4f} s")
+          f"{gone} left out, {secs:.4f} s, wall {second_wall:.4f} s")
     return 0
 
 
