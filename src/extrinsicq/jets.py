@@ -25,7 +25,13 @@ of which ``dot`` is the one-row case.  Below ``_LAYERED_MIN_BATCH`` points
 the rows' operands are stacked chunk by chunk, and one gather and one
 reduceat make the products of a chunk; reduceat groups each target's pairs
 the same way whatever the trailing shape, so stacking changes no bit.  From
-there on each row's products are layered into one accumulator.
+there on each row's products are layered into one accumulator, and a term
+whose product is zero at every coefficient and point (one operand all zero,
+the other all finite) is left out.  Adding such a product turns a -0 sum
+into +0 and changes nothing else, so the row is mended where its sum holds
+-0: by a left-out +0 term, or else by making the left-out products after
+all.  The sum keeps the loop's bits, sign of zero included
+(``BENCH_vanishing_terms.json``).
 
 Composition substitutes inner jets into a stack of outer Taylor polynomials:
 the monomials of the inner offsets are built once, one product each, and
@@ -409,8 +415,10 @@ def dot_rows(rows, subtract=False):
     batch, all with a start or all without, are stacked chunk by chunk
     (``_dot_stacked``, ``_stack_plan``), so the rows of a whole tensor cost
     a few gathers and reduceats, not one each.  From there on each row is
-    taken from ``rows`` when it is reached and layered on its own, so an
-    iterator of rows keeps one row's operands alive at a time."""
+    taken from ``rows`` when it is reached and layered on its own, leaving
+    out the terms whose products vanish (``_dot_layered``), so an iterator
+    of rows keeps one row's starts alive at a time.  Its xs and ys are held
+    until the call returns, so that each is checked for zeros once."""
     out, chunk, key, m, memo = [], [], None, None, {}
 
     def flush():
@@ -447,8 +455,10 @@ def dot(xs, ys, start=None, subtract=False):
     and additions, with no jet per term.  ``subtract`` gives
     start - xs[0]*ys[0] - xs[1]*ys[1] - ..., bit for bit that loop with every
     x negated: the xs' coefficients are negated, not the products, as
-    negating a product whose sum cancels to +0 would give -0.  The one-row
-    case of ``dot_rows``."""
+    negating a product whose sum cancels to +0 would give -0.  From
+    ``_LAYERED_MIN_BATCH`` points on, a term with an all-zero operand
+    against an all-finite one makes no product where the loop's bits do
+    not need it.  The one-row case of ``dot_rows``."""
     return dot_rows([(xs, ys, start)], subtract)[0]
 
 
