@@ -198,12 +198,12 @@ def main(argv):
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=25)
+    ap.add_argument("--seconds", type=int, default=25)
     args = ap.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
     out = {
         "command": "python3 tools/bench_vanishing_terms.py PARENT CHANGE "
-                   f"--pairs {args.pairs} --seconds {args.seconds:g}",
+                   f"--pairs {args.pairs} --seconds {args.seconds}",
         "machine": {
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
