@@ -329,19 +329,6 @@ def _dot_stacked(space, B, rows, k, mixed, subtract):
     return terms[:, :, -1].transpose(1, 0, 2).copy()
 
 
-def _operand_checks(memo, jet, c):
-    """[jet, whether ``c`` is all zero, whether it is all finite (None until
-    asked)] for an operand ``jet`` of coefficients ``c``, checked once per
-    ``dot_rows`` call: ``memo`` holds the jet, so its id stays its own."""
-    key = id(jet), c.shape[0]
-    checks = memo.get(key)
-    if checks is None:
-        # the value at the first point, then the value row, rule out most
-        # operands at a fraction of the cost of a full scan
-        memo[key] = checks = [jet, not (c.item(0) or c[0].any() or c.any()), None]
-    return checks
-
-
 def _finite(checks, c):
     if checks[2] is None:
         checks[2] = bool(np.isfinite(c).all())
@@ -352,24 +339,39 @@ def _vanishing(memo, xs, ys, cs):
     """Indices of the terms of a row, of operand jets xs and ys with
     coefficients ``cs`` = [*xs', *ys'], whose products are zero at every
     coefficient and point: one operand is all zero and the other all finite
-    (0 * inf would be NaN)."""
-    m, out = len(xs), []
-    for t, (x, y) in enumerate(zip(xs, ys)):
-        cx, cy = _operand_checks(memo, x, cs[t]), _operand_checks(memo, y, cs[m + t])
-        if (cx[1] and _finite(cy, cs[m + t])) or (cy[1] and _finite(cx, cs[t])):
-            out.append(t)
-    return out
+    (0 * inf would be NaN).
+
+    ``memo`` keeps [jet, all zero, all finite (None until asked)] of each
+    operand by truncation and id for one ``dot_rows`` call, and holds the
+    jet, so that its id stays its own."""
+    seen = memo.setdefault(cs[0].shape[0], {})
+    checks = []
+    for j, c in zip((*xs, *ys), cs):
+        got = seen.get(id(j))
+        if got is None:
+            # the value at the first point, then the value row, rule out most
+            # operands at a fraction of the cost of a full scan
+            seen[id(j)] = got = [j, not (c.item(0) or c[0].any() or c.any()), None]
+        checks.append(got)
+    m = len(xs)
+    return [
+        t
+        for t in range(m)
+        if (checks[t][1] and _finite(checks[m + t], cs[m + t]))
+        or (checks[m + t][1] and _finite(checks[t], cs[t]))
+    ]
 
 
 def _plus_zero(a, b, subtract):
     """Whether the vanishing term x*y (-x*y if ``subtract``) of coefficients a
-    and b is +0 at every coefficient and point: its zero operand holds +0
-    only and the other's value row no sign bit.  Then each target's pair
-    with the value row is +0, and a sum of zeros with one +0 is +0."""
-    sa, sb = np.signbit(a) != subtract, np.signbit(b)
-    return (not a.any() and not sa.any() and not sb[0].any()) or (
-        not b.any() and not sb.any() and not sa[0].any()
-    )
+    and b is +0 at every coefficient and point: both value rows (the
+    negated x's if ``subtract``) hold no sign bit, and an operand holds +0
+    only.  Then each target's pair of that operand with the other's value
+    row is +0, and a sum of zeros with one +0 is +0."""
+    if (np.signbit(a[0]) != subtract).any() or np.signbit(b[0]).any():
+        return False
+    plus_x = _NEG_ZERO_BITS if subtract else 0  # the bits of an x that makes +0
+    return bool((a.view(np.int64) == plus_x).all()) or not b.view(np.int64).any()
 
 
 def _dot_layered(space, B, cs, k, subtract, vanishing=()):

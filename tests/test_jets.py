@@ -704,7 +704,9 @@ def _vanishing_row(rng, sp, batch, start, vanishing):
     "unbatched" or "-0" (-0 everywhere)."""
     kinds = ("+0", "-0", "mixed", "deeper")
     xs = [_dot_operand(rng, sp.nvars, sp.degree, batch) for _ in range(6)]
-    ys = [_dot_operand(rng, sp.nvars, sp.degree + t % 2, batch if t % 3 else None) for t in range(6)]
+    ys = [
+        _dot_operand(rng, sp.nvars, sp.degree + t % 2, batch if t % 3 else None) for t in range(6)
+    ]
     for n, t in enumerate(vanishing):
         (xs if t % 2 == 0 else ys)[t] = _zero_operand(rng, sp, kinds[n % 4], batch)
     if start == "-0":
@@ -751,15 +753,21 @@ def test_dot_leaves_out_vanishing_terms_bit_for_bit(batch, start, vanishing, mon
         assert made == len(kept) if exact else len(kept) <= made <= 6
 
 
+def _positive(sp, batch, seed=1):
+    return Jet(sp, np.random.default_rng(seed).uniform(0.5, 1.5, (sp.ncoeffs, batch)))
+
+
 def _signed_zero_terms(sp, batch):
     """(x, y) terms whose products are +0 and -0 everywhere: a +0 and a -0
     unbatched x against a y of positive coefficients."""
-    pos = Jet(sp, np.random.default_rng(1).uniform(0.5, 1.5, (sp.ncoeffs, batch)))
+    pos = _positive(sp, batch)
     return (Jet(sp, np.zeros(sp.ncoeffs)), pos), (Jet(sp, np.full(sp.ncoeffs, -0.0)), pos)
 
 
 @pytest.mark.parametrize("batch", [LAYERED, 1024])
 def test_dot_settles_each_kind_of_row_by_its_own_path(batch, monkeypatch):
+    """Rows whose kept terms leave no -0, rows mended by a +0 term, and rows
+    with no +0 term, whose left-out products are made after all."""
     sp = jet_space(5, 2)
     plus, minus = _signed_zero_terms(sp, batch)
     pos = plus[1]
@@ -794,8 +802,7 @@ def test_dot_keeps_a_zero_times_inf_or_nan(batch, monkeypatch):
     """A zero against an operand holding inf or NaN is made: 0 * inf is NaN.
     The other term's operands are positive, so the sum needs no fix-up."""
     sp = jet_space(4, 2)
-    rng = np.random.default_rng(3)
-    bad, live = (Jet(sp, rng.uniform(0.5, 1.5, (sp.ncoeffs, batch))) for _ in range(2))
+    bad, live = _positive(sp, batch, 3), _positive(sp, batch, 4)
     bad.coeffs[3, 5], bad.coeffs[0, 7] = np.inf, np.nan
     zero = Jet(sp, np.zeros(sp.ncoeffs))
     calls = _layered_calls(monkeypatch)
@@ -814,7 +821,7 @@ def test_dot_rows_checks_an_operand_at_each_truncation(batch):
     sp2 = jet_space(4, 2)
     late = _zero_operand(rng, sp2, "deeper", batch)
     rows = [
-        ([late], [_dot_operand(rng, 4, d, batch)], _signed_zero_terms(jet_space(4, d), batch)[0][1])
+        ([late], [_dot_operand(rng, 4, d, batch)], _positive(jet_space(4, d), batch))
         for d in (2, 3)
     ]
     for order in (rows, rows[::-1]):

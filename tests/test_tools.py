@@ -133,7 +133,9 @@ def test_products_by_build_counts_series_per_build():
     out = _products("CONF_PERTURBED(SPHERE_IN_FLAT(3,1))", "ext_q3", "--points", "4")
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert lines[1].split() == ["kind", "key", "degree", "products", "series", "seconds", "left_out"]
+    assert lines[1].split() == [
+        "kind", "key", "degree", "products", "series", "seconds", "left_out"
+    ]
     series = {tuple(line.split()[:3]): int(line.split()[4]) for line in lines[2:-3]}
     assert series[("metric", "g", "3")] == 4
     assert series[("surface", "gbar", "2")] == 4

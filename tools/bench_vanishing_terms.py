@@ -81,7 +81,9 @@ def pairs(parent, change, workload, n, seconds):
         "failed": sum(r["failed"] for rs in runs.values() for r in rs),
     }
     for name in METRICS:
-        got = {side: [round(r["metrics"][name]["value"], 4) for r in rs] for side, rs in runs.items()}
+        got = {
+            side: [round(r["metrics"][name]["value"], 4) for r in rs] for side, rs in runs.items()
+        }
         row = {
             **got,
             "parent_q25_median_q75": quartiles(got["parent"]),
@@ -194,7 +196,9 @@ def main(argv):
     if argv[:1] == ["--kernels"]:
         print(json.dumps(kernel_rows(argv[1])))
         return 0
-    ap = argparse.ArgumentParser(prog="bench_vanishing_terms.py", description=__doc__.splitlines()[0])
+    ap = argparse.ArgumentParser(
+        prog="bench_vanishing_terms.py", description=__doc__.splitlines()[0]
+    )
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--pairs", type=int, default=10)
@@ -214,11 +218,18 @@ def main(argv):
     }
     out["claim"] = claim(out["end_to_end"]["total-q4"]["run_s"])
     sides = (("parent", parent), ("change", change))
-    out["passes"] = {w: {side: child("--count", tree, w) for side, tree in sides} for w in WORKLOADS}
+    out["passes"] = {
+        w: {side: child("--count", tree, w) for side, tree in sides} for w in WORKLOADS
+    }
     out["dot_rows"] = {side: child("--kernels", tree) for side, tree in sides}
     out["traced"] = {
-        w: {side: {k: v["value"] for k, v in perfbench(tree, w, COUNT_SEED, args.seconds, 1)["metrics"].items()}
-            for side, tree in sides}
+        w: {
+            side: {
+                k: v["value"]
+                for k, v in perfbench(tree, w, COUNT_SEED, args.seconds, 1)["metrics"].items()
+            }
+            for side, tree in sides
+        }
         for w in WORKLOADS
     }
     print(json.dumps(out, indent=1))
