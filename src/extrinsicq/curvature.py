@@ -30,7 +30,7 @@ The first Bianchi identity is not used, so it stays a check.
 """
 
 from . import jets
-from .geometry import _flat, christoffel_first, symmetric, symmetric_dots
+from .geometry import _flat, christoffel_first, symmetric_dots
 from .jets import JetError
 
 
@@ -62,15 +62,13 @@ def riemann(ctx, d):
         G1 = christoffel_first(ctx.g(dd + 2))
         G0 = [[[x.truncate(dd) for x in row] for row in plane] for plane in G1]
         ga = ctx.gamma(dd)
-        # each distinct symbol negated once; negation is exact
-        minus = [symmetric(n, lambda i, k: -plane[i][k]) for plane in ga]
 
         def row(i, j, k, l):
-            xs = [x for m in range(n) for x in (ga[m][j][k], minus[m][i][k])]
+            xs = [x for m in range(n) for x in (ga[m][j][k], ga[m][i][k])]
             ys = [y for m in range(n) for y in (G0[m][i][l], G0[m][j][l])]
             return xs, ys, G1[l][i][k].partial(j) - G1[l][j][k].partial(i)
 
-        comps = jets.dot_rows(row(*q) for q in independent_components(n))
+        comps = jets.dot_rows((row(*q) for q in independent_components(n)), (False, True) * n)
         return _fill_curvature(comps, n, jets.constant(jets.jet_space(n, dd), 0.0))
 
     return ctx.get("riemann", d, build)
@@ -133,9 +131,9 @@ def weyl_norm_sq(ctx, d):
         n, W, gi = ctx.dim, weyl(ctx, dd), ctx.ginv(dd)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         P = len(pairs)
-        mgi = [[-x for x in row] for row in gi]
         G = jets.dot_rows(
-            ([gi[i][a], mgi[i][b]], [gi[j][b], gi[j][a]], None) for i, j in pairs for a, b in pairs
+            (([gi[i][a], gi[i][b]], [gi[j][b], gi[j][a]], None) for i, j in pairs for a, b in pairs),
+            (False, True),
         )
         GW = jets.dot_rows(
             (G[I * P : (I + 1) * P], [W[a][b][k][l] for a, b in pairs], None)
@@ -163,15 +161,13 @@ def weyl(ctx, d):
         rho = schouten(ctx, dd)
         g = ctx.g(dd)
 
-        # R minus the Kulkarni-Nomizu product (rho ^ g)_ijkl, with rho and g
-        # negated once each
+        # R minus the Kulkarni-Nomizu product (rho ^ g)_ijkl
         quads = independent_components(n)
-        mrho = symmetric(n, lambda i, j: -rho[i][j])
-        mg = symmetric(n, lambda i, j: -g[i][j])
-        kn = jets.dot_rows(
-            ([rho[i][k], g[i][k], mrho[i][l], mg[i][l]], [g[j][l], rho[j][l], g[j][k], rho[j][k]], None)
+        rows = (
+            ([rho[i][k], g[i][k], rho[i][l], g[i][l]], [g[j][l], rho[j][l], g[j][k], rho[j][k]], None)
             for i, j, k, l in quads
         )
+        kn = jets.dot_rows(rows, (False, False, True, True))
         comps = [R[i][j][k][l] - p for (i, j, k, l), p in zip(quads, kn)]
         return _fill_curvature(comps, n, jets.constant(jets.jet_space(n, dd), 0.0))
 

@@ -20,8 +20,8 @@ into new fields without fixing a degree prematurely.  Tensors are nested
 lists of jets, always fully covariant; indices are raised explicitly with
 the inverse metric where needed.  An index contraction makes every entry
 of a tensor with one ``jets.dot_rows`` call, one row per entry (``dots``,
-``symmetric_dots``); ``covariant`` has it subtract the Christoffel terms,
-so no negated symbol is made.  Every module fills a symmetric tensor with
+``symmetric_dots``); ``covariant`` gives every Christoffel term a minus
+sign there, so no negated symbol is made.  Every module fills a symmetric tensor with
 ``symmetric``, takes first-kind Christoffel symbols from
 ``christoffel_first`` and covariant derivatives from ``covariant``.
 ``jet_values`` and ``jet_coeffs`` turn a tensor into one numpy array, batch
@@ -250,7 +250,7 @@ def covariant(T, ga, cidx):
         ys = [at(idx[:s] + (e,) + idx[s + 1 :]) for e, s in slots]
         return xs, ys, at(idx).partial(c)
 
-    return jets.dot_rows((row(c, idx) for c, idx in cidx), subtract=True)
+    return jets.dot_rows((row(c, idx) for c, idx in cidx), [True] * len(ga) * len(cidx[0][1]))
 
 
 def _truncate_any(obj, d):

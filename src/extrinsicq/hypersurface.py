@@ -157,23 +157,19 @@ def _tangential(X, t):
 def _maximal_minors(t):
     """The determinants of the n x n minors of the n x (n + 1) matrix t, the
     a-th without column a.  Each is expanded along its first row, into the
-    signed entries dotted with the minors of the rows below; a minor of the
-    last L rows on columns S is made once however many minors hold it, and
-    all of one size by one ``jets.dot_rows`` call, with the top row negated
-    once for it."""
+    entries, every second one negated, dotted with the minors of the rows
+    below; a minor of the last L rows on columns S is made once however many
+    minors hold it, and all of one size by one ``jets.dot_rows`` call."""
     n = len(t)
     det = {(c,): t[n - 1][c] for c in range(n + 1)}
     for size in range(2, n + 1):
         top, below = t[n - size], det
-        signed = (top, [-x for x in top])
-        det = dots(
-            itertools.combinations(range(n + 1), size),
-            lambda *S: (
-                [signed[j % 2][c] for j, c in enumerate(S)],
-                [below[S[:j] + S[j + 1 :]] for j in range(size)],
-                None,
-            ),
+        keys = list(itertools.combinations(range(n + 1), size))
+        rows = (
+            ([top[c] for c in S], [below[S[:j] + S[j + 1 :]] for j in range(size)], None)
+            for S in keys
         )
+        det = dict(zip(keys, jets.dot_rows(rows, [j % 2 == 1 for j in range(size)])))
     return [det[tuple(c for c in range(n + 1) if c != a)] for a in range(n + 1)]
 
 
@@ -282,15 +278,18 @@ def pulled_weyl(sctx, d):
     return sctx.get("weylbar", d, lambda dd: _pulled_curvature(sctx, curvature.weyl, dd))
 
 
+def _normal_squared(nu):
+    """The products nu^a nu^b, as [a][b]."""
+    return [[x * y for y in nu] for x in nu]
+
+
 def rho_bar_nn(sctx, d):
     """rhobar(nu, nu)."""
 
     def build(dd):
-        na = sctx.dim + 1
         rb = pulled_schouten(sctx, dd)
         nu = normal(sctx, dd)
-        nn = [nu[a] * nu[b] for a in range(na) for b in range(na)]
-        return jets.dot(_flat(rb), nn)
+        return jets.dot(_flat(rb), _flat(_normal_squared(nu)))
 
     return sctx.get("rhobar_nn", d, build)
 
@@ -329,8 +328,7 @@ def _normal_tt(sctx, T, d):
     4-tensor T, which vanishes for a = b or c = e.  X_bc = T(nu, b, c, nu) is
     symmetric, as T_abce = T_ecba, so it is summed for b <= c and mirrored."""
     na = sctx.dim + 1
-    nu = normal(sctx, d)
-    nn = [[nu[a] * nu[e] for e in range(na)] for a in range(na)]
+    nn = _normal_squared(normal(sctx, d))
 
     def row(b, c):
         ae = [(a, e) for a in range(na) for e in range(na) if a != b and e != c]
@@ -406,9 +404,8 @@ def nabla0_rho_normal(sctx, d):
     def build(dd):
         na = sctx.dim + 1
         N = _pulled_nabla_rho(sctx, dd)
-        nu = normal(sctx, dd)
+        nn = _flat(_normal_squared(normal(sctx, dd)))
         ca = [(c, a) for c in range(na) for a in range(na)]
-        nn = [nu[c] * nu[a] for c, a in ca]
         Y = jets.dot_rows((nn, [N[c][a][b] for c, a in ca], None) for b in range(na))
         return _covector(Y, sctx, dd)
 

@@ -21,17 +21,19 @@ so the two kernels agree to rounding, not bit for bit.
 A contraction start + xs[0]*ys[0] + xs[1]*ys[1] + ... is one ``dot``, bit
 for bit the loop of products and additions but with no jet per term, and
 the contractions of a whole tensor are the rows of one ``dot_rows`` call,
-of which ``dot`` is the one-row case.  Below ``_LAYERED_MIN_BATCH`` points
-the rows' operands are stacked chunk by chunk, and one gather and one
-reduceat make the products of a chunk; reduceat groups each target's pairs
-the same way whatever the trailing shape, so stacking changes no bit.  From
-there on each row's products are layered into one accumulator, and a term
-whose product is zero at every coefficient and point (one operand all zero,
-the other all finite) is left out.  Adding such a product turns a -0 sum
-into +0 and changes nothing else, so the row is mended where its sum holds
--0: by a left-out +0 term, or else by making the left-out products after
-all.  The sum keeps the loop's bits, sign of zero included
-(``BENCH_vanishing_terms.json``).
+of which ``dot`` is the one-row case.  A call may give a term position a
+minus sign in every row: that term's x coefficients are negated, never its
+product, as negating a product whose sum cancels to +0 would give -0.  Below
+``_LAYERED_MIN_BATCH`` points the rows' operands are stacked chunk by chunk,
+and one gather and one reduceat make the products of a chunk; reduceat
+groups each target's pairs the same way whatever the trailing shape, so
+stacking changes no bit.  From there on each row's products are layered
+into one accumulator, and a term whose product is zero at every coefficient
+and point (one operand all zero, the other all finite) is left out.  Adding
+such a product turns a -0 sum into +0 and changes nothing else, so the row
+is mended where its sum holds -0: by a left-out +0 term, or else by making
+the left-out products after all.  The sum keeps the loop's bits, sign of
+zero included (``BENCH_vanishing_terms.json``).
 
 Composition substitutes inner jets into a stack of outer Taylor polynomials:
 the monomials of the inner offsets are built once, one product each, and
@@ -303,11 +305,12 @@ def _stack_plan(space, B, m):
     return max(1, products // m), min(m, products)
 
 
-def _dot_stacked(space, B, rows, k, mixed, subtract):
+def _dot_stacked(space, B, rows, k, mixed, negate):
     """The rows' sums below ``_LAYERED_MIN_BATCH`` points, as (len(rows),
-    ncoeffs, B): the operands are stacked (ncoeffs, rows, terms, B), one
-    gather and one reduceat make the products, one accumulate adds each
-    row's in order, after its start if k is 1."""
+    ncoeffs, B): the operands are stacked (ncoeffs, rows, terms, B), the xs
+    marked in ``negate`` negated, one gather and one reduceat make the
+    products, one accumulate adds each row's in order, after its start if k
+    is 1."""
     nc, r, m = space.ncoeffs, len(rows), (len(rows[0]) - k) // 2
     I, J, starts, _, _ = space.mul_table()
     terms = np.empty((nc, r, k + m, B))
@@ -320,8 +323,8 @@ def _dot_stacked(space, B, rows, k, mixed, subtract):
             _stack([c for cs in rows for c in cs[a:b]], nc, B, mixed).reshape(nc, r, hi - lo, B)
             for a, b in ((lo, hi), (m + lo, m + hi))
         )
-        if subtract:
-            np.negative(X, out=X)
+        if negate[lo - k : hi - k].any():
+            np.negative(X, out=X, where=negate[lo - k : hi - k, None])
         P = X[I]
         P *= Y[J]
         np.add.reduceat(P, starts, axis=0, out=terms[:, :, lo:hi])
@@ -362,22 +365,22 @@ def _vanishing(memo, xs, ys, cs):
     ]
 
 
-def _plus_zero(a, b, subtract):
-    """Whether the vanishing term x*y (-x*y if ``subtract``) of coefficients a
+def _plus_zero(a, b, negate):
+    """Whether the vanishing term x*y (-x*y if ``negate``) of coefficients a
     and b is +0 at every coefficient and point: both value rows (the
-    negated x's if ``subtract``) hold no sign bit, and an operand holds +0
+    negated x's if ``negate``) hold no sign bit, and an operand holds +0
     only.  Then each target's pair of that operand with the other's value
     row is +0, and a sum of zeros with one +0 is +0."""
-    if (np.signbit(a[0]) != subtract).any() or np.signbit(b[0]).any():
+    if (np.signbit(a[0]) != negate).any() or np.signbit(b[0]).any():
         return False
-    plus_x = _NEG_ZERO_BITS if subtract else 0  # the bits of an x that makes +0
+    plus_x = _NEG_ZERO_BITS if negate else 0  # the bits of an x that makes +0
     return bool((a.view(np.int64) == plus_x).all()) or not b.view(np.int64).any()
 
 
-def _dot_layered(space, B, cs, k, subtract, vanishing=()):
+def _dot_layered(space, B, cs, k, negate, vanishing=()):
     """One row's sum from ``_LAYERED_MIN_BATCH`` points on: each product is
-    layered and added to one accumulator, as a stacked gather would outgrow
-    the cache.
+    layered, of the negated x for a term marked in ``negate``, and added to
+    one accumulator, as a stacked gather would outgrow the cache.
 
     The terms ``vanishing`` (``_vanishing``) are left out.  Adding their
     ±0 products changes a partial sum only from -0 to +0, and a sum that
@@ -391,7 +394,7 @@ def _dot_layered(space, B, cs, k, subtract, vanishing=()):
 
     def prods(terms):
         for t in terms:
-            x = -cs[k + t] if subtract else cs[k + t]
+            x = -cs[k + t] if negate[t] else cs[k + t]
             yield _product(space, *_align(x, cs[k + m + t])).reshape(nc, -1)
 
     kept = prods(t for t in range(m) if t not in vanishing)
@@ -401,7 +404,7 @@ def _dot_layered(space, B, cs, k, subtract, vanishing=()):
     for p in kept:
         out += p
     if vanishing and out.view(np.int64).min() == _NEG_ZERO_BITS:
-        if any(_plus_zero(cs[k + t], cs[k + m + t], subtract) for t in vanishing):
+        if any(_plus_zero(cs[k + t], cs[k + m + t], negate[t]) for t in vanishing):
             out += 0.0
         else:
             for p in prods(vanishing):
@@ -409,9 +412,11 @@ def _dot_layered(space, B, cs, k, subtract, vanishing=()):
     return out
 
 
-def dot_rows(rows, subtract=False):
-    """[dot(xs, ys, start, subtract) for xs, ys, start in rows], bit for bit,
-    for rows with the same number of terms.
+def dot_rows(rows, negate=None):
+    """[dot(xs, ys, start, negate) for xs, ys, start in rows], bit for bit,
+    for rows with the same number of terms m.  ``negate``, m booleans or None
+    for none, marks the terms whose x coefficients are negated, never their
+    products, in every row.
 
     Below ``_LAYERED_MIN_BATCH`` points, consecutive rows over one space and
     batch, all with a start or all without, are stacked chunk by chunk
@@ -426,13 +431,16 @@ def dot_rows(rows, subtract=False):
     def flush():
         space, batch, k = key
         sums = _dot_stacked(space, batch or 1, [cs for cs, _ in chunk], k,
-                            any(mx for _, mx in chunk), subtract)
+                            any(mx for _, mx in chunk), negate)
         out.extend(Jet(space, s if batch else s[:, 0]) for s in sums)
         chunk.clear()
 
     for xs, ys, start in rows:
         if m is None:
             m = len(xs)
+            negate = np.zeros(m, bool) if negate is None else np.array(negate, bool)
+            if negate.shape != (m,):
+                raise JetError(f"dot_rows needs one sign per term: got {negate.shape} for {m}")
         elif len(xs) != m:
             raise JetError(f"dot_rows needs rows of one length: got {m} and {len(xs)} terms")
         space, batch, mixed, cs = _operands(xs, ys, start)
@@ -441,7 +449,7 @@ def dot_rows(rows, subtract=False):
             flush()
         if batch is not None and batch >= _LAYERED_MIN_BATCH:
             gone = _vanishing(memo, xs, ys, cs[k:])
-            out.append(Jet(space, _dot_layered(space, batch, cs, k, subtract, gone)))
+            out.append(Jet(space, _dot_layered(space, batch, cs, k, negate, gone)))
             continue
         if not chunk:
             key, limit = (space, batch, k), _stack_plan(space, batch or 1, m)[0]
@@ -451,17 +459,15 @@ def dot_rows(rows, subtract=False):
     return out
 
 
-def dot(xs, ys, start=None, subtract=False):
+def dot(xs, ys, start=None, negate=None):
     """start + xs[0]*ys[0] + xs[1]*ys[1] + ..., summed left to right, at the
     lowest degree among the operands: bit-identical to that loop of products
-    and additions, with no jet per term.  ``subtract`` gives
-    start - xs[0]*ys[0] - xs[1]*ys[1] - ..., bit for bit that loop with every
-    x negated: the xs' coefficients are negated, not the products, as
-    negating a product whose sum cancels to +0 would give -0.  From
+    and additions, with no jet per term, and with the xs marked in ``negate``
+    negated (their coefficients, never the products).  From
     ``_LAYERED_MIN_BATCH`` points on, a term with an all-zero operand
     against an all-finite one makes no product where the loop's bits do
     not need it.  The one-row case of ``dot_rows``."""
-    return dot_rows([(xs, ys, start)], subtract)[0]
+    return dot_rows([(xs, ys, start)], negate)[0]
 
 
 def _common(a, b):

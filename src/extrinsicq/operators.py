@@ -171,7 +171,7 @@ def nabla0_weyl_field():
     return Field(2, lambda ctx, d: hypersurface.nabla0_weyl_normal(_surface(ctx), d))
 
 
-def require_umbilic(ctx, tol=UMBILIC_TOL):
+def require_umbilic(ctx):
     """Raise NonUmbilicError unless the trace-free shape tensor vanishes."""
     sctx = _surface(ctx)
 
@@ -185,7 +185,7 @@ def require_umbilic(ctx, tol=UMBILIC_TOL):
             )
 
         worst = peak(Lo)
-        if worst > tol * (1.0 + peak(L)):
+        if worst > UMBILIC_TOL * (1.0 + peak(L)):
             raise NonUmbilicError(
                 f"hypersurface is not umbilic: max |tracefree shape| = {worst:.3g}"
             )

@@ -298,8 +298,8 @@ def _phi_field(scn, text):
     return _sfield(text, scn.chart)
 
 
-def _random_text(basis, rng, amplitude=0.2):
-    coeffs = rng.uniform(-amplitude, amplitude, size=len(basis))
+def _random_text(basis, rng):
+    coeffs = rng.uniform(-0.2, 0.2, size=len(basis))
     return " + ".join(f"({float(c)!r})*({b})" for c, b in zip(coeffs, basis))
 
 

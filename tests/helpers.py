@@ -276,6 +276,33 @@ def reference_riemann_first_kind(ctx, d):
     return curvature._fill_curvature(comps, n, jets.constant(jets.jet_space(n, d), 0.0))
 
 
+def reference_weyl_negated_by_hand(ctx, d):
+    """W = R - rho ^ g, one ``jets.dot`` per independent component with the
+    negated rho and g of the Kulkarni-Nomizu product made by hand."""
+    n = ctx.dim
+    R, rho, g = curvature.riemann(ctx, d), curvature.schouten(ctx, d), ctx.g(d)
+    comps = []
+    for i, j, k, l in curvature.independent_components(n):
+        xs = [rho[i][k], g[i][k], -rho[i][l], -g[i][l]]
+        kn = jets.dot(xs, [g[j][l], rho[j][l], g[j][k], rho[j][k]])
+        comps.append(R[i][j][k][l] - kn)
+    return curvature._fill_curvature(comps, n, jets.constant(jets.jet_space(n, d), 0.0))
+
+
+def reference_weyl_norm_sq_negated_by_hand(ctx, d):
+    """|W|^2 = 4 tr(G W G W) over index pairs, G^{IA} = g^ia g^jb - g^ib g^ja
+    with each -g^ib made by hand, one ``jets.dot`` per entry."""
+    n, W, gi = ctx.dim, curvature.weyl(ctx, d), ctx.ginv(d)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    G = [
+        [jets.dot([gi[i][a], -gi[i][b]], [gi[j][b], gi[j][a]]) for a, b in pairs]
+        for i, j in pairs
+    ]
+    GW = [[jets.dot(row, [W[a][b][k][l] for a, b in pairs]) for k, l in pairs] for row in G]
+    P = range(len(pairs))
+    return jets.dot([x for row in GW for x in row], [GW[K][I] for I in P for K in P]) * 4.0
+
+
 def reference_hessian(f):
     """d_k d_i f - Gamma^l_ik d_l f for i <= k, mirrored."""
 
@@ -519,7 +546,7 @@ def count_products(monkeypatch):
             yield row
 
     monkeypatch.setattr(jets.Jet, "__mul__", counting_mul)
-    monkeypatch.setattr(jets, "dot_rows", lambda rows, subtract=False: dot_rows(counted(rows), subtract))
+    monkeypatch.setattr(jets, "dot_rows", lambda rows, negate=None: dot_rows(counted(rows), negate))
     return counter
 
 

@@ -22,12 +22,15 @@ from extrinsicq.exprlang import parse_expression
 from extrinsicq.jets import JetError
 from extrinsicq.scenarios import parse_scenario
 from helpers import (
+    assert_same_bits,
     count_products,
     jval,
     reference_dot,
     reference_gamma,
     reference_riemann_first_kind,
+    reference_weyl_negated_by_hand,
     reference_weyl_norm_sq,
+    reference_weyl_norm_sq_negated_by_hand,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -371,6 +374,27 @@ def test_connection_builders_match_the_parent_forms(name, d):
     )
 
 
+@pytest.mark.parametrize("batch", [6, 128])
+@pytest.mark.parametrize("d", [0, 1, 2])
+@pytest.mark.parametrize("name", ["PERT_T4", "PERT_T5", "GRAPH(T4_IN_PERT_T5)"])
+def test_weyl_builders_match_the_hand_negated_forms(name, d, batch):
+    # a sign per term of jets.dot_rows keeps the bits of negated operands,
+    # on both sides of the layered threshold
+    scn = parse_scenario(name)
+    ctx = scn.context(rand_points(scn.chart, batch, 13))
+    if scn.kind == "embedded":
+        ctx = ctx.ambient
+    nc = jets.jet_space(ctx.dim, d).ncoeffs
+    assert_same_bits(
+        jet_coeffs(curvature.weyl(ctx, d), batch, nc),
+        jet_coeffs(reference_weyl_negated_by_hand(ctx, d), batch, nc),
+    )
+    assert_same_bits(
+        jet_coeffs(curvature.weyl_norm_sq(ctx, d), batch, nc),
+        jet_coeffs(reference_weyl_norm_sq_negated_by_hand(ctx, d), batch, nc),
+    )
+
+
 def test_fill_computes_each_pair_of_pairs_once():
     n = 4
     rng = np.random.default_rng(14)
@@ -412,7 +436,7 @@ def test_riemann_build_makes_one_dot_rows_call(monkeypatch):
     ctx.g(3)
     ctx.gamma(1)
     calls, dot_rows = [], jets.dot_rows
-    monkeypatch.setattr(jets, "dot_rows", lambda rows, sub=False: calls.append(1) or dot_rows(rows, sub))
+    monkeypatch.setattr(jets, "dot_rows", lambda rows, neg=None: calls.append(1) or dot_rows(rows, neg))
     curvature.riemann(ctx, 1)
     assert len(calls) == 1
 

@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from extrinsicq import jets, operators as ops
+from extrinsicq import curvature, jets, operators as ops
+from extrinsicq import hypersurface as hs
 from extrinsicq.exprlang import ExprError, parse_expression
 from extrinsicq.geometry import (
     Axis,
@@ -149,15 +150,48 @@ def test_every_component_of_nabla_g_vanishes(name, d):
     np.testing.assert_allclose(jet_coeffs(nabla_g, B, nc), 0.0, rtol=0, atol=1e-13 * scale)
 
 
-def test_covariant_negates_no_symbol(monkeypatch):
-    """``jets.dot`` subtracts the Christoffel terms, so no negated jet is made."""
-    scn = parse_scenario("PERT_T4")
+# (scenario, the jets a build contracts, made beforehand, and the build)
+CONTRACTIONS = {
+    "covariant": (
+        "PERT_T4",
+        lambda c: [c.gamma(1), c.g(2)],
+        lambda c: covariant(c.g(2), c.gamma(1), [(0, (1, 2))]),
+    ),
+    "riemann": ("PERT_T4", lambda c: [c.gamma(1), c.g(3)], lambda c: curvature.riemann(c, 1)),
+    "weyl": (
+        "PERT_T4",
+        lambda c: [curvature.riemann(c, 1), curvature.schouten(c, 1), c.g(1)],
+        lambda c: curvature.weyl(c, 1),
+    ),
+    "weyl_norm_sq": (
+        "PERT_T5",
+        lambda c: [curvature.weyl(c, 1), c.ginv(1)],
+        lambda c: curvature.weyl_norm_sq(c, 1),
+    ),
+    "maximal_minors": (
+        "GRAPH(T4_IN_PERT_T5)",
+        lambda c: hs.tangents(c, 1),
+        lambda c: hs._maximal_minors(hs.tangents(c, 1)),
+    ),
+}
+
+
+def _leaves(T):
+    return [x for t in T for x in _leaves(t)] if isinstance(T, (list, tuple)) else [T]
+
+
+@pytest.mark.parametrize("build", list(CONTRACTIONS))
+def test_contractions_negate_no_operand(build, monkeypatch):
+    """Each build gives its terms their signs through ``jets.dot_rows``, so
+    no jet it contracts is negated."""
+    name, operands, run = CONTRACTIONS[build]
+    scn = parse_scenario(name)
     ctx = scn.context(rand_points(scn.chart, 5, 21))
-    g1, ga = ctx.g(2), ctx.gamma(1)
+    ids = {id(x) for x in _leaves(operands(ctx))}
     neg, calls = jets.Jet.__neg__, []
     monkeypatch.setattr(jets.Jet, "__neg__", lambda a: calls.append(a) or neg(a))
-    covariant(g1, ga, [(0, (1, 2))])
-    assert calls == []
+    run(ctx)
+    assert not ids & {id(a) for a in calls}
 
 
 @pytest.mark.parametrize("d", [0, 1])

@@ -198,7 +198,7 @@ def test_maximal_minors_match_the_recursive_expansion(name, monkeypatch):
     t = hs.tangents(sctx, 2)
     n = len(t)
     calls, dot_rows = [], jets.dot_rows
-    monkeypatch.setattr(jets, "dot_rows", lambda rows, sub=False: calls.append(1) or dot_rows(rows, sub))
+    monkeypatch.setattr(jets, "dot_rows", lambda rows, neg=None: calls.append(1) or dot_rows(rows, neg))
     got = hs._maximal_minors(t)
     assert len(calls) == n - 1
     monkeypatch.undo()

@@ -537,7 +537,36 @@ def _dot_operand(rng, nvars, degree, batch):
     return Jet(jet_space(nvars, degree), _wide_range(rng, shape))
 
 
-@pytest.mark.parametrize("batch", [None, 1, 9, LAYERED - 1, LAYERED, 1024])
+def _signs(m):
+    """The sign patterns of m terms: all +, all -, alternating, and mixed
+    (every third term +)."""
+    return [[False] * m, [True] * m, [t % 2 == 1 for t in range(m)], [t % 3 != 0 for t in range(m)]]
+
+
+def _sign_patterns(rng, rows):
+    """(rows, negate) for each of ``_signs``; under the mixed pattern every
+    row's first negated x is an all-zero operand with -0 in its value row."""
+    *plain, mixed = _signs(len(rows[0][0]))
+    for negate in plain:
+        yield rows, negate
+
+    def zero(x):
+        c = np.where(rng.random(x.coeffs.shape) < 0.5, 0.0, -0.0)
+        c.flat[0] = -0.0
+        return Jet(x.space, c)
+
+    t = mixed.index(True)
+    yield [(xs[:t] + [zero(xs[t])] + xs[t + 1 :], ys, s) for xs, ys, s in rows], mixed
+
+
+def _reference_signed_dot(xs, ys, start, negate):
+    """The loop of products and additions with the xs marked in ``negate``
+    (None for none) negated by hand."""
+    negate = negate or [False] * len(xs)
+    return reference_dot([-x if s else x for x, s in zip(xs, negate, strict=True)], ys, start)
+
+
+@pytest.mark.parametrize("batch", [None, 1, 8, 9, LAYERED - 1, LAYERED, 1024])
 @pytest.mark.parametrize("degree", range(5))
 @pytest.mark.parametrize("nvars", range(1, 6))
 def test_dot_is_bit_identical_to_the_loop(nvars, degree, batch):
@@ -553,13 +582,13 @@ def test_dot_is_bit_identical_to_the_loop(nvars, degree, batch):
     ]
     # no start, one at the operands' batch and an unbatched one
     starts = [None] + [_dot_operand(rng, nvars, degree + 2, b) for b in {batch: 0, None: 0}]
-    # the subtracting form against the loop with every x negated
-    for (xs, ys), start, subtract in itertools.product((uniform, mixed), starts, (False, True)):
-        got = jets.dot(xs, ys, start, subtract=subtract)
-        want = reference_dot([-x for x in xs] if subtract else xs, ys, start)
-        assert got.degree == degree and got.batch == want.batch
-        np.testing.assert_array_equal(got.coeffs, want.coeffs)
-        np.testing.assert_array_equal(np.signbit(got.coeffs), np.signbit(want.coeffs))
+    # every sign pattern against the loop with those xs negated by hand
+    for (xs0, ys), start in itertools.product((uniform, mixed), starts):
+        for [(xs, _, _)], negate in _sign_patterns(rng, [(xs0, ys, start)]):
+            got = jets.dot(xs, ys, start, negate)
+            want = _reference_signed_dot(xs, ys, start, negate)
+            assert got.degree == degree and got.batch == want.batch
+            assert_same_bits(got.coeffs, want.coeffs)
 
 
 def test_dot_rejects_mismatched_operands():
@@ -602,11 +631,16 @@ def _dot_rows_operands(rng, nvars, degree, batch, count, mixed, starts, m=4):
     return rows
 
 
-def _assert_rows_match_dot_loop(rows, subtract):
-    got = jets.dot_rows(iter(rows), subtract=subtract)
-    assert len(got) == len(rows)
-    for g, (xs, ys, start) in zip(got, rows):
-        want = reference_dot([-x for x in xs] if subtract else xs, ys, start)
+def _assert_rows_match_dot_loop(rng, rows):
+    """The rows of one ``dot_rows`` call under each of ``_sign_patterns``,
+    against the loop row by row."""
+    for signed, negate in _sign_patterns(rng, rows):
+        got = jets.dot_rows(iter(signed), negate)
+        assert len(got) == len(signed)
+        for g, (xs, ys, start) in zip(got, signed):
+            want = _reference_signed_dot(xs, ys, start, negate)
+            assert g.degree == want.degree and g.batch == want.batch
+            assert_same_bits(g.coeffs, want.coeffs)
         assert g.degree == want.degree and g.batch == want.batch
         assert_same_bits(g.coeffs, want.coeffs)
 
@@ -628,8 +662,7 @@ def test_dot_rows_is_bit_identical_to_the_loop_row_by_row(nvars, degree, batch, 
     ):
         monkeypatch.setattr(jets, "_STACK_ELEMENTS", bound)
         rows = _dot_rows_operands(rng, nvars, degree, batch, count, mixed, starts, m)
-        for subtract in (False, True):
-            _assert_rows_match_dot_loop(rows, subtract)
+        _assert_rows_match_dot_loop(rng, rows)
 
 
 def test_dot_rows_crosses_a_chunk_at_the_real_bound():
@@ -639,7 +672,7 @@ def test_dot_rows_crosses_a_chunk_at_the_real_bound():
     assert per_chunk > 1 and per_gather == m
     for mixed, starts in itertools.product((False, True), ("none", "some")):
         rows = _dot_rows_operands(rng, 4, 2, batch, per_chunk + 2, mixed, starts, m)
-        _assert_rows_match_dot_loop(rows, subtract=mixed)
+        _assert_rows_match_dot_loop(rng, rows)
 
 
 def test_stack_plan_bounds_the_gathered_array():
@@ -670,6 +703,10 @@ def test_dot_rows_rejects_mismatched_rows():
         jets.dot_rows([([p], [a], None), ([p], [p], q)])
     with pytest.raises(JetError, match="as many xs as ys"):
         jets.dot_rows([([a], [a, a], None)])
+    with pytest.raises(JetError, match="one sign per term"):
+        jets.dot_rows([([a, a], [a, a], None)], (True,))
+    with pytest.raises(JetError, match="one sign per term"):
+        jets.dot([a], [a], None, (False, True))
 
 
 def _layered_calls(monkeypatch):
@@ -716,13 +753,13 @@ def _vanishing_row(rng, sp, batch, start, vanishing):
     return xs, ys, start
 
 
-def _assert_dot_is_the_loop(xs, ys, start, subtract, calls):
+def _assert_dot_is_the_loop(xs, ys, start, negate, calls):
     """The dot's coefficients, checked against the loop, and the number of
     products it made, counted by ``calls`` (``_layered_calls``)."""
     calls[0] = 0
-    got = jets.dot(xs, ys, start, subtract=subtract)
+    got = jets.dot(xs, ys, start, negate)
     made = calls[0]
-    want = reference_dot([-x for x in xs] if subtract else xs, ys, start)
+    want = _reference_signed_dot(xs, ys, start, negate)
     assert got.degree == want.degree and got.batch == want.batch
     assert_same_bits(got.coeffs, want.coeffs)
     return got.coeffs, made
@@ -736,17 +773,18 @@ def _holds_minus_zero(c):
 @pytest.mark.parametrize("start", [None, "batched", "unbatched", "-0"])
 @pytest.mark.parametrize("batch", [LAYERED, 1024])
 def test_dot_leaves_out_vanishing_terms_bit_for_bit(batch, start, vanishing, monkeypatch):
-    """Zero xs and ys of every kind, with and without a start, added and
-    subtracted: the loop's values and sign bits, and one product per kept
-    term wherever the sum of the kept terms holds no -0."""
+    """Zero xs and ys of every kind, with and without a start, under each
+    sign pattern (the mixed one negates the zero xs at places 2 and 4 where
+    there are some): the loop's values and sign bits, and one product per
+    kept term wherever the sum of the kept terms holds no -0."""
     rng = np.random.default_rng(batch + len(vanishing))
     sp = jet_space(4, 2)
     xs, ys, first = _vanishing_row(rng, sp, batch, start, vanishing)
     kept = [t for t in range(6) if t not in vanishing]
     calls = _layered_calls(monkeypatch)
-    for subtract in (False, True):
-        made = _assert_dot_is_the_loop(xs, ys, first, subtract, calls)[1]
-        sx = [-xs[t] if subtract else xs[t] for t in kept]
+    for negate in _signs(6):
+        made = _assert_dot_is_the_loop(xs, ys, first, negate, calls)[1]
+        sx = [-xs[t] if negate[t] else xs[t] for t in kept]
         partial = reference_dot(sx, [ys[t] for t in kept], first) if kept or first else None
         exact = partial is not None and not _holds_minus_zero(partial.coeffs[: sp.ncoeffs])
         # a left-out product of two unbatched operands is made by reduceat
@@ -774,26 +812,29 @@ def test_dot_settles_each_kind_of_row_by_its_own_path(batch, monkeypatch):
     neg_start = Jet(sp, np.full((sp.ncoeffs, batch), -0.0))
     calls = _layered_calls(monkeypatch)
 
-    def check(terms, start, subtract, products):
+    def check(terms, start, negate, products):
         xs, ys = [x for x, _ in terms], [y for _, y in terms]
-        got, made = _assert_dot_is_the_loop(xs, ys, start, subtract, calls)
+        got, made = _assert_dot_is_the_loop(xs, ys, start, negate, calls)
         assert made == products
         return got
 
     # no -0 left: the vanishing terms are never made
-    check([minus, plus, minus], pos, False, 0)
-    check([(pos, pos), minus, plus], None, False, 1)
+    check([minus, plus, minus], pos, None, 0)
+    check([(pos, pos), minus, plus], None, None, 1)
     # the +0 fix-up: a -0 sum turns +0 through the +0 term alone; a
-    # subtracted -0 x makes the +0 term
-    assert not np.signbit(check([minus, plus, minus], neg_start, False, 0)).any()
-    assert not np.signbit(check([minus, plus], None, False, 0)).any()
-    assert not np.signbit(check([plus, minus], neg_start, True, 0)).any()
+    # negated -0 x makes the +0 term, and each term reads its own sign
+    assert not np.signbit(check([minus, plus, minus], neg_start, None, 0)).any()
+    assert not np.signbit(check([minus, plus], None, None, 0)).any()
+    assert not np.signbit(check([plus, minus], neg_start, (True, True), 0)).any()
+    assert not np.signbit(check([minus, minus], neg_start, (False, True), 0)).any()
+    assert not np.signbit(check([plus, plus], None, (True, False), 0)).any()
     # no +0 term: the left-out products are made after all
-    assert np.signbit(check([minus, minus], neg_start, False, 2)).all()
-    assert np.signbit(check([plus, plus], None, True, 2)).all()
+    assert np.signbit(check([minus, minus], neg_start, None, 2)).all()
+    assert np.signbit(check([plus, plus], None, (True, True), 2)).all()
+    assert np.signbit(check([minus, plus], neg_start, (False, True), 2)).all()
     # a zero y against an x of both signs: +0 at some places, -0 at others
     mixed = (_dot_operand(np.random.default_rng(2), 5, 2, batch), plus[0])
-    got = check([minus, mixed], neg_start, False, 2)
+    got = check([minus, mixed], neg_start, None, 2)
     assert np.signbit(got).any() and not np.signbit(got).all()
 
 
@@ -808,7 +849,7 @@ def test_dot_keeps_a_zero_times_inf_or_nan(batch, monkeypatch):
     calls = _layered_calls(monkeypatch)
     for xs, ys in (([zero, live], [bad, live]), ([bad, live], [zero, live])):
         with np.errstate(invalid="ignore"):  # 0 * inf
-            got, made = _assert_dot_is_the_loop(xs, ys, None, False, calls)
+            got, made = _assert_dot_is_the_loop(xs, ys, None, None, calls)
         assert np.isnan(got).any() and made == 2
 
 

@@ -132,20 +132,20 @@ def count(tree, workload):
         tally["cauchy_layered_calls"] += 1
         return layered(*args)
 
-    def counted_dot_layered(space, B, cs, k, subtract, *vanishing):
+    def counted_dot_layered(space, B, cs, k, negate, *vanishing):
         tally["layered_rows"] += 1
         tally["layered_terms"] += (len(cs) - k) // 2
         if plus_zero is None:
-            return dot_layered(space, B, cs, k, subtract)
+            return dot_layered(space, B, cs, k, negate)
         (gone,) = vanishing or ((),)
         seen = []
         jets._plus_zero = lambda *a: seen.append(plus_zero(*a)) or seen[-1]
         try:
-            got = dot_layered(space, B, cs, k, subtract, gone)
+            got = dot_layered(space, B, cs, k, negate, gone)
         finally:
             jets._plus_zero = plus_zero
         if check[0]:
-            full = dot_layered(space, B, cs, k, subtract)
+            full = dot_layered(space, B, cs, k, negate)
             tally["bit_identical_rows"] += np.array_equal(got.view(np.int64), full.view(np.int64))
             return got
         m = (len(cs) - k) // 2

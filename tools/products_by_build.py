@@ -120,7 +120,7 @@ def charge(field, ctx):
             return mul(a, b)
         return counted(lambda: 1, mul, a, b)
 
-    def counted_dot_rows(rows, subtract=False):
+    def counted_dot_rows(rows, negate=None):
         lengths = []
 
         def each(rows):
@@ -128,7 +128,7 @@ def charge(field, ctx):
                 lengths.append(len(row[0]))
                 yield row
 
-        return counted(lambda: sum(lengths), dot_rows, each(rows), subtract)
+        return counted(lambda: sum(lengths), dot_rows, each(rows), negate)
 
     def counted_layered(space, ca, cb):
         if ca.ndim != 1:  # a batched product, already counted by its caller
