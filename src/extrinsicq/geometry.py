@@ -21,8 +21,8 @@ lists of jets, always fully covariant; indices are raised explicitly with
 the inverse metric where needed.  An index contraction makes every entry
 of a tensor with one ``jets.dot_rows`` call, one row per entry (``dots``,
 ``symmetric_dots``); ``covariant`` gives every Christoffel term a minus
-sign there, so no negated symbol is made.  Every module fills a symmetric tensor with
-``symmetric``, takes first-kind Christoffel symbols from
+sign there, so no negated symbol is made.  Every module fills a symmetric
+tensor with ``symmetric``, takes first-kind Christoffel symbols from
 ``christoffel_first`` and covariant derivatives from ``covariant``.
 ``jet_values`` and ``jet_coeffs`` turn a tensor into one numpy array, batch
 axis last.

@@ -323,8 +323,8 @@ def _dot_stacked(space, B, rows, k, mixed, negate):
             _stack([c for cs in rows for c in cs[a:b]], nc, B, mixed).reshape(nc, r, hi - lo, B)
             for a, b in ((lo, hi), (m + lo, m + hi))
         )
-        if negate[lo - k : hi - k].any():
-            np.negative(X, out=X, where=negate[lo - k : hi - k, None])
+        if any(negate[lo - k : hi - k]):
+            np.negative(X, out=X, where=np.array(negate[lo - k : hi - k])[:, None])
         P = X[I]
         P *= Y[J]
         np.add.reduceat(P, starts, axis=0, out=terms[:, :, lo:hi])
@@ -438,9 +438,9 @@ def dot_rows(rows, negate=None):
     for xs, ys, start in rows:
         if m is None:
             m = len(xs)
-            negate = np.zeros(m, bool) if negate is None else np.array(negate, bool)
-            if negate.shape != (m,):
-                raise JetError(f"dot_rows needs one sign per term: got {negate.shape} for {m}")
+            negate = (False,) * m if negate is None else tuple(negate)
+            if len(negate) != m:
+                raise JetError(f"dot_rows needs one sign per term: got {len(negate)} for {m}")
         elif len(xs) != m:
             raise JetError(f"dot_rows needs rows of one length: got {m} and {len(xs)} terms")
         space, batch, mixed, cs = _operands(xs, ys, start)

@@ -183,7 +183,8 @@ def _leaves(T):
 @pytest.mark.parametrize("build", list(CONTRACTIONS))
 def test_contractions_negate_no_operand(build, monkeypatch):
     """Each build gives its terms their signs through ``jets.dot_rows``, so
-    no jet it contracts is negated."""
+    no jet it contracts is negated.  The only negations left are the
+    mirrored components of ``curvature._fill_curvature``."""
     name, operands, run = CONTRACTIONS[build]
     scn = parse_scenario(name)
     ctx = scn.context(rand_points(scn.chart, 5, 21))
@@ -192,6 +193,8 @@ def test_contractions_negate_no_operand(build, monkeypatch):
     monkeypatch.setattr(jets.Jet, "__neg__", lambda a: calls.append(a) or neg(a))
     run(ctx)
     assert not ids & {id(a) for a in calls}
+    fills = build in ("riemann", "weyl")
+    assert len(calls) == (len(curvature.independent_components(ctx.dim)) if fills else 0)
 
 
 @pytest.mark.parametrize("d", [0, 1])
