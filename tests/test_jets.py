@@ -641,8 +641,6 @@ def _assert_rows_match_dot_loop(rng, rows):
             want = _reference_signed_dot(xs, ys, start, negate)
             assert g.degree == want.degree and g.batch == want.batch
             assert_same_bits(g.coeffs, want.coeffs)
-        assert g.degree == want.degree and g.batch == want.batch
-        assert_same_bits(g.coeffs, want.coeffs)
 
 
 @pytest.mark.parametrize("batch", [None, 1, 9, LAYERED - 1, LAYERED, 1024])
