@@ -23,6 +23,12 @@ Functions: sin, cos, exp, log, sqrt.  An exponent must be a numeric
 literal: integer exponents lower to repeated multiplication and work for
 any base, fractional ones require a positive base value.  Chained '^' is
 rejected at parse time; write parentheses.
+
+A name may also stand for a column of numbers, one per point of the batch
+the expression is evaluated on (``parse_expression``'s ``columns``).  It is
+used where a literal would be: ``(c)*(b)`` scales b by c point by point,
+with the bits a literal c would give at each point.  So one expression can
+hold a different linear combination at each block of points.
 """
 
 import re
@@ -271,13 +277,15 @@ class Expression:
     within the expression is evaluated once.  Expressions evaluated on the
     same arguments may share a memo from :func:`shared_memo`, passed
     positionally: each subexpression they share is then evaluated once.
+    ``columns`` holds the arrays its column names read as.
     """
 
-    __slots__ = ("text", "variables", "_ast", "_memo")
+    __slots__ = ("text", "variables", "columns", "_ast", "_memo")
 
-    def __init__(self, text, variables, ast):
+    def __init__(self, text, variables, ast, columns=()):
         self.text = text
         self.variables = tuple(variables)
+        self.columns = tuple(columns)
         self._ast = ast
         self._memo = shared_memo((self,))
 
@@ -294,6 +302,8 @@ class Expression:
         for a in args[1:]:
             if a.space is not space:
                 raise jets.JetError("expression arguments must share one jet space")
+        if self.columns:
+            args = (*args, *self.columns)
         try:
             out = _eval(self._ast, args, space, dict(self._memo) if memo is None else memo)
         except jets.SingularFieldError as err:
@@ -307,11 +317,18 @@ class Expression:
         return out
 
 
-def parse_expression(text, variables):
-    """Parse ``text`` over the named ``variables`` into an Expression."""
+def parse_expression(text, variables, columns=None):
+    """Parse ``text`` over the named ``variables`` into an Expression.
+
+    ``columns`` maps further names to 1-d arrays, one number per point of
+    the batch the expression will be evaluated on; each such name reads as
+    its array.
+    """
     if not isinstance(text, str):
         raise ExprError(
             f"expected an expression string, got {type(text).__name__}", repr(text), 0
         )
     variables = tuple(variables)
-    return Expression(text, variables, _Parser(text, variables).parse())
+    columns = dict(columns or {})
+    ast = _Parser(text, (*variables, *columns)).parse()
+    return Expression(text, variables, ast, columns.values())

@@ -91,12 +91,13 @@ class Metric:
     """A symmetric matrix of expression strings over a chart.
 
     Components are parsed once at construction; evaluation happens through
-    contexts.  ``texts`` is the full dim x dim matrix of strings.
+    contexts.  ``texts`` is the full dim x dim matrix of strings, and
+    ``columns`` names arrays they may use (``exprlang.parse_expression``).
     """
 
     __slots__ = ("chart", "texts", "exprs", "_memo")
 
-    def __init__(self, chart, texts):
+    def __init__(self, chart, texts, columns=None):
         n = chart.dim
         texts = tuple(tuple(row) for row in texts)
         if len(texts) != n or any(len(row) != n for row in texts):
@@ -111,7 +112,7 @@ class Metric:
 
         def parse(i, j):
             try:
-                return parse_expression(texts[i][j], chart.names)
+                return parse_expression(texts[i][j], chart.names, columns)
             except ExprError as err:
                 err.args = (f"metric component g{i+1}{j+1}: {err.args[0]}",)
                 raise
@@ -161,12 +162,13 @@ class Metric:
         return f"Metric(dim={self.chart.dim})"
 
 
-def conformal_rescale(metric, phi_text):
-    """The metric exp(2 phi) g, assembled at the expression level."""
-    parse_expression(phi_text, metric.chart.names)  # surface bad text here, with position
+def conformal_rescale(metric, phi_text, columns=None):
+    """The metric exp(2 phi) g, assembled at the expression level; ``phi_text``
+    may use the arrays ``columns`` names."""
+    parse_expression(phi_text, metric.chart.names, columns)  # surface bad text here, with position
     factor = f"exp(2*({phi_text}))"
     texts = [[f"{factor}*({t})" for t in row] for row in metric.texts]
-    return Metric(metric.chart, texts)
+    return Metric(metric.chart, texts, columns)
 
 
 def jet_coeffs(tensor, nbatch, ncoeffs):
@@ -222,9 +224,10 @@ def symmetric_dots(n, row):
 
 def christoffel_first(g1):
     """Christoffel symbols of the first kind, one degree below the metric jets
-    ``g1``: G[l][i][j] = Gamma_{l,ij} = (d_i g_lj + d_j g_li - d_l g_ij) / 2."""
+    ``g1``: G[l][i][j] = Gamma_{l,ij} = (d_i g_lj + d_j g_li - d_l g_ij) / 2.
+    The metric is symmetric, so each partial is taken for i <= j only."""
     n = len(g1)
-    dg = [[[g1[i][j].partial(k) for j in range(n)] for i in range(n)] for k in range(n)]
+    dg = [symmetric(n, lambda i, j: g1[i][j].partial(k)) for k in range(n)]
     return [
         symmetric(n, lambda i, j: (dg[i][l][j] + dg[j][l][i] - dg[l][i][j]) * 0.5)
         for l in range(n)

@@ -453,7 +453,8 @@ def nabla0_weyl_normal(sctx, d=0):
     return sctx.get("nabla0_weyl", 0, build)
 
 
-def ambient_expression_field(text, ambient_chart):
-    """A surface scalar field from an expression in the ambient coordinates."""
-    expr = parse_expression(text, ambient_chart.names)
+def ambient_expression_field(text, ambient_chart, columns=None):
+    """A surface scalar field from an expression in the ambient coordinates,
+    which may use the arrays ``columns`` names."""
+    expr = parse_expression(text, ambient_chart.names, columns)
     return Field(0, lambda ctx, d: expr(iota_jets(ctx, d)))

@@ -259,15 +259,27 @@ def _product(space, ca, cb):
     return _cauchy_reduceat(space, ca, cb)
 
 
-def _stack(cs, nc, B, mixed):
+def _stack(cs, nc, B, mixed, negate=()):
     """(nc,) or (nc, B) coefficient arrays, both kinds if ``mixed``, as one
-    (nc, len(cs), B) array."""
+    (nc, len(cs), B) array.  ``negate``, a boolean per term, marks the
+    terms negated when ``cs`` holds rows of len(negate) terms one after
+    another.  They are negated before the transpose, where each term's
+    coefficients are one contiguous block, as a masked negation after it
+    would loop over the short batch axis.  The negation is masked, not one
+    in-place np.negative per term: in numpy 2.4 that reads the wrong
+    elements of a view whose stride is eight float64s, the layout of one of
+    eight terms of one coefficient at one point."""
     if mixed:
         a = np.empty((len(cs), nc, B))
         for i, c in enumerate(cs):
             a[i] = c.reshape(nc, -1)
     else:
         a = np.concatenate(cs)
+    if negate and all(negate):
+        np.negative(a, out=a)
+    elif any(negate):
+        terms = a.reshape(-1, len(negate), nc * B)
+        np.negative(terms, out=terms, where=np.array(negate)[:, None])
     return np.ascontiguousarray(a.reshape(len(cs), nc, B).transpose(1, 0, 2))
 
 
@@ -308,9 +320,9 @@ def _stack_plan(space, B, m):
 def _dot_stacked(space, B, rows, k, mixed, negate):
     """The rows' sums below ``_LAYERED_MIN_BATCH`` points, as (len(rows),
     ncoeffs, B): the operands are stacked (ncoeffs, rows, terms, B), the xs
-    marked in ``negate`` negated, one gather and one reduceat make the
-    products, one accumulate adds each row's in order, after its start if k
-    is 1."""
+    marked in ``negate`` negated as they are stacked, one gather and one
+    reduceat make the products, one accumulate adds each row's in order,
+    after its start if k is 1."""
     nc, r, m = space.ncoeffs, len(rows), (len(rows[0]) - k) // 2
     I, J, starts, _, _ = space.mul_table()
     terms = np.empty((nc, r, k + m, B))
@@ -319,12 +331,10 @@ def _dot_stacked(space, B, rows, k, mixed, negate):
     step = _stack_plan(space, B, m)[1]
     for lo in range(k, k + m, step):
         hi = min(lo + step, k + m)
-        X, Y = (
-            _stack([c for cs in rows for c in cs[a:b]], nc, B, mixed).reshape(nc, r, hi - lo, B)
-            for a, b in ((lo, hi), (m + lo, m + hi))
-        )
-        if any(negate[lo - k : hi - k]):
-            np.negative(X, out=X, where=np.array(negate[lo - k : hi - k])[:, None])
+        xs = [c for cs in rows for c in cs[lo:hi]]
+        ys = [c for cs in rows for c in cs[m + lo : m + hi]]
+        X = _stack(xs, nc, B, mixed, negate[lo - k : hi - k]).reshape(nc, r, hi - lo, B)
+        Y = _stack(ys, nc, B, mixed).reshape(nc, r, hi - lo, B)
         P = X[I]
         P *= Y[J]
         np.add.reduceat(P, starts, axis=0, out=terms[:, :, lo:hi])
@@ -487,6 +497,10 @@ class Jet:
     """
 
     __slots__ = ("space", "coeffs")
+
+    # numpy arrays defer to Jet's reflected operators: an array of one
+    # number per point times a jet scales it point by point
+    __array_ufunc__ = None
 
     def __init__(self, space, coeffs):
         coeffs = np.asarray(coeffs, dtype=np.float64)
@@ -773,7 +787,8 @@ def _substitute(args, space, C):
     grade down: one jet product each from grade 2 on, shared by all outers.
     ``C[i]``, shape (nout,) or (nout, batch), holds the outers' coefficients
     of the i-th monomial in graded order, and each outer sums its terms in
-    that order.
+    that order, by one contraction over the used monomials
+    (``BENCH_draw_batch.json``, "compose").
 
     When every arg has ``_LAYERED_MIN_BATCH`` points or more, an offset
     whose coefficients have the same bits at every point (a chart
@@ -792,12 +807,10 @@ def _substitute(args, space, C):
         c[0] = 0.0
         w.append(Jet(space, c))
     batch = max([*C.shape[2:], *(n for b in args for n in b.coeffs.shape[1:])], default=0)
-    C = C.reshape(C.shape[0], C.shape[1], 1, -1)
-    used = C.any(axis=(1, 2, 3)).tolist()  # monomials some outer has a coefficient for
+    C = C.reshape(C.shape[0], C.shape[1], -1)
+    used = C.any(axis=(1, 2)).tolist()  # monomials some outer has a coefficient for
     out = np.zeros((C.shape[1], nc, batch or 1))
-    out[:, 0] = C[0, :, 0]
-    # a monomial's constant term is zero: coefficient 0 stays C[0]
-    rest = out[:, 1:]
+    out[:, 0] = C[0]
     mono = [None]  # the constant 1: grade-1 monomials are w itself
     for i, (parent, j) in enumerate(_monomial_parents(len(w), space.degree), 1):
         if parent == 0:
@@ -807,8 +820,14 @@ def _substitute(args, space, C):
         else:
             m = mono[parent] * w[j]
         mono.append(m)
-        if used[i]:
-            rest += m.coeffs[1:].reshape(nc - 1, -1) * C[i]
+    # a monomial's constant term is zero: coefficient 0 stays C[0]
+    idx = [i for i in range(1, len(mono)) if used[i]]
+    if idx:
+        shape = (nc - 1, batch or 1)
+        M = np.stack([np.broadcast_to(mono[i].coeffs[1:].reshape(nc - 1, -1), shape) for i in idx])
+        # zeroes ``out`` and adds each outer's terms in monomial order, as a
+        # loop of += from +0 would
+        np.einsum("iop,icp->ocp", C[idx], M, out=out[:, 1:])
     return out if batch else out[:, :, 0]
 
 

@@ -65,22 +65,24 @@ class Scenario:
             return MetricContext(self.metric, points, degree_cap, plan)
         return hs.EmbeddedSurfaceContext(self.embedding, points, degree_cap, plan)
 
-    def rescaled(self, phi_text, name=None):
+    def rescaled(self, phi_text, name=None, columns=None):
         """The same geometry under g -> e^{2 phi} g.
 
         Intrinsic scenarios rescale the metric itself; embedded ones rescale
         the ambient metric, which changes the induced metric, the normal, and
         the shape operator through the usual pipeline.  Umbilicity and the
-        Euler characteristic survive a conformal change.
+        Euler characteristic survive a conformal change.  ``phi_text`` may
+        use the arrays ``columns`` names, one number per point of the
+        contexts the rescaled scenario will be evaluated in.
         """
         name = name or f"{self.name} * e^2phi"
         if self.metric is not None:
-            return Scenario(name, metric=conformal_rescale(self.metric, phi_text),
+            return Scenario(name, metric=conformal_rescale(self.metric, phi_text, columns),
                             euler=self.euler, basis=self.basis)
         emb = self.embedding
         resc = hs.Embedding(
             emb.chart,
-            conformal_rescale(emb.ambient_metric, phi_text),
+            conformal_rescale(emb.ambient_metric, phi_text, columns),
             emb.iota_texts,
             sigma=emb.sigma,
         )

@@ -13,10 +13,16 @@ row's points and context and builds one result per (name, residual, scale,
 tolerance).  Its quadrature twin ``_quadrature_checks`` integrates a list of
 fields once on the scenario's rule, with their absolute integrals, and builds
 one result per (name, error, scale, tolerance) computed from those totals.
-The conformal checks compare a scenario with its e^{2 phi} rescaling through
-``_rescaled_pair`` (both contexts on the same points, and phi as a field),
-and ``_control_and_draws`` turns such a defect into the phi=0 control and the
-worst case over random factors.  All contexts of one check call share one
+The conformal checks compare a scenario with its e^{2 phi} rescaling
+(``_rescaled``: the rescaled context, and phi as a field), and
+``_control_and_draws`` turns such a defect into the phi=0 control and the
+worst case over random factors.  It draws every coefficient first, then
+evaluates the control and the draws side by side: block k of the row's
+points tiled carries factor k, whose coefficients are per-point columns of
+the expression language, so one rescaled context (and one base context
+where the base side depends on phi) serves them all, in batches below
+``jets._LAYERED_MIN_BATCH`` points, where every point gets the bits it
+would get alone.  All contexts of one check call share one
 ``geometry.DegreePlan``, and so do the chunks of one ``integrate`` call.
 Fields come back from the jets as arrays through ``geometry.jet_values``,
 batch axis last.
@@ -287,20 +293,34 @@ class CheckResult:
 # ---- random test data -----------------------------------------------------------
 
 
-def _sfield(text, chart):
-    return expression_field(parse_expression(text, chart.names))
+def _sfield(text, chart, columns=None):
+    return expression_field(parse_expression(text, chart.names, columns))
 
 
-def _phi_field(scn, text):
+def _phi_field(scn, text, columns=None):
     # conformal factors live on the ambient manifold of an embedded scenario
     if scn.kind == "embedded":
-        return hs.ambient_expression_field(text, scn.ambient_chart)
-    return _sfield(text, scn.chart)
+        return hs.ambient_expression_field(text, scn.ambient_chart, columns)
+    return _sfield(text, scn.chart, columns)
+
+
+def _coefficients(basis, rng):
+    return rng.uniform(-0.2, 0.2, size=len(basis))
 
 
 def _random_text(basis, rng):
-    coeffs = rng.uniform(-0.2, 0.2, size=len(basis))
+    coeffs = _coefficients(basis, rng)
     return " + ".join(f"({float(c)!r})*({b})" for c, b in zip(coeffs, basis))
+
+
+def _combination(basis, blocks, npoints):
+    """``_random_text``'s sum (c_0)*(b_0) + ... over ``basis`` with a column
+    name for each c_i, and those columns: c_i holds the i-th coefficient of
+    ``blocks[k]`` at the points k*npoints to (k+1)*npoints - 1.  Each block
+    of points then gets the bits the text of its own coefficients gives."""
+    names = [f"_c{i}" for i in range(len(basis))]
+    text = " + ".join(f"({c})*({b})" for c, b in zip(names, basis))
+    return text, dict(zip(names, np.repeat(np.array(blocks).T, npoints, axis=1)))
 
 
 def _points(scn, count, rng):
@@ -361,14 +381,11 @@ def _quadrature_checks(scn, cfg, seed, fields, rows, quad=None):
     ]
 
 
-def _rescaled_pair(scn, phi_text, pts, plan, base_ctx=None):
-    """Contexts of the scenario and of its e^{2 phi} rescaling on the same
-    points and degree plan, and phi as a field; ``base_ctx`` reuses an
-    existing base context."""
-    if base_ctx is None:
-        base_ctx = scn.context(pts, plan.cap, plan)
-    hat_ctx = scn.rescaled(phi_text).context(pts, plan.cap, plan)
-    return base_ctx, hat_ctx, _phi_field(scn, phi_text)
+def _rescaled(scn, phi_text, pts, plan, columns=None):
+    """The context of the scenario's e^{2 phi} rescaling on ``pts`` and
+    ``plan``, and phi as a field; ``phi_text`` may use ``columns``."""
+    hat_ctx = scn.rescaled(phi_text, columns=columns).context(pts, plan.cap, plan)
+    return hat_ctx, _phi_field(scn, phi_text, columns)
 
 
 def _defect(lhs, rhs, scale=None):
@@ -379,17 +396,54 @@ def _defect(lhs, rhs, scale=None):
     return float(np.max(np.abs(lhs - rhs))), float(scale)
 
 
-def _control_and_draws(name, scn, cfg, seed, rng, pts, draws, defect):
-    """The phi=0 control of ``defect(phi_text) -> (err, scale)`` at the
-    control tolerance, then its worst case over ``draws`` random conformal
-    factors at the pointwise tolerance."""
+def _blocks(a, npoints):
+    """The blocks of ``npoints`` columns of an array, batch axis last."""
+    return [a[..., lo : lo + npoints] for lo in range(0, a.shape[-1], npoints)]
+
+
+def _block_defects(lhs, rhs, npoints):
+    return [_defect(a, b) for a, b in zip(_blocks(lhs, npoints), _blocks(rhs, npoints))]
+
+
+def _control_and_draws(name, scn, cfg, seed, rng, pts, plan, draws, defects, f_basis=()):
+    """The phi=0 control of a conformal defect at the control tolerance, then
+    its worst case over ``draws`` random factors phi at the pointwise
+    tolerance.
+
+    Every coefficient is drawn first: with a trial function over ``f_basis``
+    for each factor, the control's trial function, then each phi before its
+    own.  The control (phi = 0) and the draws are then blocks of points side
+    by side, block k on the points k*P to (k+1)*P - 1 of ``pts`` tiled, in
+    batches below ``jets._LAYERED_MIN_BATCH`` points, where each point gets
+    the bits it would get alone.  For each batch, ``defects(hat_ctx, phi,
+    f)`` gets the rescaled context on ``plan``, phi and the trial function f
+    (None without ``f_basis``) as fields, and returns one (err, scale) per
+    block."""
     nb = pts.shape[1]
-    err0, scale0 = defect("0")
-    out = [CheckResult.build(f"{name}[phi=0]", scn.name, nb, err0, scale0, cfg.tol_control, seed)]
-    basis = scn.ambient_basis if scn.kind == "embedded" else scn.basis
-    err, scale = 0.0, 1.0
+    phi_basis = scn.ambient_basis if scn.kind == "embedded" else scn.basis
+    phis, fs = [np.zeros(len(phi_basis))], []
+    if f_basis:
+        fs.append(_coefficients(f_basis, rng))
     for _ in range(draws):
-        e, s = defect(_random_text(basis, rng))
+        phis.append(_coefficients(phi_basis, rng))
+        if f_basis:
+            fs.append(_coefficients(f_basis, rng))
+    per = max(1, (jets._LAYERED_MIN_BATCH - 1) // nb)
+    found = []
+    for lo in range(0, draws + 1, per):
+        hi = min(lo + per, draws + 1)
+        tiled = np.tile(pts, hi - lo)
+        text, columns = _combination(phi_basis, phis[lo:hi], nb)
+        hat_ctx, phi = _rescaled(scn, text, tiled, plan, columns)
+        f = None
+        if f_basis:
+            text, columns = _combination(f_basis, fs[lo:hi], nb)
+            f = _sfield(text, scn.chart, columns)
+        found += defects(hat_ctx, phi, f)
+    (err0, scale0), found = found[0], found[1:]
+    out = [CheckResult.build(f"{name}[phi=0]", scn.name, nb, err0, scale0, cfg.tol_control, seed)]
+    err, scale = 0.0, 1.0
+    for e, s in found:
         err, scale = max(err, e), max(scale, s)
     out.append(CheckResult.build(name, scn.name, nb * draws, err, scale, cfg.tol_point, seed))
     return out
@@ -398,21 +452,19 @@ def _control_and_draws(name, scn, cfg, seed, rng, pts, draws, defect):
 # ---- conformal covariance -------------------------------------------------------
 
 
-def _covariance_defect(scn, make_op, order, phi_text, f_text, pts, plan):
-    """max |Op(e^{w_in phi} f) - e^{w_out phi} Op_hat(f)| over the points.
+def _covariance_sides(base_ctx, hat_ctx, phi, f, make_op, order):
+    """Op(e^{w_in phi} f) and e^{w_out phi} Op_hat(f) at the points.
 
     Here Op acts in the scenario's metric, Op_hat in the one rescaled by
     e^{2 phi}; w_out = (n + order)/2 and w_in = (n - order)/2 in the surface
     dimension n, so for intrinsic operators of order 2N these are the usual
     conformal bidegrees n/2 +- N.
     """
-    n = scn.dim
+    n = base_ctx.dim
     w_in, w_out = 0.5 * (n - order), 0.5 * (n + order)
-    base_ctx, hat_ctx, phi = _rescaled_pair(scn, phi_text, pts, plan)
-    f = _sfield(f_text, scn.chart)
     lhs = _at(base_ctx, make_op(_exp_weight(phi, w_in) * f))
     rhs = np.exp(w_out * _at(base_ctx, phi)) * _at(hat_ctx, make_op(f))
-    return _defect(lhs, rhs)
+    return lhs, rhs
 
 
 def check_covariance(scn, op_name, cfg, seed, pairs=1):
@@ -431,11 +483,13 @@ def check_covariance(scn, op_name, cfg, seed, pairs=1):
     pts = _points(scn, _npoints(scn.dim), rng)
     plan = DegreePlan(cfg.degree)
 
-    def defect(phi_text):
-        f_text = _random_text(scn.basis, rng)
-        return _covariance_defect(scn, make_op, order, phi_text, f_text, pts, plan)
+    def defects(hat_ctx, phi, f):
+        base_ctx = scn.context(hat_ctx.points, plan.cap, plan)
+        lhs, rhs = _covariance_sides(base_ctx, hat_ctx, phi, f, make_op, order)
+        return _block_defects(lhs, rhs, pts.shape[1])
 
-    return _control_and_draws(f"{op_name}_covariance", scn, cfg, seed, rng, pts, pairs, defect)
+    name = f"{op_name}_covariance"
+    return _control_and_draws(name, scn, cfg, seed, rng, pts, plan, pairs, defects, scn.basis)
 
 
 # ---- Q-curvature transformation laws -------------------------------------------
@@ -466,39 +520,42 @@ def check_q_law(scn, which, cfg, seed, pairs=1):
     pts = _points(scn, _npoints(scn.dim), rng)
     plan = DegreePlan(cfg.degree)
 
-    def defect(phi_text):
-        base_ctx, hat_ctx, phi = _rescaled_pair(scn, phi_text, pts, plan)
+    def defects(hat_ctx, phi, f):
+        base_ctx = scn.context(hat_ctx.points, plan.cap, plan)
         lhs = np.exp(n * _at(base_ctx, phi)) * _at(hat_ctx, q_op())
         rhs = _at(base_ctx, q_op()) + sign * _at(base_ctx, p_op(phi))
-        return _defect(lhs, rhs)
+        return _block_defects(lhs, rhs, pts.shape[1])
 
-    return _control_and_draws(f"{which}_law", scn, cfg, seed, rng, pts, pairs, defect)
+    return _control_and_draws(f"{which}_law", scn, cfg, seed, rng, pts, plan, pairs, defects)
 
 
 # ---- pointwise invariant --------------------------------------------------------
 
 
-def _weight4_defect(scn, ctx, field):
-    """defect(phi_text) of e^{4 phi} field_hat = field on ctx's points and
-    plan, for a field of a 4-dimensional hypersurface."""
+def _weight4_defects(scn, ctx, field):
+    """The ``defects`` of ``_control_and_draws`` for e^{4 phi} field_hat =
+    field at ctx's points, for a field of a 4-dimensional hypersurface.  The
+    field is evaluated once, in ctx; e^{4 phi} comes from the rescaled
+    context, which has the same coordinates and embedding."""
     if scn.dim != 4 or scn.kind != "embedded":
         raise ConfigError("the pointwise invariant lives on 4-dimensional hypersurfaces")
     base = _at(ctx, field)
+    scale = np.max(np.abs(base))
 
-    def defect(phi_text):
-        _, hat_ctx, phi = _rescaled_pair(scn, phi_text, ctx.points, ctx.plan, ctx)
-        lhs = np.exp(4.0 * _at(ctx, phi)) * _at(hat_ctx, field)
-        return _defect(lhs, base, np.max(np.abs(base)))
+    def defects(hat_ctx, phi, f):
+        lhs = np.exp(4.0 * _at(hat_ctx, phi)) * _at(hat_ctx, field)
+        return [_defect(block, base, scale) for block in _blocks(lhs, ctx.nbatch)]
 
-    return defect
+    return defects
 
 
 def check_c_invariance(scn, cfg, seed, phis=3):
     """e^{4 phi} C_hat = C pointwise on a non-umbilic 4-dimensional surface."""
     rng = np.random.default_rng(seed)
     pts = _points(scn, _npoints(4), rng)
-    defect = _weight4_defect(scn, scn.context(pts, degree_cap=cfg.degree), ops.c_invariant())
-    return _control_and_draws("c_invariance", scn, cfg, seed, rng, pts, phis, defect)
+    ctx = scn.context(pts, degree_cap=cfg.degree)
+    defects = _weight4_defects(scn, ctx, ops.c_invariant())
+    return _control_and_draws("c_invariance", scn, cfg, seed, rng, pts, ctx.plan, phis, defects)
 
 
 def check_ads_decomposition(scn, cfg, seed):
@@ -509,11 +566,12 @@ def check_ads_decomposition(scn, cfg, seed):
     invariance = []
 
     def rows(ctx, rng):
-        defect = _weight4_defect(scn, ctx, parts[1])
+        defects = _weight4_defects(scn, ctx, parts[1])
         whole = _at(ctx, total)
         res = whole - sum(_at(ctx, p) for p in parts)
+        name, pts = "ads_invariant", ctx.points
         invariance.extend(
-            _control_and_draws("ads_invariant", scn, cfg, seed, rng, ctx.points, 3, defect)
+            _control_and_draws(name, scn, cfg, seed, rng, pts, ctx.plan, 3, defects)
         )
         return [("ads_identity", res, np.max(np.abs(whole)), 1e-10)]
 
@@ -640,7 +698,9 @@ def check_global_invariant(scn, cfg, seed, expected=None):
     quad = Quadrature(scn.chart, cfg.nodes, cfg.gauss_nodes)
     field = ops.integrand_i1() + ops.integrand_i2() + ops.integrand_i3()
     nb = min(256, quad.npoints)
-    base_ctx, hat_ctx, _ = _rescaled_pair(scn, "0", quad.points[:, :nb], DegreePlan(cfg.degree))
+    pts, plan = quad.points[:, :nb], DegreePlan(cfg.degree)
+    base_ctx = scn.context(pts, plan.cap, plan)
+    hat_ctx, _ = _rescaled(scn, "0", pts, plan)
     bvals = _at(base_ctx, field)
     err, scale = _defect(_at(hat_ctx, field), bvals, np.max(np.abs(bvals)))
     control = CheckResult.build(
@@ -695,10 +755,13 @@ def check_q4_audit(scn, gb_scn, cfg, seed):
     phi_text = _random_text(scn.basis, rng)
     f_text = _random_text(scn.basis, rng)
     plan = DegreePlan(cfg.degree)
+    base_ctx = scn.context(pts, plan.cap, plan)
+    hat_ctx, phi = _rescaled(scn, phi_text, pts, plan)
+    f = _sfield(f_text, scn.chart)
     defects = {
-        c: _covariance_defect(
-            scn, lambda fld, c=c: ops.p4(fld, c_rho=c), 4, phi_text, f_text, pts, plan
-        )
+        c: _defect(*_covariance_sides(
+            base_ctx, hat_ctx, phi, f, lambda fld, c=c: ops.p4(fld, c_rho=c), 4
+        ))
         for c in (2.0, 1.0)
     }
     cov = {c: err / max(scale, 1.0) for c, (err, scale) in defects.items()}
@@ -771,7 +834,7 @@ def check_structural(scn, cfg, seed):
         Wn = batch_first(_at(ctx, ops.normal_weyl_field()))
         out.append(("normal_weyl_trace", np.einsum("bij,bij->b", ginv, Wn),
                     np.max(np.abs(Wn)), tol))
-        _, hat_ctx, phi = _rescaled_pair(scn, conf_phi(scn.name), ctx.points, ctx.plan, ctx)
+        hat_ctx, phi = _rescaled(scn, conf_phi(scn.name), ctx.points, ctx.plan)
         phiv = _at(ctx, phi)
         for nm, fld, weight in (
             ("tracefree_shape_weight", ops.tracefree_shape_field(), 1.0),

@@ -10,10 +10,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from extrinsicq import curvature, exprlang, jets
+from extrinsicq import curvature, exprlang, jets, verify
 from extrinsicq import hypersurface as hs
 from extrinsicq import operators as ops
 from extrinsicq.geometry import (
+    DegreePlan,
     Field,
     divdiv,
     hessian,
@@ -595,3 +596,101 @@ def assert_same_bits(got, want):
     """Equal arrays with equal sign bits, so -0.0 differs from 0.0."""
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+# ---- reference conformal checks --------------------------------------------
+# verify's conformal checks as they ran before their draws were batched: the
+# control and each random factor a text of its own, with a fresh base and
+# rescaled context each, one after another.
+
+
+def _reference_control_and_draws(name, scn, cfg, seed, rng, pts, draws, defect):
+    nb = pts.shape[1]
+    err0, scale0 = defect("0")
+    out = [verify.CheckResult.build(f"{name}[phi=0]", scn.name, nb, err0, scale0,
+                                    cfg.tol_control, seed)]
+    basis = scn.ambient_basis if scn.kind == "embedded" else scn.basis
+    err, scale = 0.0, 1.0
+    for _ in range(draws):
+        e, s = defect(verify._random_text(basis, rng))
+        err, scale = max(err, e), max(scale, s)
+    out.append(verify.CheckResult.build(name, scn.name, nb * draws, err, scale,
+                                        cfg.tol_point, seed))
+    return out
+
+
+def _reference_pair(scn, phi_text, pts, plan, base_ctx=None):
+    if base_ctx is None:
+        base_ctx = scn.context(pts, plan.cap, plan)
+    hat_ctx = scn.rescaled(phi_text).context(pts, plan.cap, plan)
+    return base_ctx, hat_ctx, verify._phi_field(scn, phi_text)
+
+
+def reference_check_covariance(scn, op_name, cfg, seed, pairs=1):
+    make_op, order, _ = ops.OPERATORS[op_name]
+    rng = np.random.default_rng(seed)
+    pts = verify._points(scn, verify._npoints(scn.dim), rng)
+    plan = DegreePlan(cfg.degree)
+    w_in, w_out = 0.5 * (scn.dim - order), 0.5 * (scn.dim + order)
+
+    def defect(phi_text):
+        f = verify._sfield(verify._random_text(scn.basis, rng), scn.chart)
+        base_ctx, hat_ctx, phi = _reference_pair(scn, phi_text, pts, plan)
+        lhs = verify._at(base_ctx, make_op(verify._exp_weight(phi, w_in) * f))
+        rhs = np.exp(w_out * verify._at(base_ctx, phi)) * verify._at(hat_ctx, make_op(f))
+        return verify._defect(lhs, rhs)
+
+    return _reference_control_and_draws(f"{op_name}_covariance", scn, cfg, seed, rng, pts,
+                                        pairs, defect)
+
+
+def reference_check_q_law(scn, which, cfg, seed, pairs=1):
+    q_name, p_name = verify._Q_LAWS[which]
+    q_op, p_op, n = ops.OPERATORS[q_name][0], ops.OPERATORS[p_name][0], scn.dim
+    sign = -1.0 if n == 2 else 1.0
+    rng = np.random.default_rng(seed)
+    pts = verify._points(scn, verify._npoints(scn.dim), rng)
+    plan = DegreePlan(cfg.degree)
+
+    def defect(phi_text):
+        base_ctx, hat_ctx, phi = _reference_pair(scn, phi_text, pts, plan)
+        lhs = np.exp(n * verify._at(base_ctx, phi)) * verify._at(hat_ctx, q_op())
+        rhs = verify._at(base_ctx, q_op()) + sign * verify._at(base_ctx, p_op(phi))
+        return verify._defect(lhs, rhs)
+
+    return _reference_control_and_draws(f"{which}_law", scn, cfg, seed, rng, pts, pairs, defect)
+
+
+def _reference_weight4_defect(scn, ctx, field):
+    base = verify._at(ctx, field)
+
+    def defect(phi_text):
+        _, hat_ctx, phi = _reference_pair(scn, phi_text, ctx.points, ctx.plan, ctx)
+        lhs = np.exp(4.0 * verify._at(ctx, phi)) * verify._at(hat_ctx, field)
+        return verify._defect(lhs, base, np.max(np.abs(base)))
+
+    return defect
+
+
+def reference_check_c_invariance(scn, cfg, seed, phis=3):
+    rng = np.random.default_rng(seed)
+    pts = verify._points(scn, verify._npoints(4), rng)
+    ctx = scn.context(pts, degree_cap=cfg.degree)
+    defect = _reference_weight4_defect(scn, ctx, ops.c_invariant())
+    return _reference_control_and_draws("c_invariance", scn, cfg, seed, rng, pts, phis, defect)
+
+
+def reference_check_ads_decomposition(scn, cfg, seed):
+    parts = ops.ads_parts()
+    total = ops.integrand_i1() + ops.integrand_i2() + ops.integrand_i3()
+    invariance = []
+
+    def rows(ctx, rng):
+        defect = _reference_weight4_defect(scn, ctx, parts[1])
+        whole = verify._at(ctx, total)
+        res = whole - sum(verify._at(ctx, p) for p in parts)
+        invariance.extend(_reference_control_and_draws("ads_invariant", scn, cfg, seed, rng,
+                                                       ctx.points, 3, defect))
+        return [("ads_identity", res, np.max(np.abs(whole)), 1e-10)]
+
+    return verify._pointwise_checks(scn, cfg, seed, rows) + invariance

@@ -20,6 +20,24 @@ def ev(text, variables, values, degree=2):
     return parse_expression(text, variables)(args)
 
 
+def test_column_names_read_as_their_literal_at_each_block_of_points():
+    """A name bound to one number per point scales jets as a literal would:
+    each block of points gets the bits of the text with its own literals,
+    signed zeros included."""
+    blocks, P = [(0.0, 0.0), (-0.13, 0.07), (0.19, -0.0)], 3
+    pts = np.random.default_rng(3).uniform(0.0, 6.0, (2, P))
+    sp = jet_space(2, 3)
+    text = "exp(2*((c0)*(sin(x1)) + (c1)*(cos(x1)*x2)))*(1 + x2^2)"
+    columns = dict(zip(("c0", "c1"), np.repeat(np.array(blocks).T, P, axis=1)))
+    tiled = np.tile(pts, len(blocks))
+    expr = parse_expression(text, ("x1", "x2"), columns)
+    got = expr([seed_variable(sp, k, tiled[k]) for k in range(2)])
+    for k, (a, b) in enumerate(blocks):
+        literal = parse_expression(text.replace("c0", repr(a)).replace("c1", repr(b)), ("x1", "x2"))
+        want = literal([seed_variable(sp, i, pts[i]) for i in range(2)])
+        assert_same_bits(got.coeffs[:, k * P : (k + 1) * P], want.coeffs)
+
+
 def test_arithmetic_and_precedence():
     assert ev("2 + 3 * 4^2", ("x",), (0.0,)).value == pytest.approx(50.0)
     assert ev("-x^2", ("x",), (3.0,)).value == pytest.approx(-9.0)

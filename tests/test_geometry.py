@@ -16,6 +16,7 @@ from extrinsicq.geometry import (
     Metric,
     MetricContext,
     apply2,
+    christoffel_first,
     conformal_rescale,
     constant_field,
     covariant,
@@ -211,6 +212,15 @@ def test_hessian_and_divergence2_match_the_parent_forms(name, d):
         np.testing.assert_array_equal(
             jet_coeffs(build(field)(ctx, d), B, nc), jet_coeffs(reference(field)(ctx, d), B, nc)
         )
+
+
+def test_christoffel_first_takes_each_metric_partial_once(monkeypatch):
+    scn = parse_scenario("PERT_T5")
+    g = scn.context(rand_points(scn.chart, 3, 5)).g(2)
+    calls, partial = [], jets.Jet.partial
+    monkeypatch.setattr(jets.Jet, "partial", lambda j, var: calls.append(var) or partial(j, var))
+    christoffel_first(g)
+    assert len(calls) == 5 * 5 * 6 // 2  # n^2 (n + 1) / 2 of the n^3 entries
 
 
 def test_sphere_christoffels_closed_form():

@@ -591,6 +591,22 @@ def test_dot_is_bit_identical_to_the_loop(nvars, degree, batch):
             assert_same_bits(got.coeffs, want.coeffs)
 
 
+@pytest.mark.parametrize("batch", [None, 1, 8])
+def test_dot_negates_eight_terms_of_one_coefficient(batch):
+    """Degree-0 rows of eight terms: in the stacked layout one term's
+    coefficients are eight values apart, the stride at which numpy 2.4's
+    in-place np.negative of a strided view reads the wrong elements."""
+    rng = np.random.default_rng(8)
+    rows = [
+        ([_dot_operand(rng, 3, 0, batch) for _ in range(8)],
+         [_dot_operand(rng, 3, 0, batch) for _ in range(8)], None)
+        for _ in range(3)
+    ]
+    for negate in _signs(8):
+        for g, (xs, ys, _) in zip(jets.dot_rows(rows, negate), rows, strict=True):
+            assert_same_bits(g.coeffs, _reference_signed_dot(xs, ys, None, negate).coeffs)
+
+
 def test_dot_rejects_mismatched_operands():
     a = seed_variable(jet_space(2, 2), 0, 0.3)
     b = seed_variable(jet_space(3, 2), 0, 0.3)
@@ -895,6 +911,29 @@ def test_total_q4_chunk_does_not_depend_on_leaving_out_vanishing_terms(monkeypat
     assert left_out[0] > 0
     monkeypatch.setattr(jets, "_vanishing", lambda *args: [])
     assert_same_bits(got, values())
+
+
+@pytest.mark.parametrize("batch", [None, 1, 9, LAYERED, 1024])
+def test_substitute_sums_each_outer_as_the_loop_does(batch):
+    """One contraction over the used monomials against the loop of +=, bit
+    for bit: batched, unbatched and one-column args and coefficients, signed
+    zeros among both, and unused monomials.  Outer 0 has only -0
+    coefficients; over positive args every product is -0, and the loop,
+    which starts from +0, still sums them to +0 past the constant term."""
+    rng = np.random.default_rng(batch or 0)
+    sp = jet_space(3, 3)
+    nmono = sp.ncoeffs  # 3 outer variables, degree 3
+    for arg_batches in ((batch,) * 3, (None, batch, None), (None,) * 3):
+        signed = [_wide_range(rng, (sp.ncoeffs,) + ((b,) if b else ())) for b in arg_batches]
+        for cs in (signed, [np.abs(c) for c in signed]):
+            args = [Jet(sp, c) for c in cs]
+            for cb in {batch, None}:
+                C = _wide_range(rng, (nmono, 6) + ((cb,) if cb else ()))
+                C[1::3] = 0.0  # monomials no outer uses
+                C[:, 0] = -0.0
+                got = jets._substitute(args, sp, C)
+                assert_same_bits(got, reference_substitute(args, sp, C))
+                assert not np.signbit(got[0, 1:]).any()
 
 
 def _offset_operands(batch, degree=4):

@@ -1,7 +1,9 @@
-"""The scripts in tools/: compare_reports.py on small hand-made reports, and
-products_by_build.py on one small chunk."""
+"""The scripts in tools/: compare_reports.py on small hand-made reports,
+products_by_build.py on one small chunk, and bench_draw_batch.py's row
+timings on this checkout."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "compare_reports.py"
 PRODUCTS = ROOT / "tools" / "products_by_build.py"
+DRAW_BATCH = ROOT / "tools" / "bench_draw_batch.py"
 
 
 def _report(rows):
@@ -153,3 +156,15 @@ def test_products_by_build_totals_a_second_context_on_the_plan():
     first = lines[-3].split()
     assert first[:3] == ["total", "1339", "14"]
     assert lines[-1].startswith("second context on the same plan: 795 products, 7 series, ")
+
+
+def test_bench_draw_batch_times_the_nine_draw_rows():
+    out = subprocess.run(
+        [sys.executable, str(DRAW_BATCH), "--rows", str(ROOT), "--repeats", "1"],
+        capture_output=True, text=True, check=True,
+    )
+    times = json.loads(out.stdout)
+    rows = [k for k in times if k != "sum"]
+    assert len(rows) == 9 and all(t > 0 for t in times.values())
+    assert sum(1 for k in rows if k.startswith("check_c_invariance")) == 2
+    assert math.isclose(times["sum"], sum(times[k] for k in rows), abs_tol=1e-3)

@@ -7,11 +7,18 @@ import math
 import numpy as np
 import pytest
 
-from extrinsicq import verify
+from extrinsicq import jets, verify
 from extrinsicq.exprlang import parse_expression
 from extrinsicq.geometry import constant_field, expression_field, laplacian
 from extrinsicq.scenarios import parse_scenario
 from extrinsicq.verify import CheckResult, ConfigError, Quadrature, integrate, load_config
+
+from helpers import (
+    reference_check_ads_decomposition,
+    reference_check_c_invariance,
+    reference_check_covariance,
+    reference_check_q_law,
+)
 
 TAU = 2.0 * math.pi
 
@@ -301,3 +308,95 @@ def test_covariance_and_law_checks_refuse_what_the_operator_table_rules_out():
         verify.check_q_law(parse_scenario("FLAT_T2"), "ext_q2", cfg, seed=0)
     with pytest.raises(ConfigError, match="^q4 law lives in dimension 4, scenario has 3$"):
         verify.check_q_law(parse_scenario("PERT_T3"), "q4", cfg, seed=0)
+
+
+# ---- batched conformal draws -----------------------------------------------------
+# Each conformal check evaluates its phi=0 control and its random factors side
+# by side on one base and one rescaled context; the rows must be those of the
+# per-draw loop in helpers, bit for bit.
+
+
+def _as_json(results):
+    return json.dumps([r.as_dict() for r in results])
+
+
+@pytest.mark.parametrize("draws", [1, 3])
+@pytest.mark.parametrize(
+    "scenario, op_name, which",
+    [("FLAT_T2", "p2", "q2"), ("PERT_T3", "p2", None), ("GRAPH(T2_IN_T3)", "ext_p2", "ext_q2")],
+)
+def test_batched_covariance_and_q_law_match_the_per_draw_loop(scenario, op_name, which, draws):
+    cfg, scn = load_config({}), parse_scenario(scenario)
+    got = verify.check_covariance(scn, op_name, cfg, seed=11, pairs=draws)
+    assert _as_json(got) == _as_json(reference_check_covariance(scn, op_name, cfg, 11, draws))
+    if which:
+        got = verify.check_q_law(scn, which, cfg, seed=12, pairs=draws)
+        assert _as_json(got) == _as_json(reference_check_q_law(scn, which, cfg, 12, draws))
+
+
+@pytest.mark.parametrize("phis", [1, 3])
+def test_batched_c_invariance_matches_the_per_draw_loop(phis):
+    cfg, scn = load_config({}), parse_scenario("GRAPH(T4_IN_T5)")
+    got = verify.check_c_invariance(scn, cfg, seed=13, phis=phis)
+    assert _as_json(got) == _as_json(reference_check_c_invariance(scn, cfg, 13, phis))
+
+
+def test_batched_ads_decomposition_matches_the_per_draw_loop():
+    cfg, scn = load_config({}), parse_scenario("GRAPH(T4_IN_PERT_T5)")
+    got = verify.check_ads_decomposition(scn, cfg, seed=14)
+    assert _as_json(got) == _as_json(reference_check_ads_decomposition(scn, cfg, 14))
+
+
+def _rescaled_batches(monkeypatch):
+    """The point counts of the rescaled contexts verify makes."""
+    counts = []
+    rescaled = verify._rescaled
+
+    def spy(scn, phi_text, pts, plan, columns=None):
+        counts.append(pts.shape[1])
+        return rescaled(scn, phi_text, pts, plan, columns)
+
+    monkeypatch.setattr(verify, "_rescaled", spy)
+    return counts
+
+
+def test_draws_split_into_batches_below_the_layered_threshold(monkeypatch):
+    # 12 points a block: ten blocks (the control and nine factors) fit below
+    # 128 points, so twelve factors take two batches
+    cfg, scn = load_config({}), parse_scenario("FLAT_T2")
+    counts = _rescaled_batches(monkeypatch)
+    got = verify.check_covariance(scn, "p2", cfg, seed=15, pairs=12)
+    assert counts == [120, 36] and max(counts) < jets._LAYERED_MIN_BATCH
+    assert got[1].samples == 12 * 12
+    assert _as_json(got) == _as_json(reference_check_covariance(scn, "p2", cfg, 15, 12))
+
+
+def test_one_rescaled_context_per_conformal_check(monkeypatch):
+    counts = _rescaled_batches(monkeypatch)
+    verify.check_q_law(parse_scenario("GRAPH(T2_IN_T3)"), "ext_q2", load_config({}), 16, pairs=3)
+    assert counts == [4 * 12]
+
+
+def test_draws_keep_their_rng_order(monkeypatch):
+    """Every coefficient is drawn before any context is built, in the order
+    of the per-draw loop: the control's trial function, then each factor
+    and its trial function."""
+    scn, seed, pairs = parse_scenario("GRAPH(T2_IN_T3)"), 17, 3
+    drawn = []
+    combination = verify._combination
+
+    def spy(basis, blocks, npoints):
+        drawn.append((basis, np.array(blocks)))
+        return combination(basis, blocks, npoints)
+
+    monkeypatch.setattr(verify, "_combination", spy)
+    verify.check_covariance(scn, "ext_p2", load_config({}), seed, pairs=pairs)
+    rng = np.random.default_rng(seed)
+    verify._points(scn, verify._npoints(scn.dim), rng)
+    fs, phis = [rng.uniform(-0.2, 0.2, len(scn.basis))], [np.zeros(len(scn.ambient_basis))]
+    for _ in range(pairs):
+        phis.append(rng.uniform(-0.2, 0.2, len(scn.ambient_basis)))
+        fs.append(rng.uniform(-0.2, 0.2, len(scn.basis)))
+    (phi_basis, phi_blocks), (f_basis, f_blocks) = drawn
+    assert phi_basis == scn.ambient_basis and f_basis == scn.basis
+    assert np.array_equal(phi_blocks, phis) and np.array_equal(f_blocks, fs)
