@@ -788,7 +788,7 @@ def _substitute(args, space, C):
     ``C[i]``, shape (nout,) or (nout, batch), holds the outers' coefficients
     of the i-th monomial in graded order, and each outer sums its terms in
     that order, by one contraction over the used monomials
-    (``BENCH_draw_batch.json``, "compose").
+    (``BENCH_draw_batch.json``, "passes").
 
     When every arg has ``_LAYERED_MIN_BATCH`` points or more, an offset
     whose coefficients have the same bits at every point (a chart
