@@ -16,18 +16,30 @@ later.
 Scalar and tensor fields are closures fn(ctx, degree) wrapped in Field so
 results can be cached per context; the calculus combinators (differential,
 divergence, laplacian, hessian, traces and inner products) assemble fields
-into new fields without fixing a degree prematurely.  Tensors are nested
-lists of jets, always fully covariant; indices are raised explicitly with
-the inverse metric where needed.  An index contraction makes every entry
-of a tensor with one ``jets.dot_rows`` call, one row per entry (``dots``,
-``symmetric_dots``); ``covariant`` gives every Christoffel term a minus
-sign there, so no negated symbol is made.  Every module fills a symmetric
-tensor with ``symmetric``, takes first-kind Christoffel symbols from
-``christoffel_first`` and covariant derivatives from ``covariant``.
-``jet_values`` and ``jet_coeffs`` turn a tensor into one numpy array, batch
-axis last.
+into new fields without fixing a degree prematurely.  Tensors are always
+fully covariant; indices are raised explicitly with the inverse metric where
+needed, and a context raises a 2-tensor once however many inner products
+read it (``GeometryContext.raised``).
+
+The inverse metric and the Christoffel symbols of both kinds are
+``jets.Packed`` tensors: one (ncoeffs, components, batch) coefficient array
+each, with only the components the builder computes (the full n x n inverse
+that Gauss-Jordan produces, the symbols for i <= j), built by index tables
+cached per dimension (``full_layout``, ``christoffel_layout``,
+``symmetric_layout``).  Indexing one, t[i][j], gives jet views into its
+array, made once per tensor, so every other consumer (``hypersurface``,
+``operators``, the Field combinators, ``cli`` and ``verify``) still reads
+it as nested lists of jets, as it reads the metric, which stays nested.  A
+nested contraction makes every entry of a tensor with one ``jets.dot_rows``
+call, one row per entry (``dots``, ``symmetric_dots``); ``covariant`` gives
+every Christoffel term a minus sign there, so no negated symbol is made.
+Every module fills a symmetric nested tensor with ``symmetric``, takes
+first-kind Christoffel symbols from ``christoffel_first`` and covariant
+derivatives from ``covariant``.  ``jet_values`` and ``jet_coeffs`` turn a
+tensor into one numpy array, batch axis last.
 """
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -200,6 +212,39 @@ def upper(n):
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
+@functools.lru_cache(maxsize=None)
+def symmetric_layout(n):
+    """The ``jets.Packed`` layout of a symmetric n x n tensor: components
+    ``upper(n)``, each at [i][j] and [j][i]."""
+    pos = np.empty((n, n), dtype=np.intp)
+    for c, (i, j) in enumerate(upper(n)):
+        pos[i, j] = pos[j, i] = c
+    return jets.Layout(pos)
+
+
+@functools.lru_cache(maxsize=None)
+def full_layout(n):
+    """The ``jets.Packed`` layout of an n x n matrix, its entries row by row."""
+    return jets.Layout(np.arange(n * n).reshape(n, n))
+
+
+@functools.lru_cache(maxsize=None)
+def christoffel_layout(n):
+    """The ``jets.Packed`` layout of Christoffel symbols [k][i][j], symmetric
+    in i and j: component k * n(n+1)/2 + c for the c-th pair of ``upper(n)``."""
+    pos = symmetric_layout(n).pos
+    return jets.Layout(np.arange(n)[:, None, None] * (n * (n + 1) // 2) + pos)
+
+
+def pack_symmetric(entries):
+    """A symmetric n x n nested jet tensor as one ``jets.Packed`` tensor at
+    its lowest degree."""
+    n = len(entries)
+    flat = [entries[i][j] for i, j in upper(n)]
+    space = min((j.space for j in flat), key=lambda sp: sp.degree)
+    return jets.pack(space, flat, symmetric_layout(n))
+
+
 def symmetric(n, entry):
     """The n x n nested list with ``entry(i, j)`` at [i][j] and [j][i] for
     i <= j, called row by row."""
@@ -222,16 +267,38 @@ def symmetric_dots(n, row):
     return symmetric(n, lambda i, j: v[i, j])
 
 
+@functools.lru_cache(maxsize=None)
+def _christoffel_table(n):
+    """The three partials each first-kind symbol (l, i <= j) sums, as indices
+    into the metric partials var * n(n+1)/2 + pair."""
+    pos, P = symmetric_layout(n).pos, n * (n + 1) // 2
+    rows = [(i * P + pos[l, j], j * P + pos[l, i], l * P + pos[i, j])
+            for l in range(n) for i, j in upper(n)]
+    return tuple(np.array(c) for c in zip(*rows))
+
+
 def christoffel_first(g1):
-    """Christoffel symbols of the first kind, one degree below the metric jets
-    ``g1``: G[l][i][j] = Gamma_{l,ij} = (d_i g_lj + d_j g_li - d_l g_ij) / 2.
-    The metric is symmetric, so each partial is taken for i <= j only."""
+    """Christoffel symbols of the first kind, one degree below the metric
+    ``g1``, packed: G[l][i][j] = Gamma_{l,ij} = (d_i g_lj + d_j g_li - d_l g_ij) / 2.
+    The metric is symmetric, so each partial is taken for i <= j only, one
+    gather per variable (``jets.Packed.partials``)."""
+    g1 = pack_symmetric(g1)
     n = len(g1)
-    dg = [symmetric(n, lambda i, j: g1[i][j].partial(k)) for k in range(n)]
-    return [
-        symmetric(n, lambda i, j: (dg[i][l][j] + dg[j][l][i] - dg[l][i][j]) * 0.5)
-        for l in range(n)
-    ]
+    P = n * (n + 1) // 2
+    dg = g1.partials([range(P)] * n)
+    a, b, c = _christoffel_table(n)
+    d, u = dg.coeffs, dg.narrow()
+
+    def values(k, w):
+        v = d[:, a[k], :w] + d[:, b[k], :w]
+        v -= d[:, c[k], :w]
+        v *= 0.5
+        return v
+
+    G = jets.empty(d.shape[0], n * P, d.shape[2])
+    narrow = u[a] & u[b] & u[c]
+    jets.fill(G, narrow, values)
+    return jets.Packed(dg.space, G, g1.batch, christoffel_layout(n), narrow)
 
 
 def covariant(T, ga, cidx):
@@ -257,7 +324,7 @@ def covariant(T, ga, cidx):
 
 
 def _truncate_any(obj, d):
-    if isinstance(obj, jets.Jet):
+    if isinstance(obj, (jets.Jet, jets.Packed)):
         return obj.truncate(d)
     if isinstance(obj, (list, tuple)):
         return type(obj)(_truncate_any(x, d) for x in obj)
@@ -316,6 +383,7 @@ class GeometryContext:
         self.degree_cap = degree_cap
         self.plan = plan
         self._cache = {}
+        self._raised = {}
 
     @property
     def dim(self):
@@ -357,6 +425,18 @@ class GeometryContext:
             self.plan[key] = d
         return out
 
+    def raised(self, T, d):
+        """g^-1 T of a 2-tensor field T at degree d, made once per context
+        and tensor however many fields contract it.  The key is the tensor
+        T returns, a cached result that every field reading the same
+        quantity shares; it is held with its raised form, so that its id
+        stays its own."""
+        gi, X = self.ginv(d), T(self, d)
+        hit = self._raised.get((id(X), d))
+        if hit is None or hit[0] is not X:
+            hit = self._raised[id(X), d] = (X, _matmul(gi, X))
+        return hit[1]
+
     def coords(self, d):
         if d > self.degree_cap:
             raise DegreeExhaustedError(
@@ -384,14 +464,23 @@ class GeometryContext:
         """Christoffel symbols of the second kind, gamma[k][i][j] = g^kl Gamma_{l,ij}."""
 
         def build(dd):
-            n = self.dim
             G = christoffel_first(self.g(dd + 1))
-            gi = self.ginv(dd)
-            kij = ((k, i, j) for k in range(n) for i, j in upper(n))
-            v = dots(kij, lambda k, i, j: (gi[k], [G[l][i][j] for l in range(n)], None))
-            return [symmetric(n, lambda i, j: v[k, i, j]) for k in range(n)]
+            xi, yi = _gamma_table(self.dim)
+            out = jets.contract(self.ginv(dd), xi, G, yi)
+            return out.laid_out(christoffel_layout(self.dim))
 
         return self.get("gamma", d, build)
+
+
+@functools.lru_cache(maxsize=None)
+def _gamma_table(n):
+    """Rows (k, i <= j) of gamma = g^kl Gamma_{l,ij}: the g^kl and the
+    Gamma_{l,ij} of l = 0 .. n-1."""
+    P = n * (n + 1) // 2
+    rows = [(k, c) for k in range(n) for c in range(P)]
+    xi = np.array([[k * n + l for l in range(n)] for k, c in rows])
+    yi = np.array([[l * P + c for l in range(n)] for k, c in rows])
+    return xi, yi
 
 
 class MetricContext(GeometryContext):
@@ -406,7 +495,9 @@ class MetricContext(GeometryContext):
 
 
 def _invert_spd(gmat, ctx, d):
-    """Gauss-Jordan over the jet ring; returns the inverse.
+    """Gauss-Jordan over the jet ring; returns the inverse, a packed n x n
+    matrix (``full_layout``), of the nested symmetric matrix ``gmat`` at
+    degree d.
 
     No pivoting: for a positive-definite matrix every pivot is a ratio of
     leading principal minors, so positivity of the pivots IS the positivity
@@ -414,25 +505,33 @@ def _invert_spd(gmat, ctx, d):
     polar-chart metrics are legitimately tiny near coordinate poles.  A
     component beyond the float range is refused first, as it would read as a
     non-positive pivot.
+
+    The augmented matrix [g | 1] is one coefficient array.  Each step scales
+    the pivot row as row * ip and eliminates row i as row_i - f * row, f its
+    entry in the pivot column, skipping an f that is zero at every
+    coefficient; every entry's product is the jet product it would be
+    alone (``jets.mul_entries``), and the difference a subtraction.
     """
-    n = len(gmat)
-    for i in range(n):
-        for j in range(i, n):
-            finite = np.atleast_1d(np.isfinite(gmat[i][j].coeffs).all(axis=0))
-            if not finite.all():
-                raise SingularFieldError(
-                    f"metric components at {ctx.describe_point(int(np.argmin(finite)))} "
-                    "exceed the float range"
-                )
+    g = pack_symmetric(gmat)
+    n = len(g)
+    finite = np.isfinite(g.coeffs).all(axis=0)
+    if not finite.all():
+        bad = int(np.argmin(finite.all(axis=1)))
+        raise SingularFieldError(
+            f"metric components at {ctx.describe_point(int(np.argmin(finite[bad])))} "
+            "exceed the float range"
+        )
     sp = jets.jet_space(ctx.dim, d)
-    a = [list(row) for row in gmat]
-    inv = [
-        [jets.constant(sp, 1.0 if i == j else 0.0) for j in range(n)] for i in range(n)
-    ]
+    nc, B = sp.ncoeffs, g.coeffs.shape[2]
+    pos = symmetric_layout(n).pos
+    a = np.zeros((n, 2 * n, nc, B)).transpose(2, 0, 1, 3)  # each entry contiguous
+    a[:, :, :n] = g.coeffs[:nc, pos]
+    a[0, range(n), range(n, 2 * n)] = 1.0
+    uniform = np.ones((n, 2 * n), bool)  # the entries that are constants
+    uniform[:, :n] = g.narrow()[pos]
+    diag = np.abs(a[0, range(n), range(n)])
     for k in range(n):
-        piv = a[k][k]
-        pv = np.atleast_1d(piv.value)
-        base = np.atleast_1d(np.abs(gmat[k][k].value))
+        pv, base = a[0, k, k], diag[k]
         bad = (pv <= 0.0) | (pv <= _PIVOT_RTOL * base)
         if np.any(bad):
             b = int(np.argmax(bad))
@@ -440,18 +539,23 @@ def _invert_spd(gmat, ctx, d):
                 f"metric is not positive definite at {ctx.describe_point(b)}: "
                 f"pivot {k + 1} is {pv[b]:.4e} against diagonal {base[b]:.4e}"
             )
-        ip = jets.recip(piv)
-        a[k] = [x * ip for x in a[k]]
-        inv[k] = [x * ip for x in inv[k]]
+        narrow = g.batch is None or uniform[k, k]
+        ip = jets.recip(jets.Jet(sp, a[:, k, k, 0] if narrow else a[:, k, k]))
+        uniform[k] &= narrow
+        a[:, k] = jets.mul_entries(sp, a[:, k], ip.coeffs.reshape(nc, 1, -1), uniform[k])
         for i in range(n):
             if i == k:
                 continue
-            f = a[i][k]
-            if not np.any(f.coeffs):
+            f = a[:, i, k : k + 1]
+            if not np.any(f):
                 continue  # structural zero, common for diagonal metrics
-            a[i] = [a[i][j] - f * a[k][j] for j in range(n)]
-            inv[i] = [inv[i][j] - f * inv[k][j] for j in range(n)]
-    return inv
+            both = uniform[i, k] & uniform[k]
+            a[:, i] -= jets.mul_entries(sp, f, a[:, k], both)
+            uniform[i] &= both
+    inv = jets.empty(nc, n * n, B)
+    for i in range(n):
+        inv[:, i * n : (i + 1) * n] = a[:, i, n:]
+    return jets.Packed(sp, inv, g.batch, full_layout(n), uniform[:, n:].ravel())
 
 
 # ---- fields ----------------------------------------------------------------
@@ -638,8 +742,7 @@ def inner22(S, T):
     """Full contraction g^{ik} g^{jl} S_ij T_kl, i.e. trace(g^-1 S g^-1 T)."""
 
     def fn(ctx, d):
-        su = _matmul(ctx.ginv(d), S(ctx, d))
-        tu = _matmul(ctx.ginv(d), T(ctx, d))
+        su, tu = ctx.raised(S, d), ctx.raised(T, d)
         return jets.dot(_flat(su), _flat(zip(*tu)))
 
     return Field(0, fn)
@@ -664,7 +767,7 @@ def trace_cube(T):
 
     def fn(ctx, d):
         n = ctx.dim
-        up = _matmul(ctx.ginv(d), T(ctx, d))
+        up = ctx.raised(T, d)
         cube = _matmul(_matmul(up, up), up)
         return sum((cube[i][i] for i in range(1, n)), cube[0][0])
 

@@ -35,6 +35,19 @@ is mended where its sum holds -0: by a left-out +0 term, or else by making
 the left-out products after all.  The sum keeps the loop's bits, sign of
 zero included (``BENCH_vanishing_terms.json``).
 
+The jets of a whole tensor can be one ``Packed`` coefficient array
+(ncoeffs, components, batch), holding only the components its builder
+makes; its entries are jet views into the array, made once.  ``contract``
+computes the rows of a contraction from two packed tensors and integer
+tables of their components: below ``_LAYERED_MIN_BATCH`` points it gathers
+the operands straight from the arrays into ``_dot_core``, the stacked
+product and accumulate that ``dot_rows`` feeds with stacked nested rows; from
+there on each row goes to ``_dot_layered`` on the tensors' views.
+``mul_entries`` makes one product per entry of such arrays by the kernel a
+jet product would take.  A component that is the same at every point (a
+constant) is marked uniform: its view is unbatched and its work is done at
+one point, as for an unbatched jet.
+
 Composition substitutes inner jets into a stack of outer Taylor polynomials:
 the monomials of the inner offsets are built once, one product each, and
 every outer is a coefficient sum against them.  The elementary functions
@@ -317,29 +330,41 @@ def _stack_plan(space, B, m):
     return max(1, products // m), min(m, products)
 
 
+def _dot_core(space, X, Y, S, step):
+    """The sums of stacked rows below ``_LAYERED_MIN_BATCH`` points, as
+    (ncoeffs, rows, B): X and Y (ncoeffs, rows, terms, B) hold each row's
+    operands, X already carrying the terms' signs, and S (ncoeffs, rows, B)
+    their starts or is None.  One gather and one reduceat make the products
+    of ``step`` terms at a time; one accumulate adds each row's in order,
+    after its start.  ``dot_rows`` stacks nested rows into it and
+    ``contract`` gathers packed ones."""
+    nc, r, m, B = X.shape
+    I, J, starts, _, _ = space.mul_table()
+    k = int(S is not None)
+    terms = np.empty((nc, r, k + m, B))
+    if k:
+        terms[:, :, 0] = S
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        P = X[:, :, lo:hi][I]
+        P *= Y[:, :, lo:hi][J]
+        np.add.reduceat(P, starts, axis=0, out=terms[:, :, k + lo : k + hi])
+    np.add.accumulate(terms, axis=2, out=terms)
+    return terms[:, :, -1]
+
+
 def _dot_stacked(space, B, rows, k, mixed, negate):
     """The rows' sums below ``_LAYERED_MIN_BATCH`` points, as (len(rows),
     ncoeffs, B): the operands are stacked (ncoeffs, rows, terms, B), the xs
-    marked in ``negate`` negated as they are stacked, one gather and one
-    reduceat make the products, one accumulate adds each row's in order,
-    after its start if k is 1."""
+    marked in ``negate`` negated as they are stacked, and summed by
+    ``_dot_core``, after each row's start if k is 1."""
     nc, r, m = space.ncoeffs, len(rows), (len(rows[0]) - k) // 2
-    I, J, starts, _, _ = space.mul_table()
-    terms = np.empty((nc, r, k + m, B))
-    if k:
-        terms[:, :, 0] = _stack([cs[0] for cs in rows], nc, B, mixed)
-    step = _stack_plan(space, B, m)[1]
-    for lo in range(k, k + m, step):
-        hi = min(lo + step, k + m)
-        xs = [c for cs in rows for c in cs[lo:hi]]
-        ys = [c for cs in rows for c in cs[m + lo : m + hi]]
-        X = _stack(xs, nc, B, mixed, negate[lo - k : hi - k]).reshape(nc, r, hi - lo, B)
-        Y = _stack(ys, nc, B, mixed).reshape(nc, r, hi - lo, B)
-        P = X[I]
-        P *= Y[J]
-        np.add.reduceat(P, starts, axis=0, out=terms[:, :, lo:hi])
-    np.add.accumulate(terms, axis=2, out=terms)
-    return terms[:, :, -1].transpose(1, 0, 2).copy()
+    X = _stack([c for cs in rows for c in cs[k : k + m]], nc, B, mixed, negate)
+    Y = _stack([c for cs in rows for c in cs[k + m :]], nc, B, mixed)
+    S = _stack([cs[0] for cs in rows], nc, B, mixed) if k else None
+    sums = _dot_core(space, X.reshape(nc, r, m, B), Y.reshape(nc, r, m, B), S,
+                     _stack_plan(space, B, m)[1])
+    return sums.transpose(1, 0, 2).copy()
 
 
 def _finite(checks, c):
@@ -478,6 +503,257 @@ def dot(xs, ys, start=None, negate=None):
     against an all-finite one makes no product where the loop's bits do
     not need it.  The one-row case of ``dot_rows``."""
     return dot_rows([(xs, ys, start)], negate)[0]
+
+
+class Packed(list):
+    """The jets of one tensor as one coefficient array.
+
+    ``coeffs`` has shape (ncoeffs, components, batch), or (ncoeffs,
+    components, 1) with ``batch`` None when no component varies from point to
+    point.  ``uniform``, None or a boolean per component, marks the
+    components that hold the same coefficients at every point, as an
+    unbatched jet (a constant) does; they are broadcast over the batch.
+    ``views`` holds one jet per component, a view into ``coeffs``, made
+    once; a uniform component's view is unbatched, as the jet it stands for
+    would be.  A ``Layout`` places the components in the tensor; with one
+    the list holds the nested entries, so ``t[i][j]`` indexes the tensor as
+    nested jets do.  Without one the list is empty.
+    """
+
+    __slots__ = ("space", "coeffs", "batch", "layout", "uniform", "_views")
+
+    def __init__(self, space, coeffs, batch, layout=None, uniform=None):
+        super().__init__()
+        self.space, self.coeffs, self.batch, self.layout = space, coeffs, batch, layout
+        self.uniform = uniform if batch is not None and uniform is not None and uniform.any() else None
+        self._views = None
+        if layout is not None:
+            self.extend(layout.nest(self.views, space))
+
+    @property
+    def views(self):
+        if self._views is None:
+            c = self.coeffs
+            narrow = self.narrow().tolist() if self.batch else [True] * c.shape[1]
+            self._views = [Jet(self.space, c[:, k, 0] if n else c[:, k]) for k, n in enumerate(narrow)]
+        return self._views
+
+    def laid_out(self, layout):
+        """The same components placed by ``layout``."""
+        return Packed(self.space, self.coeffs, self.batch, layout, self.uniform)
+
+    def narrow(self):
+        """``uniform`` as a boolean per component, all False for None."""
+        return np.zeros(self.coeffs.shape[1], bool) if self.uniform is None else self.uniform
+
+    def truncate(self, d):
+        """The same tensor at degree d: a prefix slice of ``coeffs``."""
+        if d == self.space.degree:
+            return self
+        if d > self.space.degree:
+            raise DegreeExhaustedError(
+                f"cannot extend a degree-{self.space.degree} tensor to degree {d}"
+            )
+        space = jet_space(self.space.nvars, d)
+        return Packed(space, self.coeffs[: space.ncoeffs], self.batch, self.layout, self.uniform)
+
+    def partials(self, wanted):
+        """The first partials of the components ``wanted[var]`` along each
+        var, one gather per variable, as one ``Packed`` tensor without a
+        layout, in that order: bit for bit ``Jet.partial`` of each
+        component's jet."""
+        if self.space.degree == 0:
+            raise DegreeExhaustedError(
+                "cannot differentiate a degree-0 jet; request a higher working degree"
+            )
+        space = jet_space(self.space.nvars, self.space.degree - 1)
+        out = empty(space.ncoeffs, sum(map(len, wanted)), self.coeffs.shape[2])
+        narrow, lo = [], 0
+        for var, comps in enumerate(wanted):
+            src, fac = self.space.partial_table(var)
+            comps = np.asarray(comps, dtype=np.intp)
+            narrow.append(self.narrow()[comps])
+            fill(out[:, lo : lo + len(comps)], narrow[-1],
+                 lambda k, w: self.coeffs[src[:, None], comps[k], :w] * fac[:, None, None])
+            lo += len(comps)
+        return Packed(space, out, self.batch, uniform=np.concatenate(narrow))
+
+
+def fill(out, narrow, values):
+    """out[:, k] = values(k, w) for the components k of ``out``, an (ncoeffs,
+    components, batch) array, a block at a time (``_blocks``): a component
+    marked in ``narrow`` holds the same coefficients at every point and is
+    made at one point (w = 1) and broadcast; the others at all of them."""
+    nc, _, B = out.shape
+    for width, sel in ((B, np.flatnonzero(~narrow)), (1, np.flatnonzero(narrow))):
+        for s in _blocks(len(sel), nc * width):
+            k = sel[s]
+            if len(k) == 1:  # a view of the component, not a scatter
+                out[:, k[0]] = values(k, width)[:, 0]
+            else:
+                out[:, k] = values(k, width)
+
+
+class Layout:
+    """Where the components of a ``Packed`` tensor sit: the entry at index
+    ix is ``sign[ix]`` times component ``pos[ix]``, or +0 where ``pos[ix]``
+    is -1 (``sign`` all +1 if omitted)."""
+
+    __slots__ = ("pos", "sign", "_negated", "_zero", "_recipe")
+
+    def __init__(self, pos, sign=None):
+        self.pos = pos
+        self.sign = np.ones_like(pos) if sign is None else sign
+        flat = list(zip(pos.ravel().tolist(), self.sign.ravel().tolist()))
+        count = int(pos.max()) + 1
+        self._negated = sorted({c for c, s in flat if c >= 0 and s < 0})
+        slot = {c: count + i for i, c in enumerate(self._negated)}
+        self._zero = any(c < 0 for c, _ in flat)
+        zero = count + len(self._negated)
+        self._recipe = [zero if c < 0 else c if s > 0 else slot[c] for c, s in flat]
+
+    def nest(self, views, space):
+        """The nested entries over the component views: a view, its negation
+        (one copy per component) or one constant zero."""
+        entries = views + [-views[c] for c in self._negated]
+        if self._zero:
+            entries.append(constant(space, 0.0))
+        flat = [entries[i] for i in self._recipe]
+        for size in reversed(self.pos.shape[1:]):
+            flat = [flat[i : i + size] for i in range(0, len(flat), size)]
+        return flat
+
+
+def pack(space, entries, layout=None):
+    """A ``Packed`` tensor of the jets ``entries``, one per component, in
+    ``space`` (a deeper entry is truncated to it)."""
+    nc, batch = space.ncoeffs, _batch_of(entries)
+    coeffs = empty(nc, len(entries), batch or 1)
+    for c, j in enumerate(entries):
+        coeffs[:, c] = j.coeffs[:nc].reshape(nc, -1)
+    return Packed(space, coeffs, batch, layout, np.array([j.batch is None for j in entries]))
+
+
+def _batch_of(tensors):
+    """The one batch size among jets or packed tensors, None if none has one."""
+    batches = {t.batch for t in tensors} - {None}
+    if len(batches) > 1:
+        raise JetError(f"batch sizes differ: {sorted(batches)}")
+    return batches.pop() if batches else None
+
+
+def mul_entries(space, ca, cb, narrow=None):
+    """The truncated products ca[:, e] * cb[:, e] of (ncoeffs, entries,
+    batch) coefficient arrays in ``space``, each by the kernel the product
+    of two jets would take, so bit for bit a jet product per entry; either
+    side may hold one entry or one point for all.  Below
+    ``_LAYERED_MIN_BATCH`` points one reduceat makes every entry's product;
+    from there on each entry is layered on its own, as one layered product
+    per whole array outgrows the cache.  The entries marked in ``narrow``
+    have operands that hold the same coefficients at every point; their
+    products are made at one point and broadcast."""
+    B = max(ca.shape[2], cb.shape[2])
+    if B < _LAYERED_MIN_BATCH:
+        return _cauchy_reduceat(space, ca, cb)
+    ea, eb = ca.shape[1] - 1, cb.shape[1] - 1
+    out = empty(space.ncoeffs, max(ea, eb) + 1, B)
+    for e in range(out.shape[1]):
+        x, y = ca[:, min(e, ea)], cb[:, min(e, eb)]
+        if narrow is not None and narrow[e]:
+            out[:, e] = _cauchy_reduceat(space, x[:, 0], y[:, 0])[:, None]
+        else:
+            out[:, e] = _cauchy_layered(space, x, y)
+    return out
+
+
+def _blocks(count, size):
+    """Consecutive slices of ``count`` components of ``size`` elements each,
+    each slice holding at most ``_STACK_ELEMENTS`` elements, or one
+    component: elementwise work on a whole tensor goes block by block, so
+    that at many points it reads and writes one jet at a time, as the
+    products of the layered kernel do."""
+    step = max(1, _STACK_ELEMENTS // size)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def empty(nc, count, B):
+    """An uninitialised (nc, count, B) coefficient array of ``count``
+    components, each one contiguous block, as a jet's coefficients are."""
+    return np.empty((count, nc, B)).transpose(1, 0, 2)
+
+
+def _source(tensors, nc, B, signed=False, zero=False):
+    """The components of ``tensors`` one after another, at ``nc``
+    coefficients and B points, then their negations if ``signed``, then one
+    +0 component if ``zero``, as one (nc, components, B) array to gather
+    from."""
+    parts = [np.broadcast_to(t.coeffs[:nc], (nc, t.coeffs.shape[1], B)) for t in tensors]
+    if signed:
+        parts += [-p for p in parts]
+    if zero:
+        parts.append(np.zeros((nc, 1, B)))
+    return np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
+
+
+def contract(x, xi, y, yi, start=None, negate=None):
+    """Rows r of start_r + sum_t x_(xi[r, t]) * y_(yi[r, t]), summed left to
+    right, bit for bit ``dot_rows`` of those rows of jets, as a ``Packed``
+    tensor with one component per row.
+
+    ``x`` and ``y`` are ``Packed`` tensors, or tuples of them whose
+    components are numbered one tensor after another; ``xi`` and ``yi`` are
+    (rows, terms) integer tables of component numbers, -1 for +0, which
+    only ``yi`` may hold.  ``negate``, a (rows, terms) boolean table or
+    None, marks the terms whose x coefficients are negated; ``start`` is a
+    ``Packed`` tensor of one component per row, or None.  The sums are at
+    the lowest degree among the operands.  A row whose operands are all
+    uniform is uniform too.
+
+    Below ``_LAYERED_MIN_BATCH`` points the operands are gathered straight
+    from the coefficient arrays, the negated x's from their negation, chunk
+    by chunk (``_stack_plan``), and summed by ``_dot_core``.  From there on
+    each row's terms are the tensors' views, and each row is layered on its
+    own with its vanishing terms left out (``_dot_layered``), as in
+    ``dot_rows``; a uniform row at one point."""
+    xs = x if isinstance(x, tuple) else (x,)
+    ys = y if isinstance(y, tuple) else (y,)
+    space = min((t.space for t in xs + ys), key=lambda sp: sp.degree)
+    if len({t.space.nvars for t in xs + ys}) > 1:
+        raise JetError("jets live over different variables")
+    batch = _batch_of(xs + ys + ((start,) if start is not None else ()))
+    nc, B = space.ncoeffs, batch or 1
+    R, m = xi.shape
+    xu = np.concatenate([t.narrow() for t in xs])
+    yu = np.concatenate([*(t.narrow() for t in ys), [True]])
+    narrow = (xu[xi] & yu[yi]).all(axis=1)
+    if start is not None:
+        narrow &= start.narrow()
+    out = empty(nc, R, B)
+    k = int(start is not None)
+    if B >= _LAYERED_MIN_BATCH:
+        zero = constant(space, 0.0)
+        xv = [v for t in xs for v in t.views]
+        yv = [v for t in ys for v in t.views] + [zero]
+        neg = [(False,) * m] * R if negate is None else negate.tolist()
+        memo = {}
+        for r, (xr, yr) in enumerate(zip(xi.tolist(), yi.tolist())):
+            xrow, yrow = [xv[i] for i in xr], [yv[i] for i in yr]
+            cs = [j.coeffs[:nc] for j in (*xrow, *yrow)]
+            gone = _vanishing(memo, xrow, yrow, cs)
+            if k:
+                cs.insert(0, start.views[r].coeffs[:nc])
+            out[:, r] = _dot_layered(space, 1 if narrow[r] else B, cs, k, neg[r], gone)
+        return Packed(space, out, batch, uniform=narrow)
+    X = _source(xs, nc, B, signed=negate is not None)
+    if negate is not None:
+        xi = np.where(negate, xi + sum(t.coeffs.shape[1] for t in xs), xi)
+    Y = _source(ys, nc, B, zero=bool((yi < 0).any()))
+    rows, step = _stack_plan(space, B, m)
+    for lo in range(0, R, rows):
+        sl = slice(lo, lo + rows)
+        S = np.broadcast_to(start.coeffs[:nc, sl], (nc, len(xi[sl]), B)) if k else None
+        out[:, sl] = _dot_core(space, X[:, xi[sl]], Y[:, yi[sl]], S, step)
+    return Packed(space, out, batch, uniform=narrow)
 
 
 def _common(a, b):
@@ -808,26 +1084,41 @@ def _substitute(args, space, C):
         w.append(Jet(space, c))
     batch = max([*C.shape[2:], *(n for b in args for n in b.coeffs.shape[1:])], default=0)
     C = C.reshape(C.shape[0], C.shape[1], -1)
+    parents = _monomial_parents(len(w), space.degree)
     used = C.any(axis=(1, 2)).tolist()  # monomials some outer has a coefficient for
-    out = np.zeros((C.shape[1], nc, batch or 1))
-    out[:, 0] = C[0]
-    mono = [None]  # the constant 1: grade-1 monomials are w itself
-    for i, (parent, j) in enumerate(_monomial_parents(len(w), space.degree), 1):
+    idx = [i for i in range(1, len(used)) if used[i]]
+    # the used monomials, one after another, written as they are made
+    M = np.empty((len(idx), nc, batch or 1))
+    slot = dict(zip(idx, range(len(idx))))
+    needed = used[:]  # a used monomial or the parent of a needed one
+    for i in range(len(parents), 0, -1):
+        needed[parents[i - 1][0]] = needed[parents[i - 1][0]] or needed[i]
+    mono = {}  # the monomials made, read as parents
+    for i, (parent, j) in enumerate(parents, 1):
+        if not needed[i]:
+            continue
         if parent == 0:
             m = w[j]
         elif narrow and mono[parent].batch is None and w[j].batch is None:
             m = Jet(space, _cauchy_layered(space, mono[parent].coeffs, w[j].coeffs))
         else:
             m = mono[parent] * w[j]
-        mono.append(m)
-    # a monomial's constant term is zero: coefficient 0 stays C[0]
-    idx = [i for i in range(1, len(mono)) if used[i]]
+        if used[i]:
+            M[slot[i]] = m.coeffs.reshape(nc, -1)
+            if m.batch is not None and parent:
+                m = Jet(space, M[slot[i]])  # the product's own array goes
+        mono[i] = m
+    out = np.empty((C.shape[1], nc, batch or 1))
     if idx:
-        shape = (nc - 1, batch or 1)
-        M = np.stack([np.broadcast_to(mono[i].coeffs[1:].reshape(nc - 1, -1), shape) for i in idx])
         # zeroes ``out`` and adds each outer's terms in monomial order, as a
-        # loop of += from +0 would
-        np.einsum("iop,icp->ocp", C[idx], M, out=out[:, 1:])
+        # loop of += from +0 would; a slice, not a copy, where every
+        # monomial is used
+        used_C = C[1 : len(idx) + 1] if idx[-1] == len(idx) else C[idx]
+        np.einsum("iop,icp->ocp", used_C, M, out=out)
+    else:
+        out.fill(0.0)
+    # a monomial's constant term is zero: coefficient 0 is C[0]
+    out[:, 0] = C[0]
     return out if batch else out[:, :, 0]
 
 

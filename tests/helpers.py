@@ -16,6 +16,7 @@ from extrinsicq import operators as ops
 from extrinsicq.geometry import (
     DegreePlan,
     Field,
+    MetricContext,
     divdiv,
     hessian,
     inner22,
@@ -445,6 +446,136 @@ def reference_weyl_norm_sq(ctx, d):
     return jets.dot(flat(up), flat(W))
 
 
+# ---- reference nested curvature builders ------------------------------------
+# The metric pipeline as it was built on nested lists of jets, one jet per
+# entry, before the builders packed each tensor into one coefficient array:
+# the Gauss-Jordan inverse entry by entry, the Christoffel symbols, Riemann,
+# Ricci, scal, J, Schouten, Weyl and |W|^2.  Each reads only the nested
+# metric (``reference_metric``) and the others here, so the packed builders
+# can be checked against it bit for bit.
+
+
+def reference_metric(ctx, d):
+    """The metric jets as the context's metric or embedding gives them."""
+    if isinstance(ctx, MetricContext):
+        return ctx.metric.evaluate(ctx.coords(d))
+    return hs._induced_metric(ctx, d)
+
+
+def reference_invert_spd(gmat, ctx, d):
+    n = len(gmat)
+    for i in range(n):
+        for j in range(i, n):
+            finite = np.atleast_1d(np.isfinite(gmat[i][j].coeffs).all(axis=0))
+            if not finite.all():
+                raise jets.SingularFieldError(
+                    f"metric components at {ctx.describe_point(int(np.argmin(finite)))} "
+                    "exceed the float range"
+                )
+    sp = jets.jet_space(ctx.dim, d)
+    a = [list(row) for row in gmat]
+    inv = [[jets.constant(sp, 1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        piv = a[k][k]
+        pv = np.atleast_1d(piv.value)
+        base = np.atleast_1d(np.abs(gmat[k][k].value))
+        bad = (pv <= 0.0) | (pv <= 1e-12 * base)
+        if np.any(bad):
+            b = int(np.argmax(bad))
+            raise jets.SingularFieldError(
+                f"metric is not positive definite at {ctx.describe_point(b)}: "
+                f"pivot {k + 1} is {pv[b]:.4e} against diagonal {base[b]:.4e}"
+            )
+        ip = jets.recip(piv)
+        a[k] = [x * ip for x in a[k]]
+        inv[k] = [x * ip for x in inv[k]]
+        for i in range(n):
+            if i == k:
+                continue
+            f = a[i][k]
+            if not np.any(f.coeffs):
+                continue
+            a[i] = [a[i][j] - f * a[k][j] for j in range(n)]
+            inv[i] = [inv[i][j] - f * inv[k][j] for j in range(n)]
+    return inv
+
+
+def _symmetric(n, entry):
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            out[i][j] = out[j][i] = entry(i, j)
+    return out
+
+
+def reference_christoffel_first(g1):
+    n = len(g1)
+    dg = [_symmetric(n, lambda i, j: g1[i][j].partial(k)) for k in range(n)]
+    return [
+        _symmetric(n, lambda i, j: (dg[i][l][j] + dg[j][l][i] - dg[l][i][j]) * 0.5)
+        for l in range(n)
+    ]
+
+
+def reference_nested(ctx, d):
+    """{name: nested tensor} of the reference builders at degree d: ginv,
+    gamma, riemann, ricci, scal, J, and from dimension 3 schouten, weyl and
+    weylnormsq, on the context's own nested metric."""
+    n = ctx.dim
+    zero = jets.constant(jets.jet_space(n, d), 0.0)
+    g = lambda dd: reference_metric(ctx, dd)  # noqa: E731
+    ginv = lambda dd: reference_invert_spd(g(dd), ctx, dd)  # noqa: E731
+    G = reference_christoffel_first(g(d + 1))
+    gi = ginv(d)
+    kij = [(k, i, j) for k in range(n) for i in range(n) for j in range(i, n)]
+    v = dict(zip(kij, jets.dot_rows((gi[k], [G[l][i][j] for l in range(n)], None)
+                                    for k, i, j in kij)))
+    ga = [_symmetric(n, lambda i, j: v[k, i, j]) for k in range(n)]
+
+    G1 = reference_christoffel_first(g(d + 2))
+    G0 = [[[x.truncate(d) for x in row] for row in plane] for plane in G1]
+
+    def row(i, j, k, l):
+        xs = [x for m in range(n) for x in (ga[m][j][k], ga[m][i][k])]
+        ys = [y for m in range(n) for y in (G0[m][i][l], G0[m][j][l])]
+        return xs, ys, G1[l][i][k].partial(j) - G1[l][j][k].partial(i)
+
+    quads = curvature.independent_components(n)
+    R = curvature._fill_curvature(
+        jets.dot_rows((row(*q) for q in quads), (False, True) * n), n, zero)
+    gi_flat = [x for r in gi for x in r]
+    up = [(a, b) for a in range(n) for b in range(a, n)]
+    v = dict(zip(up, jets.dot_rows(
+        (gi_flat, [R[a][k][b][l] for k in range(n) for l in range(n)], None) for a, b in up)))
+    ric = _symmetric(n, lambda a, b: v[a, b])
+    scal = jets.dot(gi_flat, [x for r in ric for x in r])
+    J = scal * (1.0 / (2.0 * (n - 1)))
+    out = {"ginv": gi, "gamma": ga, "riemann": R, "ricci": ric, "scal": scal, "J": J}
+    if n < 3:
+        return out
+    gd = g(d)
+    rho = [[(ric[i][j] - J * gd[i][j]) * (1.0 / (n - 2)) for j in range(n)] for i in range(n)]
+    kn = jets.dot_rows(
+        (([rho[i][k], gd[i][k], rho[i][l], gd[i][l]], [gd[j][l], rho[j][l], gd[j][k], rho[j][k]],
+          None) for i, j, k, l in quads),
+        (False, False, True, True),
+    )
+    W = curvature._fill_curvature(
+        [R[i][j][k][l] - p for (i, j, k, l), p in zip(quads, kn)], n, zero)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    P = len(pairs)
+    G2 = jets.dot_rows(
+        (([gi[i][a], gi[i][b]], [gi[j][b], gi[j][a]], None) for i, j in pairs for a, b in pairs),
+        (False, True),
+    )
+    GW = jets.dot_rows(
+        (G2[I * P : (I + 1) * P], [W[a][b][k][l] for a, b in pairs], None)
+        for I in range(P) for k, l in pairs
+    )
+    norm = jets.dot(GW, [GW[K * P + I] for I in range(P) for K in range(P)]) * 4.0
+    return out | {"schouten": rho, "weyl": W, "weylnormsq": norm}
+
+
 # ---- reference fourth-order integrand ----------------------------------------
 # Each field written out term by term, as one left-to-right sum: the forms
 # that operators.fourth_order_fields builds from shared constituents.
@@ -531,11 +662,13 @@ def reference_det(M):
 
 
 def count_products(monkeypatch):
-    """Count jet products from here on: each ``Jet * Jet`` and each term of
-    each row of a ``jets.dot_rows`` (so of a ``jets.dot``) adds one to
+    """Count jet products from here on: each ``Jet * Jet``, each term of
+    each row of a ``jets.dot_rows`` (so of a ``jets.dot``) or of a packed
+    ``jets.contract``, and each entry of a ``jets.mul_entries`` adds one to
     ``counter[0]`` of the returned one-item list."""
     counter = [0]
     mul, dot_rows = jets.Jet.__mul__, jets.dot_rows
+    contract, mul_entries = jets.contract, jets.mul_entries
 
     def counting_mul(self, other):
         counter[0] += isinstance(other, jets.Jet)
@@ -546,8 +679,18 @@ def count_products(monkeypatch):
             counter[0] += len(row[0])
             yield row
 
+    def counting_contract(x, xi, *args):
+        counter[0] += xi.size
+        return contract(x, xi, *args)
+
+    def counting_mul_entries(space, ca, cb, *args):
+        counter[0] += max(ca.shape[1], cb.shape[1])
+        return mul_entries(space, ca, cb, *args)
+
     monkeypatch.setattr(jets.Jet, "__mul__", counting_mul)
     monkeypatch.setattr(jets, "dot_rows", lambda rows, negate=None: dot_rows(counted(rows), negate))
+    monkeypatch.setattr(jets, "contract", counting_contract)
+    monkeypatch.setattr(jets, "mul_entries", counting_mul_entries)
     return counter
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from extrinsicq import curvature, jets
+from extrinsicq import hypersurface as hs
 from extrinsicq.geometry import (
     Axis,
     Chart,
@@ -26,6 +27,8 @@ from helpers import (
     count_products,
     jval,
     reference_dot,
+    reference_invert_spd,
+    reference_nested,
     reference_gamma,
     reference_riemann_first_kind,
     reference_weyl_negated_by_hand,
@@ -419,6 +422,7 @@ RIEMANN_PRODUCTS_5 = 2 * 5 * RIEMANN_COMPONENTS_5
 
 
 def test_riemann_build_product_count(monkeypatch):
+    # every product is a term of the packed contraction
     scn = parse_scenario("GRAPH(T4_IN_PERT_T5)")
     ctx = scn.context(rand_points(scn.chart, 4, 15)).ambient
     d = 1
@@ -431,14 +435,21 @@ def test_riemann_build_product_count(monkeypatch):
 
 
 def test_riemann_build_makes_one_dot_rows_call(monkeypatch):
+    # the packed builder's one call of the contraction core; no nested rows
     scn = parse_scenario("GRAPH(T4_IN_PERT_T5)")
     ctx = scn.context(rand_points(scn.chart, 4, 15)).ambient
     ctx.g(3)
     ctx.gamma(1)
-    calls, dot_rows = [], jets.dot_rows
-    monkeypatch.setattr(jets, "dot_rows", lambda rows, neg=None: calls.append(1) or dot_rows(rows, neg))
+    calls, contract, cores, core = [], jets.contract, [], jets._dot_core
+    monkeypatch.setattr(jets, "contract", lambda *args: calls.append(1) or contract(*args))
+    monkeypatch.setattr(jets, "_dot_core", lambda *args: cores.append(1) or core(*args))
+    monkeypatch.setattr(jets, "dot_rows", None)
     curvature.riemann(ctx, 1)
     assert len(calls) == 1
+    # 55 rows of 10 terms at 4 points and degree 1 (11 pairs a product):
+    # chunks of 37 rows keep each gather within 2**14 elements
+    assert jets._stack_plan(jets.jet_space(5, 1), 4, 10)[0] == 37
+    assert len(cores) == 2
 
 
 # the last is conformally flat, so there |W|^2 is rounding noise on both sides
@@ -466,3 +477,73 @@ def test_weyl_norm_product_count(monkeypatch):
     count = count_products(monkeypatch)
     curvature.weyl_norm_sq(ctx, 0)
     assert 0 < count[0] <= 400
+
+
+def _entries(t):
+    return [x for r in t for x in _entries(r)] if isinstance(t, list) else [t]
+
+
+def _assert_same_tensor(got, want, B, nc, name):
+    """Bit for bit, and each entry batched where the nested jet is."""
+    assert_same_bits(jet_coeffs(got, B, nc), jet_coeffs(want, B, nc))
+    got_b, want_b = [x.batch for x in _entries(got)], [x.batch for x in _entries(want)]
+    assert got_b == want_b, name
+
+
+# (scenario, its ambient context): constant and zero metric entries (FLAT_T4,
+# ROUND_S(4,1)), a dense one (PERT_T4), an embedded surface and its ambient
+@pytest.mark.parametrize("points", [1, 8, 127, 128, 353])
+@pytest.mark.parametrize(
+    "name, ambient",
+    [("PERT_T4", False), ("ROUND_S(4,1)", False), ("FLAT_T4", False),
+     ("GRAPH(T4_IN_PERT_T5)", False), ("GRAPH(T4_IN_PERT_T5)", True)],
+)
+def test_packed_builders_match_the_nested_reference(name, ambient, points):
+    # on both sides of the layered threshold, each packed tensor has the
+    # bits the nested builders gave, entry by entry
+    scn = parse_scenario(name)
+    surface = scn.context(rand_points(scn.chart, points, 31))
+    ctx = surface.ambient if ambient else surface
+    d = 1
+    nc = jets.jet_space(ctx.dim, d).ncoeffs
+    want = reference_nested(ctx, d)
+    got = {
+        "ginv": ctx.ginv(d), "gamma": ctx.gamma(d), "riemann": curvature.riemann(ctx, d),
+        "ricci": curvature.ricci(ctx, d), "scal": curvature.scal(ctx, d),
+        "J": curvature.jfun(ctx, d), "schouten": curvature.schouten(ctx, d),
+        "weyl": curvature.weyl(ctx, d), "weylnormsq": curvature.weyl_norm_sq(ctx, d),
+    }
+    assert set(want) == set(got)
+    for key in want:
+        _assert_same_tensor(got[key], want[key], points, nc, key)
+    if scn.kind == "embedded" and not ambient:
+        # the 5 x 5 ambient inverse along the surface
+        gbar = hs.ambient_metric_on_surface(surface, d)
+        _assert_same_tensor(hs.ambient_inverse_on_surface(surface, d),
+                            reference_invert_spd(gbar, surface, d), points, nc, "gbar_inv")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("points", [3, 200])
+@pytest.mark.parametrize(
+    "comps, message",
+    [
+        ({"g11": "1", "g22": "-1"}, "pivot 2 is -1.0000e+00"),
+        ({"g11": "sin(x1)", "g22": "1"}, "pivot 1 is"),
+        ({"g11": "1", "g22": "1", "g12": "1"}, "pivot 2 is 0.0000e+00"),
+        ({"g11": "exp(800*x1)", "g22": "1"}, "exceed the float range"),
+    ],
+)
+def test_packed_inverse_raises_the_nested_messages(comps, message, points):
+    from extrinsicq.geometry import _invert_spd
+
+    m = Metric.from_dict(torus_chart(2), comps)
+    pts = np.vstack([np.linspace(0.5, 6.0, points), np.full(points, 0.3)])
+    ctx = MetricContext(m, pts)
+    g = ctx.g(1)
+    with pytest.raises(jets.SingularFieldError) as want:
+        reference_invert_spd(g, ctx, 1)
+    with pytest.raises(jets.SingularFieldError) as got:
+        _invert_spd(g, ctx, 1)
+    assert message in str(want.value)
+    assert str(got.value) == str(want.value)

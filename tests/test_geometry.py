@@ -217,10 +217,20 @@ def test_hessian_and_divergence2_match_the_parent_forms(name, d):
 def test_christoffel_first_takes_each_metric_partial_once(monkeypatch):
     scn = parse_scenario("PERT_T5")
     g = scn.context(rand_points(scn.chart, 3, 5)).g(2)
-    calls, partial = [], jets.Jet.partial
-    monkeypatch.setattr(jets.Jet, "partial", lambda j, var: calls.append(var) or partial(j, var))
+    tables, table = [], jets.JetSpace.partial_table
+    shapes, partials = [], jets.Packed.partials
+
+    def recorded(t, wanted):
+        out = partials(t, wanted)
+        shapes.append(out.coeffs.shape)
+        return out
+
+    monkeypatch.setattr(jets.JetSpace, "partial_table",
+                        lambda sp, var: tables.append(var) or table(sp, var))
+    monkeypatch.setattr(jets.Packed, "partials", recorded)
     christoffel_first(g)
-    assert len(calls) == 5 * 5 * 6 // 2  # n^2 (n + 1) / 2 of the n^3 entries
+    assert len(shapes) == 1 and tables == [0, 1, 2, 3, 4]  # one gather per variable
+    assert shapes[0][1] == 5 * 5 * 6 // 2  # n^2 (n + 1) / 2 of the n^3 entries
 
 
 def test_sphere_christoffels_closed_form():

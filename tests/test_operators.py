@@ -518,6 +518,24 @@ def test_integrands_equal_their_term_by_term_references(name):
     assert np.max(np.abs(c - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def test_each_tensor_is_raised_once_per_context(monkeypatch):
+    # the total integrand reads 11 distinct products g^-1 X or X Y, made by
+    # 25 matrix products before each context kept g^-1 X; c_invariant 14 of 23
+    from extrinsicq import geometry
+
+    calls, matmul = [], geometry._matmul
+    monkeypatch.setattr(geometry, "_matmul", lambda A, B: calls.append((id(A), id(B))) or matmul(A, B))
+    for field, want in (
+        (ops.integrand_i1() + ops.integrand_i2() + ops.integrand_i3(), 11),
+        (ops.c_invariant(), 14),
+    ):
+        calls.clear()
+        scn = parse_scenario("GRAPH(T4_IN_PERT_T5)")
+        pts = np.stack([np.random.default_rng(33 + k).uniform(0.0, TAU, 4) for k in range(4)])
+        field(scn.context(pts), 0)
+        assert len(calls) == len(set(calls)) == want
+
+
 @pytest.mark.parametrize("name", _GRAPHS)
 def test_ads_decomposition_sums_to_the_integrand(name):
     total = graph_values(name, ops.integrand_i1() + ops.integrand_i2() + ops.integrand_i3())

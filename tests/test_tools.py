@@ -1,7 +1,9 @@
 """The scripts in tools/: compare_reports.py on small hand-made reports,
-products_by_build.py on one small chunk, and bench_draw_batch.py's row
-timings on this checkout."""
+products_by_build.py on one small chunk, bench_draw_batch.py's row timings
+on this checkout, and bench_pairs.py on stand-in perfbench runs and one
+side's builder timings."""
 
+import importlib.util
 import json
 import math
 import os
@@ -13,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "compare_reports.py"
 PRODUCTS = ROOT / "tools" / "products_by_build.py"
 DRAW_BATCH = ROOT / "tools" / "bench_draw_batch.py"
+PAIRS = ROOT / "tools" / "bench_pairs.py"
 
 
 def _report(rows):
@@ -154,8 +157,8 @@ def test_products_by_build_totals_a_second_context_on_the_plan():
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     first = lines[-3].split()
-    assert first[:3] == ["total", "1339", "14"]
-    assert lines[-1].startswith("second context on the same plan: 795 products, 7 series, ")
+    assert first[:3] == ["total", "1269", "14"]
+    assert lines[-1].startswith("second context on the same plan: 725 products, 7 series, ")
 
 
 def test_bench_draw_batch_times_the_nine_draw_rows():
@@ -168,3 +171,50 @@ def test_bench_draw_batch_times_the_nine_draw_rows():
     assert len(rows) == 9 and all(t > 0 for t in times.values())
     assert sum(1 for k in rows if k.startswith("check_c_invariance")) == 2
     assert math.isclose(times["sum"], sum(times[k] for k in rows), abs_tol=1e-3)
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", PAIRS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_alternates_sides_and_summarises(tmp_path, monkeypatch, capsys):
+    # perfbench stands in for itself: each run reports its side's run_s
+    bench = _bench_pairs()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir(), change.mkdir()
+    runs = []
+
+    def fake(tree, workload, seed, seconds, trace):
+        runs.append((Path(tree).name, workload, seed))
+        value = {"parent": 2.0, "change": 1.5}[Path(tree).name] + seed % 7 * 0.01
+        rss = 150.0 + 8.0 * (seed % 2)
+        metrics = {"run_s": value, "setup_s": 0.3, "peak_rss_mb": rss}
+        return {"correct": True, "failed": 0,
+                "metrics": {k: {"value": v} for k, v in metrics.items()}}
+
+    monkeypatch.setattr(bench, "perfbench", fake)
+    assert bench.main([str(parent), str(change), "--workloads", "paper-points,total-q4",
+                       "--pairs", "4", "--seed", "500", "--claim", "paper-points:run_s"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [r[0] for r in runs[:4]] == ["parent", "change", "change", "parent"]
+    row = out["end_to_end"]["paper-points"]
+    assert row["seeds"] == [500, 501, 502, 503] and out["end_to_end"]["total-q4"]["seeds"][0] == 600
+    assert row["run_s"]["change_lower_in"] == "4/4" and row["correct"] and row["failed"] == 0
+    assert row["run_s"]["median_change_over_parent"] < 1.0
+    assert row["peak_rss_mb"]["modes"]["parent"] == [[2, 150.0, 150.0], [2, 158.0, 158.0]]
+    assert out["claim"]["result"].startswith("met: ")
+
+
+def test_bench_pairs_times_each_builder_by_degree():
+    out = subprocess.run(
+        [sys.executable, str(PAIRS), "--builders-child", str(ROOT), "gauss-bonnet",
+         "invdet,riemann", "1"],
+        capture_output=True, text=True, check=True,
+    )
+    times = json.loads(out.stdout)
+    assert set(times) == {"invdet", "riemann", "sum", "pass_s"}
+    assert all(s > 0 for s in times["riemann"].values())
+    assert 0 < times["sum"] < times["pass_s"]

@@ -17,8 +17,9 @@ innermost ``GeometryContext.get`` build running when it is made, named by
 metric of an embedded scenario and ``metric`` otherwise (the ambient context
 of an embedded scenario, or an intrinsic one), and assembled operator fields
 share the key ``field``.  Each term of each row of a ``jets.dot_rows`` call
-(``jets.dot`` is its one-row case) counts as one product, and the time of the
-whole call is charged with it.  So does each monomial
+(``jets.dot`` is its one-row case) or of a ``jets.contract`` call counts as
+one product, and the time of the whole call is charged with it, as does each
+entry of a ``jets.mul_entries`` call.  So does each monomial
 product that ``jets.compose`` makes on one unbatched column, the only caller
 that hands ``jets._cauchy_layered`` a 1-d operand.  The terms that a row of
 128 points or more leaves out because their products vanish
@@ -76,6 +77,7 @@ def charge(field, ctx):
     table = defaultdict(lambda: [0, 0, 0.0, 0])
     stack = []
     get, mul, dot_rows = GeometryContext.get, jets.Jet.__mul__, jets.dot_rows
+    contract, mul_entries = jets.contract, jets.mul_entries
     layered, vanishing = jets._cauchy_layered, jets._vanishing
     series = {name: getattr(jets, name) for name in SERIES}
     funcs = dict(exprlang._FUNCS)
@@ -130,6 +132,12 @@ def charge(field, ctx):
 
         return counted(lambda: sum(lengths), dot_rows, each(rows), negate)
 
+    def counted_contract(x, xi, *args):
+        return counted(lambda: xi.size, contract, x, xi, *args)
+
+    def counted_mul_entries(space, ca, cb, *args):
+        return counted(lambda: max(ca.shape[1], cb.shape[1]), mul_entries, space, ca, cb, *args)
+
     def counted_layered(space, ca, cb):
         if ca.ndim != 1:  # a batched product, already counted by its caller
             return layered(space, ca, cb)
@@ -143,6 +151,7 @@ def charge(field, ctx):
     GeometryContext.get = traced_get
     jets.Jet.__mul__ = jets.Jet.__rmul__ = counted_mul
     jets.dot_rows = counted_dot_rows
+    jets.contract, jets.mul_entries = counted_contract, counted_mul_entries
     jets._cauchy_layered, jets._vanishing = counted_layered, counted_vanishing
     for name, fn in series.items():
         setattr(jets, name, counted_series(fn))
@@ -155,6 +164,7 @@ def charge(field, ctx):
         GeometryContext.get = get
         jets.Jet.__mul__ = jets.Jet.__rmul__ = mul
         jets.dot_rows = dot_rows
+        jets.contract, jets.mul_entries = contract, mul_entries
         jets._cauchy_layered, jets._vanishing = layered, vanishing
         for name, fn in series.items():
             setattr(jets, name, fn)
