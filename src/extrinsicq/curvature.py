@@ -115,15 +115,18 @@ def riemann(ctx, d):
         n = ctx.dim
         # first kind, G1[l][i][k] = Gamma_{l,ik} at degree dd + 1
         G1 = christoffel_first(ctx.g(dd + 2))
+        ga = ctx.gamma(dd)
         wanted, plus, minus, xi, yi, negate = _riemann_table(n)
-        dG = G1.partials(wanted)
-        d, u = dG.coeffs, dG.narrow()
-        start = jets.empty(d.shape[0], len(plus), d.shape[2])
-        narrow = u[plus] & u[minus]
-        jets.fill(start, narrow, lambda k, w: d[:, plus[k], :w] - d[:, minus[k], :w])
-        start = jets.Packed(dG.space, start, dG.batch, uniform=narrow)
-        del dG, d
-        comps = jets.contract(ctx.gamma(dd), xi, G1, yi, start, negate)
+        u = np.concatenate([G1.narrow()[c] for c in wanted])
+        narrow, space, B = u[plus] & u[minus], ga.space, G1.coeffs.shape[2]
+        start = jets.empty(space.ncoeffs, len(plus), B)
+        fixed = np.empty((space.ncoeffs, len(plus)))
+        for s in jets.point_blocks(B, space.ncoeffs * len(u)):
+            dG = G1.points(s).partials(wanted)
+            jets.fill(start[:, :, s], fixed, narrow,
+                      lambda k, w: dG.take(plus[k], w) - dG.take(minus[k], w))
+        start = jets.Packed(space, start, G1.batch, uniform=narrow, fixed=fixed)
+        comps = jets.contract(ga, xi, G1, yi, start, negate)
         return comps.laid_out(curvature_layout(n))
 
     return ctx.get("riemann", d, build)
@@ -188,8 +191,8 @@ def schouten(ctx, d):
         ric, J, g = ricci(ctx, dd), jfun(ctx, dd), pack_symmetric(ctx.g(dd))
         sp = ric.space
         both = g.narrow() & (J.batch is None)
-        rho = jets.mul_entries(sp, J.coeffs.reshape(sp.ncoeffs, 1, -1), g.coeffs, both)
-        np.subtract(ric.coeffs, rho, out=rho)
+        rho = jets.mul_entries(sp, J.coeffs.reshape(sp.ncoeffs, 1, -1), g.dense(), both)
+        np.subtract(ric.dense(), rho, out=rho)
         rho *= 1.0 / (n - 2)
         uniform = ric.narrow() & both
         return jets.Packed(sp, rho, ric.batch or g.batch, symmetric_layout(n), uniform)
@@ -260,8 +263,10 @@ def weyl(ctx, d):
         rho_g = (schouten(ctx, dd), pack_symmetric(ctx.g(dd)))
         xi, yi, negate = _weyl_table(n)
         kn = jets.contract(rho_g, xi, rho_g, yi, None, negate)
-        W = np.subtract(R.coeffs[: kn.space.ncoeffs], kn.coeffs, out=kn.coeffs)
-        uniform = R.narrow() & kn.narrow()
-        return jets.Packed(kn.space, W, R.batch or kn.batch, curvature_layout(n), uniform)
+        nc = kn.space.ncoeffs
+        return jets.filled(
+            kn.space, len(xi), R.batch or kn.batch, R.narrow() & kn.narrow(),
+            lambda k, w: R.take(k, w, slice(0, nc)) - kn.take(k, w), curvature_layout(n),
+        )
 
     return ctx.get("weyl", d, build)

@@ -281,24 +281,27 @@ def christoffel_first(g1):
     """Christoffel symbols of the first kind, one degree below the metric
     ``g1``, packed: G[l][i][j] = Gamma_{l,ij} = (d_i g_lj + d_j g_li - d_l g_ij) / 2.
     The metric is symmetric, so each partial is taken for i <= j only, one
-    gather per variable (``jets.Packed.partials``)."""
+    gather per variable (``jets.Packed.partials``), a block of points at a
+    time (``jets.point_blocks``)."""
     g1 = pack_symmetric(g1)
-    n = len(g1)
+    n, B = len(g1), g1.coeffs.shape[2]
     P = n * (n + 1) // 2
-    dg = g1.partials([range(P)] * n)
     a, b, c = _christoffel_table(n)
-    d, u = dg.coeffs, dg.narrow()
-
-    def values(k, w):
-        v = d[:, a[k], :w] + d[:, b[k], :w]
-        v -= d[:, c[k], :w]
-        v *= 0.5
-        return v
-
-    G = jets.empty(d.shape[0], n * P, d.shape[2])
+    u = np.tile(g1.narrow(), n)  # the partials of constants are constants
     narrow = u[a] & u[b] & u[c]
-    jets.fill(G, narrow, values)
-    return jets.Packed(dg.space, G, g1.batch, christoffel_layout(n), narrow)
+    space = jets.jet_space(n, g1.space.degree - 1)
+    G, fixed = jets.empty(space.ncoeffs, n * P, B), np.empty((space.ncoeffs, n * P))
+    for s in jets.point_blocks(B, space.ncoeffs * n * P):
+        dg = g1.points(s).partials([range(P)] * n)
+
+        def values(k, w):
+            v = dg.take(a[k], w) + dg.take(b[k], w)
+            v -= dg.take(c[k], w)
+            v *= 0.5
+            return v
+
+        jets.fill(G[:, :, s], fixed, narrow, values)
+    return jets.Packed(space, G, g1.batch, christoffel_layout(n), narrow, fixed)
 
 
 def covariant(T, ga, cidx):
@@ -514,18 +517,19 @@ def _invert_spd(gmat, ctx, d):
     """
     g = pack_symmetric(gmat)
     n = len(g)
-    finite = np.isfinite(g.coeffs).all(axis=0)
-    if not finite.all():
-        bad = int(np.argmin(finite.all(axis=1)))
-        raise SingularFieldError(
-            f"metric components at {ctx.describe_point(int(np.argmin(finite[bad])))} "
-            "exceed the float range"
-        )
+    for x in g.views:
+        finite = np.atleast_1d(np.isfinite(x.coeffs).all(axis=0))
+        if not finite.all():
+            raise SingularFieldError(
+                f"metric components at {ctx.describe_point(int(np.argmin(finite)))} "
+                "exceed the float range"
+            )
     sp = jets.jet_space(ctx.dim, d)
     nc, B = sp.ncoeffs, g.coeffs.shape[2]
     pos = symmetric_layout(n).pos
     a = np.zeros((n, 2 * n, nc, B)).transpose(2, 0, 1, 3)  # each entry contiguous
-    a[:, :, :n] = g.coeffs[:nc, pos]
+    for i, j in itertools.product(range(n), repeat=2):
+        a[:, i, j] = g.views[pos[i, j]].coeffs[:nc].reshape(nc, -1)
     a[0, range(n), range(n, 2 * n)] = 1.0
     uniform = np.ones((n, 2 * n), bool)  # the entries that are constants
     uniform[:, :n] = g.narrow()[pos]

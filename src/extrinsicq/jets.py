@@ -95,6 +95,14 @@ _LAYERED_MIN_BATCH = 128
 # at 2**15 against 2.42 s and 43.9 MB at 2**14 (10 pairs each, same parent).
 _STACK_ELEMENTS = 2**14
 
+# Largest block, in float64 elements, of the elementwise work on a packed
+# tensor (``fill``, ``point_blocks``): 2 MB, a few jets at a thousand points.
+# Taking the points of a thousand-point tensor a block at a time keeps its
+# intermediates near that size, not several times the tensor's: at 2**20,
+# gauss-bonnet's peak RSS read 80-81 MB, at 2**18 75-77 MB, against 70-71 MB
+# for nested jets (one process each, best of five passes).
+_BLOCK_ELEMENTS = 2**18
+
 # -0.0 is the one float64 whose bits, read as an int64, are the least int64
 _NEG_ZERO_BITS = np.iinfo(np.int64).min
 
@@ -512,20 +520,26 @@ class Packed(list):
     components, 1) with ``batch`` None when no component varies from point to
     point.  ``uniform``, None or a boolean per component, marks the
     components that hold the same coefficients at every point, as an
-    unbatched jet (a constant) does; they are broadcast over the batch.
-    ``views`` holds one jet per component, a view into ``coeffs``, made
-    once; a uniform component's view is unbatched, as the jet it stands for
-    would be.  A ``Layout`` places the components in the tensor; with one
-    the list holds the nested entries, so ``t[i][j]`` indexes the tensor as
-    nested jets do.  Without one the list is empty.
+    unbatched jet (a constant) does.  Their coefficients are ``fixed[:, c]``,
+    one point's, and their slots in ``coeffs`` are not read, so a constant
+    costs no more than an unbatched jet; ``take`` and ``dense`` read either
+    kind.  ``views`` holds one jet per component, a view into ``coeffs``, or
+    an unbatched one into ``fixed``, made once.  A ``Layout`` places the
+    components in the tensor; with one the list holds the nested entries, so
+    ``t[i][j]`` indexes the tensor as nested jets do.  Without one the list
+    is empty.
     """
 
-    __slots__ = ("space", "coeffs", "batch", "layout", "uniform", "_views")
+    __slots__ = ("space", "coeffs", "batch", "layout", "uniform", "fixed", "_views")
 
-    def __init__(self, space, coeffs, batch, layout=None, uniform=None):
+    def __init__(self, space, coeffs, batch, layout=None, uniform=None, fixed=None):
         super().__init__()
+        if batch is None or uniform is None or not uniform.any():
+            uniform = fixed = None
+        elif fixed is None:  # every slot holds its component
+            fixed = coeffs[:, :, 0]
         self.space, self.coeffs, self.batch, self.layout = space, coeffs, batch, layout
-        self.uniform = uniform if batch is not None and uniform is not None and uniform.any() else None
+        self.uniform, self.fixed = uniform, fixed
         self._views = None
         if layout is not None:
             self.extend(layout.nest(self.views, space))
@@ -533,18 +547,40 @@ class Packed(list):
     @property
     def views(self):
         if self._views is None:
-            c = self.coeffs
-            narrow = self.narrow().tolist() if self.batch else [True] * c.shape[1]
-            self._views = [Jet(self.space, c[:, k, 0] if n else c[:, k]) for k, n in enumerate(narrow)]
+            c = self.coeffs if self.batch else self.coeffs[:, :, 0]
+            narrow = self.narrow().tolist()
+            self._views = [Jet(self.space, self.fixed[:, k] if n else c[:, k])
+                           for k, n in enumerate(narrow)]
         return self._views
 
     def laid_out(self, layout):
         """The same components placed by ``layout``."""
-        return Packed(self.space, self.coeffs, self.batch, layout, self.uniform)
+        return Packed(self.space, self.coeffs, self.batch, layout, self.uniform, self.fixed)
 
     def narrow(self):
         """``uniform`` as a boolean per component, all False for None."""
         return np.zeros(self.coeffs.shape[1], bool) if self.uniform is None else self.uniform
+
+    def take(self, k, w, rows=slice(None)):
+        """The coefficients ``rows`` (a slice or an index array) of the
+        components ``k`` at w points, 1 or the batch, as (rows, len(k), w):
+        a uniform component's broadcast from its one point."""
+        r = rows if isinstance(rows, slice) else rows[:, None]
+        u = self.narrow()[k]
+        if u.all() and w == 1:
+            return self.fixed[r, k][..., None]
+        out = self.coeffs[r, k, :w]
+        if u.any():
+            out[:, u] = self.fixed[r, k[u]][..., None]
+        return out
+
+    def dense(self, nc=None):
+        """The first ``nc`` coefficients (all by default) of every component
+        at every point, as one (nc, components, batch) array."""
+        count, B = self.coeffs.shape[1:]
+        if self.uniform is None:
+            return self.coeffs[:nc]
+        return self.take(np.arange(count), B, slice(0, nc))
 
     def truncate(self, d):
         """The same tensor at degree d: a prefix slice of ``coeffs``."""
@@ -555,7 +591,15 @@ class Packed(list):
                 f"cannot extend a degree-{self.space.degree} tensor to degree {d}"
             )
         space = jet_space(self.space.nvars, d)
-        return Packed(space, self.coeffs[: space.ncoeffs], self.batch, self.layout, self.uniform)
+        nc = space.ncoeffs
+        fixed = None if self.fixed is None else self.fixed[:nc]
+        return Packed(space, self.coeffs[:nc], self.batch, self.layout, self.uniform, fixed)
+
+    def points(self, s):
+        """The same components at the points ``s`` (a slice), as views."""
+        coeffs = self.coeffs[:, :, s] if self.batch else self.coeffs
+        return Packed(self.space, coeffs, coeffs.shape[2] if self.batch else None,
+                      uniform=self.uniform, fixed=self.fixed)
 
     def partials(self, wanted):
         """The first partials of the components ``wanted[var]`` along each
@@ -567,31 +611,44 @@ class Packed(list):
                 "cannot differentiate a degree-0 jet; request a higher working degree"
             )
         space = jet_space(self.space.nvars, self.space.degree - 1)
-        out = empty(space.ncoeffs, sum(map(len, wanted)), self.coeffs.shape[2])
+        count = sum(map(len, wanted))
+        out, fixed = empty(space.ncoeffs, count, self.coeffs.shape[2]), np.empty((space.ncoeffs, count))
         narrow, lo = [], 0
         for var, comps in enumerate(wanted):
             src, fac = self.space.partial_table(var)
             comps = np.asarray(comps, dtype=np.intp)
             narrow.append(self.narrow()[comps])
-            fill(out[:, lo : lo + len(comps)], narrow[-1],
-                 lambda k, w: self.coeffs[src[:, None], comps[k], :w] * fac[:, None, None])
+            sl = slice(lo, lo + len(comps))
+            fill(out[:, sl], fixed[:, sl], narrow[-1],
+                  lambda k, w: self.take(comps[k], w, src) * fac[:, None, None])
             lo += len(comps)
-        return Packed(space, out, self.batch, uniform=np.concatenate(narrow))
+        return Packed(space, out, self.batch, uniform=np.concatenate(narrow), fixed=fixed)
 
 
-def fill(out, narrow, values):
+def fill(out, fixed, narrow, values):
     """out[:, k] = values(k, w) for the components k of ``out``, an (ncoeffs,
-    components, batch) array, a block at a time (``_blocks``): a component
+    components, batch) array, a block at a time (``_blocks``); a component
     marked in ``narrow`` holds the same coefficients at every point and is
-    made at one point (w = 1) and broadcast; the others at all of them."""
+    made at one point (w = 1) into ``fixed`` instead."""
     nc, _, B = out.shape
-    for width, sel in ((B, np.flatnonzero(~narrow)), (1, np.flatnonzero(narrow))):
-        for s in _blocks(len(sel), nc * width):
-            k = sel[s]
-            if len(k) == 1:  # a view of the component, not a scatter
-                out[:, k[0]] = values(k, width)[:, 0]
-            else:
-                out[:, k] = values(k, width)
+    for k in (np.flatnonzero(~narrow)[s] for s in _blocks(int((~narrow).sum()), nc * B)):
+        if len(k) == 1:  # a view of the component, not a scatter
+            out[:, k[0]] = values(k, B)[:, 0]
+        else:
+            out[:, k] = values(k, B)
+    k = np.flatnonzero(narrow)
+    if len(k):
+        fixed[:, k] = values(k, 1)[:, :, 0]
+
+
+def filled(space, count, batch, narrow, values, layout=None):
+    """The ``Packed`` tensor of ``count`` components in ``space`` whose
+    components k at w points (1 for those marked ``narrow``, else the
+    batch) are values(k, w), made a block at a time (``fill``)."""
+    out = empty(space.ncoeffs, count, batch or 1)
+    fixed = np.empty((space.ncoeffs, count))
+    fill(out, fixed, narrow, values)
+    return Packed(space, out, batch, layout, narrow, fixed)
 
 
 class Layout:
@@ -628,10 +685,14 @@ def pack(space, entries, layout=None):
     """A ``Packed`` tensor of the jets ``entries``, one per component, in
     ``space`` (a deeper entry is truncated to it)."""
     nc, batch = space.ncoeffs, _batch_of(entries)
-    coeffs = empty(nc, len(entries), batch or 1)
+    coeffs, fixed = empty(nc, len(entries), batch or 1), np.empty((nc, len(entries)))
+    uniform = np.array([j.batch is None for j in entries])
     for c, j in enumerate(entries):
-        coeffs[:, c] = j.coeffs[:nc].reshape(nc, -1)
-    return Packed(space, coeffs, batch, layout, np.array([j.batch is None for j in entries]))
+        if uniform[c] and batch is not None:
+            fixed[:, c] = j.coeffs[:nc]
+        else:
+            coeffs[:, c] = j.coeffs[:nc].reshape(nc, -1)
+    return Packed(space, coeffs, batch, layout, uniform, fixed)
 
 
 def _batch_of(tensors):
@@ -668,12 +729,20 @@ def mul_entries(space, ca, cb, narrow=None):
 
 def _blocks(count, size):
     """Consecutive slices of ``count`` components of ``size`` elements each,
-    each slice holding at most ``_STACK_ELEMENTS`` elements, or one
-    component: elementwise work on a whole tensor goes block by block, so
-    that at many points it reads and writes one jet at a time, as the
-    products of the layered kernel do."""
-    step = max(1, _STACK_ELEMENTS // size)
+    each slice holding at most ``_BLOCK_ELEMENTS`` elements, or one
+    component: elementwise work on a whole tensor goes block by block."""
+    step = max(1, _BLOCK_ELEMENTS // size)
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def point_blocks(B, size):
+    """Consecutive slices of B points, each holding at most
+    ``_BLOCK_ELEMENTS`` elements of ``size`` per point (one point at least).
+    Elementwise work whose intermediates are larger than its result goes a
+    block of points at a time, so that at a thousand points its
+    intermediates take no more than its result."""
+    step = max(1, _BLOCK_ELEMENTS // size)
+    return [slice(lo, min(lo + step, B)) for lo in range(0, B, step)]
 
 
 def empty(nc, count, B):
@@ -687,7 +756,7 @@ def _source(tensors, nc, B, signed=False, zero=False):
     coefficients and B points, then their negations if ``signed``, then one
     +0 component if ``zero``, as one (nc, components, B) array to gather
     from."""
-    parts = [np.broadcast_to(t.coeffs[:nc], (nc, t.coeffs.shape[1], B)) for t in tensors]
+    parts = [np.broadcast_to(t.dense(nc), (nc, t.coeffs.shape[1], B)) for t in tensors]
     if signed:
         parts += [-p for p in parts]
     if zero:
@@ -728,7 +797,7 @@ def contract(x, xi, y, yi, start=None, negate=None):
     narrow = (xu[xi] & yu[yi]).all(axis=1)
     if start is not None:
         narrow &= start.narrow()
-    out = empty(nc, R, B)
+    out, fixed = empty(nc, R, B), np.empty((nc, R))
     k = int(start is not None)
     if B >= _LAYERED_MIN_BATCH:
         zero = constant(space, 0.0)
@@ -742,17 +811,20 @@ def contract(x, xi, y, yi, start=None, negate=None):
             gone = _vanishing(memo, xrow, yrow, cs)
             if k:
                 cs.insert(0, start.views[r].coeffs[:nc])
-            out[:, r] = _dot_layered(space, 1 if narrow[r] else B, cs, k, neg[r], gone)
-        return Packed(space, out, batch, uniform=narrow)
+            if narrow[r]:
+                fixed[:, r] = _dot_layered(space, 1, cs, k, neg[r], gone)[:, 0]
+            else:
+                out[:, r] = _dot_layered(space, B, cs, k, neg[r], gone)
+        return Packed(space, out, batch, uniform=narrow, fixed=fixed)
     X = _source(xs, nc, B, signed=negate is not None)
     if negate is not None:
         xi = np.where(negate, xi + sum(t.coeffs.shape[1] for t in xs), xi)
     Y = _source(ys, nc, B, zero=bool((yi < 0).any()))
     rows, step = _stack_plan(space, B, m)
+    S = np.broadcast_to(start.dense(nc), (nc, R, B)) if k else None
     for lo in range(0, R, rows):
         sl = slice(lo, lo + rows)
-        S = np.broadcast_to(start.coeffs[:nc, sl], (nc, len(xi[sl]), B)) if k else None
-        out[:, sl] = _dot_core(space, X[:, xi[sl]], Y[:, yi[sl]], S, step)
+        out[:, sl] = _dot_core(space, X[:, xi[sl]], Y[:, yi[sl]], S[:, sl] if k else None, step)
     return Packed(space, out, batch, uniform=narrow)
 
 
