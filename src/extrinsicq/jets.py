@@ -100,7 +100,7 @@ _STACK_ELEMENTS = 2**14
 # Taking the points of a thousand-point tensor a block at a time keeps its
 # intermediates near that size, not several times the tensor's: at 2**20,
 # gauss-bonnet's peak RSS read 80-81 MB, at 2**18 75-77 MB, against 70-71 MB
-# for nested jets (one process each, best of five passes).
+# for nested jets (the maximum RSS of one process running six passes).
 _BLOCK_ELEMENTS = 2**18
 
 # -0.0 is the one float64 whose bits, read as an int64, are the least int64
