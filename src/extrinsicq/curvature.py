@@ -42,7 +42,7 @@ import functools
 import numpy as np
 
 from . import jets
-from .geometry import christoffel_first, full_layout, pack_symmetric, symmetric_layout, upper
+from .geometry import christoffel_first, contraction, pack_symmetric, symmetric_layout, upper
 from .jets import JetError
 
 
@@ -158,16 +158,10 @@ def ricci(ctx, d):
     return ctx.get("ricci", d, build)
 
 
-def _trace_table(n):
-    """The one row g^ij T_ij of a symmetric T."""
-    return full_layout(n).pos.reshape(1, -1), symmetric_layout(n).pos.reshape(1, -1)
-
-
 def scal(ctx, d):
     def build(dd):
         ric = ricci(ctx, dd)
-        xi, yi = _trace_table(ctx.dim)
-        return jets.contract(ctx.ginv(dd), xi, ric, yi).views[0]
+        return contraction("ij,ij->", ctx.ginv(dd), ric)
 
     return ctx.get("scal", d, build)
 
@@ -187,15 +181,9 @@ def schouten(ctx, d):
         raise JetError("the Schouten tensor needs dimension >= 3")
 
     def build(dd):
-        n = ctx.dim
-        ric, J, g = ricci(ctx, dd), jfun(ctx, dd), pack_symmetric(ctx.g(dd))
-        sp = ric.space
-        both = g.narrow() & (J.batch is None)
-        rho = jets.mul_entries(sp, J.coeffs.reshape(sp.ncoeffs, 1, -1), g.dense(), both)
-        np.subtract(ric.dense(), rho, out=rho)
-        rho *= 1.0 / (n - 2)
-        uniform = ric.narrow() & both
-        return jets.Packed(sp, rho, ric.batch or g.batch, symmetric_layout(n), uniform)
+        scale = 1.0 / (ctx.dim - 2)
+        return jets.mapped(lambda ric, Jg: (ric - Jg) * scale, ricci(ctx, dd),
+                           jets.times(jfun(ctx, dd), pack_symmetric(ctx.g(dd))))
 
     return ctx.get("schouten", d, build)
 

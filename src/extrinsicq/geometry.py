@@ -21,22 +21,25 @@ fully covariant; indices are raised explicitly with the inverse metric where
 needed, and a context raises a 2-tensor once however many inner products
 read it (``GeometryContext.raised``).
 
-The inverse metric and the Christoffel symbols of both kinds are
-``jets.Packed`` tensors: one (ncoeffs, components, batch) coefficient array
-each, with only the components the builder computes (the full n x n inverse
-that Gauss-Jordan produces, the symbols for i <= j), built by index tables
-cached per dimension (``full_layout``, ``christoffel_layout``,
-``symmetric_layout``).  Indexing one, t[i][j], gives jet views into its
-array, made once per tensor, so every other consumer (``hypersurface``,
-``operators``, the Field combinators, ``cli`` and ``verify``) still reads
-it as nested lists of jets, as it reads the metric, which stays nested.  A
-nested contraction makes every entry of a tensor with one ``jets.dot_rows``
-call, one row per entry (``dots``, ``symmetric_dots``); ``covariant`` gives
-every Christoffel term a minus sign there, so no negated symbol is made.
-Every module fills a symmetric nested tensor with ``symmetric``, takes
-first-kind Christoffel symbols from ``christoffel_first`` and covariant
-derivatives from ``covariant``.  ``jet_values`` and ``jet_coeffs`` turn a
-tensor into one numpy array, batch axis last.
+Tensors are ``jets.Packed``: one (ncoeffs, components, batch) coefficient
+array each, with only the components the builder computes (the full n x n
+inverse that Gauss-Jordan produces, the Christoffel symbols for i <= j, a
+symmetric result for i <= j), placed by a layout cached per dimension
+(``jets.dense_layout``, ``christoffel_layout``, ``symmetric_layout``).  The
+metric alone stays nested lists of jets as its expressions give them;
+``as_packed`` packs it, or any nested tensor a field returns.  Every
+contraction is one ``jets.contract`` whose tables are cached per spec and
+layouts: ``contraction`` writes them as einsum does ("ik,kj->ij"), and
+``covariant`` gives every Christoffel term a minus sign there, so no
+negated symbol is made.  Sums, differences and scalings of tensor fields
+are array operations (``jets.mapped``) and a scalar field times a tensor
+one product per entry (``jets.times``), bit for bit the jet operations
+entry by entry.  Indexing a packed tensor, t[i][j], gives jet views into its
+array, made when first read, so ``operators``, ``cli`` and ``verify`` read
+it as nested jets.  Every module takes first-kind Christoffel symbols from
+``christoffel_first`` and covariant derivatives from ``covariant``.
+``jet_values`` and ``jet_coeffs`` turn a tensor into one numpy array, batch
+axis last.
 """
 
 import functools
@@ -183,23 +186,41 @@ def conformal_rescale(metric, phi_text, columns=None):
     return Metric(metric.chart, texts, columns)
 
 
+def _leaves(tensor):
+    """(shape, jets) of a nested jet tensor, its entries row by row."""
+    shape, leaves = [], [tensor]
+    while isinstance(leaves[0], (list, tuple)):
+        shape.append(len(leaves[0]))
+        leaves = [x for row in leaves for x in row]
+    return shape, leaves
+
+
 def jet_coeffs(tensor, nbatch, ncoeffs):
-    """The first ``ncoeffs`` Taylor coefficients of a nested jet tensor as one array.
+    """The first ``ncoeffs`` Taylor coefficients of a jet tensor, nested or
+    packed, as one array.
 
     A rank-r tensor (a bare jet when r = 0) gives shape
     (ncoeffs, n_1, ..., n_r, nbatch); unbatched leaves are broadcast over the
     batch.  In the graded layout coefficient 0 is the value and coefficient
     1 + e the first partial along variable e.
     """
-    shape, leaves = [], [tensor]
-    while isinstance(leaves[0], (list, tuple)):
-        shape.append(len(leaves[0]))
-        leaves = [x for row in leaves for x in row]
+    shape, leaves = _leaves(tensor)
     cols = [
         np.broadcast_to(j.coeffs[:ncoeffs].reshape(ncoeffs, -1), (ncoeffs, nbatch))
         for j in leaves
     ]
     return np.stack(cols, axis=1).reshape(ncoeffs, *shape, nbatch)
+
+
+def as_packed(tensor):
+    """A tensor of rank 1 or more as a ``jets.Packed`` one: itself, or nested
+    lists of jets packed at their lowest degree, each entry a component
+    (``jets.dense_layout``)."""
+    if isinstance(tensor, jets.Packed):
+        return tensor
+    shape, leaves = _leaves(tensor)
+    space = min((j.space for j in leaves), key=lambda sp: sp.degree)
+    return jets.pack(space, leaves, jets.dense_layout(tuple(shape)))
 
 
 def jet_values(tensor, nbatch):
@@ -223,12 +244,6 @@ def symmetric_layout(n):
 
 
 @functools.lru_cache(maxsize=None)
-def full_layout(n):
-    """The ``jets.Packed`` layout of an n x n matrix, its entries row by row."""
-    return jets.Layout(np.arange(n * n).reshape(n, n))
-
-
-@functools.lru_cache(maxsize=None)
 def christoffel_layout(n):
     """The ``jets.Packed`` layout of Christoffel symbols [k][i][j], symmetric
     in i and j: component k * n(n+1)/2 + c for the c-th pair of ``upper(n)``."""
@@ -238,7 +253,9 @@ def christoffel_layout(n):
 
 def pack_symmetric(entries):
     """A symmetric n x n nested jet tensor as one ``jets.Packed`` tensor at
-    its lowest degree."""
+    its lowest degree; a packed one as it is."""
+    if isinstance(entries, jets.Packed):
+        return entries
     n = len(entries)
     flat = [entries[i][j] for i, j in upper(n)]
     space = min((j.space for j in flat), key=lambda sp: sp.degree)
@@ -254,17 +271,49 @@ def symmetric(n, entry):
     return out
 
 
-def dots(keys, row):
-    """{key: jets.dot(*row(*key))} for each of ``keys``, all from one
-    ``jets.dot_rows`` call; ``row`` gives (xs, ys, start)."""
-    keys = list(keys)
-    return dict(zip(keys, jets.dot_rows(row(*key) for key in keys)))
+@functools.lru_cache(maxsize=None)
+def _tables(spec, symmetric, xl, yl):
+    """The ``jets.contract`` tables (xi, yi, negate or None) of the
+    contraction ``spec`` of tensors laid out by xl and yl, and the layout of
+    its result (None for rank 0): see ``contraction``."""
+    ins, out = spec.split("->")
+    xs, ys = ins.split(",")
+    dims = dict(zip(xs, xl.pos.shape)) | dict(zip(ys, yl.pos.shape))
+    summed = [c for c in dict.fromkeys(xs + ys) if c not in out]
+    xi, yi, neg = [], [], []
+    for r in itertools.product(*(range(dims[c]) for c in out)):
+        if symmetric and list(r) != sorted(r):
+            continue
+        at, terms = dict(zip(out, r)), []
+        for t in itertools.product(*(range(dims[c]) for c in summed)):
+            at.update(zip(summed, t))
+            ix, iy = tuple(at[c] for c in xs), tuple(at[c] for c in ys)
+            if xl.pos[ix] >= 0 and yl.pos[iy] >= 0:
+                terms.append((xl.pos[ix], yl.pos[iy], (xl.sign[ix] < 0) != (yl.sign[iy] < 0)))
+        xi.append([t[0] for t in terms])
+        yi.append([t[1] for t in terms])
+        neg.append([t[2] for t in terms])
+    shape = tuple(dims[c] for c in out)
+    layout = symmetric_layout(shape[0]) if symmetric else jets.dense_layout(shape) if out else None
+    neg = np.array(neg, dtype=bool)
+    return np.array(xi, np.intp), np.array(yi, np.intp), (neg if neg.any() else None), layout
 
 
-def symmetric_dots(n, row):
-    """``symmetric(n, ...)`` of jets.dot(*row(i, j)), from one ``jets.dot_rows`` call."""
-    v = dots(upper(n), row)
-    return symmetric(n, lambda i, j: v[i, j])
+def contraction(spec, x, y, symmetric=False):
+    """The contraction ``spec`` of the tensors x and y (packed with
+    ``as_packed``) by one ``jets.contract``, written as for einsum:
+    "ab,ia->ib" is the rows (i, b), i outermost, each the sum over a of
+    X_ab t_ia.  The summed indices run in the order they first appear, the
+    last fastest; a term's sign is the product of its entries' signs, and a
+    term with an entry of no component (a zero of the layout) is left out.
+    With ``symmetric`` only the rows i <= j of a symmetric 2-tensor are
+    summed (``symmetric_layout``).  A result of rank 0 is a jet; others are
+    laid out entry by entry.  The tables are made once per spec and
+    layouts."""
+    x, y = as_packed(x), as_packed(y)
+    xi, yi, negate, layout = _tables(spec, symmetric, x.layout, y.layout)
+    out = jets.contract(x, xi, y, yi, None, negate)
+    return out.views[0] if layout is None else out.laid_out(layout)
 
 
 @functools.lru_cache(maxsize=None)
@@ -304,26 +353,40 @@ def christoffel_first(g1):
     return jets.Packed(space, G, g1.batch, christoffel_layout(n), narrow, fixed)
 
 
-def covariant(T, ga, cidx):
+@functools.lru_cache(maxsize=None)
+def _covariant_table(gl, tl, cidx, layout):
+    """(wanted, xi, yi, layout) of ``covariant`` over symbols laid out by gl
+    and a tensor by tl: the rows taken in ascending order of c, so that the
+    partials d_c T_idx (``wanted[c]``) come one gather per variable in row
+    order, and ``layout`` over the rows of cidx moved to that order."""
+    order = sorted(range(len(cidx)), key=lambda r: cidx[r][0])
+    rank = np.empty(len(order), np.intp)
+    rank[order] = np.arange(len(order))
+    wanted = [[] for _ in range(gl.pos.shape[0])]
+    xi, yi = [], []
+    for c, idx in (cidx[r] for r in order):
+        wanted[c].append(tl.pos[idx])
+        slots = [(e, s) for e in range(gl.pos.shape[0]) for s in range(len(idx))]
+        xi.append([gl.pos[e, c, idx[s]] for e, s in slots])
+        yi.append([tl.pos[idx[:s] + (e,) + idx[s + 1 :]] for e, s in slots])
+    return wanted, np.array(xi), np.array(yi), jets.Layout(rank[layout.pos], layout.sign)
+
+
+def covariant(T, ga, cidx, layout=None):
     """Components of a covariant derivative of a covariant tensor T,
     (nabla_c T)_idx = d_c T_idx - sum_e sum_s Gamma^e_{c idx_s} T_(idx, e in slot s),
-    one for each (c, idx) of ``cidx``, all from one ``jets.dot_rows``: in each
-    row e outermost, the slots of ``idx`` in order.  T is one degree deeper
-    than the symbols ``ga``."""
-
-    def at(ix):
-        x = T
-        for i in ix:
-            x = x[i]
-        return x
-
-    def row(c, idx):
-        slots = [(e, s) for e in range(len(ga)) for s in range(len(idx))]
-        xs = [ga[e][c][idx[s]] for e, s in slots]
-        ys = [at(idx[:s] + (e,) + idx[s + 1 :]) for e, s in slots]
-        return xs, ys, at(idx).partial(c)
-
-    return jets.dot_rows((row(c, idx) for c, idx in cidx), [True] * len(ga) * len(cidx[0][1]))
+    one for each (c, idx) of ``cidx``, from one ``jets.contract``, laid out
+    by ``layout`` over the rows (one entry per row by default): in each row
+    e outermost, the slots of ``idx`` in order, every term with a minus
+    sign.  T is one degree deeper than the symbols ``ga``; the partials
+    d_c T_idx are one gather per variable."""
+    T, cidx = as_packed(T), tuple(cidx)
+    if T.layout.zero or T.layout.negated:  # each entry a component of its own
+        T = jets.expanded(T)
+    wanted, xi, yi, layout = _covariant_table(ga.layout, T.layout, cidx,
+                                              layout or jets.dense_layout((len(cidx),)))
+    out = jets.contract(ga, xi, T, yi, T.partials(wanted), np.ones(xi.shape, bool))
+    return out.laid_out(layout)
 
 
 def _truncate_any(obj, d):
@@ -437,7 +500,7 @@ class GeometryContext:
         gi, X = self.ginv(d), T(self, d)
         hit = self._raised.get((id(X), d))
         if hit is None or hit[0] is not X:
-            hit = self._raised[id(X), d] = (X, _matmul(gi, X))
+            hit = self._raised[id(X), d] = (X, matrix_product(gi, X))
         return hit[1]
 
     def coords(self, d):
@@ -499,7 +562,7 @@ class MetricContext(GeometryContext):
 
 def _invert_spd(gmat, ctx, d):
     """Gauss-Jordan over the jet ring; returns the inverse, a packed n x n
-    matrix (``full_layout``), of the nested symmetric matrix ``gmat`` at
+    matrix (``jets.dense_layout``), of the symmetric matrix ``gmat`` at
     degree d.
 
     No pivoting: for a positive-definite matrix every pivot is a ratio of
@@ -559,7 +622,7 @@ def _invert_spd(gmat, ctx, d):
     inv = jets.empty(nc, n * n, B)
     for i in range(n):
         inv[:, i * n : (i + 1) * n] = a[:, i, n:]
-    return jets.Packed(sp, inv, g.batch, full_layout(n), uniform[:, n:].ravel())
+    return jets.Packed(sp, inv, g.batch, jets.dense_layout((n, n)), uniform[:, n:].ravel())
 
 
 # ---- fields ----------------------------------------------------------------
@@ -568,10 +631,12 @@ _field_uids = itertools.count()
 
 
 class Field:
-    """A rank-r tensor field as a closure fn(ctx, degree) -> nested jet lists.
+    """A rank-r tensor field as a closure fn(ctx, degree) -> a tensor of jets.
 
-    Rank 0 returns a bare jet.  Results are cached on the context under the
-    field's identity, so shared subexpressions evaluate once per degree.
+    Rank 0 returns a bare jet, higher ranks a ``jets.Packed`` tensor (or
+    nested lists of jets, which the combinators pack).  Results are cached on
+    the context under the field's identity, so shared subexpressions
+    evaluate once per degree.
     """
 
     __slots__ = ("rank", "fn", "_uid")
@@ -590,7 +655,7 @@ class Field:
         if other.rank != self.rank:
             raise JetError(f"rank mismatch: {self.rank} vs {other.rank}")
         return Field(
-            self.rank, lambda ctx, d: _emap2(op, self(ctx, d), other(ctx, d), self.rank)
+            self.rank, lambda ctx, d: entrywise(op, self.rank, self(ctx, d), other(ctx, d))
         )
 
     def __add__(self, other):
@@ -600,22 +665,20 @@ class Field:
         return self._zip(other, lambda a, b: a - b)
 
     def __neg__(self):
-        return Field(self.rank, lambda ctx, d: _emap(lambda a: -a, self(ctx, d), self.rank))
+        return Field(self.rank, lambda ctx, d: entrywise(lambda a: -a, self.rank, self(ctx, d)))
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return Field(
                 self.rank,
-                lambda ctx, d: _emap(lambda a: a * other, self(ctx, d), self.rank),
+                lambda ctx, d: entrywise(lambda a: a * other, self.rank, self(ctx, d)),
             )
         if isinstance(other, Field):
+            if self.rank == 0 and other.rank == 0:
+                return Field(0, lambda ctx, d: self(ctx, d) * other(ctx, d))
             if self.rank == 0:
-                return Field(
-                    other.rank,
-                    lambda ctx, d: _emap(
-                        lambda b: self(ctx, d) * b, other(ctx, d), other.rank
-                    ),
-                )
+                return Field(other.rank,
+                             lambda ctx, d: jets.times(self(ctx, d), as_packed(other(ctx, d))))
             if other.rank == 0:
                 return other.__mul__(self)
             raise JetError("tensor-tensor products need explicit index contractions")
@@ -624,16 +687,14 @@ class Field:
     __rmul__ = __mul__
 
 
-def _emap(fn, val, rank):
+def entrywise(fn, rank, *tensors):
+    """fn of the entries of tensors of one rank: of the jets themselves at
+    rank 0, else of the coefficient arrays of their packed forms
+    (``jets.mapped``), which gives the same bits for sums, differences and
+    scalings."""
     if rank == 0:
-        return fn(val)
-    return [_emap(fn, v, rank - 1) for v in val]
-
-
-def _emap2(fn, a, b, rank):
-    if rank == 0:
-        return fn(a, b)
-    return [_emap2(fn, x, y, rank - 1) for x, y in zip(a, b)]
+        return fn(*tensors)
+    return jets.mapped(fn, *map(as_packed, tensors))
 
 
 def expression_field(expr):
@@ -646,19 +707,12 @@ def constant_field(value):
 
 
 def metric_field():
-    return Field(2, lambda ctx, d: ctx.g(d))
+    return Field(2, lambda ctx, d: pack_symmetric(ctx.g(d)))
 
 
-def _matmul(A, B):
-    n = len(A)
-    prod = jets.dot_rows(
-        (A[i], [B[k][j] for k in range(n)], None) for i in range(n) for j in range(n)
-    )
-    return [prod[i * n : (i + 1) * n] for i in range(n)]
-
-
-def _flat(M):
-    return [x for row in M for x in row]
+def matrix_product(A, B):
+    """The matrix product A B of two 2-tensors, every entry its own row."""
+    return contraction("ik,kj->ij", A, B)
 
 
 # ---- calculus combinators --------------------------------------------------
@@ -669,7 +723,8 @@ def differential(f):
 
     def fn(ctx, d):
         j = f(ctx, d + 1)
-        return [j.partial(i) for i in range(ctx.dim)]
+        dj = jets.pack(j.space, [j]).partials([[0]] * ctx.dim)
+        return dj.laid_out(jets.dense_layout((ctx.dim,)))
 
     return Field(1, fn)
 
@@ -684,10 +739,10 @@ def divergence(w):
 
     def fn(ctx, d):
         n = ctx.dim
-        om = w(ctx, d + 1)
-        gi = _flat(ctx.ginv(d))
-        ga = ctx.gamma(d)
-        return jets.dot(gi, covariant(om, ga, [(i, (j,)) for i in range(n) for j in range(n)]))
+        om, gi = w(ctx, d + 1), ctx.ginv(d)
+        nabla = covariant(om, ctx.gamma(d), [(i, (j,)) for i in range(n) for j in range(n)],
+                          jets.dense_layout((n, n)))
+        return contraction("ij,ij->", gi, nabla)
 
     return Field(0, fn)
 
@@ -702,10 +757,8 @@ def hessian(f):
     def fn(ctx, d):
         n = ctx.dim
         j = f(ctx, d + 2)
-        dj = [j.partial(i) for i in range(n)]
-        ga = ctx.gamma(d)
-        v = dict(zip(upper(n), covariant(dj, ga, [(k, (i,)) for i, k in upper(n)])))
-        return symmetric(n, lambda i, k: v[i, k])
+        dj = jets.pack(j.space, [j]).partials([[0]] * n).laid_out(jets.dense_layout((n,)))
+        return covariant(dj, ctx.gamma(d), [(k, (i,)) for i, k in upper(n)], symmetric_layout(n))
 
     return Field(2, fn)
 
@@ -715,11 +768,10 @@ def divergence2(T):
 
     def fn(ctx, d):
         n = ctx.dim
-        t = T(ctx, d + 1)
-        gi = _flat(ctx.ginv(d))
-        ga = ctx.gamma(d)
-        nabla = covariant(t, ga, [(i, (k, j)) for j in range(n) for i in range(n) for k in range(n)])
-        return jets.dot_rows((gi, nabla[j * n * n : (j + 1) * n * n], None) for j in range(n))
+        t, gi = T(ctx, d + 1), ctx.ginv(d)
+        rows = [(i, (k, j)) for j in range(n) for i in range(n) for k in range(n)]
+        return contraction("ik,jik->j", gi, covariant(t, ctx.gamma(d), rows,
+                                                     jets.dense_layout((n, n, n))))
 
     return Field(1, fn)
 
@@ -732,12 +784,7 @@ def apply2(T, w):
     """Action of a covariant 2-tensor on a covector: (T w)_i = T_ij g^jk w_k."""
 
     def fn(ctx, d):
-        n = ctx.dim
-        t = T(ctx, d)
-        gi = ctx.ginv(d)
-        om = w(ctx, d)
-        raised = jets.dot_rows((gi[k], om, None) for k in range(n))
-        return jets.dot_rows((t[i], raised, None) for i in range(n))
+        return contraction("ik,k->i", T(ctx, d), contraction("kj,j->k", ctx.ginv(d), w(ctx, d)))
 
     return Field(1, fn)
 
@@ -746,8 +793,7 @@ def inner22(S, T):
     """Full contraction g^{ik} g^{jl} S_ij T_kl, i.e. trace(g^-1 S g^-1 T)."""
 
     def fn(ctx, d):
-        su, tu = ctx.raised(S, d), ctx.raised(T, d)
-        return jets.dot(_flat(su), _flat(zip(*tu)))
+        return contraction("ij,ji->", ctx.raised(S, d), ctx.raised(T, d))
 
     return Field(0, fn)
 
@@ -761,18 +807,17 @@ def square2(T):
 
     def fn(ctx, d):
         t = T(ctx, d)
-        return _matmul(_matmul(t, ctx.ginv(d)), t)
+        return matrix_product(matrix_product(t, ctx.ginv(d)), t)
 
     return Field(2, fn)
 
 
 def trace_cube(T):
-    """trace((g^-1 T)^3)."""
+    """trace((g^-1 T)^3), from the diagonal of (g^-1 T)^2 (g^-1 T)."""
 
     def fn(ctx, d):
-        n = ctx.dim
         up = ctx.raised(T, d)
-        cube = _matmul(_matmul(up, up), up)
-        return sum((cube[i][i] for i in range(1, n)), cube[0][0])
+        diagonal = contraction("ik,ki->i", matrix_product(up, up), up).views
+        return sum(diagonal[1:], diagonal[0])
 
     return Field(0, fn)

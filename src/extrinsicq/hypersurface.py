@@ -8,9 +8,16 @@ induced metric (so all intrinsic machinery applies unchanged) and also owns
 an ambient MetricContext whose jets are seeded along the image of the
 embedding.  Ambient quantities come across in two steps: curvature is
 computed as jets in the ambient variables, then composed with the embedding
-component jets to become jets in the surface variables.  The normal is
-contracted first: L comes from the Gauss formula -gbar(nu, nabla_i t_j), and
-nabla0_weyl_normal applies nu to each ambient tensor before the tangents.
+component jets to become jets in the surface variables, each packed tensor
+in its own layout (``jets.compose`` reads its coefficient array as it is).
+The normal is contracted first: L comes from the Gauss formula
+-gbar(nu, nabla_i t_j), and nabla0_weyl_normal applies nu to each ambient
+tensor before the tangents.
+
+Every builder returns a ``jets.Packed`` tensor (a jet for the scalars H and
+rhobar(nu, nu)), and every contraction is one ``geometry.contraction``: the
+tangents are one partial gather per variable, and a symmetric result is
+summed for i <= j only.
 
 The unit normal is built from the generalized cross product of the tangent
 frame (cofactor covector, raised with the ambient metric and normalized);
@@ -19,6 +26,7 @@ ambient component points upward and the standard spherical parametrization
 points outward, so round spheres get H = +1/r.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -29,14 +37,12 @@ from .geometry import (
     Field,
     GeometryContext,
     MetricContext,
-    _flat,
     _invert_spd,
+    christoffel_layout,
+    contraction,
     covariant,
-    dots,
-    jet_coeffs,
     jet_values,
-    symmetric,
-    symmetric_dots,
+    pack_symmetric,
     upper,
 )
 from .jets import DegreeExhaustedError, JetError
@@ -116,26 +122,26 @@ def iota_jets(sctx, d):
 
 
 def tangents(sctx, d):
-    """t[i][a] = d iota^a / dx^i."""
+    """t[i][a] = d iota^a / dx^i, one partial gather per variable."""
 
     def build(dd):
         io = iota_jets(sctx, dd + 1)
-        return [[io[a].partial(i) for a in range(len(io))] for i in range(sctx.dim)]
+        space = min((j.space for j in io), key=lambda sp: sp.degree)
+        t = jets.pack(space, io).partials([range(len(io))] * sctx.dim)
+        return t.laid_out(jets.dense_layout((sctx.dim, len(io))))
 
     return sctx.get("tangents", d, build)
 
 
 def ambient_metric_on_surface(sctx, d):
-    """The ambient metric components evaluated along the embedding."""
+    """The ambient metric components evaluated along the embedding, packed."""
     m = sctx.embedding.ambient_metric
-    return sctx.get("gbar", d, lambda dd: m.evaluate(iota_jets(sctx, dd)))
+    return sctx.get("gbar", d, lambda dd: pack_symmetric(m.evaluate(iota_jets(sctx, dd))))
 
 
 def ambient_inverse_on_surface(sctx, d):
-    def build(dd):
-        return _invert_spd(ambient_metric_on_surface(sctx, dd), sctx, dd)
-
-    return sctx.get("gbar_inv", d, build)
+    return sctx.get("gbar_inv", d,
+                    lambda dd: _invert_spd(ambient_metric_on_surface(sctx, dd), sctx, dd))
 
 
 def _induced_metric(sctx, d):
@@ -147,11 +153,33 @@ def _tangential(X, t):
     """The surface 2-tensor X_ab t_i^a t_j^b of a symmetric ambient 2-tensor X.
 
     One tangent is contracted first, Y_ib = X_ab t_i^a; the result is summed
-    for i <= j only and mirrored.
+    for i <= j only.
     """
-    n, na = len(t), len(X)
-    Y = jets.dot_rows((col, t[i], None) for i in range(n) for col in zip(*X))
-    return symmetric_dots(n, lambda i, j: (Y[i * na : (i + 1) * na], t[j], None))
+    return contraction("ib,jb->ij", contraction("ab,ia->ib", X, t), t, symmetric=True)
+
+
+@functools.lru_cache(maxsize=None)
+def _minor_table(n, size):
+    """The ``jets.contract`` tables of the minors of ``size`` of the last
+    ``size`` rows of an n x (n + 1) matrix t (components i (n + 1) + c), one
+    row per column set S in lexicographic order: t[n - size][S_j] times the
+    minor of S without S_j, every second term negated.  Those minors are t's
+    last row at size 2, else the rows of the call for size - 1."""
+    below = {S: r for r, S in enumerate(itertools.combinations(range(n + 1), size - 1))}
+    keys = list(itertools.combinations(range(n + 1), size))
+    xi = [[(n - size) * (n + 1) + c for c in S] for S in keys]
+    yi = [[(n - 1) * (n + 1) + S[1 - j] if size == 2 else below[S[:j] + S[j + 1 :]]
+           for j in range(size)] for S in keys]
+    return np.array(xi), np.array(yi), np.tile(np.arange(size) % 2 == 1, (len(keys), 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _minor_layout(n, signed=False):
+    """The maximal minors of an n x (n + 1) matrix, made in lexicographic
+    order of their columns, placed by the column a each leaves out; signed,
+    the cofactors: negated where n + a is odd."""
+    a = np.arange(n + 1)
+    return jets.Layout(n - a, np.where((n + a) % 2 * signed, -1, 1))
 
 
 def _maximal_minors(t):
@@ -159,18 +187,12 @@ def _maximal_minors(t):
     a-th without column a.  Each is expanded along its first row, into the
     entries, every second one negated, dotted with the minors of the rows
     below; a minor of the last L rows on columns S is made once however many
-    minors hold it, and all of one size by one ``jets.dot_rows`` call."""
-    n = len(t)
-    det = {(c,): t[n - 1][c] for c in range(n + 1)}
+    minors hold it, and all of one size by one ``jets.contract`` call."""
+    n, det = len(t), t
     for size in range(2, n + 1):
-        top, below = t[n - size], det
-        keys = list(itertools.combinations(range(n + 1), size))
-        rows = (
-            ([top[c] for c in S], [below[S[:j] + S[j + 1 :]] for j in range(size)], None)
-            for S in keys
-        )
-        det = dict(zip(keys, jets.dot_rows(rows, [j % 2 == 1 for j in range(size)])))
-    return [det[tuple(c for c in range(n + 1) if c != a)] for a in range(n + 1)]
+        xi, yi, negate = _minor_table(n, size)
+        det = jets.contract(t, xi, det, yi, None, negate)
+    return det.laid_out(_minor_layout(n))
 
 
 def normal(sctx, d):
@@ -178,40 +200,45 @@ def normal(sctx, d):
 
     def build(dd):
         n = sctx.dim
-        na = n + 1
-        t = tangents(sctx, dd)
-        cof = [-m if (n + a) % 2 else m for a, m in enumerate(_maximal_minors(t))]
-        gbi = ambient_inverse_on_surface(sctx, dd)
-        raised = jets.dot_rows((gbi[a], cof, None) for a in range(na))
-        norm_sq = jets.dot(raised, cof)
-        scale = jets.recip(jets.sqrt(norm_sq)) * sctx.embedding.sigma
-        return [scale * raised[a] for a in range(na)]
+        cof = _maximal_minors(tangents(sctx, dd)).laid_out(_minor_layout(n, signed=True))
+        raised = contraction("ab,b->a", ambient_inverse_on_surface(sctx, dd), cof)
+        scale = jets.recip(jets.sqrt(contraction("b,b->", raised, cof))) * sctx.embedding.sigma
+        return jets.times(scale, raised)
 
     return sctx.get("normal", d, build)
 
 
 def pulled_christoffel(sctx, d):
     """Ambient Christoffel symbols composed with the embedding."""
-    return sctx.get("gammabar", d, lambda dd: _pull_symmetric(sctx, sctx.ambient.gamma(dd), dd))
+    return sctx.get("gammabar", d, lambda dd: pull(sctx, sctx.ambient.gamma(dd), dd))
+
+
+@functools.lru_cache(maxsize=None)
+def _frame_partials(n, na):
+    """(wanted, layout): the tangent components (j, a), j >= i, to
+    differentiate along each i, and the layout [i][j][a] of those partials
+    (no component for j < i)."""
+    wanted = [[j * na + a for j in range(i, n) for a in range(na)] for i in range(n)]
+    pos = np.full((n, n, na), -1)
+    pos[np.triu_indices(n)] = np.arange(n * (n + 1) // 2 * na).reshape(-1, na)
+    return wanted, jets.Layout(pos)
 
 
 def second_fundamental(sctx, d):
     """L_ij = gbar(nabla_i nu, t_j) by the Gauss formula, as gbar(nu, t_j) = 0:
     L_ij = -nu_a (d_i t_j^a + Gammabar^a_bc t_i^b t_j^c), with nu at degree d,
-    nu_a Gammabar^a_bc contracted once, and i <= j summed and mirrored."""
+    nu_a Gammabar^a_bc contracted once, and i <= j summed."""
 
     def build(dd):
-        n = sctx.dim
-        na = n + 1
-        dt = tangents(sctx, dd + 1)
+        n, na = sctx.dim, sctx.dim + 1
+        wanted, layout = _frame_partials(n, na)
+        dt = tangents(sctx, dd + 1).partials(wanted).laid_out(layout)
         nu = normal(sctx, dd)
-        gb = ambient_metric_on_surface(sctx, dd)
-        gab = pulled_christoffel(sctx, dd)
-        nu_low = jets.dot_rows((gb[a], nu, None) for a in range(na))
-        P = symmetric_dots(na, lambda b, c: (nu_low, [gab[a][b][c] for a in range(na)], None))
+        nu_low = contraction("ab,b->a", ambient_metric_on_surface(sctx, dd), nu)
+        P = contraction("a,abc->bc", nu_low, pulled_christoffel(sctx, dd), symmetric=True)
         Pt = _tangential(P, tangents(sctx, dd))
-        S = dots(upper(n), lambda i, j: (nu_low, [dt[j][a].partial(i) for a in range(na)], None))
-        return symmetric(n, lambda i, j: -(S[i, j] + Pt[i][j]))
+        S = contraction("a,ija->ij", nu_low, dt, symmetric=True)
+        return jets.mapped(lambda s, p: -(s + p), S, Pt)
 
     return sctx.get("second_fundamental", d, build)
 
@@ -220,67 +247,45 @@ def mean_curvature(sctx, d):
     """H = (1/n) h^{ij} L_ij."""
 
     def build(dd):
-        n = sctx.dim
         L = second_fundamental(sctx, dd)
-        hi = sctx.ginv(dd)
-        return jets.dot(_flat(hi), _flat(L)) * (1.0 / n)
+        return contraction("ij,ij->", sctx.ginv(dd), L) * (1.0 / sctx.dim)
 
     return sctx.get("mean_curvature", d, build)
 
 
 def tracefree_second_fundamental(sctx, d):
-    def build(dd):
-        n = sctx.dim
-        L = second_fundamental(sctx, dd)
-        H = mean_curvature(sctx, dd)
-        h = sctx.g(dd)
-        return [[L[i][j] - H * h[i][j] for j in range(n)] for i in range(n)]
-
-    return sctx.get("tracefree_L", d, build)
+    """Lo = L - H h."""
+    return sctx.get("tracefree_L", d, lambda dd: jets.mapped(
+        lambda a, b: a - b, second_fundamental(sctx, dd),
+        jets.times(mean_curvature(sctx, dd), sctx.g(dd))))
 
 
-def pull(sctx, ambient_jets, d):
-    """Compose a list of ambient-variable jets with the embedding at surface degree d."""
-    return jets.compose(ambient_jets, iota_jets(sctx, d))
-
-
-def _pull_symmetric(sctx, T, d):
-    """Pull back T[k][a][b], symmetric in its last two ambient indices: the
-    entries with a <= b are read, and all are pulled in one call."""
-    na = sctx.dim + 1
-    kab = [(k, a, b) for k in range(len(T)) for a in range(na) for b in range(a, na)]
-    out = [[[None] * na for _ in range(na)] for _ in T]
-    for (k, a, b), p in zip(kab, pull(sctx, [T[k][a][b] for k, a, b in kab], d)):
-        out[k][a][b] = out[k][b][a] = p
-    return out
+def pull(sctx, T, d):
+    """Compose the packed ambient-variable tensor T with the embedding at
+    surface degree d, in T's layout."""
+    return jets.compose(T, iota_jets(sctx, d))
 
 
 def pulled_schouten(sctx, d):
     """Ambient Schouten tensor along the surface, ambient indices."""
-    return sctx.get(
-        "rhobar",
-        d,
-        lambda dd: _pull_symmetric(sctx, [curvature.schouten(sctx.ambient, dd)], dd)[0],
-    )
+    return sctx.get("rhobar", d, lambda dd: pull(sctx, curvature.schouten(sctx.ambient, dd), dd))
 
 
 def _pulled_curvature(sctx, tensor, d):
     """An ambient curvature-type 4-tensor composed with the embedding."""
-    na = sctx.dim + 1
-    T = tensor(sctx.ambient, d)
-    comps = pull(sctx, [T[i][j][k][l] for i, j, k, l in curvature.independent_components(na)], d)
-    return curvature._fill_curvature(comps, na, jets.constant(jets.jet_space(sctx.dim, d), 0.0))
+    return pull(sctx, tensor(sctx.ambient, d), d)
 
 
 def pulled_weyl(sctx, d):
     """Ambient Weyl tensor along the surface, ambient indices."""
-
     return sctx.get("weylbar", d, lambda dd: _pulled_curvature(sctx, curvature.weyl, dd))
 
 
 def _normal_squared(nu):
     """The products nu^a nu^b, as [a][b]."""
-    return [[x * y for y in nu] for x in nu]
+    na = len(nu)
+    a = np.arange(na)
+    return jets.products(nu, np.repeat(a, na), nu, np.tile(a, na), jets.dense_layout((na, na)))
 
 
 def rho_bar_nn(sctx, d):
@@ -288,62 +293,45 @@ def rho_bar_nn(sctx, d):
 
     def build(dd):
         rb = pulled_schouten(sctx, dd)
-        nu = normal(sctx, dd)
-        return jets.dot(_flat(rb), _flat(_normal_squared(nu)))
+        return contraction("ab,ab->", rb, _normal_squared(normal(sctx, dd)))
 
     return sctx.get("rhobar_nn", d, build)
 
 
 def rho_bar_tangential(sctx, d):
     """The pullback iota* rhobar as a surface 2-tensor."""
-
-    def build(dd):
-        rb = pulled_schouten(sctx, dd)
-        return _tangential(rb, tangents(sctx, dd))
-
-    return sctx.get("rhobar_tt", d, build)
+    return sctx.get("rhobar_tt", d,
+                    lambda dd: _tangential(pulled_schouten(sctx, dd), tangents(sctx, dd)))
 
 
 def _covector(Y, sctx, d):
     """The surface covector Y_b t_i^b of an ambient covector Y."""
-    t = tangents(sctx, d)
-    return jets.dot_rows((Y, t[i], None) for i in range(sctx.dim))
+    return contraction("b,ib->i", Y, tangents(sctx, d))
 
 
 def rho_bar_normal_tangential(sctx, d):
     """rhobar(nu, t_i) as a surface covector."""
 
     def build(dd):
-        na = sctx.dim + 1
         rb = pulled_schouten(sctx, dd)
-        nu = normal(sctx, dd)
-        Y = jets.dot_rows((nu, [rb[a][b] for a in range(na)], None) for b in range(na))
-        return _covector(Y, sctx, dd)
+        return _covector(contraction("a,ab->b", normal(sctx, dd), rb), sctx, dd)
 
     return sctx.get("rhobar_nt", d, build)
 
 
 def _normal_tt(sctx, T, d):
     """The surface 2-tensor T(nu, t_i, t_j, nu) of an ambient curvature-type
-    4-tensor T, which vanishes for a = b or c = e.  X_bc = T(nu, b, c, nu) is
-    symmetric, as T_abce = T_ecba, so it is summed for b <= c and mirrored."""
-    na = sctx.dim + 1
+    4-tensor T, whose entries for a = b or c = e have no component and are
+    left out.  X_bc = T(nu, b, c, nu) is symmetric, as T_abce = T_ecba, so
+    it is summed for b <= c."""
     nn = _normal_squared(normal(sctx, d))
-
-    def row(b, c):
-        ae = [(a, e) for a in range(na) for e in range(na) if a != b and e != c]
-        return [nn[a][e] for a, e in ae], [T[a][b][c][e] for a, e in ae], None
-
-    return _tangential(symmetric_dots(na, row), tangents(sctx, d))
+    return _tangential(contraction("ae,abce->bc", nn, T, symmetric=True), tangents(sctx, d))
 
 
 def normal_riemann(sctx, d):
     """The 2-tensor Rbar(nu, t_i, t_j, nu) of normal ambient curvature."""
-
-    def build(dd):
-        return _normal_tt(sctx, _pulled_curvature(sctx, curvature.riemann, dd), dd)
-
-    return sctx.get("normal_riemann", d, build)
+    return sctx.get("normal_riemann", d, lambda dd: _normal_tt(
+        sctx, _pulled_curvature(sctx, curvature.riemann, dd), dd))
 
 
 def normal_weyl(sctx, d):
@@ -355,17 +343,11 @@ def fialkow(sctx, d):
     """iota* rhobar - rho + H Lo + (1/2) H^2 h; needs surface dimension >= 3."""
 
     def build(dd):
-        n = sctx.dim
-        rt = rho_bar_tangential(sctx, dd)
-        rho = curvature.schouten(sctx, dd)
+        rt, rho = rho_bar_tangential(sctx, dd), curvature.schouten(sctx, dd)
         H = mean_curvature(sctx, dd)
-        Lo = tracefree_second_fundamental(sctx, dd)
-        h = sctx.g(dd)
-        HH = H * H * 0.5
-        return [
-            [rt[i][j] - rho[i][j] + H * Lo[i][j] + HH * h[i][j] for j in range(n)]
-            for i in range(n)
-        ]
+        HLo = jets.times(H, tracefree_second_fundamental(sctx, dd))
+        return jets.mapped(lambda a, b, c, e: a - b + c + e, rt, rho, HLo,
+                           jets.times(H * H * 0.5, sctx.g(dd)))
 
     return sctx.get("fialkow", d, build)
 
@@ -375,12 +357,10 @@ def _pulled_nabla_rho(sctx, d):
 
     def build(dd):
         na = sctx.dim + 1
-        rb1 = curvature.schouten(sctx.ambient, dd + 1)
-        ga = sctx.ambient.gamma(dd)
-        cab = [(c, a, b) for c in range(na) for a, b in upper(na)]
-        v = dict(zip(cab, covariant(rb1, ga, [(c, (a, b)) for c, a, b in cab])))
-        N = [symmetric(na, lambda a, b: v[c, a, b]) for c in range(na)]
-        return _pull_symmetric(sctx, N, dd)
+        rows = [(c, (a, b)) for c in range(na) for a, b in upper(na)]
+        N = covariant(curvature.schouten(sctx.ambient, dd + 1), sctx.ambient.gamma(dd), rows,
+                      christoffel_layout(na))
+        return pull(sctx, N, dd)
 
     return sctx.get("nabla_rhobar", d, build)
 
@@ -389,10 +369,8 @@ def nabla0_rho_tangential(sctx, d):
     """(nabla_nu rhobar)(t_i, t_j) as a surface 2-tensor."""
 
     def build(dd):
-        na = sctx.dim + 1
         N = _pulled_nabla_rho(sctx, dd)
-        nu = normal(sctx, dd)
-        X = symmetric_dots(na, lambda a, b: (nu, [N[c][a][b] for c in range(na)], None))
+        X = contraction("c,cab->ab", normal(sctx, dd), N, symmetric=True)
         return _tangential(X, tangents(sctx, dd))
 
     return sctx.get("nabla0_rho_tt", d, build)
@@ -402,14 +380,23 @@ def nabla0_rho_normal(sctx, d):
     """(nabla_nu rhobar)(nu, t_i) as a surface covector."""
 
     def build(dd):
-        na = sctx.dim + 1
         N = _pulled_nabla_rho(sctx, dd)
-        nn = _flat(_normal_squared(normal(sctx, dd)))
-        ca = [(c, a) for c in range(na) for a in range(na)]
-        Y = jets.dot_rows((nn, [N[c][a][b] for c, a in ca], None) for b in range(na))
-        return _covector(Y, sctx, dd)
+        return _covector(contraction("ca,cab->b", _normal_squared(normal(sctx, dd)), N), sctx, dd)
 
     return sctx.get("nabla0_rho_n", d, build)
+
+
+def _einsum_blocks(B, size):
+    """Slices of B points for the pointwise einsums, of at most
+    ``jets._BLOCK_ELEMENTS`` elements of ``size`` per point where they can
+    be, each starting at a multiple of 64 points and of two points at least:
+    an einsum runs each point at the place in its vector lanes it has over
+    the whole batch, so each point gets the bits of one einsum."""
+    step = max(64, jets._BLOCK_ELEMENTS // size // 64 * 64)
+    edges = [*range(0, B, step), B]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 def nabla0_weyl_normal(sctx, d=0):
@@ -420,7 +407,9 @@ def nabla0_weyl_normal(sctx, d=0):
     Gammabar, so no term exceeds (n+1)^4 per point:
     d_nu W(nu, b, c, nu) - W(Gammabar(nu, nu), b, c, nu)
     - W(nu, Gammabar(nu, b), c, nu) - W(nu, b, Gammabar(nu, c), nu)
-    - W(nu, b, c, Gammabar(nu, nu)), contracted with t_i^b t_j^c.
+    - W(nu, b, c, Gammabar(nu, nu)), contracted with t_i^b t_j^c.  The
+    entries of W come from its packed components (signs and zeros from its
+    layout) a block of points at a time (``_einsum_blocks``).
     """
     if d != 0:
         raise DegreeExhaustedError(
@@ -428,27 +417,32 @@ def nabla0_weyl_normal(sctx, d=0):
         )
 
     def build(dd):
-        n = sctx.dim
-        na = n + 1
-        B = sctx.nbatch
-        amb = sctx.ambient
-        nuv = jet_values(normal(sctx, 0), B)
-        tv = jet_values(tangents(sctx, 0), B)
-        # coefficient 1 + e of a degree-1 jet is its first partial along e
-        W1 = jet_coeffs(curvature.weyl(amb, 1), B, na + 1)
-        dW = np.einsum("eabcdZ,eZ->abcdZ", W1[1:], nuv)
-        dW = np.einsum("abcZ,aZ->bcZ", np.einsum("abcdZ,dZ->abcZ", dW, nuv), nuv)
-        Wn = np.einsum("abcdZ,dZ->abcZ", W1[0], nuv)
-        Wnn = np.einsum("abcZ,aZ->bcZ", Wn, nuv)
-        Gn = np.einsum("feaZ,eZ->faZ", jet_values(amb.gamma(0), B), nuv)
-        Gnn = np.einsum("faZ,aZ->fZ", Gn, nuv)
-        # the last two terms are the transposes of the first two, by the
-        # symmetries W(nu, b, c, f) = W(f, c, b, nu) and Wnn_bc = Wnn_cb
-        S = np.einsum("fZ,fbcZ->bcZ", Gnn, Wn) + np.einsum("fbZ,fcZ->bcZ", Gn, Wnn)
-        X = dW - S - S.swapaxes(0, 1)
-        T = np.einsum("bcZ,ibZ,jcZ->ijZ", X, tv, tv)
+        n, na, B, amb = sctx.dim, sctx.dim + 1, sctx.nbatch, sctx.ambient
+        nu, tv = jet_values(normal(sctx, 0), B), jet_values(tangents(sctx, 0), B)
+        Gv = jet_values(amb.gamma(0), B)
+        W = curvature.weyl(amb, 1)
+        T = np.empty((n, n, B))
+        for s in _einsum_blocks(B, (na + 1) * na**4):
+            # coefficient 1 + e of a degree-1 jet is its first partial along
+            # e; contiguous, as the einsums' bits need
+            W1 = jets.expanded(W.points(s)).dense()
+            W1 = np.ascontiguousarray(np.broadcast_to(W1, W1.shape[:2] + (s.stop - s.start,)))
+            W1 = W1.reshape(na + 1, na, na, na, na, -1)
+            nuv = np.ascontiguousarray(nu[:, s])
+            dW = np.einsum("eabcdZ,eZ->abcdZ", W1[1:], nuv)
+            dW = np.einsum("abcZ,aZ->bcZ", np.einsum("abcdZ,dZ->abcZ", dW, nuv), nuv)
+            Wn = np.einsum("abcdZ,dZ->abcZ", W1[0], nuv)
+            Wnn = np.einsum("abcZ,aZ->bcZ", Wn, nuv)
+            Gn = np.einsum("feaZ,eZ->faZ", np.ascontiguousarray(Gv[..., s]), nuv)
+            Gnn = np.einsum("faZ,aZ->fZ", Gn, nuv)
+            # the last two terms are the transposes of the first two, by the
+            # symmetries W(nu, b, c, f) = W(f, c, b, nu) and Wnn_bc = Wnn_cb
+            S = np.einsum("fZ,fbcZ->bcZ", Gnn, Wn) + np.einsum("fbZ,fcZ->bcZ", Gn, Wnn)
+            X = dW - S - S.swapaxes(0, 1)
+            t = np.ascontiguousarray(tv[..., s])
+            T[..., s] = np.einsum("bcZ,ibZ,jcZ->ijZ", X, t, t)
         sp = jets.jet_space(n, 0)
-        return [[jets.constant(sp, T[i, j]) for j in range(n)] for i in range(n)]
+        return jets.Packed(sp, T.reshape(1, n * n, B), B, jets.dense_layout((n, n)))
 
     return sctx.get("nabla0_weyl", 0, build)
 

@@ -18,39 +18,36 @@ added in place to one block of rows, with no scatter
 pairs left to right; reduceat may group three or more of them differently,
 so the two kernels agree to rounding, not bit for bit.
 
-A contraction start + xs[0]*ys[0] + xs[1]*ys[1] + ... is one ``dot``, bit
-for bit the loop of products and additions but with no jet per term, and
-the contractions of a whole tensor are the rows of one ``dot_rows`` call,
-of which ``dot`` is the one-row case.  A call may give a term position a
-minus sign in every row: that term's x coefficients are negated, never its
-product, as negating a product whose sum cancels to +0 would give -0.  Below
-``_LAYERED_MIN_BATCH`` points the rows' operands are stacked chunk by chunk,
-and one gather and one reduceat make the products of a chunk; reduceat
-groups each target's pairs the same way whatever the trailing shape, so
-stacking changes no bit.  From there on each row's products are layered
-into one accumulator, and a term whose product is zero at every coefficient
-and point (one operand all zero, the other all finite) is left out.  Adding
-such a product turns a -0 sum into +0 and changes nothing else, so the row
-is mended where its sum holds -0: by a left-out +0 term, or else by making
-the left-out products after all.  The sum keeps the loop's bits, sign of
-zero included (``BENCH_vanishing_terms.json``).
+The jets of a whole tensor are one ``Packed`` coefficient array (ncoeffs,
+components, batch), holding only the components its builder makes, with a
+``Layout`` placing them in the tensor; its entries are jet views into the
+array, made when first read.  A component that is the same at every point
+(a constant) is marked uniform: its view is unbatched and its work is done
+at one point, as for an unbatched jet.  Sums, differences and scalings of
+whole tensors are array operations (``mapped``), and a jet times each entry
+is one product per entry (``mul_entries``), bit for bit the jet operations.
 
-The jets of a whole tensor can be one ``Packed`` coefficient array
-(ncoeffs, components, batch), holding only the components its builder
-makes; its entries are jet views into the array, made once.  ``contract``
-computes the rows of a contraction from two packed tensors and integer
-tables of their components: below ``_LAYERED_MIN_BATCH`` points it gathers
-the operands straight from the arrays into ``_dot_core``, the stacked
-product and accumulate that ``dot_rows`` feeds with stacked nested rows; from
-there on each row goes to ``_dot_layered`` on the tensors' views.
-``mul_entries`` makes one product per entry of such arrays by the kernel a
-jet product would take.  A component that is the same at every point (a
-constant) is marked uniform: its view is unbatched and its work is done at
-one point, as for an unbatched jet.
+``contract`` is the one contraction: row r of it is start_r + x_a*y_b +
+x_c*y_d + ... from integer tables of the components, bit for bit the loop
+of products and additions but with no jet per term.  A term may carry a
+minus sign: its x coefficients are negated, never its product, as negating
+a product whose sum cancels to +0 would give -0.  Below
+``_LAYERED_MIN_BATCH`` points the rows' operands are gathered chunk by chunk
+into contiguous arrays, and one gather and one reduceat make the products of
+a chunk (``_dot_core``); reduceat groups each target's pairs the same way
+whatever the trailing shape, so stacking changes no bit.  From there on each
+row's products are layered into one accumulator, and a term whose product
+is zero at every coefficient and point (one operand all zero, the other all
+finite) is left out.  Adding such a product turns a -0 sum into +0 and
+changes nothing else, so the row is mended where its sum holds -0: by a
+left-out +0 term, or else by making the left-out products after all.  The
+sum keeps the loop's bits, sign of zero included
+(``BENCH_vanishing_terms.json``).
 
-Composition substitutes inner jets into a stack of outer Taylor polynomials:
-the monomials of the inner offsets are built once, one product each, and
-every outer is a coefficient sum against them.  The elementary functions
+Composition substitutes inner jets into a stack of outer Taylor polynomials,
+such as the components of a packed tensor: the monomials of the inner
+offsets are built once, one product each, and every outer is a coefficient
+sum against them.  The elementary functions
 are the one-variable case of the same substitution.  From
 ``_LAYERED_MIN_BATCH`` points on, an offset with the same bits at every
 point (a chart coordinate's, under sin or cos) keeps one column, and its
@@ -85,9 +82,9 @@ _DIV_FLOOR = 1e-300
 _LAYERED_MIN_BATCH = 128
 
 # Largest gathered array, in float64 elements (pairs x products x batch), that
-# one stacked reduceat of ``dot_rows`` makes below ``_LAYERED_MIN_BATCH``.  At
-# 8 points, 5 variables and degrees 0-4, the rows of a 6-55-entry tensor take
-# 0.68x the time of one ``dot`` each at 2**14, against 0.93x at 2**12, 0.78x at
+# one stacked reduceat of ``contract`` makes below ``_LAYERED_MIN_BATCH``.  At
+# 8 points, 5 variables and degrees 0-4, the rows of a 6-55-entry tensor took
+# 0.68x the time of one contraction each at 2**14, against 0.93x at 2**12, 0.78x at
 # 2**13 and 0.60-0.66x from 2**15 to 2**18 (geometric means;
 # BENCH_dot_rows.json, "stack_bound" picks the smallest bound within 15% of
 # the fastest).  Past 2**14 the end-to-end run gains nothing and holds more
@@ -280,58 +277,9 @@ def _product(space, ca, cb):
     return _cauchy_reduceat(space, ca, cb)
 
 
-def _stack(cs, nc, B, mixed, negate=()):
-    """(nc,) or (nc, B) coefficient arrays, both kinds if ``mixed``, as one
-    (nc, len(cs), B) array.  ``negate``, a boolean per term, marks the
-    terms negated when ``cs`` holds rows of len(negate) terms one after
-    another.  They are negated before the transpose, where each term's
-    coefficients are one contiguous block, as a masked negation after it
-    would loop over the short batch axis.  The negation is masked, not one
-    in-place np.negative per term: in numpy 2.4 that reads the wrong
-    elements of a view whose stride is eight float64s, the layout of one of
-    eight terms of one coefficient at one point."""
-    if mixed:
-        a = np.empty((len(cs), nc, B))
-        for i, c in enumerate(cs):
-            a[i] = c.reshape(nc, -1)
-    else:
-        a = np.concatenate(cs)
-    if negate and all(negate):
-        np.negative(a, out=a)
-    elif any(negate):
-        terms = a.reshape(-1, len(negate), nc * B)
-        np.negative(terms, out=terms, where=np.array(negate)[:, None])
-    return np.ascontiguousarray(a.reshape(len(cs), nc, B).transpose(1, 0, 2))
-
-
-def _operands(xs, ys, start):
-    """(space, batch or None, mixed, coefficients [start, *xs, *ys]) of one
-    row of ``dot_rows``: the space is the lowest-degree operand's, every
-    operand is truncated to it, and ``mixed`` says whether batched and
-    unbatched operands meet."""
-    m = len(xs)
-    if len(ys) != m or not m:
-        raise JetError(f"dot needs as many xs as ys, and one at least: got {m} and {len(ys)}")
-    ops = [*xs, *ys] if start is None else [start, *xs, *ys]
-    spaces = {j.space for j in ops}
-    if len(spaces) == 1:
-        (space,) = spaces
-        cs = [j.coeffs for j in ops]
-    else:
-        if len({sp.nvars for sp in spaces}) > 1:
-            raise JetError("jets live over different variables")
-        space = min(spaces, key=lambda sp: sp.degree)
-        cs = [j.coeffs[: space.ncoeffs] for j in ops]
-    shapes = {c.shape for c in cs}
-    batches = {s[1] for s in shapes if len(s) == 2}
-    if len(batches) > 1:
-        raise JetError(f"batch sizes differ: {sorted(batches)}")
-    return space, (batches.pop() if batches else None), len(shapes) > 1, cs
-
-
 def _stack_plan(space, B, m):
     """(rows, terms): how many rows of m terms at B points one chunk of
-    ``dot_rows`` stacks, and how many of a row's terms one gather takes, so
+    ``contract`` stacks, and how many of a row's terms one gather takes, so
     that the gathered array holds at most ``_STACK_ELEMENTS`` elements, or
     one product's where a single product is larger."""
     products = max(1, _STACK_ELEMENTS // (space.mul_table()[0].size * B))
@@ -340,12 +288,13 @@ def _stack_plan(space, B, m):
 
 def _dot_core(space, X, Y, S, step):
     """The sums of stacked rows below ``_LAYERED_MIN_BATCH`` points, as
-    (ncoeffs, rows, B): X and Y (ncoeffs, rows, terms, B) hold each row's
-    operands, X already carrying the terms' signs, and S (ncoeffs, rows, B)
-    their starts or is None.  One gather and one reduceat make the products
-    of ``step`` terms at a time; one accumulate adds each row's in order,
-    after its start.  ``dot_rows`` stacks nested rows into it and
-    ``contract`` gathers packed ones."""
+    (ncoeffs, rows, B): X and Y (ncoeffs, rows, terms, B), contiguous, hold
+    each row's operands, X already carrying the terms' signs, and S
+    (ncoeffs, rows, B) their starts or is None.  One gather and one reduceat
+    make the products of ``step`` terms at a time, and each row's are added
+    in order, after its start, one term position at a time (a loop of
+    in-place additions, which here runs faster than one accumulate along
+    the term axis)."""
     nc, r, m, B = X.shape
     I, J, starts, _, _ = space.mul_table()
     k = int(S is not None)
@@ -354,25 +303,13 @@ def _dot_core(space, X, Y, S, step):
         terms[:, :, 0] = S
     for lo in range(0, m, step):
         hi = min(lo + step, m)
-        P = X[:, :, lo:hi][I]
-        P *= Y[:, :, lo:hi][J]
+        P = X[:, :, lo:hi][I] if step < m else X[I]
+        P *= Y[:, :, lo:hi][J] if step < m else Y[J]
         np.add.reduceat(P, starts, axis=0, out=terms[:, :, k + lo : k + hi])
-    np.add.accumulate(terms, axis=2, out=terms)
-    return terms[:, :, -1]
-
-
-def _dot_stacked(space, B, rows, k, mixed, negate):
-    """The rows' sums below ``_LAYERED_MIN_BATCH`` points, as (len(rows),
-    ncoeffs, B): the operands are stacked (ncoeffs, rows, terms, B), the xs
-    marked in ``negate`` negated as they are stacked, and summed by
-    ``_dot_core``, after each row's start if k is 1."""
-    nc, r, m = space.ncoeffs, len(rows), (len(rows[0]) - k) // 2
-    X = _stack([c for cs in rows for c in cs[k : k + m]], nc, B, mixed, negate)
-    Y = _stack([c for cs in rows for c in cs[k + m :]], nc, B, mixed)
-    S = _stack([cs[0] for cs in rows], nc, B, mixed) if k else None
-    sums = _dot_core(space, X.reshape(nc, r, m, B), Y.reshape(nc, r, m, B), S,
-                     _stack_plan(space, B, m)[1])
-    return sums.transpose(1, 0, 2).copy()
+    out = terms[:, :, 0]
+    for t in range(1, k + m):
+        out += terms[:, :, t]
+    return out
 
 
 def _finite(checks, c):
@@ -388,7 +325,7 @@ def _vanishing(memo, xs, ys, cs):
     (0 * inf would be NaN).
 
     ``memo`` keeps [jet, all zero, all finite (None until asked)] of each
-    operand by truncation and id for one ``dot_rows`` call, and holds the
+    operand by truncation and id for one ``contract`` call, and holds the
     jet, so that its id stays its own."""
     seen = memo.setdefault(cs[0].shape[0], {})
     checks = []
@@ -455,64 +392,6 @@ def _dot_layered(space, B, cs, k, negate, vanishing=()):
     return out
 
 
-def dot_rows(rows, negate=None):
-    """[dot(xs, ys, start, negate) for xs, ys, start in rows], bit for bit,
-    for rows with the same number of terms m.  ``negate``, m booleans or None
-    for none, marks the terms whose x coefficients are negated, never their
-    products, in every row.
-
-    Below ``_LAYERED_MIN_BATCH`` points, consecutive rows over one space and
-    batch, all with a start or all without, are stacked chunk by chunk
-    (``_dot_stacked``, ``_stack_plan``), so the rows of a whole tensor cost
-    a few gathers and reduceats, not one each.  From there on each row is
-    taken from ``rows`` when it is reached and layered on its own, leaving
-    out the terms whose products vanish (``_dot_layered``), so an iterator
-    of rows keeps one row's starts alive at a time.  Its xs and ys are held
-    until the call returns, so that each is checked for zeros once."""
-    out, chunk, key, m, memo = [], [], None, None, {}
-
-    def flush():
-        space, batch, k = key
-        sums = _dot_stacked(space, batch or 1, [cs for cs, _ in chunk], k,
-                            any(mx for _, mx in chunk), negate)
-        out.extend(Jet(space, s if batch else s[:, 0]) for s in sums)
-        chunk.clear()
-
-    for xs, ys, start in rows:
-        if m is None:
-            m = len(xs)
-            negate = (False,) * m if negate is None else tuple(negate)
-            if len(negate) != m:
-                raise JetError(f"dot_rows needs one sign per term: got {len(negate)} for {m}")
-        elif len(xs) != m:
-            raise JetError(f"dot_rows needs rows of one length: got {m} and {len(xs)} terms")
-        space, batch, mixed, cs = _operands(xs, ys, start)
-        k = int(start is not None)
-        if chunk and ((space, batch, k) != key or len(chunk) == limit):
-            flush()
-        if batch is not None and batch >= _LAYERED_MIN_BATCH:
-            gone = _vanishing(memo, xs, ys, cs[k:])
-            out.append(Jet(space, _dot_layered(space, batch, cs, k, negate, gone)))
-            continue
-        if not chunk:
-            key, limit = (space, batch, k), _stack_plan(space, batch or 1, m)[0]
-        chunk.append((cs, mixed))
-    if chunk:
-        flush()
-    return out
-
-
-def dot(xs, ys, start=None, negate=None):
-    """start + xs[0]*ys[0] + xs[1]*ys[1] + ..., summed left to right, at the
-    lowest degree among the operands: bit-identical to that loop of products
-    and additions, with no jet per term, and with the xs marked in ``negate``
-    negated (their coefficients, never the products).  From
-    ``_LAYERED_MIN_BATCH`` points on, a term with an all-zero operand
-    against an all-finite one makes no product where the loop's bits do
-    not need it.  The one-row case of ``dot_rows``."""
-    return dot_rows([(xs, ys, start)], negate)[0]
-
-
 class Packed(list):
     """The jets of one tensor as one coefficient array.
 
@@ -524,16 +403,18 @@ class Packed(list):
     one point's, and their slots in ``coeffs`` are not read, so a constant
     costs no more than an unbatched jet; ``take`` and ``dense`` read either
     kind.  ``views`` holds one jet per component, a view into ``coeffs``, or
-    an unbatched one into ``fixed``, made once.  A ``Layout`` places the
-    components in the tensor; with one the list holds the nested entries, so
-    ``t[i][j]`` indexes the tensor as nested jets do.  Without one the list
-    is empty.
+    an unbatched one into ``fixed``, made when first asked for.  A ``Layout``
+    places the components in the tensor; with one the list holds the nested
+    entries, made when it is first read, so ``t[i][j]`` indexes the tensor as
+    nested jets do.  Without one the list is empty.
     """
 
-    __slots__ = ("space", "coeffs", "batch", "layout", "uniform", "fixed", "_views")
+    __slots__ = ("space", "coeffs", "batch", "layout", "uniform", "fixed", "_views", "_nested")
 
     def __init__(self, space, coeffs, batch, layout=None, uniform=None, fixed=None):
         super().__init__()
+        if batch is None and fixed is not None and uniform is not None and uniform.any():
+            coeffs[:, uniform, 0] = fixed[:, uniform]  # every component is at its one point
         if batch is None or uniform is None or not uniform.any():
             uniform = fixed = None
         elif fixed is None:  # every slot holds its component
@@ -541,16 +422,31 @@ class Packed(list):
         self.space, self.coeffs, self.batch, self.layout = space, coeffs, batch, layout
         self.uniform, self.fixed = uniform, fixed
         self._views = None
-        if layout is not None:
-            self.extend(layout.nest(self.views, space))
+        self._nested = layout is None
+
+    def _nest(self):
+        if not self._nested:
+            self._nested = True
+            self.extend(self.layout.nest(self.views, self.space))
+
+    def __getitem__(self, i):
+        self._nest()
+        return list.__getitem__(self, i)
+
+    def __iter__(self):
+        self._nest()
+        return list.__iter__(self)
+
+    def __len__(self):
+        return 0 if self.layout is None else len(self.layout.pos)
 
     @property
     def views(self):
         if self._views is None:
             c = self.coeffs if self.batch else self.coeffs[:, :, 0]
-            narrow = self.narrow().tolist()
+            u = [False] * c.shape[1] if self.uniform is None else self.uniform.tolist()
             self._views = [Jet(self.space, self.fixed[:, k] if n else c[:, k])
-                           for k, n in enumerate(narrow)]
+                           for k, n in enumerate(u)]
         return self._views
 
     def laid_out(self, layout):
@@ -558,14 +454,20 @@ class Packed(list):
         return Packed(self.space, self.coeffs, self.batch, layout, self.uniform, self.fixed)
 
     def narrow(self):
-        """``uniform`` as a boolean per component, all False for None."""
-        return np.zeros(self.coeffs.shape[1], bool) if self.uniform is None else self.uniform
+        """A boolean per component: whether it holds the same coefficients
+        at every point, as every component of an unbatched tensor does."""
+        if self.uniform is not None:
+            return self.uniform
+        return np.full(self.coeffs.shape[1], self.batch is None)
 
     def take(self, k, w, rows=slice(None)):
         """The coefficients ``rows`` (a slice or an index array) of the
         components ``k`` at w points, 1 or the batch, as (rows, len(k), w):
-        a uniform component's broadcast from its one point."""
+        a uniform component's broadcast from its one point.  An unbatched
+        tensor gives its one point, which broadcasts."""
         r = rows if isinstance(rows, slice) else rows[:, None]
+        if self.batch is None:
+            return self.coeffs[r, k]
         u = self.narrow()[k]
         if u.all() and w == 1:
             return self.fixed[r, k][..., None]
@@ -599,7 +501,7 @@ class Packed(list):
         """The same components at the points ``s`` (a slice), as views."""
         coeffs = self.coeffs[:, :, s] if self.batch else self.coeffs
         return Packed(self.space, coeffs, coeffs.shape[2] if self.batch else None,
-                      uniform=self.uniform, fixed=self.fixed)
+                      self.layout, self.uniform, self.fixed)
 
     def partials(self, wanted):
         """The first partials of the components ``wanted[var]`` along each
@@ -627,11 +529,12 @@ class Packed(list):
 
 def fill(out, fixed, narrow, values):
     """out[:, k] = values(k, w) for the components k of ``out``, an (ncoeffs,
-    components, batch) array, a block at a time (``_blocks``); a component
+    components, batch) array, a block at a time (``point_blocks``); a component
     marked in ``narrow`` holds the same coefficients at every point and is
     made at one point (w = 1) into ``fixed`` instead."""
     nc, _, B = out.shape
-    for k in (np.flatnonzero(~narrow)[s] for s in _blocks(int((~narrow).sum()), nc * B)):
+    wide = np.flatnonzero(~narrow)
+    for k in (wide[s] for s in point_blocks(len(wide), nc * B)):
         if len(k) == 1:  # a view of the component, not a scatter
             out[:, k[0]] = values(k, B)[:, 0]
         else:
@@ -654,26 +557,27 @@ def filled(space, count, batch, narrow, values, layout=None):
 class Layout:
     """Where the components of a ``Packed`` tensor sit: the entry at index
     ix is ``sign[ix]`` times component ``pos[ix]``, or +0 where ``pos[ix]``
-    is -1 (``sign`` all +1 if omitted)."""
+    is -1 (``sign`` all +1 if omitted).  ``negated`` lists the components some
+    entry negates, and ``zero`` says whether an entry has no component."""
 
-    __slots__ = ("pos", "sign", "_negated", "_zero", "_recipe")
+    __slots__ = ("pos", "sign", "negated", "zero", "_recipe")
 
     def __init__(self, pos, sign=None):
         self.pos = pos
         self.sign = np.ones_like(pos) if sign is None else sign
         flat = list(zip(pos.ravel().tolist(), self.sign.ravel().tolist()))
         count = int(pos.max()) + 1
-        self._negated = sorted({c for c, s in flat if c >= 0 and s < 0})
-        slot = {c: count + i for i, c in enumerate(self._negated)}
-        self._zero = any(c < 0 for c, _ in flat)
-        zero = count + len(self._negated)
+        self.negated = sorted({c for c, s in flat if c >= 0 and s < 0})
+        slot = {c: count + i for i, c in enumerate(self.negated)}
+        self.zero = any(c < 0 for c, _ in flat)
+        zero = count + len(self.negated)
         self._recipe = [zero if c < 0 else c if s > 0 else slot[c] for c, s in flat]
 
     def nest(self, views, space):
         """The nested entries over the component views: a view, its negation
         (one copy per component) or one constant zero."""
-        entries = views + [-views[c] for c in self._negated]
-        if self._zero:
+        entries = views + [-views[c] for c in self.negated]
+        if self.zero:
             entries.append(constant(space, 0.0))
         flat = [entries[i] for i in self._recipe]
         for size in reversed(self.pos.shape[1:]):
@@ -688,7 +592,7 @@ def pack(space, entries, layout=None):
     coeffs, fixed = empty(nc, len(entries), batch or 1), np.empty((nc, len(entries)))
     uniform = np.array([j.batch is None for j in entries])
     for c, j in enumerate(entries):
-        if uniform[c] and batch is not None:
+        if uniform[c]:
             fixed[:, c] = j.coeffs[:nc]
         else:
             coeffs[:, c] = j.coeffs[:nc].reshape(nc, -1)
@@ -727,22 +631,14 @@ def mul_entries(space, ca, cb, narrow=None):
     return out
 
 
-def _blocks(count, size):
-    """Consecutive slices of ``count`` components of ``size`` elements each,
-    each slice holding at most ``_BLOCK_ELEMENTS`` elements, or one
-    component: elementwise work on a whole tensor goes block by block."""
+def point_blocks(count, size):
+    """Consecutive slices of ``count`` points (or components), each holding
+    at most ``_BLOCK_ELEMENTS`` elements of ``size`` per point (one point at
+    least).  Elementwise work whose intermediates are larger than its result
+    goes a block at a time, so that at a thousand points its intermediates
+    take no more than its result."""
     step = max(1, _BLOCK_ELEMENTS // size)
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
-
-
-def point_blocks(B, size):
-    """Consecutive slices of B points, each holding at most
-    ``_BLOCK_ELEMENTS`` elements of ``size`` per point (one point at least).
-    Elementwise work whose intermediates are larger than its result goes a
-    block of points at a time, so that at a thousand points its
-    intermediates take no more than its result."""
-    step = max(1, _BLOCK_ELEMENTS // size)
-    return [slice(lo, min(lo + step, B)) for lo in range(0, B, step)]
 
 
 def empty(nc, count, B):
@@ -754,20 +650,20 @@ def empty(nc, count, B):
 def _source(tensors, nc, B, signed=False, zero=False):
     """The components of ``tensors`` one after another, at ``nc``
     coefficients and B points, then their negations if ``signed``, then one
-    +0 component if ``zero``, as one (nc, components, B) array to gather
-    from."""
+    +0 component if ``zero``, as one contiguous (nc, components, B) array,
+    from which each chunk's operands are gathered into contiguous arrays."""
     parts = [np.broadcast_to(t.dense(nc), (nc, t.coeffs.shape[1], B)) for t in tensors]
     if signed:
         parts += [-p for p in parts]
     if zero:
         parts.append(np.zeros((nc, 1, B)))
-    return np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
+    return np.concatenate(parts, axis=1) if len(parts) > 1 else np.ascontiguousarray(parts[0])
 
 
 def contract(x, xi, y, yi, start=None, negate=None):
     """Rows r of start_r + sum_t x_(xi[r, t]) * y_(yi[r, t]), summed left to
-    right, bit for bit ``dot_rows`` of those rows of jets, as a ``Packed``
-    tensor with one component per row.
+    right, bit for bit that loop of jet products and additions, as a
+    ``Packed`` tensor with one component per row.
 
     ``x`` and ``y`` are ``Packed`` tensors, or tuples of them whose
     components are numbered one tensor after another; ``xi`` and ``yi`` are
@@ -778,12 +674,13 @@ def contract(x, xi, y, yi, start=None, negate=None):
     the lowest degree among the operands.  A row whose operands are all
     uniform is uniform too.
 
-    Below ``_LAYERED_MIN_BATCH`` points the operands are gathered straight
-    from the coefficient arrays, the negated x's from their negation, chunk
-    by chunk (``_stack_plan``), and summed by ``_dot_core``.  From there on
-    each row's terms are the tensors' views, and each row is layered on its
-    own with its vanishing terms left out (``_dot_layered``), as in
-    ``dot_rows``; a uniform row at one point."""
+    Below ``_LAYERED_MIN_BATCH`` points the operands are gathered from one
+    contiguous copy of the coefficient arrays (``_source``), the negated x's
+    from their negation, chunk by chunk (``_stack_plan``) into contiguous
+    arrays, and summed by ``_dot_core``.  From there on each row's terms are
+    the tensors' views, and each row is layered on its own with its
+    vanishing terms left out (``_dot_layered``); a uniform row at one
+    point."""
     xs = x if isinstance(x, tuple) else (x,)
     ys = y if isinstance(y, tuple) else (y,)
     space = min((t.space for t in xs + ys), key=lambda sp: sp.degree)
@@ -824,8 +721,73 @@ def contract(x, xi, y, yi, start=None, negate=None):
     S = np.broadcast_to(start.dense(nc), (nc, R, B)) if k else None
     for lo in range(0, R, rows):
         sl = slice(lo, lo + rows)
-        out[:, sl] = _dot_core(space, X[:, xi[sl]], Y[:, yi[sl]], S[:, sl] if k else None, step)
+        out[:, sl] = _dot_core(space, np.take(X, xi[sl], axis=1), np.take(Y, yi[sl], axis=1),
+                               S[:, sl] if k else None, step)
     return Packed(space, out, batch, uniform=narrow)
+
+
+@functools.lru_cache(maxsize=None)
+def dense_layout(shape):
+    """The ``Layout`` of a tensor of ``shape`` with every entry its own
+    component, row by row."""
+    return Layout(np.arange(math.prod(shape)).reshape(shape))
+
+
+def expanded(T):
+    """The packed tensor T with every entry of its layout a component of its
+    own (``dense_layout``), as the nested entries are: a negated component
+    negated, an entry of no component +0."""
+    shape = T.layout.pos.shape
+    if T.layout is dense_layout(shape):
+        return T
+    pos, sign = T.layout.pos.ravel(), T.layout.sign.ravel()
+    zero, src = pos < 0, np.maximum(pos, 0)
+
+    def values(k, w):
+        v = T.take(src[k], w)
+        neg = sign[k] < 0
+        v[:, neg] = -v[:, neg]
+        v[:, zero[k]] = 0.0
+        return v
+
+    return filled(T.space, pos.size, T.batch, T.narrow()[src] | zero, values, dense_layout(shape))
+
+
+def mapped(fn, *tensors):
+    """The packed tensor of fn(a, b, ...) of the coefficients of each entry
+    of the packed ``tensors`` at their lowest degree, a block at a time
+    (``filled``): bit for bit fn of their jets entry by entry, for an fn that
+    commutes with negation, as sums, differences and scalings do.  Tensors
+    of one layout with no entry of no component keep it; others are taken
+    entry by entry (``expanded``)."""
+    if len({id(t.layout) for t in tensors}) > 1 or tensors[0].layout.zero:
+        tensors = [expanded(t) for t in tensors]
+    space = min((t.space for t in tensors), key=lambda sp: sp.degree)
+    rows = slice(0, space.ncoeffs)
+    narrow = np.logical_and.reduce([t.narrow() for t in tensors])
+    return filled(space, len(narrow), _batch_of(tensors), narrow,
+                  lambda k, w: fn(*(t.take(k, w, rows) for t in tensors)), tensors[0].layout)
+
+
+def products(x, xk, y, yk, layout=None):
+    """The packed tensor of the jet products x_(xk[e]) * y_(yk[e]), x first,
+    of components of the packed tensors x and y at their lower degree, by
+    ``mul_entries`` a block at a time: bit for bit those products."""
+    space = min(x.space, y.space, key=lambda sp: sp.degree)
+    rows = slice(0, space.ncoeffs)
+    return filled(space, len(xk), _batch_of((x, y)), x.narrow()[xk] & y.narrow()[yk],
+                  lambda k, w: mul_entries(space, x.take(xk[k], w, rows), y.take(yk[k], w, rows)),
+                  layout)
+
+
+def times(j, T):
+    """The jet products j * T_e of every entry of the packed tensor T, in its
+    layout (``expanded`` if an entry has no component, as j * 0 need not be
+    +0)."""
+    if T.layout.zero:
+        T = expanded(T)
+    count = T.coeffs.shape[1]
+    return products(pack(j.space, [j]), np.zeros(count, np.intp), T, np.arange(count), T.layout)
 
 
 def _common(a, b):
@@ -1197,19 +1159,23 @@ def _substitute(args, space, C):
 def compose(outers, args):
     """Substitute inner jets into the Taylor polynomials of a stack of outers.
 
-    ``outers`` share one jet space.  ``args[j]`` is the expansion of the j-th
-    outer variable as a jet over the inner variables.  Its constant term must
-    be the point the outers were expanded about; only the offsets
-    ``args[j] - args[j].value`` enter, so a mismatch is the caller's bug and
-    is not detectable here.  The results are truncated to min(outer degree,
-    inner degree): coefficients of an outer beyond its stored degree are
-    unknown and would pollute anything higher.
+    ``outers`` is a packed tensor, or a list of jets that share one jet
+    space.  ``args[j]`` is the expansion of the j-th outer variable as a jet
+    over the inner variables.  Its constant term must be the point the outers
+    were expanded about; only the offsets ``args[j] - args[j].value`` enter,
+    so a mismatch is the caller's bug and is not detectable here.  The
+    results are truncated to min(outer degree, inner degree): coefficients of
+    an outer beyond its stored degree are unknown and would pollute anything
+    higher.
 
-    The offset monomials are built once for the whole stack (``_substitute``).
-    Returns one jet per outer.
+    The offset monomials are built once for the whole stack (``_substitute``),
+    and a packed tensor's coefficient array is read as the outers' as it is.
+    Returns one jet per outer, or for a packed tensor the packed tensor of
+    the results in its layout.
     """
-    outer_space = outers[0].space
-    if any(o.space is not outer_space for o in outers):
+    packed = isinstance(outers, Packed)
+    outer_space = outers.space if packed else outers[0].space
+    if not packed and any(o.space is not outer_space for o in outers):
         raise JetError("composed outer jets must share a single jet space")
     if len(args) != outer_space.nvars:
         raise JetError(f"outer jets have {outer_space.nvars} variables, got {len(args)} arguments")
@@ -1219,6 +1185,12 @@ def compose(outers, args):
     d = min(outer_space.degree, inner_space.degree)
     space = jet_space(inner_space.nvars, d)
     nc = outer_space.prefix_count(d)
+    if packed:
+        C = outers.dense(nc) if outers.batch else outers.coeffs[:nc, :, 0]
+        out = _substitute(args, space, C)
+        if out.ndim == 2:
+            return Packed(space, out.T[:, :, None], None, outers.layout)
+        return Packed(space, out.transpose(1, 0, 2), out.shape[2], outers.layout)
     C = [o.coeffs[:nc] for o in outers]
     if any(c.ndim == 2 for c in C):
         C = np.broadcast_arrays(*[c.reshape(nc, -1) for c in C])

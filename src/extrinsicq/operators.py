@@ -39,9 +39,9 @@ from .geometry import (
     laplacian,
     metric_field,
     norm2sq,
+    entrywise,
     square2,
     trace_cube,
-    _emap,
 )
 from .jets import JetError
 
@@ -58,7 +58,7 @@ def _dim_scaled(field, coeff):
     """Scale a field by a factor that may depend on the dimension."""
     return Field(
         field.rank,
-        lambda ctx, d: _emap(lambda j: j * coeff(ctx.dim), field(ctx, d), field.rank),
+        lambda ctx, d: entrywise(lambda j: j * coeff(ctx.dim), field.rank, field(ctx, d)),
     )
 
 

@@ -5,6 +5,7 @@ coefficients, Fraction evaluation points) so derivative values compared
 against jets are independently exact, not produced by the code under test.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -254,7 +255,7 @@ def reference_gamma(ctx, d):
         for j in range(i, n):
             first = [dg[i][j][l] + dg[j][i][l] - dg[l][i][j] for l in range(n)]
             for k in range(n):
-                out[k][i][j] = out[k][j][i] = jets.dot(gi[k], first) * 0.5
+                out[k][i][j] = out[k][j][i] = dot(gi[k], first) * 0.5
     return out
 
 
@@ -274,35 +275,35 @@ def reference_riemann_first_kind(ctx, d):
     for i, j, k, l in curvature.independent_components(n):
         xs = [x for m in range(n) for x in (ga[m][j][k], -ga[m][i][k])]
         ys = [y for m in range(n) for y in (G0[m][i][l], G0[m][j][l])]
-        comps.append(jets.dot(xs, ys, start=G1[l][i][k].partial(j) - G1[l][j][k].partial(i)))
+        comps.append(dot(xs, ys, start=G1[l][i][k].partial(j) - G1[l][j][k].partial(i)))
     return curvature._fill_curvature(comps, n, jets.constant(jets.jet_space(n, d), 0.0))
 
 
 def reference_weyl_negated_by_hand(ctx, d):
-    """W = R - rho ^ g, one ``jets.dot`` per independent component with the
+    """W = R - rho ^ g, one ``dot`` per independent component with the
     negated rho and g of the Kulkarni-Nomizu product made by hand."""
     n = ctx.dim
     R, rho, g = curvature.riemann(ctx, d), curvature.schouten(ctx, d), ctx.g(d)
     comps = []
     for i, j, k, l in curvature.independent_components(n):
         xs = [rho[i][k], g[i][k], -rho[i][l], -g[i][l]]
-        kn = jets.dot(xs, [g[j][l], rho[j][l], g[j][k], rho[j][k]])
+        kn = dot(xs, [g[j][l], rho[j][l], g[j][k], rho[j][k]])
         comps.append(R[i][j][k][l] - kn)
     return curvature._fill_curvature(comps, n, jets.constant(jets.jet_space(n, d), 0.0))
 
 
 def reference_weyl_norm_sq_negated_by_hand(ctx, d):
     """|W|^2 = 4 tr(G W G W) over index pairs, G^{IA} = g^ia g^jb - g^ib g^ja
-    with each -g^ib made by hand, one ``jets.dot`` per entry."""
+    with each -g^ib made by hand, one ``dot`` per entry."""
     n, W, gi = ctx.dim, curvature.weyl(ctx, d), ctx.ginv(d)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     G = [
-        [jets.dot([gi[i][a], -gi[i][b]], [gi[j][b], gi[j][a]]) for a, b in pairs]
+        [dot([gi[i][a], -gi[i][b]], [gi[j][b], gi[j][a]]) for a, b in pairs]
         for i, j in pairs
     ]
-    GW = [[jets.dot(row, [W[a][b][k][l] for a, b in pairs]) for k, l in pairs] for row in G]
+    GW = [[dot(row, [W[a][b][k][l] for a, b in pairs]) for k, l in pairs] for row in G]
     P = range(len(pairs))
-    return jets.dot([x for row in GW for x in row], [GW[K][I] for I in P for K in P]) * 4.0
+    return dot([x for row in GW for x in row], [GW[K][I] for I in P for K in P]) * 4.0
 
 
 def reference_hessian(f):
@@ -316,7 +317,7 @@ def reference_hessian(f):
         out = [[None] * n for _ in range(n)]
         for i in range(n):
             for k in range(i, n):
-                h = jets.dot([-ga[l][i][k] for l in range(n)], dj, start=dj[i].partial(k))
+                h = dot([-ga[l][i][k] for l in range(n)], dj, start=dj[i].partial(k))
                 out[i][k] = out[k][i] = h
         return out
 
@@ -338,8 +339,8 @@ def reference_divergence2(T):
                 for k in range(n):
                     xs = [-x for a in range(n) for x in (ga[a][i][k], ga[a][i][j])]
                     ys = [y for a in range(n) for y in (t[a][j], t[k][a])]
-                    cov.append(jets.dot(xs, ys, start=t[k][j].partial(i)))
-            out.append(jets.dot(gi, cov))
+                    cov.append(dot(xs, ys, start=t[k][j].partial(i)))
+            out.append(dot(gi, cov))
         return out
 
     return Field(1, fn)
@@ -427,7 +428,7 @@ def reference_weyl_norm_sq(ctx, d):
                 for l in range(n):
                     col = [T[a][j][k][l] for a in range(n)]
                     for i in range(n):
-                        out[i][j][k][l] = jets.dot(gi[i], col)
+                        out[i][j][k][l] = dot(gi[i], col)
         return out
 
     def rot(T):
@@ -443,7 +444,7 @@ def reference_weyl_norm_sq(ctx, d):
     up = W
     for _ in range(4):
         up = rot(raise_first(up))
-    return jets.dot(flat(up), flat(W))
+    return dot(flat(up), flat(W))
 
 
 # ---- reference nested curvature builders ------------------------------------
@@ -528,7 +529,7 @@ def reference_nested(ctx, d):
     G = reference_christoffel_first(g(d + 1))
     gi = ginv(d)
     kij = [(k, i, j) for k in range(n) for i in range(n) for j in range(i, n)]
-    v = dict(zip(kij, jets.dot_rows((gi[k], [G[l][i][j] for l in range(n)], None)
+    v = dict(zip(kij, dot_rows((gi[k], [G[l][i][j] for l in range(n)], None)
                                     for k, i, j in kij)))
     ga = [_symmetric(n, lambda i, j: v[k, i, j]) for k in range(n)]
 
@@ -542,20 +543,20 @@ def reference_nested(ctx, d):
 
     quads = curvature.independent_components(n)
     R = curvature._fill_curvature(
-        jets.dot_rows((row(*q) for q in quads), (False, True) * n), n, zero)
+        dot_rows((row(*q) for q in quads), (False, True) * n), n, zero)
     gi_flat = [x for r in gi for x in r]
     up = [(a, b) for a in range(n) for b in range(a, n)]
-    v = dict(zip(up, jets.dot_rows(
+    v = dict(zip(up, dot_rows(
         (gi_flat, [R[a][k][b][l] for k in range(n) for l in range(n)], None) for a, b in up)))
     ric = _symmetric(n, lambda a, b: v[a, b])
-    scal = jets.dot(gi_flat, [x for r in ric for x in r])
+    scal = dot(gi_flat, [x for r in ric for x in r])
     J = scal * (1.0 / (2.0 * (n - 1)))
     out = {"ginv": gi, "gamma": ga, "riemann": R, "ricci": ric, "scal": scal, "J": J}
     if n < 3:
         return out
     gd = g(d)
     rho = [[(ric[i][j] - J * gd[i][j]) * (1.0 / (n - 2)) for j in range(n)] for i in range(n)]
-    kn = jets.dot_rows(
+    kn = dot_rows(
         (([rho[i][k], gd[i][k], rho[i][l], gd[i][l]], [gd[j][l], rho[j][l], gd[j][k], rho[j][k]],
           None) for i, j, k, l in quads),
         (False, False, True, True),
@@ -564,16 +565,471 @@ def reference_nested(ctx, d):
         [R[i][j][k][l] - p for (i, j, k, l), p in zip(quads, kn)], n, zero)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     P = len(pairs)
-    G2 = jets.dot_rows(
+    G2 = dot_rows(
         (([gi[i][a], gi[i][b]], [gi[j][b], gi[j][a]], None) for i, j in pairs for a, b in pairs),
         (False, True),
     )
-    GW = jets.dot_rows(
+    GW = dot_rows(
         (G2[I * P : (I + 1) * P], [W[a][b][k][l] for a, b in pairs], None)
         for I in range(P) for k, l in pairs
     )
-    norm = jets.dot(GW, [GW[K * P + I] for I in range(P) for K in range(P)]) * 4.0
+    norm = dot(GW, [GW[K * P + I] for I in range(P) for K in range(P)]) * 4.0
     return out | {"schouten": rho, "weyl": W, "weylnormsq": norm}
+
+
+# ---- reference nested hypersurface builders and combinators ------------------
+# The hypersurface layer and the Field combinators as they were built on
+# nested lists of jets before they were packed: each contraction one
+# ``dot_rows`` row per entry, each entrywise sum or product one jet
+# operation per entry.  A ``NestedSurfaceContext`` builds the induced metric
+# and every hypersurface key this way, under the same keys and degree requests
+# as the packed builders, so that two fresh contexts on the same points build
+# each quantity at the same degree.  The ambient curvature and the surface's
+# intrinsic curvature come from the packed builders, which
+# ``reference_nested`` checks.
+
+
+def _ref_dots(keys, row):
+    keys = list(keys)
+    return dict(zip(keys, dot_rows(row(*key) for key in keys)))
+
+
+def _ref_symmetric_dots(n, row):
+    v = _ref_dots([(i, j) for i in range(n) for j in range(i, n)], row)
+    return _symmetric(n, lambda i, j: v[i, j])
+
+
+def _flat(M):
+    return [x for row in M for x in row]
+
+
+def _ref_upper(n):
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
+def reference_tangential(X, t):
+    n, na = len(t), len(X)
+    Y = dot_rows((col, t[i], None) for i in range(n) for col in zip(*X))
+    return _ref_symmetric_dots(n, lambda i, j: (Y[i * na : (i + 1) * na], t[j], None))
+
+
+def reference_maximal_minors(t):
+    n = len(t)
+    det = {(c,): t[n - 1][c] for c in range(n + 1)}
+    for size in range(2, n + 1):
+        top, below = t[n - size], det
+        keys = list(itertools.combinations(range(n + 1), size))
+        rows = (
+            ([top[c] for c in S], [below[S[:j] + S[j + 1 :]] for j in range(size)], None)
+            for S in keys
+        )
+        det = dict(zip(keys, dot_rows(rows, [j % 2 == 1 for j in range(size)])))
+    return [det[tuple(c for c in range(n + 1) if c != a)] for a in range(n + 1)]
+
+
+def reference_covariant(T, ga, cidx):
+    def at(ix):
+        x = T
+        for i in ix:
+            x = x[i]
+        return x
+
+    def row(c, idx):
+        slots = [(e, s) for e in range(len(ga)) for s in range(len(idx))]
+        xs = [ga[e][c][idx[s]] for e, s in slots]
+        ys = [at(idx[:s] + (e,) + idx[s + 1 :]) for e, s in slots]
+        return xs, ys, at(idx).partial(c)
+
+    return dot_rows((row(c, idx) for c, idx in cidx), [True] * len(ga) * len(cidx[0][1]))
+
+
+def _ref_pull(sctx, entries, d):
+    return jets.compose(entries, hs.iota_jets(sctx, d))
+
+
+def _ref_pull_symmetric(sctx, T, d):
+    na = sctx.dim + 1
+    kab = [(k, a, b) for k in range(len(T)) for a in range(na) for b in range(a, na)]
+    out = [[[None] * na for _ in range(na)] for _ in T]
+    for (k, a, b), p in zip(kab, _ref_pull(sctx, [T[k][a][b] for k, a, b in kab], d)):
+        out[k][a][b] = out[k][b][a] = p
+    return out
+
+
+def _ref_pulled_curvature(sctx, tensor, d):
+    na = sctx.dim + 1
+    T = tensor(sctx.ambient, d)
+    comps = _ref_pull(sctx, [T[i][j][k][l] for i, j, k, l in curvature.independent_components(na)], d)
+    return curvature._fill_curvature(comps, na, jets.constant(jets.jet_space(sctx.dim, d), 0.0))
+
+
+def _ref_normal_squared(nu):
+    return [[x * y for y in nu] for x in nu]
+
+
+def _ref_covector(Y, sctx, d):
+    t = ref_tangents(sctx, d)
+    return dot_rows((Y, t[i], None) for i in range(sctx.dim))
+
+
+def _ref_normal_tt(sctx, T, d):
+    na = sctx.dim + 1
+    nn = _ref_normal_squared(ref_normal(sctx, d))
+
+    def row(b, c):
+        ae = [(a, e) for a in range(na) for e in range(na) if a != b and e != c]
+        return [nn[a][e] for a, e in ae], [T[a][b][c][e] for a, e in ae], None
+
+    return reference_tangential(_ref_symmetric_dots(na, row), ref_tangents(sctx, d))
+
+
+def ref_tangents(sctx, d):
+    def build(dd):
+        io = hs.iota_jets(sctx, dd + 1)
+        return [[io[a].partial(i) for a in range(len(io))] for i in range(sctx.dim)]
+
+    return sctx.get("tangents", d, build)
+
+
+def ref_gbar(sctx, d):
+    m = sctx.embedding.ambient_metric
+    return sctx.get("gbar", d, lambda dd: m.evaluate(hs.iota_jets(sctx, dd)))
+
+
+def ref_gbar_inv(sctx, d):
+    return sctx.get("gbar_inv", d, lambda dd: reference_invert_spd(ref_gbar(sctx, dd), sctx, dd))
+
+
+def ref_normal(sctx, d):
+    def build(dd):
+        n = sctx.dim
+        na = n + 1
+        t = ref_tangents(sctx, dd)
+        cof = [-m if (n + a) % 2 else m for a, m in enumerate(reference_maximal_minors(t))]
+        gbi = ref_gbar_inv(sctx, dd)
+        raised = dot_rows((gbi[a], cof, None) for a in range(na))
+        norm_sq = dot(raised, cof)
+        scale = jets.recip(jets.sqrt(norm_sq)) * sctx.embedding.sigma
+        return [scale * raised[a] for a in range(na)]
+
+    return sctx.get("normal", d, build)
+
+
+def ref_gammabar(sctx, d):
+    return sctx.get("gammabar", d,
+                    lambda dd: _ref_pull_symmetric(sctx, sctx.ambient.gamma(dd), dd))
+
+
+def ref_second_fundamental(sctx, d):
+    def build(dd):
+        n = sctx.dim
+        na = n + 1
+        dt = ref_tangents(sctx, dd + 1)
+        nu = ref_normal(sctx, dd)
+        gb = ref_gbar(sctx, dd)
+        gab = ref_gammabar(sctx, dd)
+        nu_low = dot_rows((gb[a], nu, None) for a in range(na))
+        P = _ref_symmetric_dots(na, lambda b, c: (nu_low, [gab[a][b][c] for a in range(na)], None))
+        Pt = reference_tangential(P, ref_tangents(sctx, dd))
+        S = _ref_dots(_ref_upper(n),
+                      lambda i, j: (nu_low, [dt[j][a].partial(i) for a in range(na)], None))
+        return _symmetric(n, lambda i, j: -(S[i, j] + Pt[i][j]))
+
+    return sctx.get("second_fundamental", d, build)
+
+
+def ref_mean_curvature(sctx, d):
+    def build(dd):
+        L = ref_second_fundamental(sctx, dd)
+        return dot(_flat(sctx.ginv(dd)), _flat(L)) * (1.0 / sctx.dim)
+
+    return sctx.get("mean_curvature", d, build)
+
+
+def ref_tracefree(sctx, d):
+    def build(dd):
+        n = sctx.dim
+        L = ref_second_fundamental(sctx, dd)
+        H = ref_mean_curvature(sctx, dd)
+        h = sctx.g(dd)
+        return [[L[i][j] - H * h[i][j] for j in range(n)] for i in range(n)]
+
+    return sctx.get("tracefree_L", d, build)
+
+
+def ref_rhobar(sctx, d):
+    return sctx.get("rhobar", d, lambda dd: _ref_pull_symmetric(
+        sctx, [curvature.schouten(sctx.ambient, dd)], dd)[0])
+
+
+def ref_weylbar(sctx, d):
+    return sctx.get("weylbar", d, lambda dd: _ref_pulled_curvature(sctx, curvature.weyl, dd))
+
+
+def ref_rhobar_nn(sctx, d):
+    def build(dd):
+        nn = _ref_normal_squared(ref_normal(sctx, dd))
+        return dot(_flat(ref_rhobar(sctx, dd)), _flat(nn))
+
+    return sctx.get("rhobar_nn", d, build)
+
+
+def ref_rhobar_tt(sctx, d):
+    return sctx.get("rhobar_tt", d, lambda dd: reference_tangential(ref_rhobar(sctx, dd),
+                                                                    ref_tangents(sctx, dd)))
+
+
+def ref_rhobar_nt(sctx, d):
+    def build(dd):
+        na = sctx.dim + 1
+        rb, nu = ref_rhobar(sctx, dd), ref_normal(sctx, dd)
+        Y = dot_rows((nu, [rb[a][b] for a in range(na)], None) for b in range(na))
+        return _ref_covector(Y, sctx, dd)
+
+    return sctx.get("rhobar_nt", d, build)
+
+
+def ref_normal_riemann(sctx, d):
+    return sctx.get("normal_riemann", d, lambda dd: _ref_normal_tt(
+        sctx, _ref_pulled_curvature(sctx, curvature.riemann, dd), dd))
+
+
+def ref_normal_weyl(sctx, d):
+    return sctx.get("normal_weyl", d,
+                    lambda dd: _ref_normal_tt(sctx, ref_weylbar(sctx, dd), dd))
+
+
+def ref_fialkow(sctx, d):
+    def build(dd):
+        n = sctx.dim
+        rt = ref_rhobar_tt(sctx, dd)
+        rho = curvature.schouten(sctx, dd)
+        H = ref_mean_curvature(sctx, dd)
+        Lo = ref_tracefree(sctx, dd)
+        h = sctx.g(dd)
+        HH = H * H * 0.5
+        return [[rt[i][j] - rho[i][j] + H * Lo[i][j] + HH * h[i][j] for j in range(n)]
+                for i in range(n)]
+
+    return sctx.get("fialkow", d, build)
+
+
+def ref_nabla_rhobar(sctx, d):
+    def build(dd):
+        na = sctx.dim + 1
+        rb1 = curvature.schouten(sctx.ambient, dd + 1)
+        ga = sctx.ambient.gamma(dd)
+        cab = [(c, a, b) for c in range(na) for a, b in _ref_upper(na)]
+        v = dict(zip(cab, reference_covariant(rb1, ga, [(c, (a, b)) for c, a, b in cab])))
+        N = [_symmetric(na, lambda a, b: v[c, a, b]) for c in range(na)]
+        return _ref_pull_symmetric(sctx, N, dd)
+
+    return sctx.get("nabla_rhobar", d, build)
+
+
+def ref_nabla0_rho_tt(sctx, d):
+    def build(dd):
+        na = sctx.dim + 1
+        N, nu = ref_nabla_rhobar(sctx, dd), ref_normal(sctx, dd)
+        X = _ref_symmetric_dots(na, lambda a, b: (nu, [N[c][a][b] for c in range(na)], None))
+        return reference_tangential(X, ref_tangents(sctx, dd))
+
+    return sctx.get("nabla0_rho_tt", d, build)
+
+
+def ref_nabla0_rho_n(sctx, d):
+    def build(dd):
+        na = sctx.dim + 1
+        N = ref_nabla_rhobar(sctx, dd)
+        nn = _flat(_ref_normal_squared(ref_normal(sctx, dd)))
+        ca = [(c, a) for c in range(na) for a in range(na)]
+        Y = dot_rows((nn, [N[c][a][b] for c, a in ca], None) for b in range(na))
+        return _ref_covector(Y, sctx, dd)
+
+    return sctx.get("nabla0_rho_n", d, build)
+
+
+def ref_nabla0_weyl(sctx, d=0):
+    def build(dd):
+        n = sctx.dim
+        na = n + 1
+        B = sctx.nbatch
+        amb = sctx.ambient
+        nuv = jet_values(ref_normal(sctx, 0), B)
+        tv = jet_values(ref_tangents(sctx, 0), B)
+        W1 = jet_coeffs(curvature.weyl(amb, 1), B, na + 1)
+        dW = np.einsum("eabcdZ,eZ->abcdZ", W1[1:], nuv)
+        dW = np.einsum("abcZ,aZ->bcZ", np.einsum("abcdZ,dZ->abcZ", dW, nuv), nuv)
+        Wn = np.einsum("abcdZ,dZ->abcZ", W1[0], nuv)
+        Wnn = np.einsum("abcZ,aZ->bcZ", Wn, nuv)
+        Gn = np.einsum("feaZ,eZ->faZ", jet_values(amb.gamma(0), B), nuv)
+        Gnn = np.einsum("faZ,aZ->fZ", Gn, nuv)
+        S = np.einsum("fZ,fbcZ->bcZ", Gnn, Wn) + np.einsum("fbZ,fcZ->bcZ", Gn, Wnn)
+        X = dW - S - S.swapaxes(0, 1)
+        T = np.einsum("bcZ,ibZ,jcZ->ijZ", X, tv, tv)
+        sp = jets.jet_space(n, 0)
+        return [[jets.constant(sp, T[i, j]) for j in range(n)] for i in range(n)]
+
+    return sctx.get("nabla0_weyl", 0, build)
+
+
+class NestedSurfaceContext(hs.EmbeddedSurfaceContext):
+    """An embedded surface context whose induced metric is the nested
+    reference's, g = t gbar t, for the ``ref_*`` builders."""
+
+    def g(self, d):
+        return self.get("g", d, lambda dd: reference_tangential(ref_gbar(self, dd),
+                                                                ref_tangents(self, dd)))
+
+
+# {key: (packed builder, nested reference builder)} of the hypersurface layer
+SURFACE_BUILDERS = {
+    "g": (lambda c, d: c.g(d), lambda c, d: c.g(d)),
+    "tangents": (hs.tangents, ref_tangents),
+    "gbar": (hs.ambient_metric_on_surface, ref_gbar),
+    "gbar_inv": (hs.ambient_inverse_on_surface, ref_gbar_inv),
+    "normal": (hs.normal, ref_normal),
+    "gammabar": (hs.pulled_christoffel, ref_gammabar),
+    "second_fundamental": (hs.second_fundamental, ref_second_fundamental),
+    "mean_curvature": (hs.mean_curvature, ref_mean_curvature),
+    "tracefree_L": (hs.tracefree_second_fundamental, ref_tracefree),
+    "rhobar": (hs.pulled_schouten, ref_rhobar),
+    "weylbar": (hs.pulled_weyl, ref_weylbar),
+    "rhobar_nn": (hs.rho_bar_nn, ref_rhobar_nn),
+    "rhobar_tt": (hs.rho_bar_tangential, ref_rhobar_tt),
+    "rhobar_nt": (hs.rho_bar_normal_tangential, ref_rhobar_nt),
+    "normal_riemann": (hs.normal_riemann, ref_normal_riemann),
+    "normal_weyl": (hs.normal_weyl, ref_normal_weyl),
+    "fialkow": (hs.fialkow, ref_fialkow),
+    "nabla_rhobar": (hs._pulled_nabla_rho, ref_nabla_rhobar),
+    "nabla0_rho_tt": (hs.nabla0_rho_tangential, ref_nabla0_rho_tt),
+    "nabla0_rho_n": (hs.nabla0_rho_normal, ref_nabla0_rho_n),
+    "nabla0_weyl": (hs.nabla0_weyl_normal, ref_nabla0_weyl),
+}
+
+
+def surface_field(rank, key):
+    """The field of the hypersurface key: its packed builder on a packed
+    context, its nested reference on a ``NestedSurfaceContext``."""
+    return Field(rank, lambda c, d: SURFACE_BUILDERS[key][isinstance(c, NestedSurfaceContext)](c, d))
+
+
+def _ref_emap(fn, val, rank):
+    return fn(val) if rank == 0 else [_ref_emap(fn, v, rank - 1) for v in val]
+
+
+def _ref_emap2(fn, a, b, rank):
+    return fn(a, b) if rank == 0 else [_ref_emap2(fn, x, y, rank - 1) for x, y in zip(a, b)]
+
+
+def _ref_matmul(A, B):
+    n = len(A)
+    prod = dot_rows(
+        (A[i], [B[k][j] for k in range(n)], None) for i in range(n) for j in range(n)
+    )
+    return [prod[i * n : (i + 1) * n] for i in range(n)]
+
+
+class ReferenceFields:
+    """The Field combinators as they were written on nested jets: each
+    returns a ``Field`` of nested lists."""
+
+    @staticmethod
+    def add(F, G):
+        return Field(F.rank, lambda c, d: _ref_emap2(lambda a, b: a + b, F(c, d), G(c, d), F.rank))
+
+    @staticmethod
+    def sub(F, G):
+        return Field(F.rank, lambda c, d: _ref_emap2(lambda a, b: a - b, F(c, d), G(c, d), F.rank))
+
+    @staticmethod
+    def neg(F):
+        return Field(F.rank, lambda c, d: _ref_emap(lambda a: -a, F(c, d), F.rank))
+
+    @staticmethod
+    def scale(F, x):
+        return Field(F.rank, lambda c, d: _ref_emap(lambda a: a * x, F(c, d), F.rank))
+
+    @staticmethod
+    def dim_scaled(F, coeff):
+        return Field(F.rank, lambda c, d: _ref_emap(lambda a: a * coeff(c.dim), F(c, d), F.rank))
+
+    @staticmethod
+    def times(f, F):
+        return Field(F.rank, lambda c, d: _ref_emap(lambda b: f(c, d) * b, F(c, d), F.rank))
+
+    @staticmethod
+    def metric():
+        return Field(2, lambda c, d: c.g(d))
+
+    @staticmethod
+    def differential(f):
+        return Field(1, lambda c, d: [f(c, d + 1).partial(i) for i in range(c.dim)])
+
+    @staticmethod
+    def divergence(w):
+        def fn(c, d):
+            n = c.dim
+            cov = reference_covariant(w(c, d + 1), c.gamma(d),
+                                      [(i, (j,)) for i in range(n) for j in range(n)])
+            return dot(_flat(c.ginv(d)), cov)
+
+        return Field(0, fn)
+
+    @staticmethod
+    def hessian(f):
+        def fn(c, d):
+            n = c.dim
+            j = f(c, d + 2)
+            dj = [j.partial(i) for i in range(n)]
+            up = _ref_upper(n)
+            v = dict(zip(up, reference_covariant(dj, c.gamma(d), [(k, (i,)) for i, k in up])))
+            return _symmetric(n, lambda i, k: v[i, k])
+
+        return Field(2, fn)
+
+    @staticmethod
+    def divergence2(T):
+        def fn(c, d):
+            n = c.dim
+            t = T(c, d + 1)
+            gi = _flat(c.ginv(d))
+            nabla = reference_covariant(
+                t, c.gamma(d), [(i, (k, j)) for j in range(n) for i in range(n) for k in range(n)])
+            return dot_rows((gi, nabla[j * n * n : (j + 1) * n * n], None) for j in range(n))
+
+        return Field(1, fn)
+
+    @staticmethod
+    def apply2(T, w):
+        def fn(c, d):
+            n = c.dim
+            t, gi, om = T(c, d), c.ginv(d), w(c, d)
+            raised = dot_rows((gi[k], om, None) for k in range(n))
+            return dot_rows((t[i], raised, None) for i in range(n))
+
+        return Field(1, fn)
+
+    @staticmethod
+    def inner22(S, T):
+        def fn(c, d):
+            su, tu = _ref_matmul(c.ginv(d), S(c, d)), _ref_matmul(c.ginv(d), T(c, d))
+            return dot(_flat(su), _flat(zip(*tu)))
+
+        return Field(0, fn)
+
+    @staticmethod
+    def square2(T):
+        return Field(2, lambda c, d: _ref_matmul(_ref_matmul(T(c, d), c.ginv(d)), T(c, d)))
+
+    @staticmethod
+    def trace_cube(T):
+        def fn(c, d):
+            up = _ref_matmul(c.ginv(d), T(c, d))
+            cube = _ref_matmul(_ref_matmul(up, up), up)
+            return sum((cube[i][i] for i in range(1, c.dim)), cube[0][0])
+
+        return Field(0, fn)
 
 
 # ---- reference fourth-order integrand ----------------------------------------
@@ -640,6 +1096,64 @@ def reference_c_invariant():
     )
 
 
+# ---- nested contractions ----------------------------------------------------
+# Contractions of nested jets, packed for ``jets.contract``: the nested
+# references and the bit-identity tests of the contraction core call them.
+
+
+def dot_rows(rows, negate=None):
+    """[dot(xs, ys, start, negate) for xs, ys, start in rows] for rows of
+    nested jets with the same number of terms m, through ``jets.contract``.
+    ``negate``, m booleans or None for none, marks the terms whose x
+    coefficients are negated, never their products, in every row.  Each row
+    is summed at its lowest degree; consecutive rows over one space, all with
+    a start or all without, are packed (``jets.pack``) and summed by one
+    ``jets.contract``."""
+    out, group, key, m = [], [], None, None
+
+    def flush():
+        space, k = key
+        x = jets.pack(space, [j for xs, _, _ in group for j in xs])
+        y = jets.pack(space, [j for _, ys, _ in group for j in ys])
+        s = jets.pack(space, [start for *_, start in group]) if k else None
+        ix = np.arange(len(group) * m).reshape(-1, m)
+        signs = np.tile(negate, (len(group), 1)) if any(negate) else None
+        out.extend(jets.contract(x, ix, y, ix, s, signs).views)
+        group.clear()
+
+    for xs, ys, start in rows:
+        if m is None:
+            m = len(xs)
+            negate = (False,) * m if negate is None else tuple(negate)
+            if len(negate) != m:
+                raise jets.JetError(f"dot_rows needs one sign per term: got {len(negate)} for {m}")
+        elif len(xs) != m:
+            raise jets.JetError(f"dot_rows needs rows of one length: got {m} and {len(xs)} terms")
+        if len(ys) != len(xs) or not xs:
+            raise jets.JetError(
+                f"dot needs as many xs as ys, and one at least: got {len(xs)} and {len(ys)}"
+            )
+        ops = [*xs, *ys] if start is None else [start, *xs, *ys]
+        if len({j.space.nvars for j in ops}) > 1:
+            raise jets.JetError("jets live over different variables")
+        space = min((j.space for j in ops), key=lambda sp: sp.degree)
+        if group and (space, start is not None) != key:
+            flush()
+        key = (space, start is not None)
+        group.append((xs, ys, start))
+    if group:
+        flush()
+    return out
+
+
+def dot(xs, ys, start=None, negate=None):
+    """start + xs[0]*ys[0] + xs[1]*ys[1] + ..., summed left to right by
+    ``jets.contract`` at the lowest degree among the operands, with the xs
+    marked in ``negate`` negated (their coefficients, never the products).
+    The one-row case of ``dot_rows``."""
+    return dot_rows([(xs, ys, start)], negate)[0]
+
+
 # ---- reference contraction -------------------------------------------------
 
 
@@ -653,31 +1167,26 @@ def reference_dot(xs, ys, start=None):
 
 def reference_det(M):
     """Laplace expansion of a square jet matrix along its first row, one
-    ``jets.dot`` per minor, recursively."""
+    ``dot`` per minor, recursively."""
     if len(M) == 1:
         return M[0][0]
     signed = [-x if j % 2 else x for j, x in enumerate(M[0])]
     minors = [reference_det([row[:j] + row[j + 1 :] for row in M[1:]]) for j in range(len(M))]
-    return jets.dot(signed, minors)
+    return dot(signed, minors)
 
 
 def count_products(monkeypatch):
     """Count jet products from here on: each ``Jet * Jet``, each term of
-    each row of a ``jets.dot_rows`` (so of a ``jets.dot``) or of a packed
-    ``jets.contract``, and each entry of a ``jets.mul_entries`` adds one to
-    ``counter[0]`` of the returned one-item list."""
+    each row of a ``jets.contract`` (so of a ``dot_rows`` or ``dot``), and
+    each entry of a ``jets.mul_entries`` (so of a
+    ``jets.products`` or ``jets.times``) adds one to ``counter[0]`` of the
+    returned one-item list."""
     counter = [0]
-    mul, dot_rows = jets.Jet.__mul__, jets.dot_rows
-    contract, mul_entries = jets.contract, jets.mul_entries
+    mul, contract, mul_entries = jets.Jet.__mul__, jets.contract, jets.mul_entries
 
     def counting_mul(self, other):
         counter[0] += isinstance(other, jets.Jet)
         return mul(self, other)
-
-    def counted(rows):
-        for row in rows:
-            counter[0] += len(row[0])
-            yield row
 
     def counting_contract(x, xi, *args):
         counter[0] += xi.size
@@ -688,7 +1197,6 @@ def count_products(monkeypatch):
         return mul_entries(space, ca, cb, *args)
 
     monkeypatch.setattr(jets.Jet, "__mul__", counting_mul)
-    monkeypatch.setattr(jets, "dot_rows", lambda rows, negate=None: dot_rows(counted(rows), negate))
     monkeypatch.setattr(jets, "contract", counting_contract)
     monkeypatch.setattr(jets, "mul_entries", counting_mul_entries)
     return counter

@@ -381,7 +381,7 @@ def test_connection_builders_match_the_parent_forms(name, d):
 @pytest.mark.parametrize("d", [0, 1, 2])
 @pytest.mark.parametrize("name", ["PERT_T4", "PERT_T5", "GRAPH(T4_IN_PERT_T5)"])
 def test_weyl_builders_match_the_hand_negated_forms(name, d, batch):
-    # a sign per term of jets.dot_rows keeps the bits of negated operands,
+    # a sign per term of jets.contract keeps the bits of negated operands,
     # on both sides of the layered threshold
     scn = parse_scenario(name)
     ctx = scn.context(rand_points(scn.chart, batch, 13))
@@ -443,7 +443,6 @@ def test_riemann_build_makes_one_dot_rows_call(monkeypatch):
     calls, contract, cores, core = [], jets.contract, [], jets._dot_core
     monkeypatch.setattr(jets, "contract", lambda *args: calls.append(1) or contract(*args))
     monkeypatch.setattr(jets, "_dot_core", lambda *args: cores.append(1) or core(*args))
-    monkeypatch.setattr(jets, "dot_rows", None)
     curvature.riemann(ctx, 1)
     assert len(calls) == 1
     # 55 rows of 10 terms at 4 points and degree 1 (11 pairs a product):

@@ -5,11 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from extrinsicq import curvature, hypersurface as hs, jets
+from extrinsicq import curvature, geometry, hypersurface as hs, jets
+from extrinsicq import operators as ops
 from extrinsicq.geometry import Axis, Chart, Metric, conformal_rescale, jet_coeffs, jet_values
 from extrinsicq.scenarios import parse_scenario
 
 from helpers import (
+    SURFACE_BUILDERS,
+    NestedSurfaceContext,
+    ReferenceFields,
     assert_same_bits,
     count_products,
     evaluate_each,
@@ -18,6 +22,7 @@ from helpers import (
     reference_nabla0_weyl_normal,
     reference_normal_tt,
     reference_second_fundamental,
+    surface_field,
 )
 
 TAU = 2.0 * np.pi
@@ -192,13 +197,13 @@ def test_normal_is_unit_and_orthogonal_as_jets():
 
 @pytest.mark.parametrize("name", ["GRAPH(T4_IN_PERT_T5)", "SLICE(S2xS2)", "SPHERE_IN_FLAT(3,1)"])
 def test_maximal_minors_match_the_recursive_expansion(name, monkeypatch):
-    # bit for bit, with one dot_rows call per minor size from 2 to n
+    # bit for bit, with one contraction per minor size from 2 to n
     scn = parse_scenario(name)
     sctx = scn.context(surface_points(scn.embedding, 5, 3))
     t = hs.tangents(sctx, 2)
     n = len(t)
-    calls, dot_rows = [], jets.dot_rows
-    monkeypatch.setattr(jets, "dot_rows", lambda rows, neg=None: calls.append(1) or dot_rows(rows, neg))
+    calls, contract = [], jets.contract
+    monkeypatch.setattr(jets, "contract", lambda *args: calls.append(1) or contract(*args))
     got = hs._maximal_minors(t)
     assert len(calls) == n - 1
     monkeypatch.undo()
@@ -801,3 +806,63 @@ def test_embedding_builds_match_each_component_alone(name):
         want = evaluate_each(emb.ambient_metric.exprs, amb.coords(d))
         ncb = jets.jet_space(amb.dim, d).ncoeffs
         assert_same_bits(jet_coeffs(amb.g(d), B, ncb), jet_coeffs(want, B, ncb))
+
+
+def _entries(T):
+    return [x for t in T for x in _entries(t)] if isinstance(T, (list, tuple)) else [T]
+
+
+def _assert_same_tensor(got, want, B, nc, name):
+    """Bit for bit, and each entry batched where the nested jet is."""
+    assert_same_bits(jet_coeffs(got, B, nc), jet_coeffs(want, B, nc))
+    assert [x.batch for x in _entries(got)] == [x.batch for x in _entries(want)], name
+
+
+def _combinator_fields(api):
+    """{name: field} of every Field combinator, on the hypersurface keys'
+    fields, through ``api``: the geometry module or ``ReferenceFields``."""
+    H, Lo, W = surface_field(0, "mean_curvature"), surface_field(2, "tracefree_L"), \
+        surface_field(2, "normal_weyl")
+    g = api.metric() if api is ReferenceFields else geometry.metric_field()
+    if api is ReferenceFields:
+        add, sub, neg, scale, times = api.add, api.sub, api.neg, api.scale, api.times
+        dim_scaled = api.dim_scaled
+    else:
+        add, sub, neg = (lambda F, G: F + G), (lambda F, G: F - G), (lambda F: -F)
+        scale, times = (lambda F, x: F * x), (lambda f, F: f * F)
+        dim_scaled = ops._dim_scaled
+    Lo2, dH = api.square2(Lo), api.differential(H)
+    return {
+        "sum": add(Lo, W), "difference": sub(Lo2, Lo), "negation": neg(Lo),
+        "scalar": scale(Lo2, -2.5), "scalar_rank0": scale(H, 3.0),
+        "jet_times": times(H, Lo), "jet_times_metric": times(H, g), "jet_times_jet": times(H, H),
+        "dim_scaled": dim_scaled(Lo, lambda n: 0.5 * n - 1.0), "differential": dH,
+        "divergence": api.divergence(dH), "hessian": api.hessian(H),
+        "divergence2": api.divergence2(Lo), "divergence2_full": api.divergence2(Lo2),
+        "apply2": api.apply2(Lo, dH), "inner22": api.inner22(Lo, W), "square2": Lo2,
+        "trace_cube": api.trace_cube(Lo),
+    }
+
+
+@pytest.mark.parametrize("points", [1, 8, 127, 128, 353])
+@pytest.mark.parametrize(
+    "name", ["GRAPH(T4_IN_PERT_T5)", "SLICE(S2xS2)", "SPHERE_IN_FLAT(4,1)",
+             "CONF_PERTURBED(SLICE(PERT_T3))"]
+)
+def test_packed_hypersurface_matches_the_nested_reference(name, points):
+    # every hypersurface key and Field combinator, packed, on both sides of
+    # the layered threshold, has the bits and the batched entries of the
+    # nested builders on a twin context
+    scn = parse_scenario(name)
+    pts = surface_points(scn.embedding, points, 41)
+    n = scn.chart.dim
+    new, ref = _combinator_fields(geometry), _combinator_fields(ReferenceFields)
+    for d in range(3):
+        ctx, twin = scn.context(pts), NestedSurfaceContext(scn.embedding, pts)
+        nc = jets.jet_space(n, d).ncoeffs
+        for key, (packed, nested) in SURFACE_BUILDERS.items():
+            if (key == "fialkow" and n < 3) or (key == "nabla0_weyl" and d):
+                continue
+            _assert_same_tensor(packed(ctx, d), nested(twin, d), points, nc, key)
+        for key in new:
+            _assert_same_tensor(new[key](ctx, d), ref[key](twin, d), points, nc, key)

@@ -19,6 +19,8 @@ from extrinsicq.jets import (
 )
 from helpers import (
     assert_same_bits,
+    dot,
+    dot_rows,
     fd_rate,
     poly_derivative_value,
     poly_eval,
@@ -585,7 +587,7 @@ def test_dot_is_bit_identical_to_the_loop(nvars, degree, batch):
     # every sign pattern against the loop with those xs negated by hand
     for (xs0, ys), start in itertools.product((uniform, mixed), starts):
         for [(xs, _, _)], negate in _sign_patterns(rng, [(xs0, ys, start)]):
-            got = jets.dot(xs, ys, start, negate)
+            got = dot(xs, ys, start, negate)
             want = _reference_signed_dot(xs, ys, start, negate)
             assert got.degree == degree and got.batch == want.batch
             assert_same_bits(got.coeffs, want.coeffs)
@@ -603,7 +605,7 @@ def test_dot_negates_eight_terms_of_one_coefficient(batch):
         for _ in range(3)
     ]
     for negate in _signs(8):
-        for g, (xs, ys, _) in zip(jets.dot_rows(rows, negate), rows, strict=True):
+        for g, (xs, ys, _) in zip(dot_rows(rows, negate), rows, strict=True):
             assert_same_bits(g.coeffs, _reference_signed_dot(xs, ys, None, negate).coeffs)
 
 
@@ -611,18 +613,18 @@ def test_dot_rejects_mismatched_operands():
     a = seed_variable(jet_space(2, 2), 0, 0.3)
     b = seed_variable(jet_space(3, 2), 0, 0.3)
     with pytest.raises(JetError, match="different variables"):
-        jets.dot([a], [b])
+        dot([a], [b])
     with pytest.raises(JetError, match="different variables"):
-        jets.dot([a], [a], start=b)
+        dot([a], [a], start=b)
     p, q = Jet(a.space, np.ones((a.space.ncoeffs, 4))), Jet(a.space, np.ones((a.space.ncoeffs, 5)))
     with pytest.raises(JetError, match="batch sizes differ"):
-        jets.dot([p, a], [a, q])
+        dot([p, a], [a, q])
     with pytest.raises(JetError, match="batch sizes differ"):
-        jets.dot([p], [p], start=q)
+        dot([p], [p], start=q)
     with pytest.raises(JetError, match="as many xs as ys"):
-        jets.dot([a, a], [a])
+        dot([a, a], [a])
     with pytest.raises(JetError, match="as many xs as ys"):
-        jets.dot([], [])
+        dot([], [])
 
 
 def _dot_rows_operands(rng, nvars, degree, batch, count, mixed, starts, m=4):
@@ -651,7 +653,7 @@ def _assert_rows_match_dot_loop(rng, rows):
     """The rows of one ``dot_rows`` call under each of ``_sign_patterns``,
     against the loop row by row."""
     for signed, negate in _sign_patterns(rng, rows):
-        got = jets.dot_rows(iter(signed), negate)
+        got = dot_rows(iter(signed), negate)
         assert len(got) == len(signed)
         for g, (xs, ys, start) in zip(got, signed):
             want = _reference_signed_dot(xs, ys, start, negate)
@@ -704,23 +706,23 @@ def test_dot_rows_rejects_mismatched_rows():
     a = seed_variable(jet_space(2, 2), 0, 0.3)
     b = seed_variable(jet_space(3, 2), 0, 0.3)
     p, q = Jet(a.space, np.ones((a.space.ncoeffs, 4))), Jet(a.space, np.ones((a.space.ncoeffs, 5)))
-    assert jets.dot_rows([]) == []
+    assert dot_rows([]) == []
     with pytest.raises(JetError, match="rows of one length"):
-        jets.dot_rows([([a], [a], None), ([a, a], [a, a], None)])
+        dot_rows([([a], [a], None), ([a, a], [a, a], None)])
     with pytest.raises(JetError, match="different variables"):
-        jets.dot_rows([([a], [a], None), ([a], [b], None)])
+        dot_rows([([a], [a], None), ([a], [b], None)])
     with pytest.raises(JetError, match="different variables"):
-        jets.dot_rows(([a], [a], s) for s in (None, b))
+        dot_rows(([a], [a], s) for s in (None, b))
     with pytest.raises(JetError, match="batch sizes differ"):
-        jets.dot_rows([([p], [p], None), ([p, a], [a, q], None)][1:])
+        dot_rows([([p], [p], None), ([p, a], [a, q], None)][1:])
     with pytest.raises(JetError, match="batch sizes differ"):
-        jets.dot_rows([([p], [a], None), ([p], [p], q)])
+        dot_rows([([p], [a], None), ([p], [p], q)])
     with pytest.raises(JetError, match="as many xs as ys"):
-        jets.dot_rows([([a], [a, a], None)])
+        dot_rows([([a], [a, a], None)])
     with pytest.raises(JetError, match="one sign per term"):
-        jets.dot_rows([([a, a], [a, a], None)], (True,))
+        dot_rows([([a, a], [a, a], None)], (True,))
     with pytest.raises(JetError, match="one sign per term"):
-        jets.dot([a], [a], None, (False, True))
+        dot([a], [a], None, (False, True))
 
 
 def _layered_calls(monkeypatch):
@@ -771,7 +773,7 @@ def _assert_dot_is_the_loop(xs, ys, start, negate, calls):
     """The dot's coefficients, checked against the loop, and the number of
     products it made, counted by ``calls`` (``_layered_calls``)."""
     calls[0] = 0
-    got = jets.dot(xs, ys, start, negate)
+    got = dot(xs, ys, start, negate)
     made = calls[0]
     want = _reference_signed_dot(xs, ys, start, negate)
     assert got.degree == want.degree and got.batch == want.batch
@@ -880,7 +882,7 @@ def test_dot_rows_checks_an_operand_at_each_truncation(batch):
         for d in (2, 3)
     ]
     for order in (rows, rows[::-1]):
-        for got, (xs, ys, start) in zip(jets.dot_rows(order), order, strict=True):
+        for got, (xs, ys, start) in zip(dot_rows(order), order, strict=True):
             assert_same_bits(got.coeffs, reference_dot(xs, ys, start).coeffs)
 
 

@@ -519,15 +519,17 @@ def test_integrands_equal_their_term_by_term_references(name):
 
 
 def test_each_tensor_is_raised_once_per_context(monkeypatch):
-    # the total integrand reads 11 distinct products g^-1 X or X Y, made by
-    # 25 matrix products before each context kept g^-1 X; c_invariant 14 of 23
+    # the total integrand reads 10 distinct matrix products g^-1 X or X Y,
+    # c_invariant 13; the trace of (g^-1 Lo)^3 contracts only the diagonal
+    # of its last product, which is no matrix product
     from extrinsicq import geometry
 
-    calls, matmul = [], geometry._matmul
-    monkeypatch.setattr(geometry, "_matmul", lambda A, B: calls.append((id(A), id(B))) or matmul(A, B))
+    calls, product = [], geometry.matrix_product
+    monkeypatch.setattr(geometry, "matrix_product",
+                        lambda A, B: calls.append((id(A), id(B))) or product(A, B))
     for field, want in (
-        (ops.integrand_i1() + ops.integrand_i2() + ops.integrand_i3(), 11),
-        (ops.c_invariant(), 14),
+        (ops.integrand_i1() + ops.integrand_i2() + ops.integrand_i3(), 10),
+        (ops.c_invariant(), 13),
     ):
         calls.clear()
         scn = parse_scenario("GRAPH(T4_IN_PERT_T5)")

@@ -1,7 +1,7 @@
 """The scripts in tools/: compare_reports.py on small hand-made reports,
 products_by_build.py on one small chunk, bench_draw_batch.py's row timings
-on this checkout, and bench_pairs.py on stand-in perfbench runs and one
-side's builder timings."""
+and bench_tangential.py's contraction timings on this checkout, and
+bench_pairs.py on stand-in perfbench runs and one side's builder timings."""
 
 import importlib.util
 import json
@@ -16,6 +16,7 @@ TOOL = ROOT / "tools" / "compare_reports.py"
 PRODUCTS = ROOT / "tools" / "products_by_build.py"
 DRAW_BATCH = ROOT / "tools" / "bench_draw_batch.py"
 PAIRS = ROOT / "tools" / "bench_pairs.py"
+TANGENTIAL = ROOT / "tools" / "bench_tangential.py"
 
 
 def _report(rows):
@@ -86,7 +87,7 @@ def test_products_by_build_charges_the_innermost_build():
 
 
 def test_products_by_build_counts_each_dot_term():
-    # gamma and riemann contract through jets.dot only: on the flat 4-dimensional
+    # gamma and riemann contract through jets.contract only: on the flat 4-dimensional
     # ambient, n * n(n+1)/2 * n = 160 terms, and 21 independent components
     # of 2n = 8 terms each
     out = _products("SPHERE_IN_FLAT(3,1)", "ext_q3", "--points", "4")
@@ -171,6 +172,19 @@ def test_bench_draw_batch_times_the_nine_draw_rows():
     assert len(rows) == 9 and all(t > 0 for t in times.values())
     assert sum(1 for k in rows if k.startswith("check_c_invariance")) == 2
     assert math.isclose(times["sum"], sum(times[k] for k in rows), abs_tol=1e-3)
+
+
+def test_bench_tangential_times_each_degree_on_both_sides():
+    out = subprocess.run(
+        [sys.executable, str(TANGENTIAL), str(ROOT), str(ROOT), "--points", "2"],
+        capture_output=True, text=True, check=True,
+    )
+    got = json.loads(out.stdout)
+    degrees = [str(d) for d in range(5)]
+    assert got["points"] == 2
+    assert all(list(got["us_per_call"][side]) == degrees for side in ("parent", "change"))
+    assert all(got["us_per_call"][side][d] > 0 for side in ("parent", "change") for d in degrees)
+    assert list(got["ratio"]) == degrees
 
 
 def _bench_pairs():

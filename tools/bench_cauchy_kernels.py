@@ -11,16 +11,17 @@ and the largest difference between the two results relative to the largest
 absolute value.  For nvars {4, 5} x degree {1, 2} x terms {4, 16, 25} x
 batch {8, 128, 1024} it times a sum of products of jets, xs[0]*ys[0] +
 xs[1]*ys[1] + ..., three ways ("dot_rows"): as a loop of ``Jet`` products
-and additions, as ``jets.dot``, and stacked into one reduceat whatever the
-batch (the form ``jets.dot`` uses below ``_LAYERED_MIN_BATCH``), and checks
-that ``jets.dot`` equals the loop bit for bit.  At 128 and 1024 points it
+and additions, as one row of ``jets.contract`` on the operands packed
+(``packed_dot``, "dot_us"), and stacked into one reduceat whatever the batch
+(the form ``jets.contract`` uses below ``_LAYERED_MIN_BATCH``), and checks
+that the contraction equals the loop bit for bit.  At 128 and 1024 points it
 times the same sums again with the x of every second term all zero
-("vanishing_share" 0.5), terms that ``jets.dot`` leaves out there.  For
+("vanishing_share" 0.5), terms that ``jets.contract`` leaves out there.  For
 nvars {4, 5} x degree {2, 3, 4} x batch {128, 1024} it times ``jets.sin`` of
 a chart coordinate, whose offset is the same at every point, and of a jet
 whose offset varies from point to point ("series_rows").  For 5 variables x degree 0-4 x rows
 {6, 15, 55} x terms {5, 10} at 8 points it times the rows of one tensor
-contracted one ``jets.dot`` each and by one ``jets.dot_rows`` call, the
+contracted one ``packed_dot`` each and by one ``packed_dot_rows`` call, the
 latter with each candidate bound on the gathered array of one stacked
 reduceat ("batched_rows", microseconds per row), checks that the two agree
 bit for bit, and picks the bound ("stack_bound"): the smallest candidate
@@ -90,6 +91,20 @@ def stacked_dot(space, X, Y):
     return np.add.accumulate(np.add.reduceat(X[I] * Y[J], starts, axis=0), axis=1)[:, -1]
 
 
+def packed_dot_rows(rows):
+    """The sums of ``rows`` (xs, ys, None) of jets over one space: their
+    operands packed and contracted by one ``jets.contract``."""
+    m, space = len(rows[0][0]), rows[0][0][0].space
+    x = jets.pack(space, [j for xs, _, _ in rows for j in xs])
+    y = jets.pack(space, [j for _, ys, _ in rows for j in ys])
+    ix = np.arange(len(rows) * m).reshape(-1, m)
+    return jets.contract(x, ix, y, ix).views
+
+
+def packed_dot(xs, ys):
+    return packed_dot_rows([(xs, ys, None)])[0]
+
+
 def dot_rows(rng):
     rows = []
     for nvars in NVARS:
@@ -106,7 +121,7 @@ def dot_rows(rng):
                     xs = [jets.Jet(space, X[:, m].copy()) for m in range(terms)]
                     ys = [jets.Jet(space, Y[:, m].copy()) for m in range(terms)]
                     loop = per_call(lambda: loop_dot(xs, ys))
-                    dot = per_call(lambda: jets.dot(xs, ys))
+                    dot = per_call(lambda: packed_dot(xs, ys))
                     stacked = per_call(lambda: stacked_dot(space, X, Y))
                     rows.append(
                         {
@@ -121,7 +136,7 @@ def dot_rows(rng):
                             "speedup": round(loop / dot, 2),
                             "bit_identical": bool(
                                 np.array_equal(
-                                    jets.dot(xs, ys).coeffs.view(np.int64),
+                                    packed_dot(xs, ys).coeffs.view(np.int64),
                                     loop_dot(xs, ys).coeffs.view(np.int64),
                                 )
                             ),
@@ -170,14 +185,14 @@ def batched_rows(rng):
                         ) + (None,)
                         for _ in range(nrows)
                     ]
-                    one = per_call(lambda: [jets.dot(xs, ys) for xs, ys, _ in rows]) / nrows
-                    want = [jets.dot(xs, ys).coeffs for xs, ys, _ in rows]
+                    one = per_call(lambda: [packed_dot(xs, ys) for xs, ys, _ in rows]) / nrows
+                    want = [packed_dot(xs, ys).coeffs for xs, ys, _ in rows]
                     row = {"degree": degree, "rows": nrows, "terms": terms,
                            "dot_us_per_row": round(one * 1e6, 2), "rows_us_per_row": {}}
                     for bound in STACK_BOUNDS:
                         jets._STACK_ELEMENTS = bound
-                        t = per_call(lambda: jets.dot_rows(rows)) / nrows
-                        got = [j.coeffs for j in jets.dot_rows(rows)]
+                        t = per_call(lambda: packed_dot_rows(rows)) / nrows
+                        got = [j.coeffs for j in packed_dot_rows(rows)]
                         assert all(np.array_equal(g, w) for g, w in zip(got, want))
                         row["rows_us_per_row"][str(bound)] = round(t * 1e6, 2)
                         ratios[bound].append(t / one)

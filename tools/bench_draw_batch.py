@@ -17,8 +17,8 @@ object:
   pass at seed 7, then one counted pass: its wall time, the contexts it
   builds, ``Jet.partial`` calls, and the calls and seconds of
   ``jets._substitute`` (the coefficient sum of ``compose`` and the series
-  functions) and of ``jets._dot_stacked`` (where the stacked ``dot_rows``
-  negate their marked terms).
+  functions) and of ``jets._dot_core`` (the stacked products and sums of
+  a contraction below 128 points).
 - "end_to_end": for each perfbench workload, ``--pairs`` pairs of
   ``perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0``,
   one run per side, one process at a time, the side that runs first
@@ -178,10 +178,10 @@ def pass_counts(tree, workload):
 
         return call
 
-    saved = (jets._substitute, jets._dot_stacked, jets.Jet.partial,
+    saved = (jets._substitute, jets._dot_core, jets.Jet.partial,
              geometry.GeometryContext.__init__)
     jets._substitute = timed("substitute", saved[0])
-    jets._dot_stacked = timed("dot_stacked", saved[1])
+    jets._dot_core = timed("dot_core", saved[1])
     jets.Jet.partial = counted("partial_calls", saved[2])
     geometry.GeometryContext.__init__ = counted("contexts", saved[3])
     try:
@@ -189,7 +189,7 @@ def pass_counts(tree, workload):
         workloads.run_pass(ops_)
         tally["pass_s"] = time.perf_counter() - t0
     finally:
-        (jets._substitute, jets._dot_stacked, jets.Jet.partial,
+        (jets._substitute, jets._dot_core, jets.Jet.partial,
          geometry.GeometryContext.__init__) = saved
     return {k: round(v, 4) if isinstance(v, float) else v for k, v in sorted(tally.items())}
 

@@ -1,4 +1,4 @@
-"""Measure leaving vanishing terms out of the layered ``jets.dot``, parent against change.
+"""Measure leaving vanishing terms out of layered contractions, parent against change.
 
 Usage, from the root of a checkout:
 
@@ -19,7 +19,7 @@ than the parent's interquartile range ("claim").
 
 Then, for each workload and side, one process sets the workload up at seed
 7, runs one pass to warm its caches and counts one more pass ("passes"):
-``_cauchy_layered`` calls, layered ``dot_rows`` rows and their terms.  On
+``_cauchy_layered`` calls, layered contraction rows and their terms.  On
 the change it also sorts the layered rows by how many of their terms
 vanish (none, some, all) and by how the sum was settled ("direct": no -0
 left; "+0 term": a vanishing +0 term turned the -0 to +0; "products

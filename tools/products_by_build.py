@@ -16,10 +16,10 @@ innermost ``GeometryContext.get`` build running when it is made, named by
 (context kind, cache key, degree): the kind is ``surface`` for the induced
 metric of an embedded scenario and ``metric`` otherwise (the ambient context
 of an embedded scenario, or an intrinsic one), and assembled operator fields
-share the key ``field``.  Each term of each row of a ``jets.dot_rows`` call
-(``jets.dot`` is its one-row case) or of a ``jets.contract`` call counts as
-one product, and the time of the whole call is charged with it, as does each
-entry of a ``jets.mul_entries`` call.  So does each monomial
+share the key ``field``.  Each term of each row of a ``jets.contract`` call
+counts as one product, and the time of the whole call is charged with it,
+as does each entry of a ``jets.mul_entries`` call (which ``jets.products``
+and ``jets.times`` make).  So does each monomial
 product that ``jets.compose`` makes on one unbatched column, the only caller
 that hands ``jets._cauchy_layered`` a 1-d operand.  The terms that a row of
 128 points or more leaves out because their products vanish
@@ -76,7 +76,7 @@ def charge(field, ctx):
     seconds, terms left out]}, wall seconds)."""
     table = defaultdict(lambda: [0, 0, 0.0, 0])
     stack = []
-    get, mul, dot_rows = GeometryContext.get, jets.Jet.__mul__, jets.dot_rows
+    get, mul = GeometryContext.get, jets.Jet.__mul__
     contract, mul_entries = jets.contract, jets.mul_entries
     layered, vanishing = jets._cauchy_layered, jets._vanishing
     series = {name: getattr(jets, name) for name in SERIES}
@@ -122,16 +122,6 @@ def charge(field, ctx):
             return mul(a, b)
         return counted(lambda: 1, mul, a, b)
 
-    def counted_dot_rows(rows, negate=None):
-        lengths = []
-
-        def each(rows):
-            for row in rows:
-                lengths.append(len(row[0]))
-                yield row
-
-        return counted(lambda: sum(lengths), dot_rows, each(rows), negate)
-
     def counted_contract(x, xi, *args):
         return counted(lambda: xi.size, contract, x, xi, *args)
 
@@ -150,7 +140,6 @@ def charge(field, ctx):
 
     GeometryContext.get = traced_get
     jets.Jet.__mul__ = jets.Jet.__rmul__ = counted_mul
-    jets.dot_rows = counted_dot_rows
     jets.contract, jets.mul_entries = counted_contract, counted_mul_entries
     jets._cauchy_layered, jets._vanishing = counted_layered, counted_vanishing
     for name, fn in series.items():
@@ -163,7 +152,6 @@ def charge(field, ctx):
     finally:
         GeometryContext.get = get
         jets.Jet.__mul__ = jets.Jet.__rmul__ = mul
-        jets.dot_rows = dot_rows
         jets.contract, jets.mul_entries = contract, mul_entries
         jets._cauchy_layered, jets._vanishing = layered, vanishing
         for name, fn in series.items():
