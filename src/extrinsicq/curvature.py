@@ -28,8 +28,9 @@ The builder uses the first-kind form, whose symbols cost no products:
                + Gamma^m_{jk} Gamma_{m,il} - Gamma^m_{ik} Gamma_{m,jl},
     Gamma_{l,ik} = (d_i g_lk + d_k g_li - d_l g_ik) / 2,
 
-with the first-kind symbols from ``geometry.christoffel_first``, the same
-function the second-kind ``gamma`` raises.
+with the first-kind symbols from ``geometry.christoffel_first`` at degree
+d + 1: the start is ``jets.partial_sums`` of them, and the second-kind
+``gamma`` raises their degree-d prefix, so one build serves both.
 
 It and the Weyl builder compute only ``independent_components`` (i < j,
 k < l, (i, j) <= (k, l)); ``curvature_layout`` places the rest as
@@ -84,28 +85,21 @@ def _pair_index(n):
 
 @functools.lru_cache(maxsize=None)
 def _riemann_table(n):
-    """Rows of ``riemann``, one per independent component (i, j, k, l):
-    the Christoffel partials of the start d_j Gamma_{l,ik} - d_i Gamma_{l,jk},
-    gathered per variable, and the terms Gamma^m_jk Gamma_{m,il} and
-    -Gamma^m_ik Gamma_{m,jl} of m = 0 .. n-1."""
+    """Rows of ``riemann``, one per independent component (i, j, k, l): the
+    partials of its start d_j Gamma_{l,ik} - d_i Gamma_{l,jk}, and its terms
+    Gamma^m_jk Gamma_{m,il} and -Gamma^m_ik Gamma_{m,jl} of m = 0 .. n-1."""
     up, P = _pair_index(n), n * (n + 1) // 2
 
     def sym(m, a, b):
         return m * P + up[min(a, b), max(a, b)]
 
     quads = independent_components(n)
-    need = [(sym(l, i, k), j) for i, j, k, l in quads] + [(sym(l, j, k), i) for i, j, k, l in quads]
-    wanted = [sorted({c for c, v in need if v == var}) for var in range(n)]
-    at = {}
-    for var, comps in enumerate(wanted):
-        for c in comps:
-            at[c, var] = len(at)
-    plus = np.array([at[p] for p in need[: len(quads)]])
-    minus = np.array([at[p] for p in need[len(quads) :]])
+    var = np.array([(j, i) for i, j, k, l in quads])
+    comp = np.array([(sym(l, i, k), sym(l, j, k)) for i, j, k, l in quads])
     xi = np.array([[x for m in range(n) for x in (sym(m, j, k), sym(m, i, k))] for i, j, k, l in quads])
     yi = np.array([[y for m in range(n) for y in (sym(m, i, l), sym(m, j, l))] for i, j, k, l in quads])
     negate = np.tile(np.array([False, True] * n), (len(quads), 1))
-    return wanted, plus, minus, xi, yi, negate
+    return var, comp, xi, yi, negate
 
 
 def riemann(ctx, d):
@@ -115,17 +109,9 @@ def riemann(ctx, d):
         n = ctx.dim
         # first kind, G1[l][i][k] = Gamma_{l,ik} at degree dd + 1
         G1 = christoffel_first(ctx.g(dd + 2))
-        ga = ctx.gamma(dd)
-        wanted, plus, minus, xi, yi, negate = _riemann_table(n)
-        u = np.concatenate([G1.narrow()[c] for c in wanted])
-        narrow, space, B = u[plus] & u[minus], ga.space, G1.coeffs.shape[2]
-        start = jets.empty(space.ncoeffs, len(plus), B)
-        fixed = np.empty((space.ncoeffs, len(plus)))
-        for s in jets.point_blocks(B, space.ncoeffs * len(u)):
-            dG = G1.points(s).partials(wanted)
-            jets.fill(start[:, :, s], fixed, narrow,
-                      lambda k, w: dG.take(plus[k], w) - dG.take(minus[k], w))
-        start = jets.Packed(space, start, G1.batch, uniform=narrow, fixed=fixed)
+        ga = ctx.gamma(dd, first=G1)
+        var, comp, xi, yi, negate = _riemann_table(n)
+        start = jets.partial_sums(G1, var, comp, (False, True))
         comps = jets.contract(ga, xi, G1, yi, start, negate)
         return comps.laid_out(curvature_layout(n))
 

@@ -36,10 +36,11 @@ are array operations (``jets.mapped``) and a scalar field times a tensor
 one product per entry (``jets.times``), bit for bit the jet operations
 entry by entry.  Indexing a packed tensor, t[i][j], gives jet views into its
 array, made when first read, so ``operators``, ``cli`` and ``verify`` read
-it as nested jets.  Every module takes first-kind Christoffel symbols from
-``christoffel_first`` and covariant derivatives from ``covariant``.
-``jet_values`` and ``jet_coeffs`` turn a tensor into one numpy array, batch
-axis last.
+it as nested jets.  Every module takes first-kind Christoffel symbols, sums
+of the metric's partials (``jets.partial_sums``), from ``christoffel_first``
+(``gamma`` raises those ``curvature.riemann`` made where it can) and
+covariant derivatives from ``covariant``.  ``jet_values`` and ``jet_coeffs``
+turn a tensor into one numpy array, batch axis last.
 """
 
 import functools
@@ -318,46 +319,27 @@ def contraction(spec, x, y, symmetric=False):
 
 @functools.lru_cache(maxsize=None)
 def _christoffel_table(n):
-    """The three partials each first-kind symbol (l, i <= j) sums, as indices
-    into the metric partials var * n(n+1)/2 + pair."""
-    pos, P = symmetric_layout(n).pos, n * (n + 1) // 2
-    rows = [(i * P + pos[l, j], j * P + pos[l, i], l * P + pos[i, j])
-            for l in range(n) for i, j in upper(n)]
+    """The variables and metric components (pairs of ``upper(n)``) of the
+    partials d_i g_lj, d_j g_li and d_l g_ij of each symbol (l, i <= j)."""
+    pos = symmetric_layout(n).pos
+    rows = [((i, j, l), (pos[l, j], pos[l, i], pos[i, j])) for l in range(n) for i, j in upper(n)]
     return tuple(np.array(c) for c in zip(*rows))
 
 
 def christoffel_first(g1):
     """Christoffel symbols of the first kind, one degree below the metric
-    ``g1``, packed: G[l][i][j] = Gamma_{l,ij} = (d_i g_lj + d_j g_li - d_l g_ij) / 2.
-    The metric is symmetric, so each partial is taken for i <= j only, one
-    gather per variable (``jets.Packed.partials``), a block of points at a
-    time (``jets.point_blocks``)."""
-    g1 = pack_symmetric(g1)
-    n, B = len(g1), g1.coeffs.shape[2]
-    P = n * (n + 1) // 2
-    a, b, c = _christoffel_table(n)
-    u = np.tile(g1.narrow(), n)  # the partials of constants are constants
-    narrow = u[a] & u[b] & u[c]
-    space = jets.jet_space(n, g1.space.degree - 1)
-    G, fixed = jets.empty(space.ncoeffs, n * P, B), np.empty((space.ncoeffs, n * P))
-    for s in jets.point_blocks(B, space.ncoeffs * n * P):
-        dg = g1.points(s).partials([range(P)] * n)
-
-        def values(k, w):
-            v = dg.take(a[k], w) + dg.take(b[k], w)
-            v -= dg.take(c[k], w)
-            v *= 0.5
-            return v
-
-        jets.fill(G[:, :, s], fixed, narrow, values)
-    return jets.Packed(space, G, g1.batch, christoffel_layout(n), narrow, fixed)
+    ``g1``, packed: G[l][i][j] = Gamma_{l,ij} = (d_i g_lj + d_j g_li - d_l g_ij) / 2
+    for i <= j, from the metric's components i <= j (``jets.partial_sums``)."""
+    var, comp = _christoffel_table(len(g1))
+    G = jets.partial_sums(pack_symmetric(g1), var, comp, (False, False, True), 0.5)
+    return G.laid_out(christoffel_layout(len(g1)))
 
 
 @functools.lru_cache(maxsize=None)
 def _covariant_table(gl, tl, cidx, layout):
     """(wanted, xi, yi, layout) of ``covariant`` over symbols laid out by gl
     and a tensor by tl: the rows taken in ascending order of c, so that the
-    partials d_c T_idx (``wanted[c]``) come one gather per variable in row
+    partials d_c T_idx (``wanted[c]``, ``jets.Packed.partials``) come in row
     order, and ``layout`` over the rows of cidx moved to that order."""
     order = sorted(range(len(cidx)), key=lambda r: cidx[r][0])
     rank = np.empty(len(order), np.intp)
@@ -379,7 +361,7 @@ def covariant(T, ga, cidx, layout=None):
     by ``layout`` over the rows (one entry per row by default): in each row
     e outermost, the slots of ``idx`` in order, every term with a minus
     sign.  T is one degree deeper than the symbols ``ga``; the partials
-    d_c T_idx are one gather per variable."""
+    d_c T_idx start the rows."""
     T, cidx = as_packed(T), tuple(cidx)
     if T.layout.zero or T.layout.negated:  # each entry a component of its own
         T = jets.expanded(T)
@@ -526,11 +508,13 @@ class GeometryContext:
         # the key keeps its name: perfbench's tracer maps it to a layer
         return self.get("invdet", d, lambda dd: _invert_spd(self.g(dd), self, dd))
 
-    def gamma(self, d):
-        """Christoffel symbols of the second kind, gamma[k][i][j] = g^kl Gamma_{l,ij}."""
+    def gamma(self, d, first=None):
+        """Christoffel symbols of the second kind, gamma[k][i][j] = g^kl Gamma_{l,ij},
+        raised from ``first`` (``curvature.riemann``'s) where deep enough, else its own."""
 
         def build(dd):
-            G = christoffel_first(self.g(dd + 1))
+            deep = first is not None and first.space.degree >= dd
+            G = first.truncate(dd) if deep else christoffel_first(self.g(dd + 1))
             xi, yi = _gamma_table(self.dim)
             out = jets.contract(self.ginv(dd), xi, G, yi)
             return out.laid_out(christoffel_layout(self.dim))
@@ -576,7 +560,9 @@ def _invert_spd(gmat, ctx, d):
     the pivot row as row * ip and eliminates row i as row_i - f * row, f its
     entry in the pivot column, skipping an f that is zero at every
     coefficient; every entry's product is the jet product it would be
-    alone (``jets.mul_entries``), and the difference a subtraction.
+    alone (``jets.mul_entries``), and the difference a subtraction; from
+    ``jets._LAYERED_MIN_BATCH`` points on, some products of zeros are left
+    out (``_eliminate``).
     """
     g = pack_symmetric(gmat)
     n = len(g)
@@ -610,6 +596,7 @@ def _invert_spd(gmat, ctx, d):
         ip = jets.recip(jets.Jet(sp, a[:, k, k, 0] if narrow else a[:, k, k]))
         uniform[k] &= narrow
         a[:, k] = jets.mul_entries(sp, a[:, k], ip.coeffs.reshape(nc, 1, -1), uniform[k])
+        zero = ~a[:, k].any(axis=(0, 2)) & (B >= jets._LAYERED_MIN_BATCH)
         for i in range(n):
             if i == k:
                 continue
@@ -617,12 +604,27 @@ def _invert_spd(gmat, ctx, d):
             if not np.any(f):
                 continue  # structural zero, common for diagonal metrics
             both = uniform[i, k] & uniform[k]
-            a[:, i] -= jets.mul_entries(sp, f, a[:, k], both)
+            _eliminate(sp, a, i, k, both, zero)
             uniform[i] &= both
     inv = jets.empty(nc, n * n, B)
     for i in range(n):
         inv[:, i * n : (i + 1) * n] = a[:, i, n:]
     return jets.Packed(sp, inv, g.batch, jets.dense_layout((n, n)), uniform[:, n:].ravel())
+
+
+def _eliminate(sp, a, i, k, both, zero):
+    """Row i of the augmented matrix ``a`` less f (its entry k) times pivot
+    row k, in place, each product by ``jets.mul_entries``.  That of a finite
+    f and an entry marked ``zero`` (±0 at every coefficient and point) is ±0,
+    and x - (±0) = x but for x = -0: it is left out where x holds no -0."""
+    f = a[:, i, k : k + 1]
+    if not (zero.any() and np.isfinite(f).all()):
+        a[:, i] -= jets.mul_entries(sp, f, a[:, k], both)
+        return
+    f = f.copy()  # entry k changes on the way
+    for j in range(a.shape[2]):  # each entry a view, as a gather would copy the row
+        if not zero[j] or (a[:, i, j].view(np.int64) == jets._NEG_ZERO_BITS).any():
+            a[:, i, j] -= jets.mul_entries(sp, f, a[:, k, j : j + 1], both[j : j + 1])[:, 0]
 
 
 # ---- fields ----------------------------------------------------------------

@@ -16,8 +16,8 @@ tensor before the tangents.
 
 Every builder returns a ``jets.Packed`` tensor (a jet for the scalars H and
 rhobar(nu, nu)), and every contraction is one ``geometry.contraction``: the
-tangents are one partial gather per variable, and a symmetric result is
-summed for i <= j only.
+tangents are the embedding's first partials (``jets.Packed.partials``), and
+a symmetric result is summed for i <= j only.
 
 The unit normal is built from the generalized cross product of the tangent
 frame (cofactor covector, raised with the ambient metric and normalized);
@@ -122,7 +122,7 @@ def iota_jets(sctx, d):
 
 
 def tangents(sctx, d):
-    """t[i][a] = d iota^a / dx^i, one partial gather per variable."""
+    """t[i][a] = d iota^a / dx^i."""
 
     def build(dd):
         io = iota_jets(sctx, dd + 1)

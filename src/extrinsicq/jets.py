@@ -93,8 +93,8 @@ _LAYERED_MIN_BATCH = 128
 _STACK_ELEMENTS = 2**14
 
 # Largest block, in float64 elements, of the elementwise work on a packed
-# tensor (``fill``, ``point_blocks``): 2 MB, a few jets at a thousand points.
-# Taking the points of a thousand-point tensor a block at a time keeps its
+# tensor (``filled``): 2 MB, a few jets at a thousand points.  Taking the
+# components of a thousand-point tensor a block at a time keeps its
 # intermediates near that size, not several times the tensor's: at 2**20,
 # gauss-bonnet's peak RSS read 80-81 MB, at 2**18 75-77 MB, against 70-71 MB
 # for nested jets (the maximum RSS of one process running six passes).
@@ -102,6 +102,9 @@ _BLOCK_ELEMENTS = 2**18
 
 # -0.0 is the one float64 whose bits, read as an int64, are the least int64
 _NEG_ZERO_BITS = np.iinfo(np.int64).min
+
+# _flags(value, count): one read-only array of count flags per pair (``Packed.narrow``)
+_flags = functools.lru_cache(maxsize=None)(np.broadcast_to)
 
 
 class JetError(ValueError):
@@ -229,6 +232,14 @@ def jet_space(nvars, degree):
     if not 0 <= degree <= MAX_DEGREE:
         raise JetError(f"degree must be in 0..{MAX_DEGREE}, got {degree}")
     return JetSpace(nvars, degree)
+
+
+def _one_below(space):
+    """The space of the first partials of jets in ``space``, a degree lower."""
+    if space.degree == 0:
+        raise DegreeExhaustedError("cannot differentiate a degree-0 jet; "
+                                   "request a higher working degree")
+    return jet_space(space.nvars, space.degree - 1)
 
 
 def _as_value(c):
@@ -458,22 +469,21 @@ class Packed(list):
         at every point, as every component of an unbatched tensor does."""
         if self.uniform is not None:
             return self.uniform
-        return np.full(self.coeffs.shape[1], self.batch is None)
+        return _flags(self.batch is None, self.coeffs.shape[1])
 
     def take(self, k, w, rows=slice(None)):
-        """The coefficients ``rows`` (a slice or an index array) of the
-        components ``k`` at w points, 1 or the batch, as (rows, len(k), w):
-        a uniform component's broadcast from its one point.  An unbatched
-        tensor gives its one point, which broadcasts."""
-        r = rows if isinstance(rows, slice) else rows[:, None]
+        """The coefficients ``rows`` (a slice) of the components ``k`` at w
+        points, 1 or the batch, as (rows, len(k), w): a uniform component's
+        broadcast from its one point.  An unbatched tensor gives its one
+        point, which broadcasts."""
         if self.batch is None:
-            return self.coeffs[r, k]
+            return self.coeffs[rows, k]
         u = self.narrow()[k]
         if u.all() and w == 1:
-            return self.fixed[r, k][..., None]
-        out = self.coeffs[r, k, :w]
+            return self.fixed[rows, k][..., None]
+        out = self.coeffs[rows, k, :w]
         if u.any():
-            out[:, u] = self.fixed[r, k[u]][..., None]
+            out[:, u] = self.fixed[rows, k[u]][..., None]
         return out
 
     def dense(self, nc=None):
@@ -504,37 +514,62 @@ class Packed(list):
                       self.layout, self.uniform, self.fixed)
 
     def partials(self, wanted):
-        """The first partials of the components ``wanted[var]`` along each
-        var, one gather per variable, as one ``Packed`` tensor without a
-        layout, in that order: bit for bit ``Jet.partial`` of each
-        component's jet."""
-        if self.space.degree == 0:
-            raise DegreeExhaustedError(
-                "cannot differentiate a degree-0 jet; request a higher working degree"
-            )
-        space = jet_space(self.space.nvars, self.space.degree - 1)
-        count = sum(map(len, wanted))
-        out, fixed = empty(space.ncoeffs, count, self.coeffs.shape[2]), np.empty((space.ncoeffs, count))
-        narrow, lo = [], 0
-        for var, comps in enumerate(wanted):
-            src, fac = self.space.partial_table(var)
-            comps = np.asarray(comps, dtype=np.intp)
-            narrow.append(self.narrow()[comps])
-            sl = slice(lo, lo + len(comps))
-            fill(out[:, sl], fixed[:, sl], narrow[-1],
-                  lambda k, w: self.take(comps[k], w, src) * fac[:, None, None])
-            lo += len(comps)
-        return Packed(space, out, self.batch, uniform=np.concatenate(narrow), fixed=fixed)
+        """The first partials of the components ``wanted[var]`` along each var, in
+        that order, as one ``Packed`` tensor without a layout (``partial_sums``)."""
+        rows = np.array([(v, c) for v, comps in enumerate(wanted) for c in comps], np.intp)
+        return partial_sums(self, rows[:, :1], rows[:, 1:], (False,))
 
 
-def fill(out, fixed, narrow, values):
-    """out[:, k] = values(k, w) for the components k of ``out``, an (ncoeffs,
-    components, batch) array, a block at a time (``point_blocks``); a component
-    marked in ``narrow`` holds the same coefficients at every point and is
-    made at one point (w = 1) into ``fixed`` instead."""
-    nc, _, B = out.shape
-    wide = np.flatnonzero(~narrow)
-    for k in (wide[s] for s in point_blocks(len(wide), nc * B)):
+def partial_sums(t, var, comp, minus, scale=None):
+    """The ``Packed`` tensor, without a layout, whose row k sums the first
+    partials d_var[k, s] t_comp[k, s] of components of t left to right, the
+    terms s > 0 marked in ``minus`` subtracted, then scales by ``scale`` if
+    given: bit for bit those ``Jet.partial`` and jet operations.  A row of
+    uniform components is uniform, made at one point.  Below
+    ``_LAYERED_MIN_BATCH`` points each term is one gather over a block of
+    rows (``filled``); from there on such gathers cost more than they save,
+    and each row is made in its slot from views of its components."""
+    space = _one_below(t.space)
+    src, fac = (np.array(a).T for a in zip(*map(t.space.partial_table, range(space.nvars))))
+    nc, B, m = space.ncoeffs, t.coeffs.shape[2], var.shape[1]
+    narrow = t.narrow()[comp].all(axis=1)
+    if B < _LAYERED_MIN_BATCH:
+        X = t.dense()
+
+        def values(k, w):
+            d = [X[src[:, var[k, p]], comp[k, p], :w] * fac[:, var[k, p], None] for p in range(m)]
+            for p in range(1, m):
+                (np.subtract if minus[p] else np.add)(d[0], d[p], out=d[0])
+            return d[0] if scale is None else np.multiply(d[0], scale, out=d[0])
+
+        return filled(space, len(var), t.batch, narrow, values)
+    out, fixed = empty(nc, len(var), B), np.empty((nc, len(var)))
+    views, buf = [x.coeffs.reshape(len(x.coeffs), -1) for x in t.views], np.empty((nc, B))
+    for k, (vs, cs) in enumerate(zip(var.tolist(), comp.tolist())):
+        row = fixed[:, k, None] if narrow[k] else out[:, k]
+        for p, (v, x) in enumerate(zip(vs, (views[c] for c in cs))):
+            into = None if x.shape[1] == 1 else row if p == 0 else buf  # uniform: at one point
+            d = np.take(x, src[:, v], 0, out=into, mode="clip")
+            d *= fac[:, v, None]
+            if p == 0 and d is not row:
+                row[...] = d
+            elif p:
+                (np.subtract if minus[p] else np.add)(row, d, out=row)
+        if scale is not None:
+            row *= scale
+    return Packed(space, out, t.batch, uniform=narrow, fixed=fixed)
+
+
+def filled(space, count, batch, narrow, values, layout=None):
+    """The ``Packed`` tensor of ``count`` components in ``space`` whose
+    components k at w points are values(k, w): at one point (w = 1) for
+    those marked ``narrow``, which hold the same coefficients at every
+    point, else at the batch, a block of at most ``_BLOCK_ELEMENTS``
+    elements (one component at least) at a time."""
+    nc, B = space.ncoeffs, batch or 1
+    out, fixed = empty(nc, count, B), np.empty((nc, count))
+    wide, step = np.flatnonzero(~narrow), max(1, _BLOCK_ELEMENTS // (nc * B))
+    for k in (wide[lo : lo + step] for lo in range(0, len(wide), step)):
         if len(k) == 1:  # a view of the component, not a scatter
             out[:, k[0]] = values(k, B)[:, 0]
         else:
@@ -542,15 +577,6 @@ def fill(out, fixed, narrow, values):
     k = np.flatnonzero(narrow)
     if len(k):
         fixed[:, k] = values(k, 1)[:, :, 0]
-
-
-def filled(space, count, batch, narrow, values, layout=None):
-    """The ``Packed`` tensor of ``count`` components in ``space`` whose
-    components k at w points (1 for those marked ``narrow``, else the
-    batch) are values(k, w), made a block at a time (``fill``)."""
-    out = empty(space.ncoeffs, count, batch or 1)
-    fixed = np.empty((space.ncoeffs, count))
-    fill(out, fixed, narrow, values)
     return Packed(space, out, batch, layout, narrow, fixed)
 
 
@@ -629,16 +655,6 @@ def mul_entries(space, ca, cb, narrow=None):
         else:
             out[:, e] = _cauchy_layered(space, x, y)
     return out
-
-
-def point_blocks(count, size):
-    """Consecutive slices of ``count`` points (or components), each holding
-    at most ``_BLOCK_ELEMENTS`` elements of ``size`` per point (one point at
-    least).  Elementwise work whose intermediates are larger than its result
-    goes a block at a time, so that at a thousand points its intermediates
-    take no more than its result."""
-    step = max(1, _BLOCK_ELEMENTS // size)
-    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def empty(nc, count, B):
@@ -910,12 +926,8 @@ class Jet:
         """Derivative with respect to variable ``var``; costs one degree."""
         if not 0 <= var < self.nvars:
             raise JetError(f"variable index {var} out of range for {self.nvars} variables")
-        if self.degree == 0:
-            raise DegreeExhaustedError(
-                "cannot differentiate a degree-0 jet; request a higher working degree"
-            )
+        out_space = _one_below(self.space)
         src, fac = self.space.partial_table(var)
-        out_space = jet_space(self.nvars, self.degree - 1)
         f = fac if self.coeffs.ndim == 1 else fac[:, None]
         return Jet(out_space, self.coeffs[src] * f)
 

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from extrinsicq import curvature, jets
+from extrinsicq import curvature, geometry, jets
 from extrinsicq import hypersurface as hs
 from extrinsicq.geometry import (
     Axis,
@@ -490,12 +490,17 @@ def _assert_same_tensor(got, want, B, nc, name):
 
 
 # (scenario, its ambient context): constant and zero metric entries (FLAT_T4,
-# ROUND_S(4,1)), a dense one (PERT_T4), an embedded surface and its ambient
-@pytest.mark.parametrize("points", [1, 8, 127, 128, 353])
+# ROUND_S(4,1)), a dense one (PERT_T4), an embedded surface and its ambient;
+# and a whole chunk of the quadrature workloads for the dense metric and the
+# ambient one
+_PACKED_CASES = [("PERT_T4", False), ("ROUND_S(4,1)", False), ("FLAT_T4", False),
+                 ("GRAPH(T4_IN_PERT_T5)", False), ("GRAPH(T4_IN_PERT_T5)", True)]
+
+
 @pytest.mark.parametrize(
-    "name, ambient",
-    [("PERT_T4", False), ("ROUND_S(4,1)", False), ("FLAT_T4", False),
-     ("GRAPH(T4_IN_PERT_T5)", False), ("GRAPH(T4_IN_PERT_T5)", True)],
+    "name, ambient, points",
+    [(*case, points) for points in (1, 8, 127, 128, 353) for case in _PACKED_CASES]
+    + [("PERT_T4", False, 1024), ("GRAPH(T4_IN_PERT_T5)", True, 1024)],
 )
 def test_packed_builders_match_the_nested_reference(name, ambient, points):
     # on both sides of the layered threshold, each packed tensor has the
@@ -520,6 +525,59 @@ def test_packed_builders_match_the_nested_reference(name, ambient, points):
         gbar = hs.ambient_metric_on_surface(surface, d)
         _assert_same_tensor(hs.ambient_inverse_on_surface(surface, d),
                             reference_invert_spd(gbar, surface, d), points, nc, "gbar_inv")
+
+
+@pytest.mark.parametrize("points", [4, 128])
+def test_riemann_builds_the_first_kind_symbols_once(monkeypatch, points):
+    # riemann hands its first-kind symbols to the gamma it asks for, which
+    # raises their prefix: one build, and gamma's bits those of its own build
+    scn = parse_scenario("PERT_T4")
+    pts, calls, first = rand_points(scn.chart, points, 33), [], geometry.christoffel_first
+
+    def counted(g1):
+        calls.append(g1)
+        return first(g1)
+
+    monkeypatch.setattr(geometry, "christoffel_first", counted)
+    monkeypatch.setattr(curvature, "christoffel_first", counted)
+    ctx = scn.context(pts)
+    curvature.riemann(ctx, 1)
+    assert len(calls) == 1
+    nc = jets.jet_space(4, 1).ncoeffs
+    own = scn.context(pts).gamma(1)
+    assert len(calls) == 2
+    assert_same_bits(jet_coeffs(ctx.gamma(1), points, nc), jet_coeffs(own, points, nc))
+    # a plan that wants gamma deeper than the symbols riemann made: gamma
+    # builds its own at that degree
+    planned = scn.context(pts)
+    planned.plan["gamma"] = 3
+    curvature.riemann(planned, 1)
+    assert len(calls) == 4 and ("gamma", 3) in planned._cache
+
+
+def test_inverse_leaves_out_zero_products_only_where_the_target_holds_no_minus_zero(
+    monkeypatch,
+):
+    # x - (±0) = x except for x = -0, where -0 - (-0) is +0: the product of a
+    # pivot-row entry that is ±0 everywhere is left out of a target without
+    # -0 and made for one with -0, and every entry keeps the full
+    # subtraction's bits
+    from extrinsicq.geometry import _eliminate
+
+    sp, B = jets.jet_space(2, 2), 200
+    a = np.random.default_rng(34).standard_normal((sp.ncoeffs, 2, 4, B))
+    a[:, 0, 1], a[:, 0, 2] = 0.0, -0.0  # pivot-row entries that are ±0
+    a[:, 1, 2, ::2] = -0.0  # a target with -0 at half the points
+    a[:, 1, 0] = np.abs(a[:, 1, 0])  # f > 0, so f * (-0) is -0
+    both = np.zeros(4, bool)
+    want = a[:, 1] - jets.mul_entries(sp, a[:, 1, :1], a[:, 0], both)
+    assert np.signbit(a[:, 1, 2, ::2]).all() and not np.signbit(want[:, 2, ::2]).any()
+    made, mul = [], jets.mul_entries
+    monkeypatch.setattr(jets, "mul_entries",
+                        lambda sp, f, y, n=None: made.append(y.shape[1]) or mul(sp, f, y, n))
+    _eliminate(sp, a, 1, 0, both, ~a[:, 0].any(axis=(0, 2)))
+    assert sum(made) == 3  # the product with the +0 entry left out
+    assert_same_bits(a[:, 1], want)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -214,22 +214,23 @@ def test_hessian_and_divergence2_match_the_parent_forms(name, d):
 
 
 def test_christoffel_first_takes_each_metric_partial_once(monkeypatch):
+    # on both sides of the layered threshold: each partial table read once,
+    # and one row of three partials per symbol, no tensor of partials
     scn = parse_scenario("PERT_T5")
-    g = scn.context(rand_points(scn.chart, 3, 5)).g(2)
     tables, table = [], jets.JetSpace.partial_table
-    shapes, partials = [], jets.Packed.partials
-
-    def recorded(t, wanted):
-        out = partials(t, wanted)
-        shapes.append(out.coeffs.shape)
-        return out
-
+    rows, sums, partials = [], jets.partial_sums, []
     monkeypatch.setattr(jets.JetSpace, "partial_table",
                         lambda sp, var: tables.append(var) or table(sp, var))
-    monkeypatch.setattr(jets.Packed, "partials", recorded)
-    christoffel_first(g)
-    assert len(shapes) == 1 and tables == [0, 1, 2, 3, 4]  # one gather per variable
-    assert shapes[0][1] == 5 * 5 * 6 // 2  # n^2 (n + 1) / 2 of the n^3 entries
+    monkeypatch.setattr(jets, "partial_sums",
+                        lambda t, var, comp, *a: rows.append(comp.shape) or sums(t, var, comp, *a))
+    monkeypatch.setattr(jets.Packed, "partials", lambda t, wanted: partials.append(wanted))
+    for points in (3, 128):
+        g = scn.context(rand_points(scn.chart, points, 5)).g(2)
+        tables.clear(), rows.clear()
+        christoffel_first(g)
+        assert tables == [0, 1, 2, 3, 4]
+        assert rows == [(5 * 5 * 6 // 2, 3)]  # n^2 (n + 1) / 2 of the n^3 entries
+    assert not partials
 
 
 def test_sphere_christoffels_closed_form():

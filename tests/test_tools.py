@@ -99,7 +99,8 @@ def test_products_by_build_counts_each_dot_term():
 
 def test_products_by_build_counts_the_terms_left_out():
     # from 128 points on, the sphere's tangents and second derivatives make
-    # dot terms whose products vanish; they still count as products
+    # dot terms whose products vanish, and the inverse leaves out products
+    # of zeros; they still count as products
     counts = []
     for points in ("4", "128"):
         out = _products("SPHERE_IN_FLAT(3,1)", "ext_q3", "--points", points)
@@ -113,6 +114,7 @@ def test_products_by_build_counts_the_terms_left_out():
     (few, none_left), (many, left) = counts
     assert few == many and not any(none_left.values())
     assert 0 < left[("surface", "second_fundamental", "2")] < many
+    assert left[("surface", "invdet", "2")] > 0
 
 
 def test_products_by_build_bad_input_exits_two():
@@ -225,10 +227,14 @@ def test_bench_pairs_alternates_sides_and_summarises(tmp_path, monkeypatch, caps
 def test_bench_pairs_times_each_builder_by_degree():
     out = subprocess.run(
         [sys.executable, str(PAIRS), "--builders-child", str(ROOT), "gauss-bonnet",
-         "invdet,riemann", "1"],
+         "invdet,riemann", "2"],
         capture_output=True, text=True, check=True,
     )
     times = json.loads(out.stdout)
-    assert set(times) == {"invdet", "riemann", "sum", "pass_s"}
+    assert set(times) == {"invdet", "riemann", "sum", "pass_s", "minflt", "sys_s"}
     assert all(s > 0 for s in times["riemann"].values())
     assert 0 < times["sum"] < times["pass_s"]
+    # each warm pass's minor page faults and system time
+    assert len(times["minflt"]) == len(times["sys_s"]) == 2
+    assert all(isinstance(f, int) and f >= 0 for f in times["minflt"])
+    assert all(0 <= s < 10 * times["pass_s"] for s in times["sys_s"])

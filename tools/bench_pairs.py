@@ -24,7 +24,9 @@ prints one JSON object:
 - "builders", with ``--builders``: for each side and workload, in a process
   of its own, the self time of each named cache key's builds per degree
   (time in the build less the time in the builds it asks for), on the
-  fastest of ``--passes`` warm passes at seed 7.
+  fastest of ``--passes`` warm passes at seed 7; and the minor page faults
+  and system time of each of those passes ("minflt", "sys_s"), from
+  getrusage around the pass.
 - "traced", with ``--traced``: the per-layer metrics of
   ``perfbench/run.py --trace 1 --seed 7``, once per workload and side.
 
@@ -37,6 +39,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import tempfile
@@ -146,7 +149,8 @@ def claim(row, workload, metric):
 
 def builder_times(tree, workload, keys, passes):
     """{key: {degree: self seconds}} of one side's builds of ``keys``, and
-    the pass time, on the fastest of ``passes`` warm passes, in this process."""
+    the pass time, on the fastest of ``passes`` warm passes, in this process;
+    and each pass's minor page faults and system seconds."""
     sys.path[:0] = [str(Path(tree) / "src"), str(Path(tree) / "perfbench")]
     import workloads
     from extrinsicq import geometry
@@ -174,13 +178,15 @@ def builder_times(tree, workload, keys, passes):
         return get(ctx, key, d, timed)
 
     geometry.GeometryContext.get = timed_get
-    best = None
+    best, faults, system = None, [], []
     try:
         for _ in range(passes):
             tally.clear()
-            t0 = time.perf_counter()
+            r0, t0 = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
             workloads.run_pass(ops_)
-            wall = time.perf_counter() - t0
+            wall, r1 = time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF)
+            faults.append(r1.ru_minflt - r0.ru_minflt)
+            system.append(round(r1.ru_stime - r0.ru_stime, 4))
             if best is None or wall < best[0]:
                 best = (wall, {k: dict(v) for k, v in tally.items()})
     finally:
@@ -190,6 +196,7 @@ def builder_times(tree, workload, keys, passes):
            for k, v in sorted(best_tally.items())}
     out["sum"] = round(sum(s for v in best_tally.values() for s in v.values()), 4)
     out["pass_s"] = round(wall, 4)
+    out["minflt"], out["sys_s"] = faults, system
     return out
 
 

@@ -24,7 +24,8 @@ product that ``jets.compose`` makes on one unbatched column, the only caller
 that hands ``jets._cauchy_layered`` a 1-d operand.  The terms that a row of
 128 points or more leaves out because their products vanish
 (``jets._vanishing``) still count as products, and once more in a column
-of their own, "left_out".  Series expansions are
+of their own, "left_out"; so do the products of a pivot-row zero that the
+inverse's elimination leaves out there (``geometry._eliminate``).  Series expansions are
 counted per build in the same way, as perfbench's tracer counts them: each call
 of a jets series function, directly or through the expression language's
 function table ``exprlang._FUNCS``, counts once, and one made inside another
@@ -45,7 +46,7 @@ import sys
 import time
 from collections import defaultdict
 
-from extrinsicq import exprlang, jets
+from extrinsicq import exprlang, geometry, jets
 from extrinsicq import hypersurface as hs
 from extrinsicq import operators as ops
 from extrinsicq.geometry import DegreePlan, GeometryContext, jet_values
@@ -79,6 +80,7 @@ def charge(field, ctx):
     get, mul = GeometryContext.get, jets.Jet.__mul__
     contract, mul_entries = jets.contract, jets.mul_entries
     layered, vanishing = jets._cauchy_layered, jets._vanishing
+    eliminate = geometry._eliminate
     series = {name: getattr(jets, name) for name in SERIES}
     funcs = dict(exprlang._FUNCS)
     depth = [0]
@@ -138,10 +140,20 @@ def charge(field, ctx):
         table[stack[-1] if stack else NONE][3] += len(out)
         return out
 
+    def counted_eliminate(sp, a, *args):
+        # the row's products its mul_entries call did not make were left out
+        row = table[stack[-1] if stack else NONE]
+        made = row[0]
+        eliminate(sp, a, *args)
+        gone = a.shape[2] - (row[0] - made)
+        row[0] += gone
+        row[3] += gone
+
     GeometryContext.get = traced_get
     jets.Jet.__mul__ = jets.Jet.__rmul__ = counted_mul
     jets.contract, jets.mul_entries = counted_contract, counted_mul_entries
     jets._cauchy_layered, jets._vanishing = counted_layered, counted_vanishing
+    geometry._eliminate = counted_eliminate
     for name, fn in series.items():
         setattr(jets, name, counted_series(fn))
     exprlang._FUNCS.update({name: getattr(jets, name) for name in funcs})
@@ -154,6 +166,7 @@ def charge(field, ctx):
         jets.Jet.__mul__ = jets.Jet.__rmul__ = mul
         jets.contract, jets.mul_entries = contract, mul_entries
         jets._cauchy_layered, jets._vanishing = layered, vanishing
+        geometry._eliminate = eliminate
         for name, fn in series.items():
             setattr(jets, name, fn)
         exprlang._FUNCS.update(funcs)
