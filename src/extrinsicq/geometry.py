@@ -36,10 +36,10 @@ are array operations (``jets.mapped``) and a scalar field times a tensor
 one product per entry (``jets.times``), bit for bit the jet operations
 entry by entry.  Indexing a packed tensor, t[i][j], gives jet views into its
 array, made when first read, so ``operators``, ``cli`` and ``verify`` read
-it as nested jets.  Every module takes first-kind Christoffel symbols, sums
-of the metric's partials (``jets.partial_sums``), from ``christoffel_first``
-(``gamma`` raises those ``curvature.riemann`` made where it can) and
-covariant derivatives from ``covariant``.  ``jet_values`` and ``jet_coeffs``
+it as nested jets.  Every module takes first-kind Christoffel symbols from
+``christoffel_first`` (sums of the metric's partials, ``jets.partial_sums``)
+and covariant derivatives from ``covariant``; ``gamma`` raises the symbols
+``curvature.riemann`` made where it can.  ``jet_values`` and ``jet_coeffs``
 turn a tensor into one numpy array, batch axis last.
 """
 
@@ -560,9 +560,8 @@ def _invert_spd(gmat, ctx, d):
     the pivot row as row * ip and eliminates row i as row_i - f * row, f its
     entry in the pivot column, skipping an f that is zero at every
     coefficient; every entry's product is the jet product it would be
-    alone (``jets.mul_entries``), and the difference a subtraction; from
-    ``jets._LAYERED_MIN_BATCH`` points on, some products of zeros are left
-    out (``_eliminate``).
+    alone (``jets.mul_entries``), and the difference a subtraction, but
+    from 128 points on some products of zeros are left out (``_eliminate``).
     """
     g = pack_symmetric(gmat)
     n = len(g)
@@ -596,7 +595,7 @@ def _invert_spd(gmat, ctx, d):
         ip = jets.recip(jets.Jet(sp, a[:, k, k, 0] if narrow else a[:, k, k]))
         uniform[k] &= narrow
         a[:, k] = jets.mul_entries(sp, a[:, k], ip.coeffs.reshape(nc, 1, -1), uniform[k])
-        zero = ~a[:, k].any(axis=(0, 2)) & (B >= jets._LAYERED_MIN_BATCH)
+        zero = ~a[:, k].any(axis=(0, 2)) if B >= jets._LAYERED_MIN_BATCH else None
         for i in range(n):
             if i == k:
                 continue
@@ -615,10 +614,11 @@ def _invert_spd(gmat, ctx, d):
 def _eliminate(sp, a, i, k, both, zero):
     """Row i of the augmented matrix ``a`` less f (its entry k) times pivot
     row k, in place, each product by ``jets.mul_entries``.  That of a finite
-    f and an entry marked ``zero`` (±0 at every coefficient and point) is ±0,
-    and x - (±0) = x but for x = -0: it is left out where x holds no -0."""
+    f and an entry marked in ``zero`` (None: none), ±0 at every coefficient
+    and point, is ±0, and x - (±0) = x but for x = -0: it is left out where
+    x holds no -0."""
     f = a[:, i, k : k + 1]
-    if not (zero.any() and np.isfinite(f).all()):
+    if zero is None or not (zero.any() and np.isfinite(f).all()):
         a[:, i] -= jets.mul_entries(sp, f, a[:, k], both)
         return
     f = f.copy()  # entry k changes on the way
