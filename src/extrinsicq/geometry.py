@@ -595,7 +595,7 @@ def _invert_spd(gmat, ctx, d):
         ip = jets.recip(jets.Jet(sp, a[:, k, k, 0] if narrow else a[:, k, k]))
         uniform[k] &= narrow
         a[:, k] = jets.mul_entries(sp, a[:, k], ip.coeffs.reshape(nc, 1, -1), uniform[k])
-        zero = ~a[:, k].any(axis=(0, 2)) if B >= jets._LAYERED_MIN_BATCH else None
+        zero = ~a[:, k].any(axis=(0, 2)) if jets.layered(B) else None
         for i in range(n):
             if i == k:
                 continue

@@ -389,9 +389,9 @@ def nabla0_rho_normal(sctx, d):
 def _einsum_blocks(B, size):
     """Slices of B points for the pointwise einsums, of at most
     ``jets._BLOCK_ELEMENTS`` elements of ``size`` per point where they can
-    be, each starting at a multiple of 64 points and of two points at least:
-    an einsum runs each point at the place in its vector lanes it has over
-    the whole batch, so each point gets the bits of one einsum."""
+    be, each starting at a multiple of 64 points and of two points at least
+    (B > 1): an einsum runs each point at the place in its vector lanes it
+    has over the whole batch, so each point gets the bits of one einsum."""
     step = max(64, jets._BLOCK_ELEMENTS // size // 64 * 64)
     edges = [*range(0, B, step), B]
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
@@ -421,8 +421,11 @@ def nabla0_weyl_normal(sctx, d=0):
         nu, tv = jet_values(normal(sctx, 0), B), jet_values(tangents(sctx, 0), B)
         Gv = jet_values(amb.gamma(0), B)
         W = curvature.weyl(amb, 1)
-        T = np.empty((n, n, B))
-        for s in _einsum_blocks(B, (na + 1) * na**4):
+        # a lone point runs doubled: an einsum of one point may round it otherwise
+        pick = slice(None) if B > 1 else [0, 0]
+        nu, tv, Gv, W = nu[..., pick], tv[..., pick], Gv[..., pick], W.points(pick)
+        T = np.empty((n, n, max(B, 2)))
+        for s in _einsum_blocks(max(B, 2), (na + 1) * na**4):
             # coefficient 1 + e of a degree-1 jet is its first partial along
             # e; contiguous, as the einsums' bits need
             W1 = jets.expanded(W.points(s)).dense()
@@ -442,7 +445,7 @@ def nabla0_weyl_normal(sctx, d=0):
             t = np.ascontiguousarray(tv[..., s])
             T[..., s] = np.einsum("bcZ,ibZ,jcZ->ijZ", X, t, t)
         sp = jets.jet_space(n, 0)
-        return jets.Packed(sp, T.reshape(1, n * n, B), B, jets.dense_layout((n, n)))
+        return jets.Packed(sp, T[..., :B].reshape(1, n * n, B), B, jets.dense_layout((n, n)))
 
     return sctx.get("nabla0_weyl", 0, build)
 

@@ -7,16 +7,17 @@ only truncate.  The coefficient array may carry a trailing batch axis so a
 single jet represents the expansion of the same field at many points at
 once; unbatched and batched operands mix freely.
 
-Products are truncated Cauchy products over a cached pair table.  Small
-batches (and unbatched jets) sum each target's pairs with one
-``np.add.reduceat``; from ``_LAYERED_MIN_BATCH`` points on, the pairs are
-added in layers, which avoids reduceat's slow per-segment walk over long
-rows.  Layer r holds the r-th pair of every target with more than r pairs;
-the accumulator keeps the targets sorted by pair count, so each layer is
-added in place to one block of rows, with no scatter
-(``BENCH_prefix_layers.json``).  The layered kernel adds each target's
-pairs left to right; reduceat may group three or more of them differently,
-so the two kernels agree to rounding, not bit for bit.
+Products are truncated Cauchy products over a cached pair table, and every
+kernel sums each target's pairs left to right in table order, so a point's
+bits never depend on how many points share its batch, or on the kernel.
+Small batches (and unbatched jets) gather the pairs into a table of one
+column per target, -0.0 past its pairs, and reduce its rows in order
+(``_cauchy_padded``); x + (-0) = x for every x, signed zeros included.
+From ``_LAYERED_MIN_BATCH`` points on, where that table outgrows the cache,
+the pairs are added in layers: layer r holds the r-th pair of every target
+with more than r pairs, and the accumulator keeps the targets sorted by pair
+count, so each layer is added in place to one block of rows, with no scatter
+(``BENCH_prefix_layers.json``).
 
 The jets of a whole tensor are one ``Packed`` coefficient array (ncoeffs,
 components, batch), holding only the components its builder makes, with a
@@ -33,26 +34,22 @@ of products and additions but with no jet per term.  A term may carry a
 minus sign: its x coefficients are negated, never its product, as negating
 a product whose sum cancels to +0 would give -0.  Below
 ``_LAYERED_MIN_BATCH`` points the rows' operands are gathered chunk by chunk
-into contiguous arrays, and one gather and one reduceat make the products of
-a chunk (``_dot_core``); reduceat groups each target's pairs the same way
-whatever the trailing shape, so stacking changes no bit.  From there on each
-row's products are layered into one accumulator, and a term whose product
-is zero at every coefficient and point (one operand all zero, the other all
-finite) is left out.  Adding such a product turns a -0 sum into +0 and
-changes nothing else, so the row is mended where its sum holds -0: by a
-left-out +0 term, or else by making the left-out products after all.  The
-sum keeps the loop's bits, sign of zero included
-(``BENCH_vanishing_terms.json``).
+into contiguous arrays, and one padded product makes the products of a
+chunk (``_dot_core``).  From there on each row's products are layered into
+one accumulator, and a term whose product is zero at every coefficient and
+point (one operand all zero, the other all finite) is left out.  Adding
+such a product turns a -0 sum into +0 and changes nothing else, so the row
+is mended where its sum holds -0: by a left-out +0 term, or else by making
+the left-out products after all.  The sum keeps the loop's bits, sign of
+zero included (``BENCH_vanishing_terms.json``).
 
 Composition substitutes inner jets into a stack of outer Taylor polynomials,
 such as the components of a packed tensor: the monomials of the inner
 offsets are built once, one product each, and every outer is a coefficient
-sum against them.  The elementary functions
-are the one-variable case of the same substitution.  From
-``_LAYERED_MIN_BATCH`` points on, an offset with the same bits at every
-point (a chart coordinate's, under sin or cos) keeps one column, and its
-monomials are built on that column by the layered kernel, which gives each
-point the bits the full batch would (``BENCH_prefix_layers.json``,
+sum against them.  The elementary functions are the one-variable case of
+the same substitution.  An offset with the same bits at every point (a
+chart coordinate's, under sin or cos) keeps one column, and so do the
+monomials of such offsets alone (``BENCH_prefix_layers.json``,
 "series_rows").
 
 Degrees are bookkept explicitly.  Asking for information beyond the stored
@@ -72,24 +69,21 @@ MAX_DEGREE = 8
 # reciprocal refuses anything this close to zero
 _DIV_FLOOR = 1e-300
 
-# Batch size from which products use the layered kernel.  Below it the
-# per-layer Python overhead can outweigh reduceat's per-segment cost: at 4-5
-# variables and degrees 1-6 the layered kernel runs at 0.36-1.5x of reduceat's
-# speed at 8 points and 0.73-4.5x at 64 (slower at degree 2 only); from 128 on
-# it is faster everywhere, 1.1-6.7x at 128 (BENCH_prefix_layers.json,
-# "kernels").  Moving the threshold would change how every product of a
-# 64-127-point chunk is summed, so it stays.
+# Batch size from which products use the layered kernel and ``contract``
+# sums each row on its own; a speed setting only, as every kernel sums in one
+# order.  At 4-5 variables and degrees 2-3 the padded kernel takes 0.4-1.0x
+# the layered one's time up to 128 points and 0.9-5x from 256 on, where its
+# table outgrows the cache; at degree 6 it is slower from 8 points on, at
+# degrees 0-1 always, by a few microseconds (BENCH_one_order.json, "rows").
 _LAYERED_MIN_BATCH = 128
 
-# Largest gathered array, in float64 elements (pairs x products x batch), that
-# one stacked reduceat of ``contract`` makes below ``_LAYERED_MIN_BATCH``.  At
-# 8 points, 5 variables and degrees 0-4, the rows of a 6-55-entry tensor took
-# 0.68x the time of one contraction each at 2**14, against 0.93x at 2**12, 0.78x at
-# 2**13 and 0.60-0.66x from 2**15 to 2**18 (geometric means;
-# BENCH_dot_rows.json, "stack_bound" picks the smallest bound within 15% of
-# the fastest).  Past 2**14 the end-to-end run gains nothing and holds more
-# memory: paper-points read a median run_s of 2.51 s and peak RSS of 44.4 MB
-# at 2**15 against 2.42 s and 43.9 MB at 2**14 (10 pairs each, same parent).
+# Largest padded table, in float64 elements (slots x products x batch), that
+# one stacked product of ``contract`` makes below ``_LAYERED_MIN_BATCH``.  At
+# 8 points, 5 variables and degrees 0-4 the rows of a 6-55-entry tensor take
+# 0.58x the time of one contraction each at 2**14, 0.53x at 2**15 and 0.47x
+# at 2**16 (geometric means; BENCH_one_order.json, "stack_bound").  With
+# reduceat's gathers paper-points gained nothing past 2**14 end to end and
+# held more memory (BENCH_dot_rows.json); the bound stays until a gain shows.
 _STACK_ELEMENTS = 2**14
 
 # Largest block, in float64 elements, of the elementwise work on a packed
@@ -167,8 +161,7 @@ class JetSpace:
         Target k = index(mi[I[p]] + mi[J[p]]) collects the pairs p in
         ``starts[k]:starts[k+1]``, ordered by I.  Every target has at least
         one pair, and its first is (0, k) (alpha = 0 + alpha), which keeps
-        ``starts`` strictly increasing and reduceat's empty-segment quirk out
-        of play.
+        ``starts`` strictly increasing.
 
         The layered kernel keeps its accumulator with the targets sorted by
         pair count, ascending and stable: ``order = (perm, rank)`` puts
@@ -260,10 +253,28 @@ def _align(x, y):
     return x, y[:, None]
 
 
-def _cauchy_reduceat(space, ca, cb):
-    """Truncated product of aligned coefficient arrays by one reduceat."""
+@functools.lru_cache(maxsize=None)
+def _pad(space):
+    """(I, J, empty): the pair table as (most pairs of a target, ncoeffs)
+    index arrays, target k's pairs down column k in table order, and the
+    slots past them, which take pair 0 and are marked in ``empty``."""
     I, J, starts, _, _ = space.mul_table()
-    return np.add.reduceat(ca[I] * cb[J], starts, axis=0)
+    counts = np.diff(starts, append=I.size)
+    slot = np.arange(counts.max())[:, None]
+    empty = slot >= counts
+    p = np.where(empty, 0, starts + slot)
+    return I[p], J[p], empty
+
+
+def _cauchy_padded(space, ca, cb):
+    """Truncated product of aligned coefficient arrays of any trailing shape:
+    the pairs are gathered into ``_pad``'s table with -0.0 in its empty
+    slots, and np.add.reduce adds its rows in order from -0.0, which sums
+    each target's pairs left to right (x + (-0) = x for every x)."""
+    I, J, empty = _pad(space)
+    P = ca[I] * cb[J]
+    P[empty] = -0.0
+    return np.add.reduce(P, axis=0, initial=-0.0)
 
 
 def _cauchy_layered(space, ca, cb):
@@ -271,8 +282,7 @@ def _cauchy_layered(space, ca, cb):
 
     Each layer's products are added in place to a block of rows of the
     accumulator (``JetSpace.mul_table``); the rows go back to graded order
-    once at the end.  Every point is its own column, so an operand of one
-    column gets the bits each column of a full batch would."""
+    once at the end."""
     _, _, _, layers, order = space.mul_table()
     acc = ca[0] * (cb if order is None else cb[order[0]])
     for lo, I, J in layers:
@@ -280,43 +290,45 @@ def _cauchy_layered(space, ca, cb):
     return acc if order is None else acc[order[1]]
 
 
+def layered(batch):
+    """Whether work at ``batch`` points takes the layered paths, where a
+    product is layered and a contraction row summed on its own."""
+    return batch >= _LAYERED_MIN_BATCH
+
+
 def _product(space, ca, cb):
     """Truncated product of aligned coefficient arrays by the kernel for their batch."""
     # two comparisons, not max(): this runs on every small product
     if ca.ndim == 2 and (ca.shape[1] >= _LAYERED_MIN_BATCH or cb.shape[1] >= _LAYERED_MIN_BATCH):
         return _cauchy_layered(space, ca, cb)
-    return _cauchy_reduceat(space, ca, cb)
+    return _cauchy_padded(space, ca, cb)
 
 
 def _stack_plan(space, B, m):
     """(rows, terms): how many rows of m terms at B points one chunk of
     ``contract`` stacks, and how many of a row's terms one gather takes, so
-    that the gathered array holds at most ``_STACK_ELEMENTS`` elements, or
-    one product's where a single product is larger."""
-    products = max(1, _STACK_ELEMENTS // (space.mul_table()[0].size * B))
+    that the padded table (``_pad``) holds at most ``_STACK_ELEMENTS``
+    elements, or one product's where a single product is larger."""
+    products = max(1, _STACK_ELEMENTS // (_pad(space)[0].size * B))
     return max(1, products // m), min(m, products)
 
 
 def _dot_core(space, X, Y, S, step):
-    """The sums of stacked rows below ``_LAYERED_MIN_BATCH`` points, as
-    (ncoeffs, rows, B): X and Y (ncoeffs, rows, terms, B), contiguous, hold
-    each row's operands, X already carrying the terms' signs, and S
-    (ncoeffs, rows, B) their starts or is None.  One gather and one reduceat
-    make the products of ``step`` terms at a time, and each row's are added
-    in order, after its start, one term position at a time (a loop of
-    in-place additions, which here runs faster than one accumulate along
-    the term axis)."""
+    """The sums of stacked rows, as (ncoeffs, rows, B): X and Y (ncoeffs,
+    rows, terms, B), contiguous, hold each row's operands, X already
+    carrying the terms' signs, and S (ncoeffs, rows, B) their starts or is
+    None.  One padded product (``_cauchy_padded``) makes the products of
+    ``step`` terms at a time, and each row's are added in order, after its
+    start, one term position at a time (a loop of in-place additions, which
+    here runs faster than one accumulate along the term axis)."""
     nc, r, m, B = X.shape
-    I, J, starts, _, _ = space.mul_table()
     k = int(S is not None)
     terms = np.empty((nc, r, k + m, B))
     if k:
         terms[:, :, 0] = S
     for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        P = X[:, :, lo:hi][I] if step < m else X[I]
-        P *= Y[:, :, lo:hi][J] if step < m else Y[J]
-        np.add.reduceat(P, starts, axis=0, out=terms[:, :, k + lo : k + hi])
+        s = slice(lo, lo + step)
+        terms[:, :, k + lo : k + lo + step] = _cauchy_padded(space, X[:, :, s], Y[:, :, s])
     out = terms[:, :, 0]
     for t in range(1, k + m):
         out += terms[:, :, t]
@@ -635,23 +647,22 @@ def _batch_of(tensors):
 
 def mul_entries(space, ca, cb, narrow=None):
     """The truncated products ca[:, e] * cb[:, e] of (ncoeffs, entries,
-    batch) coefficient arrays in ``space``, each by the kernel the product
-    of two jets would take, so bit for bit a jet product per entry; either
-    side may hold one entry or one point for all.  Below
-    ``_LAYERED_MIN_BATCH`` points one reduceat makes every entry's product;
+    batch) coefficient arrays in ``space``, bit for bit a jet product per
+    entry; either side may hold one entry or one point for all.  Below
+    ``_LAYERED_MIN_BATCH`` points one padded product makes every entry's;
     from there on each entry is layered on its own, as one layered product
     per whole array outgrows the cache.  The entries marked in ``narrow``
     have operands that hold the same coefficients at every point; their
     products are made at one point and broadcast."""
     B = max(ca.shape[2], cb.shape[2])
     if B < _LAYERED_MIN_BATCH:
-        return _cauchy_reduceat(space, ca, cb)
+        return _cauchy_padded(space, ca, cb)
     ea, eb = ca.shape[1] - 1, cb.shape[1] - 1
     out = empty(space.ncoeffs, max(ea, eb) + 1, B)
     for e in range(out.shape[1]):
         x, y = ca[:, min(e, ea)], cb[:, min(e, eb)]
         if narrow is not None and narrow[e]:
-            out[:, e] = _cauchy_reduceat(space, x[:, 0], y[:, 0])[:, None]
+            out[:, e] = _cauchy_padded(space, x[:, 0], y[:, 0])[:, None]
         else:
             out[:, e] = _cauchy_layered(space, x, y)
     return out
@@ -1112,20 +1123,16 @@ def _substitute(args, space, C):
     that order, by one contraction over the used monomials
     (``BENCH_draw_batch.json``, "passes").
 
-    When every arg has ``_LAYERED_MIN_BATCH`` points or more, an offset
-    whose coefficients have the same bits at every point (a chart
-    coordinate's, say) is kept as one unbatched column, and monomials of
-    such offsets alone are built on that column by the layered kernel.
-    That kernel works point by point, so each point gets the bits the full
-    batch would.  Below the threshold reduceat makes the products, and it
-    sums one column differently, so nothing is narrowed there.
+    An offset whose coefficients have the same bits at every point (a
+    chart coordinate's, say) is kept as one unbatched column, and so are the
+    monomials of such offsets alone: every kernel sums one column as it
+    sums each column of a batch.
     """
     nc = space.ncoeffs
-    narrow = all(b.batch is not None and b.batch >= _LAYERED_MIN_BATCH for b in args)
     w = []
     for b in args:
         c = b.coeffs[:nc]
-        c = (c[:, 0] if narrow and _same_every_point(c[1:]) else c).copy()
+        c = (c[:, 0] if c.ndim == 2 and _same_every_point(c[1:]) else c).copy()
         c[0] = 0.0
         w.append(Jet(space, c))
     batch = max([*C.shape[2:], *(n for b in args for n in b.coeffs.shape[1:])], default=0)
@@ -1143,12 +1150,7 @@ def _substitute(args, space, C):
     for i, (parent, j) in enumerate(parents, 1):
         if not needed[i]:
             continue
-        if parent == 0:
-            m = w[j]
-        elif narrow and mono[parent].batch is None and w[j].batch is None:
-            m = Jet(space, _cauchy_layered(space, mono[parent].coeffs, w[j].coeffs))
-        else:
-            m = mono[parent] * w[j]
+        m = w[j] if parent == 0 else mono[parent] * w[j]
         if used[i]:
             M[slot[i]] = m.coeffs.reshape(nc, -1)
             if m.batch is not None and parent:

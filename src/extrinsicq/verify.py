@@ -20,10 +20,10 @@ worst case over random factors.  It draws every coefficient first, then
 evaluates the control and the draws side by side: block k of the row's
 points tiled carries factor k, whose coefficients are per-point columns of
 the expression language, so one rescaled context (and one base context
-where the base side depends on phi) serves them all, in batches below
-``jets._LAYERED_MIN_BATCH`` points, where every point gets the bits it
-would get alone.  All contexts of one check call share one
-``geometry.DegreePlan``, and so do the chunks of one ``integrate`` call.
+where the base side depends on phi) serves them all in one batch; the jet
+kernels give every point the bits it would get alone.  All contexts of one
+check call share one ``geometry.DegreePlan``, and so do the chunks of one
+``integrate`` call.
 Fields come back from the jets as arrays through ``geometry.jet_values``,
 batch axis last.
 
@@ -413,12 +413,11 @@ def _control_and_draws(name, scn, cfg, seed, rng, pts, plan, draws, defects, f_b
     Every coefficient is drawn first: with a trial function over ``f_basis``
     for each factor, the control's trial function, then each phi before its
     own.  The control (phi = 0) and the draws are then blocks of points side
-    by side, block k on the points k*P to (k+1)*P - 1 of ``pts`` tiled, in
-    batches below ``jets._LAYERED_MIN_BATCH`` points, where each point gets
-    the bits it would get alone.  For each batch, ``defects(hat_ctx, phi,
-    f)`` gets the rescaled context on ``plan``, phi and the trial function f
-    (None without ``f_basis``) as fields, and returns one (err, scale) per
-    block."""
+    by side in one batch, block k on the points k*P to (k+1)*P - 1 of
+    ``pts`` tiled, each point with the bits it would get alone.
+    ``defects(hat_ctx, phi, f)`` gets the rescaled context on ``plan``, phi
+    and the trial function f (None without ``f_basis``) as fields, and
+    returns one (err, scale) per block."""
     nb = pts.shape[1]
     phi_basis = scn.ambient_basis if scn.kind == "embedded" else scn.basis
     phis, fs = [np.zeros(len(phi_basis))], []
@@ -428,19 +427,13 @@ def _control_and_draws(name, scn, cfg, seed, rng, pts, plan, draws, defects, f_b
         phis.append(_coefficients(phi_basis, rng))
         if f_basis:
             fs.append(_coefficients(f_basis, rng))
-    per = max(1, (jets._LAYERED_MIN_BATCH - 1) // nb)
-    found = []
-    for lo in range(0, draws + 1, per):
-        hi = min(lo + per, draws + 1)
-        tiled = np.tile(pts, hi - lo)
-        text, columns = _combination(phi_basis, phis[lo:hi], nb)
-        hat_ctx, phi = _rescaled(scn, text, tiled, plan, columns)
-        f = None
-        if f_basis:
-            text, columns = _combination(f_basis, fs[lo:hi], nb)
-            f = _sfield(text, scn.chart, columns)
-        found += defects(hat_ctx, phi, f)
-    (err0, scale0), found = found[0], found[1:]
+    text, columns = _combination(phi_basis, phis, nb)
+    hat_ctx, phi = _rescaled(scn, text, np.tile(pts, draws + 1), plan, columns)
+    f = None
+    if f_basis:
+        text, columns = _combination(f_basis, fs, nb)
+        f = _sfield(text, scn.chart, columns)
+    (err0, scale0), *found = defects(hat_ctx, phi, f)
     out = [CheckResult.build(f"{name}[phi=0]", scn.name, nb, err0, scale0, cfg.tol_control, seed)]
     err, scale = 0.0, 1.0
     for e, s in found:

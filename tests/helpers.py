@@ -858,15 +858,18 @@ def ref_nabla0_weyl(sctx, d=0):
         nuv = jet_values(ref_normal(sctx, 0), B)
         tv = jet_values(ref_tangents(sctx, 0), B)
         W1 = jet_coeffs(curvature.weyl(amb, 1), B, na + 1)
+        Gv = jet_values(amb.gamma(0), B)
+        if B == 1:  # a lone point doubled, as the packed builder runs it
+            nuv, tv, W1, Gv = (np.repeat(a, 2, axis=-1) for a in (nuv, tv, W1, Gv))
         dW = np.einsum("eabcdZ,eZ->abcdZ", W1[1:], nuv)
         dW = np.einsum("abcZ,aZ->bcZ", np.einsum("abcdZ,dZ->abcZ", dW, nuv), nuv)
         Wn = np.einsum("abcdZ,dZ->abcZ", W1[0], nuv)
         Wnn = np.einsum("abcZ,aZ->bcZ", Wn, nuv)
-        Gn = np.einsum("feaZ,eZ->faZ", jet_values(amb.gamma(0), B), nuv)
+        Gn = np.einsum("feaZ,eZ->faZ", Gv, nuv)
         Gnn = np.einsum("faZ,aZ->fZ", Gn, nuv)
         S = np.einsum("fZ,fbcZ->bcZ", Gnn, Wn) + np.einsum("fbZ,fcZ->bcZ", Gn, Wnn)
         X = dW - S - S.swapaxes(0, 1)
-        T = np.einsum("bcZ,ibZ,jcZ->ijZ", X, tv, tv)
+        T = np.einsum("bcZ,ibZ,jcZ->ijZ", X, tv, tv)[..., :B]
         sp = jets.jet_space(n, 0)
         return [[jets.constant(sp, T[i, j]) for j in range(n)] for i in range(n)]
 

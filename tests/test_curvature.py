@@ -445,9 +445,9 @@ def test_riemann_build_makes_one_dot_rows_call(monkeypatch):
     monkeypatch.setattr(jets, "_dot_core", lambda *args: cores.append(1) or core(*args))
     curvature.riemann(ctx, 1)
     assert len(calls) == 1
-    # 55 rows of 10 terms at 4 points and degree 1 (11 pairs a product):
-    # chunks of 37 rows keep each gather within 2**14 elements
-    assert jets._stack_plan(jets.jet_space(5, 1), 4, 10)[0] == 37
+    # 55 rows of 10 terms at 4 points and degree 1 (12 slots of the padded
+    # table a product): chunks of 34 rows keep each gather within 2**14 elements
+    assert jets._stack_plan(jets.jet_space(5, 1), 4, 10)[0] == 34
     assert len(cores) == 2
 
 

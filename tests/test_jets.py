@@ -431,20 +431,7 @@ def test_partial_bad_variable_raises():
 # ---- Cauchy product kernels -------------------------------------------------
 
 LAYERED = jets._LAYERED_MIN_BATCH
-KERNEL_BATCHES = (8, LAYERED, 353)  # 353: a 2401-point grid's tail chunk
-
-
-def _reduceat_by_columns(space, ca, cb, width=16):
-    """The reduceat kernel applied a few columns at a time, so its (pairs,
-    batch) temporaries stay small even at six variables and degree 8."""
-    batch = max(ca.shape[1], cb.shape[1])
-    cols = []
-    for lo in range(0, batch, width):
-        s = slice(lo, lo + width)
-        x = ca if ca.shape[1] == 1 else ca[:, s]
-        y = cb if cb.shape[1] == 1 else cb[:, s]
-        cols.append(jets._cauchy_reduceat(space, x, y))
-    return np.hstack(cols)
+KERNEL_BATCHES = (1, 8, 64, LAYERED, 353)  # 353: a 2401-point grid's tail chunk
 
 
 def test_mul_table_layers_hold_every_pair_once():
@@ -479,25 +466,18 @@ def test_mul_table_layers_hold_every_pair_once():
 @pytest.mark.parametrize("degree", range(jets.MAX_DEGREE + 1))
 @pytest.mark.parametrize("nvars", range(1, jets.MAX_NVARS + 1))
 def test_product_kernels_agree(nvars, degree, batch):
-    """Both kernels, every space, both sides of the switch, mixed operands.
-
-    The layered and reduceat kernels may round a target's sum differently,
-    so they are compared to 1e-14 of the sum of the absolute terms, the
-    scale of that rounding."""
+    """Every space, both sides of the switch, mixed operands: a jet product
+    has the bits of the left-to-right sum of each target's pairs, values
+    and signs of zero."""
     sp = jet_space(nvars, degree)
     rng = np.random.default_rng(1000 * nvars + 10 * degree + batch)
-    ca = rng.standard_normal((sp.ncoeffs, batch))
-    cb = rng.standard_normal((sp.ncoeffs, batch))
-    kernel = jets._cauchy_layered if batch >= LAYERED else jets._cauchy_reduceat
+    ca, cb = (_wide_range(rng, (sp.ncoeffs, batch)) for _ in range(2))
     for x, y in [(ca, cb), (ca[:, :1], cb), (ca, cb[:, :1])]:
-        a = Jet(sp, x[:, 0] if x.shape[1] == 1 else x)
-        b = Jet(sp, y[:, 0] if y.shape[1] == 1 else y)
+        a = Jet(sp, x if x is ca else x[:, 0])
+        b = Jet(sp, y if y is cb else y[:, 0])
         got = (a * b).coeffs
         assert got.shape == (sp.ncoeffs, batch)
-        assert np.array_equal(got, kernel(sp, x, y))
-        want = _reduceat_by_columns(sp, x, y)
-        scale = _reduceat_by_columns(sp, np.abs(x), np.abs(y))
-        assert np.all(np.abs(jets._cauchy_layered(sp, x, y) - want) <= 1e-14 * scale)
+        assert_same_bits(got, reference_layered(sp, x, y))
 
 
 def _wide_range(rng, shape):
@@ -523,15 +503,18 @@ def test_layered_kernel_is_bit_identical_to_the_scatter_layers(nvars, degree, ba
 
 @pytest.mark.parametrize("batch", [None, 1, LAYERED - 1, LAYERED, LAYERED + 1])
 def test_product_switches_kernel_at_threshold(batch):
+    """A point's product has the same bits unbatched and in a batch of any
+    size, on both sides of the switch from the padded kernel to the layered
+    one."""
     sp = jet_space(5, 3)
     rng = np.random.default_rng(7)
-    shape = (sp.ncoeffs,) if batch is None else (sp.ncoeffs, batch)
-    a = Jet(sp, rng.standard_normal(shape))
-    b = Jet(sp, rng.standard_normal(shape))
-    ca, cb = jets._align(a.coeffs, b.coeffs)
-    large = batch is not None and batch >= LAYERED
-    kernel = jets._cauchy_layered if large else jets._cauchy_reduceat
-    assert np.array_equal((a * b).coeffs, kernel(sp, ca, cb))
+    ca, cb = (_wide_range(rng, (sp.ncoeffs, LAYERED + 1)) for _ in range(2))
+    want = jets._cauchy_layered(sp, ca, cb)
+    if batch is None:
+        got = (Jet(sp, ca[:, 0]) * Jet(sp, cb[:, 0])).coeffs[:, None]
+    else:
+        got = (Jet(sp, ca[:, :batch]) * Jet(sp, cb[:, :batch])).coeffs
+    assert_same_bits(got, want[:, : got.shape[1]])
 
 
 def _dot_operand(rng, nvars, degree, batch):
@@ -573,7 +556,7 @@ def _reference_signed_dot(xs, ys, start, negate):
 @pytest.mark.parametrize("nvars", range(1, 6))
 def test_dot_is_bit_identical_to_the_loop(nvars, degree, batch):
     rng = np.random.default_rng(100 * nvars + 10 * degree + (batch or 0))
-    # more terms than one reduceat stacks below the layered threshold
+    # more terms than one padded product stacks below the layered threshold
     m = 16 if batch is None or batch < LAYERED else 3
     uniform = [[_dot_operand(rng, nvars, degree, batch) for _ in range(m)] for _ in range(2)]
     # every third x and every second y unbatched, so some terms are both, and
@@ -669,10 +652,10 @@ def test_dot_rows_is_bit_identical_to_the_loop_row_by_row(nvars, degree, batch, 
     below the layered threshold 5 at a bound of two rows per chunk or of
     three products per gather, so that chunks and a row's gathers split."""
     rng = np.random.default_rng(100 * nvars + 10 * degree + (batch or 0))
-    m, pairs = 4, jet_space(nvars, degree).mul_table()[0].size
+    m, slots = 4, jets._pad(jet_space(nvars, degree))[0].size
     bounds = [(jets._STACK_ELEMENTS, 1), (jets._STACK_ELEMENTS, 3)]
     if (batch or 1) < LAYERED:
-        bounds += [(pairs * (batch or 1) * m * 2, 5), (pairs * (batch or 1) * 3, 5)]
+        bounds += [(slots * (batch or 1) * m * 2, 5), (slots * (batch or 1) * 3, 5)]
     for (bound, count), mixed, starts in itertools.product(
         bounds, (False, True), ("none", "all", "some")
     ):
@@ -694,12 +677,12 @@ def test_dot_rows_crosses_a_chunk_at_the_real_bound():
 def test_stack_plan_bounds_the_gathered_array():
     for nvars, degree, batch, m in itertools.product((2, 5), (0, 2, 4), (1, 8, 127), (1, 10, 25)):
         sp = jet_space(nvars, degree)
-        pairs = sp.mul_table()[0].size
+        slots = jets._pad(sp)[0].size
         per_chunk, per_gather = jets._stack_plan(sp, batch, m)
         assert 1 <= per_gather <= m and per_chunk >= 1
         if per_chunk > 1:
-            assert per_gather == m and pairs * per_chunk * m * batch <= jets._STACK_ELEMENTS
-        assert pairs * per_gather * batch <= max(jets._STACK_ELEMENTS, pairs * batch)
+            assert per_gather == m and slots * per_chunk * m * batch <= jets._STACK_ELEMENTS
+        assert slots * per_gather * batch <= max(jets._STACK_ELEMENTS, slots * batch)
 
 
 def test_dot_rows_rejects_mismatched_rows():
@@ -803,7 +786,7 @@ def test_dot_leaves_out_vanishing_terms_bit_for_bit(batch, start, vanishing, mon
         sx = [-xs[t] if negate[t] else xs[t] for t in kept]
         partial = reference_dot(sx, [ys[t] for t in kept], first) if kept or first else None
         exact = partial is not None and not _holds_minus_zero(partial.coeffs[: sp.ncoeffs])
-        # a left-out product of two unbatched operands is made by reduceat
+        # a left-out product of two unbatched operands is made by the padded kernel
         assert made == len(kept) if exact else len(kept) <= made <= 6
 
 
@@ -972,21 +955,22 @@ def test_offsets_equal_at_every_point_give_the_full_batch_bits(batch, monkeypatc
         assert_same_bits(g, w)
 
 
-def _layered_operand_shapes(monkeypatch):
+def _product_operand_shapes(monkeypatch):
+    """The trailing shapes of the operands of every product kernel call."""
     shapes = []
-    kernel = jets._cauchy_layered
+    for name in ("_cauchy_padded", "_cauchy_layered"):
 
-    def spy(space, ca, cb):
-        shapes.append((ca.shape[1:], cb.shape[1:]))
-        return kernel(space, ca, cb)
+        def spy(space, ca, cb, kernel=getattr(jets, name)):
+            shapes.append((ca.shape[1:], cb.shape[1:]))
+            return kernel(space, ca, cb)
 
-    monkeypatch.setattr(jets, "_cauchy_layered", spy)
+        monkeypatch.setattr(jets, name, spy)
     return shapes
 
 
 def test_sin_of_a_coordinate_builds_its_monomials_on_one_column(monkeypatch):
     x1 = _offset_operands(1024)[0]
-    shapes = _layered_operand_shapes(monkeypatch)
+    shapes = _product_operand_shapes(monkeypatch)
     jets.sin(x1)
     assert shapes and set(shapes) == {((), ())}
 
@@ -995,7 +979,7 @@ def test_offsets_differing_in_the_sign_of_a_zero_stay_batched(monkeypatch):
     a = _offset_operands(1024)[0]
     a.coeffs[a.space.index[(0, 1)], ::2] = -0.0  # +0.0 at the other points
     got = jets.sin(a).coeffs
-    shapes = _layered_operand_shapes(monkeypatch)
+    shapes = _product_operand_shapes(monkeypatch)
     assert_same_bits(got, jets.sin(a).coeffs)
     assert shapes and all(((1024,), (1024,)) == s for s in shapes)
     monkeypatch.setattr(jets, "_substitute", reference_substitute)

@@ -1,11 +1,14 @@
 """Operator identities: sphere spectra, frozen values, covariance, laws."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from extrinsicq import hypersurface as hs, jets, operators as ops
 from extrinsicq.exprlang import parse_expression
 from extrinsicq.scenarios import conf_phi, parse_scenario
+from extrinsicq.verify import Quadrature
 from extrinsicq.geometry import (
     Axis,
     Chart,
@@ -584,3 +587,29 @@ def test_a_shared_plan_gives_the_bits_of_a_fresh_context(name, B):
     for label, field in fields.items():
         got, want = (jet_coeffs(field(c, 0), B, 1) for c in (shared, fresh))
         assert_same_bits(got, want)
+
+
+# ---- a point's bits do not depend on its batch -----------------------------
+
+
+@functools.cache
+def _values_in_batches(batch, n=1024):
+    """c_invariant and the total-Q4 integrand on GRAPH(T4_IN_PERT_T5) at the
+    first n points of its (10, 12) quadrature rule, ``batch`` points a
+    context, the contexts sharing one plan as the chunks of ``integrate`` do."""
+    scn = parse_scenario("GRAPH(T4_IN_PERT_T5)")
+    pts = Quadrature(scn.chart, 10, 12).points[:, :n]
+    fields = [ops.c_invariant(), ops.integrand_i1() + ops.integrand_i2() + ops.integrand_i3()]
+    plan = DegreePlan(6)
+    out = []
+    for lo in range(0, n, batch):
+        ctx = scn.context(pts[:, lo : lo + batch], 6, plan)
+        out.append([jval(f(ctx, 0), ctx.nbatch) for f in fields])
+    return np.concatenate(out, axis=1)
+
+
+@pytest.mark.parametrize("batch", [1, 8, 127, 128])
+def test_a_points_bits_do_not_depend_on_its_batch(batch):
+    """Alone, in small batches and on both sides of the layered kernel's
+    threshold, every point gets the bits of one 1,024-point batch."""
+    assert_same_bits(_values_in_batches(batch), _values_in_batches(1024))

@@ -360,13 +360,13 @@ def _rescaled_batches(monkeypatch):
     return counts
 
 
-def test_draws_split_into_batches_below_the_layered_threshold(monkeypatch):
-    # 12 points a block: ten blocks (the control and nine factors) fit below
-    # 128 points, so twelve factors take two batches
+def test_control_and_draws_are_one_batch(monkeypatch):
+    # 12 points a block: the control and twelve factors are one batch of 156
+    # points, past the layered threshold, as every kernel sums in one order
     cfg, scn = load_config({}), parse_scenario("FLAT_T2")
     counts = _rescaled_batches(monkeypatch)
     got = verify.check_covariance(scn, "p2", cfg, seed=15, pairs=12)
-    assert counts == [120, 36] and max(counts) < jets._LAYERED_MIN_BATCH
+    assert counts == [156] and max(counts) >= jets._LAYERED_MIN_BATCH
     assert got[1].samples == 12 * 12
     assert _as_json(got) == _as_json(reference_check_covariance(scn, "p2", cfg, 15, 12))
 

@@ -4,26 +4,26 @@ Usage, from the root of a checkout:
 
     PYTHONPATH=src python3 tools/bench_cauchy_kernels.py > kernels.json
 
-For nvars {4, 5} x degree {0, 1, 2, 3, 6} x batch {8, 64, 128, 256, 1024}
-it times ``_cauchy_reduceat`` and ``_cauchy_layered`` on the same random
-operands ("rows"): microseconds per product for each kernel, their ratio,
-and the largest difference between the two results relative to the largest
-absolute value.  For nvars {4, 5} x degree {1, 2} x terms {4, 16, 25} x
+For nvars {4, 5} x degree {0, 1, 2, 3, 6} x batch {1, 8, 32, 64, 128, 256,
+1024} it times ``_cauchy_padded`` (the small-batch kernel) and
+``_cauchy_layered`` on the same random operands ("rows"): microseconds per
+product for each kernel, their ratio, and whether the two results have the
+same bits.  For nvars {4, 5} x degree {1, 2} x terms {4, 16, 25} x
 batch {8, 128, 1024} it times a sum of products of jets, xs[0]*ys[0] +
 xs[1]*ys[1] + ..., three ways ("dot_rows"): as a loop of ``Jet`` products
 and additions, as one row of ``jets.contract`` on the operands packed
-(``packed_dot``, "dot_us"), and stacked into one reduceat whatever the batch
-(the form ``jets.contract`` uses below ``_LAYERED_MIN_BATCH``), and checks
-that the contraction equals the loop bit for bit.  At 128 and 1024 points it
-times the same sums again with the x of every second term all zero
-("vanishing_share" 0.5), terms that ``jets.contract`` leaves out there.  For
+(``packed_dot``, "dot_us"), and stacked into one padded product whatever the
+batch (the form ``jets.contract`` uses below ``_LAYERED_MIN_BATCH``), and
+checks that the contraction equals the loop bit for bit.  At 128 and 1024
+points it times the same sums again with the x of every second term all
+zero ("vanishing_share" 0.5), terms that ``jets.contract`` leaves out there.  For
 nvars {4, 5} x degree {2, 3, 4} x batch {128, 1024} it times ``jets.sin`` of
 a chart coordinate, whose offset is the same at every point, and of a jet
 whose offset varies from point to point ("series_rows").  For 5 variables x degree 0-4 x rows
 {6, 15, 55} x terms {5, 10} at 8 points it times the rows of one tensor
 contracted one ``packed_dot`` each and by one ``packed_dot_rows`` call, the
-latter with each candidate bound on the gathered array of one stacked
-reduceat ("batched_rows", microseconds per row), checks that the two agree
+latter with each candidate bound on the padded table of one stacked
+product ("batched_rows", microseconds per row), checks that the two agree
 bit for bit, and picks the bound ("stack_bound"): the smallest candidate
 whose geometric mean time over the grid is within 15% of the fastest
 candidate's: a larger bound keeps more stacked operands alive, and the
@@ -44,7 +44,7 @@ from extrinsicq import jets
 
 NVARS = (4, 5)
 DEGREES = (0, 1, 2, 3, 6)
-BATCHES = (8, 64, 128, 256, 1024)
+BATCHES = (1, 8, 32, 64, 128, 256, 1024)
 DOT_DEGREES = (1, 2)
 DOT_TERMS = (4, 16, 25)
 DOT_BATCHES = (8, 128, 1024)
@@ -85,10 +85,9 @@ def loop_dot(xs, ys):
 
 
 def stacked_dot(space, X, Y):
-    """sum_m X[:, m] * Y[:, m] of (ncoeffs, terms, batch) stacks: one gather,
-    one reduceat, one accumulate."""
-    I, J, starts, *_ = space.mul_table()
-    return np.add.accumulate(np.add.reduceat(X[I] * Y[J], starts, axis=0), axis=1)[:, -1]
+    """sum_m X[:, m] * Y[:, m] of (ncoeffs, terms, batch) stacks: one padded
+    product, one accumulate."""
+    return np.add.accumulate(jets._cauchy_padded(space, X, Y), axis=1)[:, -1]
 
 
 def packed_dot_rows(rows):
@@ -222,21 +221,22 @@ def main():
             for batch in BATCHES:
                 ca = rng.standard_normal((space.ncoeffs, batch))
                 cb = rng.standard_normal((space.ncoeffs, batch))
-                red = per_call(lambda: jets._cauchy_reduceat(space, ca, cb))
+                pad = per_call(lambda: jets._cauchy_padded(space, ca, cb))
                 lay = per_call(lambda: jets._cauchy_layered(space, ca, cb))
-                want = jets._cauchy_reduceat(space, ca, cb)
-                diff = np.max(np.abs(jets._cauchy_layered(space, ca, cb) - want))
+                got = jets._cauchy_padded(space, ca, cb).view(np.int64)
                 rows.append(
                     {
                         "nvars": nvars,
                         "degree": degree,
                         "batch": batch,
                         "pairs": int(space.mul_table()[0].size),
+                        "slots": int(jets._pad(space)[0].size),
                         "layers": len(space.mul_table()[3]) + 1,
-                        "reduceat_us": round(red * 1e6, 2),
+                        "padded_us": round(pad * 1e6, 2),
                         "layered_us": round(lay * 1e6, 2),
-                        "speedup": round(red / lay, 2),
-                        "max_rel_diff": float(diff / np.max(np.abs(want))),
+                        "speedup": round(pad / lay, 2),
+                        "bit_identical": bool(np.array_equal(
+                            got, jets._cauchy_layered(space, ca, cb).view(np.int64))),
                     }
                 )
     out = {

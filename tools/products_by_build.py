@@ -19,15 +19,13 @@ of an embedded scenario, or an intrinsic one), and assembled operator fields
 share the key ``field``.  Each term of each row of a ``jets.contract`` call
 counts as one product, and the time of the whole call is charged with it,
 as does each entry of a ``jets.mul_entries`` call (which ``jets.products``
-and ``jets.times`` make).  So does each monomial
-product that ``jets.compose`` makes on one unbatched column, the only caller
-that hands ``jets._cauchy_layered`` a 1-d operand.  The terms that a row of
-128 points or more leaves out because their products vanish
-(``jets._vanishing``) still count as products, and once more in a column
-of their own, "left_out"; so do the products of a pivot-row zero that the
-inverse's elimination leaves out there (``geometry._eliminate``).  Series expansions are
-counted per build in the same way, as perfbench's tracer counts them: each call
-of a jets series function, directly or through the expression language's
+and ``jets.times`` make).  The terms that a row of 128 points or more
+leaves out because their products vanish (``jets._vanishing``) still count
+as products, and once more in a column of their own, "left_out"; so do
+the products of a pivot-row zero that the inverse's elimination leaves out
+there (``geometry._eliminate``).  Series expansions are counted per build
+in the same way, as perfbench's tracer counts them: each call of a jets
+series function, directly or through the expression language's
 function table ``exprlang._FUNCS``, counts once, and one made inside another
 (sqrt calls powf) does not count.  Products and series made outside any build
 are charged to ``(none)``.  It prints one line per build with its products,
@@ -79,7 +77,7 @@ def charge(field, ctx):
     stack = []
     get, mul = GeometryContext.get, jets.Jet.__mul__
     contract, mul_entries = jets.contract, jets.mul_entries
-    layered, vanishing = jets._cauchy_layered, jets._vanishing
+    vanishing = jets._vanishing
     eliminate = geometry._eliminate
     series = {name: getattr(jets, name) for name in SERIES}
     funcs = dict(exprlang._FUNCS)
@@ -130,11 +128,6 @@ def charge(field, ctx):
     def counted_mul_entries(space, ca, cb, *args):
         return counted(lambda: max(ca.shape[1], cb.shape[1]), mul_entries, space, ca, cb, *args)
 
-    def counted_layered(space, ca, cb):
-        if ca.ndim != 1:  # a batched product, already counted by its caller
-            return layered(space, ca, cb)
-        return counted(lambda: 1, layered, space, ca, cb)
-
     def counted_vanishing(*args):
         out = vanishing(*args)
         table[stack[-1] if stack else NONE][3] += len(out)
@@ -152,7 +145,7 @@ def charge(field, ctx):
     GeometryContext.get = traced_get
     jets.Jet.__mul__ = jets.Jet.__rmul__ = counted_mul
     jets.contract, jets.mul_entries = counted_contract, counted_mul_entries
-    jets._cauchy_layered, jets._vanishing = counted_layered, counted_vanishing
+    jets._vanishing = counted_vanishing
     geometry._eliminate = counted_eliminate
     for name, fn in series.items():
         setattr(jets, name, counted_series(fn))
@@ -165,7 +158,7 @@ def charge(field, ctx):
         GeometryContext.get = get
         jets.Jet.__mul__ = jets.Jet.__rmul__ = mul
         jets.contract, jets.mul_entries = contract, mul_entries
-        jets._cauchy_layered, jets._vanishing = layered, vanishing
+        jets._vanishing = vanishing
         geometry._eliminate = eliminate
         for name, fn in series.items():
             setattr(jets, name, fn)
